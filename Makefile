@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-kernel bench-pipeline bench-traffic bench-repair tune experiments paper fmt fmt-check vet lint verify-plans fuzz-smoke checkptr chaos check clean
+.PHONY: all build test test-short race cover bench bench-smoke bench-kernel bench-pipeline bench-traffic bench-repair tune experiments paper fmt fmt-check vet lint verify-plans fuzz-smoke checkptr chaos check clean
 
 all: check
 
@@ -25,6 +25,16 @@ cover:
 # One testing.B benchmark per paper figure plus kernel micro-benches.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository benchmark (bench/, see bench/README.md): its own tests,
+# then a 2-second pass over every workload with every output checked.
+# bench/ is a module of its own, so the root `go test ./...` never runs
+# bench/bench_test.go. Fails when the result line counts a failed
+# operation.
+bench-smoke:
+	cd bench && $(GO) test -timeout 900s .
+	@line=$$(bash bench/run.sh -workload all -seconds 2 -trace 0 | tail -n 1); echo "$$line"; \
+		case "$$line" in *'"failed":0,'*) ;; *) echo "bench-smoke: failed operations"; exit 1;; esac
 
 # Record the kernel-layer series: gf + kernel region benchmarks, 5 runs
 # each (best sample kept), ref-vs-tiled and portable-vs-xorplan

@@ -1,9 +1,11 @@
 package fault
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -220,6 +222,57 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	}
 	ms.Lose(2)
 	if err := ms.ReadStrip(0, 2, make([]byte, ms.StripBytes())); err == nil {
+		t.Fatal("lost disk still readable")
+	}
+}
+
+// TestMemStoreGrowsGeometrically: an ascending fill reallocates each
+// disk's slab O(log n) times, and the written extent still bounds reads
+// exactly: a stripe past it, or on a lost disk, is missing; a gap
+// skipped by a later write reads as zeros.
+func TestMemStoreGrowsGeometrically(t *testing.T) {
+	const disks, stripes, stripBytes = 3, 1024, 64
+	ms := NewMemStore(disks, stripBytes)
+	strip := make([]byte, stripBytes)
+	buf := make([]byte, stripBytes)
+	regrows := 0
+	for idx := 0; idx < stripes; idx++ {
+		for j := 0; j < disks; j++ {
+			strip[0], strip[1] = byte(idx), byte(j)
+			var before *byte
+			if len(ms.disks[j]) > 0 {
+				before = &ms.disks[j][0]
+			}
+			if err := ms.WriteStrip(idx, j, strip); err != nil {
+				t.Fatal(err)
+			}
+			if &ms.disks[j][0] != before {
+				regrows++ // the slab moved: a reallocation and full copy
+			}
+		}
+	}
+	if limit := disks * (bits.Len(stripes) + 1); regrows > limit {
+		t.Fatalf("ascending fill of %d stripes reallocated %d times, want <= %d", stripes, regrows, limit)
+	}
+	for _, idx := range []int{0, 511, stripes - 1} {
+		if err := ms.ReadStrip(idx, 1, buf); err != nil || buf[0] != byte(idx) || buf[1] != 1 {
+			t.Fatalf("stripe %d: read %v, err %v", idx, buf[:2], err)
+		}
+	}
+	if err := ms.ReadStrip(stripes, 0, buf); err == nil {
+		t.Fatal("stripe past the written extent is readable")
+	}
+	if err := ms.WriteStrip(stripes+2, 0, strip); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.ReadStrip(stripes, 0, buf); err != nil || !bytes.Equal(buf, make([]byte, stripBytes)) {
+		t.Fatalf("skipped stripe: %v, err %v, want zeros", buf[:2], err)
+	}
+	if err := ms.ReadStrip(stripes, 1, buf); err == nil {
+		t.Fatal("another disk's extent grew too")
+	}
+	ms.Lose(2)
+	if err := ms.ReadStrip(0, 2, buf); err == nil {
 		t.Fatal("lost disk still readable")
 	}
 }

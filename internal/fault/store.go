@@ -27,8 +27,9 @@ type Store interface {
 	WriteStrip(idx, disk int, src []byte) error
 }
 
-// MemStore is an in-memory Store: one growable byte slab per disk.
-// A nil disk slab simulates a missing disk (reads fail permanently).
+// MemStore is an in-memory Store: one growable byte slab per disk,
+// whose length is the written extent. A nil disk slab simulates a
+// missing disk (reads fail permanently).
 type MemStore struct {
 	stripBytes int
 	disks      [][]byte
@@ -63,7 +64,11 @@ func (m *MemStore) ReadStrip(idx, disk int, dst []byte) error {
 	return nil
 }
 
-// WriteStrip stores stripe idx's strip on disk j, growing the slab.
+// WriteStrip stores stripe idx's strip on disk j, extending the slab
+// to cover it. Capacity grows geometrically, so filling a store in
+// ascending stripe order copies each byte O(1) times on average; the
+// bytes between the old extent and a strip written past it read as
+// zeros, as before.
 func (m *MemStore) WriteStrip(idx, disk int, src []byte) error {
 	if disk < 0 || disk >= len(m.disks) {
 		return fmt.Errorf("memstore: disk %d out of range", disk)
@@ -72,12 +77,17 @@ func (m *MemStore) WriteStrip(idx, disk int, src []byte) error {
 		return fmt.Errorf("memstore: strip is %d bytes, want %d", len(src), m.stripBytes)
 	}
 	off := idx * m.stripBytes
-	if need := off + m.stripBytes; need > len(m.disks[disk]) {
-		grown := make([]byte, need)
-		copy(grown, m.disks[disk])
-		m.disks[disk] = grown
+	d := m.disks[disk]
+	if need := off + m.stripBytes; need > len(d) {
+		if need > cap(d) {
+			grown := make([]byte, need, max(need, 2*cap(d)))
+			copy(grown, d)
+			d = grown
+		}
+		d = d[:need]
+		m.disks[disk] = d
 	}
-	copy(m.disks[disk][off:], src)
+	copy(d[off:], src)
 	return nil
 }
 

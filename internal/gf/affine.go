@@ -8,7 +8,7 @@ package gf
 // j) turns one region multiply into a handful of byte-wise affine
 // transforms — exactly the operation the GF2P8AFFINEQB instruction
 // evaluates 64 bytes at a time. The builders here encode those blocks
-// in the instruction's matrix format; affine_amd64.s consumes them.
+// in the instruction's matrix format; block_amd64.s consumes them.
 // The encoding is portable Go so every platform can build and test it;
 // only the consumption is amd64-specific.
 //
@@ -72,7 +72,7 @@ func affineMat8(f Field, a uint32) uint64 {
 }
 
 // affineMats16 encodes GF(2^16) multiplication by a for the planar
-// kernel in affine_amd64.s: the kernel splits each 64-byte vector into
+// kernel in block_amd64.s: the kernel splits each 64-byte vector into
 // a low-byte plane (first 32 bytes) and a high-byte plane, so
 // mats[0] pairs the in-place blocks [A00 ×4 | A11 ×4] and mats[1] the
 // cross blocks [A01 ×4 | A10 ×4] applied to the plane-swapped vector.

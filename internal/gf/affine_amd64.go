@@ -2,9 +2,16 @@
 
 package gf
 
-// Assembly region kernels (affine_amd64.s). n must be positive and a
+// Row-block kernels (block_amd64.s, generated by gen_block.go). rows is
+// in [1, BlockRows], nsrc in [1, blockBatch], and n is positive and a
 // multiple of 64; callers peel the sub-64-byte tail onto the portable
 // kernels.
-func gf8AffineXorAsm(dst, src *byte, n int, mat uint64)
-func gf16AffineXorAsm(dst, src *byte, n int, mats *[2][8]uint64)
-func gf32AffineXorAsm(dst, src *byte, n int, mats *[4][8]uint64)
+
+//go:noescape
+func gf8BlockAsm(a *blockArgs, nsrc, rows, n int, acc bool)
+
+//go:noescape
+func gf16BlockAsm(a *blockArgs, nsrc, rows, n int, acc bool)
+
+//go:noescape
+func gf32BlockAsm(a *blockArgs, nsrc, rows, n int, acc bool)

@@ -8,6 +8,6 @@ const affineSupported = false
 
 var useAffine = false
 
-func gf8AffineXorAsm(dst, src *byte, n int, mat uint64)          { panic("gf: no affine kernel") }
-func gf16AffineXorAsm(dst, src *byte, n int, mats *[2][8]uint64) { panic("gf: no affine kernel") }
-func gf32AffineXorAsm(dst, src *byte, n int, mats *[4][8]uint64) { panic("gf: no affine kernel") }
+func gf8BlockAsm(a *blockArgs, nsrc, rows, n int, acc bool)  { panic("gf: no affine kernel") }
+func gf16BlockAsm(a *blockArgs, nsrc, rows, n int, acc bool) { panic("gf: no affine kernel") }
+func gf32BlockAsm(a *blockArgs, nsrc, rows, n int, acc bool) { panic("gf: no affine kernel") }

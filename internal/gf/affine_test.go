@@ -1,7 +1,6 @@
 package gf
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -20,20 +19,6 @@ func forBothKernelPaths(t *testing.T, fn func(t *testing.T)) {
 		defer SetAffineKernels(SetAffineKernels(false))
 		fn(t)
 	})
-}
-
-// applyAffineByte evaluates one encoded 8×8 matrix qword the way
-// GF2P8AFFINEQB does: output bit t is the parity of row byte 7-t ANDed
-// with the input.
-func applyAffineByte(q uint64, b byte) byte {
-	var out byte
-	for t := 0; t < 8; t++ {
-		row := byte(q >> uint(8*(7-t)))
-		if bits.OnesCount8(row&b)%2 == 1 {
-			out |= 1 << uint(t)
-		}
-	}
-	return out
 }
 
 // TestAffineBlocksMatchScalar validates the matrix encoding itself, on
@@ -57,7 +42,7 @@ func TestAffineBlocksMatchScalar(t *testing.T) {
 				for i := 0; i < wb; i++ {
 					var ob byte
 					for j := 0; j < wb; j++ {
-						ob ^= applyAffineByte(affineBlock(cols, i, j), byte(w>>uint(8*j)))
+						ob ^= affineByte(affineBlock(cols, i, j), byte(w>>uint(8*j)))
 					}
 					got |= uint32(ob) << uint(8*i)
 				}

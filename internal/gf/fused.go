@@ -11,36 +11,37 @@ import (
 // mult_XORs(dst, src, a), and every figure counts those. But executing a
 // row of r nonzero coefficients as r independent MultXORs calls loads
 // and stores the destination region r times — at multi-megabyte region
-// sizes the destination traffic dominates. The fused form streams each
-// 64-bit word of dst through *all* of the row's coefficients before
-// storing it, so dst is read and written once per row:
+// sizes the destination traffic dominates. The fused form takes the
+// row's terms in batches of blockBatch and streams each destination
+// word through a whole batch before storing it, so dst is read and
+// written once per batch instead of once per term:
 //
-//	dst traffic:  2*r region passes  ->  2 region passes
+//	dst traffic:  2*r region passes  ->  2*ceil(r/blockBatch) passes
 //	src traffic:  r passes (unchanged)
+//
+// With the affine kernels active a batch is a 1-row call of the
+// row-block kernel (block.go) over the 64-byte-aligned prefix, with
+// coefficient-1 terms as identity matrices; the table-driven cores below
+// handle the tail, and the whole region otherwise. Applying several rows
+// that share sources in one pass is the RowBlock's job.
 //
 // This is the operation-fusion idea of Uezato ("Accelerating XOR-based
 // Erasure Coding using Program Optimization Techniques", SC'21) applied
-// to the table-driven GF kernels. The logical mult_XORs count is
-// unchanged: one fused row pass performs exactly the same r region
-// operations, and the kernel's Stats still count r.
+// to the GF kernels. The logical mult_XORs count is unchanged: one fused
+// row pass performs exactly the same r region operations, and the
+// kernel's Stats still count r.
 //
 // Two entry points:
 //
 //   - Field.MultXORsMulti(dst, srcs, consts): resolves each constant's
-//     lookup tables on the fly (memoized per field, so resolution is a
-//     cache hit after first use). Zero constants are skipped.
-//   - CompileRow(f, consts): pre-resolves the tables once, for plans
-//     that apply the same row thousands of times. The returned RowKernel
-//     is immutable and safe for concurrent use.
+//     tables and matrices on the fly (memoized per field, so resolution
+//     is a cache hit after first use). Zero constants are skipped.
+//   - CompileRow(f, consts): pre-resolves them once, for plans that
+//     apply the same row thousands of times. The returned RowKernel is
+//     immutable and safe for concurrent use.
 //
-// Both batch terms in groups of maxFusedTerms so the per-term table
-// pointers live in fixed-size stack arrays — no per-call allocation.
-
-// maxFusedTerms is the batch width of the fused loops: a row with more
-// nonzero terms reloads dst once per batch, which still divides the
-// destination traffic by up to maxFusedTerms compared with the
-// term-at-a-time path.
-const maxFusedTerms = 16
+// Both keep a batch's per-term pointers in fixed-size stack arrays — no
+// per-call allocation.
 
 // RowKernel is a row of coefficients compiled against its lookup
 // tables: MultXOR computes dst[i] ^= Σ_k consts[k] * srcs[k][i] with
@@ -57,60 +58,65 @@ type RowKernel interface {
 	MultXOR(dst []byte, srcs [][]byte)
 }
 
+// rowKernel is a compiled row as the block driver sees it: RowBlock
+// runs a row's table path over the tail its kernel call left.
+type rowKernel interface {
+	RowKernel
+	// tableXOR applies the row to bytes [lo:] of dst and the sources
+	// with the table-driven core.
+	tableXOR(dst []byte, srcs [][]byte, lo int)
+}
+
 // CompileRow lowers one coefficient row over the field. Zero constants
 // are skipped at compile time; the fused apply touches only the nonzero
 // positions of srcs.
-func CompileRow(f Field, consts []uint32) RowKernel {
+func CompileRow(f Field, consts []uint32) RowKernel { return compileRow(f, consts) }
+
+func compileRow(f Field, consts []uint32) rowKernel {
+	ra := rowAffine{w: f.W(), n: len(consts)}
+	mask := uint32(f.Order() - 1)
+	for j, a := range consts {
+		if a&mask != 0 {
+			ra.cols = append(ra.cols, j)
+			ra.mats = append(ra.mats, affineMatrix(f, a&mask))
+		}
+	}
 	switch ff := f.(type) {
 	case *field8:
-		r := &rowKernel8{n: len(consts)}
-		for j, a := range consts {
-			a &= 0xFF
-			switch {
-			case a == 0:
-			case a == 1:
-				r.terms = append(r.terms, term8{idx: j})
-			default:
-				m := &ff.muls[a]
-				r.terms = append(r.terms, term8{idx: j, row: m.row, aff: m.aff})
+		r := &rowKernel8{rowAffine: ra}
+		for _, j := range ra.cols {
+			var row []uint8 // nil: coefficient 1
+			if a := consts[j] & 0xFF; a > 1 {
+				row = ff.muls[a].row
 			}
+			r.rows = append(r.rows, row)
 		}
 		return r
 	case *field16:
-		r := &rowKernel16{n: len(consts)}
-		for j, a := range consts {
-			a &= 0xFFFF
-			switch {
-			case a == 0:
-			case a == 1:
-				r.terms = append(r.terms, term16{idx: j})
-			default:
-				m := ff.multiplier(a)
-				r.terms = append(r.terms, term16{idx: j, t: m.t, aff: m.aff})
+		r := &rowKernel16{rowAffine: ra}
+		for _, j := range ra.cols {
+			var t *[2][256]uint16
+			if a := consts[j] & 0xFFFF; a > 1 {
+				t = ff.multiplier(a).t
 			}
+			r.tabs = append(r.tabs, t)
 		}
 		return r
 	case field32:
-		r := &rowKernel32{n: len(consts)}
-		for j, a := range consts {
-			switch {
-			case a == 0:
-			case a == 1:
-				r.terms = append(r.terms, term32{idx: j})
-			default:
-				m := ff.multiplier(a)
-				r.terms = append(r.terms, term32{idx: j, t: m.t, aff: m.aff})
+		r := &rowKernel32{rowAffine: ra}
+		for _, j := range ra.cols {
+			var t *[4][256]uint32
+			if a := consts[j]; a > 1 {
+				t = ff.multiplier(a).t
 			}
+			r.tabs = append(r.tabs, t)
 		}
 		return r
 	default:
 		// Unknown Field implementation: term-at-a-time fallback.
-		r := &rowKernelGeneric{f: f, n: len(consts)}
-		for j, a := range consts {
-			if a != 0 {
-				r.idx = append(r.idx, j)
-				r.consts = append(r.consts, a)
-			}
+		r := &rowKernelGeneric{f: f, rowAffine: ra}
+		for _, j := range ra.cols {
+			r.consts = append(r.consts, consts[j])
 		}
 		return r
 	}
@@ -124,105 +130,124 @@ func checkFused(nsrcs, nconsts int) {
 	}
 }
 
+// rowAffine is the width-independent half of a compiled row: its
+// nonzero columns and their affine matrices.
+type rowAffine struct {
+	w    int
+	n    int // length of the consts row compiled from
+	cols []int
+	mats []*uint64
+}
+
+func (r *rowAffine) Terms() int { return len(r.cols) }
+
+// affine applies the row over the 64-byte-aligned prefix of dst as a
+// 1-row block-kernel call and returns the prefix length: 0 when the
+// affine kernels are off or dst is shorter than one chunk.
+//
+//ppm:hotpath
+func (r *rowAffine) affine(dst []byte, srcs [][]byte) int {
+	n := affinePrefix(len(dst))
+	multiAffine(r.w, dst, srcs, r.cols, r.mats, n)
+	return n
+}
+
+// multiAffine is the 1-row kernel call behind a fused row:
+// dst[:n] ^= Σ_k M_k * srcs[cols[k]][:n], n a multiple of 64 (0 skips).
+//
+//ppm:hotpath
+func multiAffine(w int, dst []byte, srcs [][]byte, cols []int, mats []*uint64, n int) {
+	if n == 0 || len(cols) == 0 {
+		return
+	}
+	var a blockArgs
+	a.dst[0] = &dst[0]
+	runBlock(w, &a, 1, srcs, cols, mats, n, true)
+}
+
+// affinePrefix is the length the affine kernels cover for a region of
+// n bytes: the 64-byte-aligned prefix, or 0 when they are off.
+func affinePrefix(n int) int {
+	if !useAffine {
+		return 0
+	}
+	return n &^ 63
+}
+
 // --- GF(2^8) ---
 
-type term8 struct {
-	idx int
-	row []uint8 // nil: coefficient 1 (plain XOR)
-	aff uint64  // affine matrix for the constant
-}
-
 type rowKernel8 struct {
-	terms []term8
-	n     int
+	rowAffine
+	rows [][]uint8 // per term; nil: coefficient 1
 }
-
-func (r *rowKernel8) Terms() int { return len(r.terms) }
 
 //ppm:hotpath
 func (r *rowKernel8) MultXOR(dst []byte, srcs [][]byte) {
 	checkFused(len(srcs), r.n)
-	var xs, ts [maxFusedTerms][]byte
-	var rows [maxFusedTerms][]uint8
-	var affs [maxFusedTerms]uint64
-	for i := 0; i < len(r.terms); {
+	for _, j := range r.cols {
+		checkRegions(dst, srcs[j], 1)
+	}
+	r.tableXOR(dst, srcs, r.affine(dst, srcs))
+}
+
+//ppm:hotpath
+func (r *rowKernel8) tableXOR(dst []byte, srcs [][]byte, lo int) {
+	if lo == len(dst) {
+		return
+	}
+	var xs, ts [blockBatch][]byte
+	var rows [blockBatch][]uint8
+	for k := 0; k < len(r.cols); {
 		nx, nt := 0, 0
-		for ; i < len(r.terms) && nx+nt < maxFusedTerms; i++ {
-			t := r.terms[i]
-			s := srcs[t.idx]
-			checkRegions(dst, s, 1)
-			if t.row == nil {
+		for ; k < len(r.cols) && nx+nt < blockBatch; k++ {
+			s := srcs[r.cols[k]][lo:]
+			if r.rows[k] == nil {
 				xs[nx] = s
 				nx++
 			} else {
 				ts[nt] = s
-				rows[nt] = t.row
-				affs[nt] = t.aff
+				rows[nt] = r.rows[k]
 				nt++
 			}
 		}
-		fuse8(dst, xs[:nx], ts[:nt], rows[:nt], affs[:nt])
+		fuse8Tables(dst[lo:], xs[:nx], ts[:nt], rows[:nt])
 	}
 }
 
 //ppm:hotpath
 func (f *field8) MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32) {
 	checkFused(len(srcs), len(consts))
-	var xs, ts [maxFusedTerms][]byte
-	var rows [maxFusedTerms][]uint8
-	var affs [maxFusedTerms]uint64
+	lo := affinePrefix(len(dst))
+	var cols [blockBatch]int
+	var mats [blockBatch]*uint64
+	var xs, ts [blockBatch][]byte
+	var rows [blockBatch][]uint8
 	for j := 0; j < len(consts); {
-		nx, nt := 0, 0
-		for ; j < len(consts) && nx+nt < maxFusedTerms; j++ {
+		nb, nx, nt := 0, 0, 0
+		for ; j < len(consts) && nb < blockBatch; j++ {
 			a := consts[j] & 0xFF
 			if a == 0 {
 				continue
 			}
 			s := srcs[j]
 			checkRegions(dst, s, 1)
+			cols[nb] = j
 			if a == 1 {
-				xs[nx] = s
+				mats[nb] = &ident8
+				xs[nx] = s[lo:]
 				nx++
 			} else {
 				m := &f.muls[a]
-				ts[nt] = s
+				mats[nb] = &m.aff
+				ts[nt] = s[lo:]
 				rows[nt] = m.row
-				affs[nt] = m.aff
 				nt++
 			}
+			nb++
 		}
-		fuse8(dst, xs[:nx], ts[:nt], rows[:nt], affs[:nt])
+		multiAffine(8, dst, srcs, cols[:nb], mats[:nb], lo)
+		fuse8Tables(dst[lo:], xs[:nx], ts[:nt], rows[:nt])
 	}
-}
-
-// fuse8 applies one batch of GF(2^8) terms. With the affine kernels
-// available, multiplied terms run one GF2P8AFFINEQB sweep each over the
-// 64-byte-aligned prefix — inside the cache-blocked drivers dst stays
-// resident across those sweeps — and the table core handles the tail
-// plus the fused coefficient-1 XOR pass.
-//
-//ppm:hotpath
-func fuse8(dst []byte, xs, ts [][]byte, rows [][]uint8, affs []uint64) {
-	if len(xs) == 0 && len(ts) == 0 {
-		return
-	}
-	if useAffine && len(dst) >= 64 && len(ts) > 0 {
-		n64 := len(dst) &^ 63
-		for k, s := range ts {
-			gf8AffineXorAsm(&dst[0], &s[0], n64, affs[k])
-		}
-		if n64 < len(dst) {
-			for k := range ts {
-				ts[k] = ts[k][n64:]
-			}
-			fuse8Tables(dst[n64:], nil, ts, rows)
-		}
-		if len(xs) > 0 {
-			fuse8Tables(dst, xs, nil, nil)
-		}
-		return
-	}
-	fuse8Tables(dst, xs, ts, rows)
 }
 
 // fuse8Tables is the portable GF(2^8) fused core:
@@ -268,100 +293,78 @@ func fuse8Tables(dst []byte, xs, ts [][]byte, rows [][]uint8) {
 
 // --- GF(2^16) ---
 
-type term16 struct {
-	idx int
-	t   *[2][256]uint16 // nil: coefficient 1
-	aff *[2][8]uint64
-}
-
 type rowKernel16 struct {
-	terms []term16
-	n     int
+	rowAffine
+	tabs []*[2][256]uint16 // per term; nil: coefficient 1
 }
-
-func (r *rowKernel16) Terms() int { return len(r.terms) }
 
 //ppm:hotpath
 func (r *rowKernel16) MultXOR(dst []byte, srcs [][]byte) {
 	checkFused(len(srcs), r.n)
-	var xs, ts [maxFusedTerms][]byte
-	var tabs [maxFusedTerms]*[2][256]uint16
-	var affs [maxFusedTerms]*[2][8]uint64
-	for i := 0; i < len(r.terms); {
+	for _, j := range r.cols {
+		checkRegions(dst, srcs[j], 2)
+	}
+	r.tableXOR(dst, srcs, r.affine(dst, srcs))
+}
+
+//ppm:hotpath
+func (r *rowKernel16) tableXOR(dst []byte, srcs [][]byte, lo int) {
+	if lo == len(dst) {
+		return
+	}
+	var xs, ts [blockBatch][]byte
+	var tabs [blockBatch]*[2][256]uint16
+	for k := 0; k < len(r.cols); {
 		nx, nt := 0, 0
-		for ; i < len(r.terms) && nx+nt < maxFusedTerms; i++ {
-			t := r.terms[i]
-			s := srcs[t.idx]
-			checkRegions(dst, s, 2)
-			if t.t == nil {
+		for ; k < len(r.cols) && nx+nt < blockBatch; k++ {
+			s := srcs[r.cols[k]][lo:]
+			if r.tabs[k] == nil {
 				xs[nx] = s
 				nx++
 			} else {
 				ts[nt] = s
-				tabs[nt] = t.t
-				affs[nt] = t.aff
+				tabs[nt] = r.tabs[k]
 				nt++
 			}
 		}
-		fuse16(dst, xs[:nx], ts[:nt], tabs[:nt], affs[:nt])
+		fuse16Tables(dst[lo:], xs[:nx], ts[:nt], tabs[:nt])
 	}
 }
 
 //ppm:hotpath
 func (f *field16) MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32) {
 	checkFused(len(srcs), len(consts))
-	var xs, ts [maxFusedTerms][]byte
-	var tabs [maxFusedTerms]*[2][256]uint16
-	var affs [maxFusedTerms]*[2][8]uint64
+	lo := affinePrefix(len(dst))
+	var cols [blockBatch]int
+	var mats [blockBatch]*uint64
+	var xs, ts [blockBatch][]byte
+	var tabs [blockBatch]*[2][256]uint16
 	for j := 0; j < len(consts); {
-		nx, nt := 0, 0
-		for ; j < len(consts) && nx+nt < maxFusedTerms; j++ {
+		nb, nx, nt := 0, 0, 0
+		for ; j < len(consts) && nb < blockBatch; j++ {
 			a := consts[j] & 0xFFFF
 			if a == 0 {
 				continue
 			}
 			s := srcs[j]
 			checkRegions(dst, s, 2)
+			cols[nb] = j
 			if a == 1 {
-				xs[nx] = s
+				mats[nb] = &ident16[0][0]
+				xs[nx] = s[lo:]
 				nx++
 			} else {
 				m := f.multiplier(a)
-				ts[nt] = s
+				mats[nb] = &m.aff[0][0]
+				ts[nt] = s[lo:]
 				tabs[nt] = m.t
-				affs[nt] = m.aff
 				nt++
 			}
+			nb++
 		}
-		fuse16(dst, xs[:nx], ts[:nt], tabs[:nt], affs[:nt])
+		multiAffine(16, dst, srcs, cols[:nb], mats[:nb], lo)
+		fuse16Tables(dst[lo:], xs[:nx], ts[:nt], tabs[:nt])
 	}
-}
-
-// fuse16 applies one batch of GF(2^16) terms, preferring the planar
-// affine kernel for multiplied terms (see fuse8 for the structure).
-//
-//ppm:hotpath
-func fuse16(dst []byte, xs, ts [][]byte, tabs []*[2][256]uint16, affs []*[2][8]uint64) {
-	if len(xs) == 0 && len(ts) == 0 {
-		return
-	}
-	if useAffine && len(dst) >= 64 && len(ts) > 0 {
-		n64 := len(dst) &^ 63
-		for k, s := range ts {
-			gf16AffineXorAsm(&dst[0], &s[0], n64, affs[k])
-		}
-		if n64 < len(dst) {
-			for k := range ts {
-				ts[k] = ts[k][n64:]
-			}
-			fuse16Tables(dst[n64:], nil, ts, tabs)
-		}
-		if len(xs) > 0 {
-			fuse16Tables(dst, xs, nil, nil)
-		}
-		return
-	}
-	fuse16Tables(dst, xs, ts, tabs)
 }
 
 // fuse16Tables is the portable GF(2^16) fused core: four 16-bit
@@ -405,100 +408,78 @@ func fuse16Tables(dst []byte, xs, ts [][]byte, tabs []*[2][256]uint16) {
 
 // --- GF(2^32) ---
 
-type term32 struct {
-	idx int
-	t   *[4][256]uint32 // nil: coefficient 1
-	aff *[4][8]uint64
-}
-
 type rowKernel32 struct {
-	terms []term32
-	n     int
+	rowAffine
+	tabs []*[4][256]uint32 // per term; nil: coefficient 1
 }
-
-func (r *rowKernel32) Terms() int { return len(r.terms) }
 
 //ppm:hotpath
 func (r *rowKernel32) MultXOR(dst []byte, srcs [][]byte) {
 	checkFused(len(srcs), r.n)
-	var xs, ts [maxFusedTerms][]byte
-	var tabs [maxFusedTerms]*[4][256]uint32
-	var affs [maxFusedTerms]*[4][8]uint64
-	for i := 0; i < len(r.terms); {
+	for _, j := range r.cols {
+		checkRegions(dst, srcs[j], 4)
+	}
+	r.tableXOR(dst, srcs, r.affine(dst, srcs))
+}
+
+//ppm:hotpath
+func (r *rowKernel32) tableXOR(dst []byte, srcs [][]byte, lo int) {
+	if lo == len(dst) {
+		return
+	}
+	var xs, ts [blockBatch][]byte
+	var tabs [blockBatch]*[4][256]uint32
+	for k := 0; k < len(r.cols); {
 		nx, nt := 0, 0
-		for ; i < len(r.terms) && nx+nt < maxFusedTerms; i++ {
-			t := r.terms[i]
-			s := srcs[t.idx]
-			checkRegions(dst, s, 4)
-			if t.t == nil {
+		for ; k < len(r.cols) && nx+nt < blockBatch; k++ {
+			s := srcs[r.cols[k]][lo:]
+			if r.tabs[k] == nil {
 				xs[nx] = s
 				nx++
 			} else {
 				ts[nt] = s
-				tabs[nt] = t.t
-				affs[nt] = t.aff
+				tabs[nt] = r.tabs[k]
 				nt++
 			}
 		}
-		fuse32(dst, xs[:nx], ts[:nt], tabs[:nt], affs[:nt])
+		fuse32Tables(dst[lo:], xs[:nx], ts[:nt], tabs[:nt])
 	}
 }
 
 //ppm:hotpath
 func (f field32) MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32) {
 	checkFused(len(srcs), len(consts))
-	var xs, ts [maxFusedTerms][]byte
-	var tabs [maxFusedTerms]*[4][256]uint32
-	var affs [maxFusedTerms]*[4][8]uint64
+	lo := affinePrefix(len(dst))
+	var cols [blockBatch]int
+	var mats [blockBatch]*uint64
+	var xs, ts [blockBatch][]byte
+	var tabs [blockBatch]*[4][256]uint32
 	for j := 0; j < len(consts); {
-		nx, nt := 0, 0
-		for ; j < len(consts) && nx+nt < maxFusedTerms; j++ {
+		nb, nx, nt := 0, 0, 0
+		for ; j < len(consts) && nb < blockBatch; j++ {
 			a := consts[j]
 			if a == 0 {
 				continue
 			}
 			s := srcs[j]
 			checkRegions(dst, s, 4)
+			cols[nb] = j
 			if a == 1 {
-				xs[nx] = s
+				mats[nb] = &ident32[0][0]
+				xs[nx] = s[lo:]
 				nx++
 			} else {
 				m := f.multiplier(a)
-				ts[nt] = s
+				mats[nb] = &m.aff[0][0]
+				ts[nt] = s[lo:]
 				tabs[nt] = m.t
-				affs[nt] = m.aff
 				nt++
 			}
+			nb++
 		}
-		fuse32(dst, xs[:nx], ts[:nt], tabs[:nt], affs[:nt])
+		multiAffine(32, dst, srcs, cols[:nb], mats[:nb], lo)
+		fuse32Tables(dst[lo:], xs[:nx], ts[:nt], tabs[:nt])
 	}
-}
-
-// fuse32 applies one batch of GF(2^32) terms, preferring the planar
-// affine kernel for multiplied terms (see fuse8 for the structure).
-//
-//ppm:hotpath
-func fuse32(dst []byte, xs, ts [][]byte, tabs []*[4][256]uint32, affs []*[4][8]uint64) {
-	if len(xs) == 0 && len(ts) == 0 {
-		return
-	}
-	if useAffine && len(dst) >= 64 && len(ts) > 0 {
-		n64 := len(dst) &^ 63
-		for k, s := range ts {
-			gf32AffineXorAsm(&dst[0], &s[0], n64, affs[k])
-		}
-		if n64 < len(dst) {
-			for k := range ts {
-				ts[k] = ts[k][n64:]
-			}
-			fuse32Tables(dst[n64:], nil, ts, tabs)
-		}
-		if len(xs) > 0 {
-			fuse32Tables(dst, xs, nil, nil)
-		}
-		return
-	}
-	fuse32Tables(dst, xs, ts, tabs)
 }
 
 // fuse32Tables is the portable GF(2^32) fused core: two 32-bit symbols
@@ -540,19 +521,23 @@ func fuse32Tables(dst []byte, xs, ts [][]byte, tabs []*[4][256]uint32) {
 
 // --- generic fallback ---
 
+// rowKernelGeneric serves Field implementations outside this package:
+// no matrices, one MultXORs call per term.
 type rowKernelGeneric struct {
+	rowAffine
 	f      Field
-	idx    []int
 	consts []uint32
-	n      int
 }
-
-func (r *rowKernelGeneric) Terms() int { return len(r.idx) }
 
 //ppm:hotpath
 func (r *rowKernelGeneric) MultXOR(dst []byte, srcs [][]byte) {
 	checkFused(len(srcs), r.n)
-	for k, j := range r.idx {
-		r.f.MultXORs(dst, srcs[j], r.consts[k])
+	r.tableXOR(dst, srcs, 0)
+}
+
+//ppm:hotpath
+func (r *rowKernelGeneric) tableXOR(dst []byte, srcs [][]byte, lo int) {
+	for k, j := range r.cols {
+		r.f.MultXORs(dst[lo:], srcs[j][lo:], r.consts[k])
 	}
 }

@@ -1,6 +1,7 @@
 package gf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -71,7 +72,7 @@ func randSrcs(rng *rand.Rand, n, size int) [][]byte {
 
 // TestMultXORsMultiMatchesScalar: the fused pass equals the scalar
 // per-term reference for every field, across term counts that exercise
-// batching (beyond maxFusedTerms) and region lengths that exercise the
+// batching (beyond blockBatch) and region lengths that exercise the
 // scalar tails (0, a single word, 8-byte-loop remainders, and the
 // 64-byte affine prefix plus its tail). Runs on both kernel paths.
 func TestMultXORsMultiMatchesScalar(t *testing.T) {
@@ -83,7 +84,7 @@ func testMultXORsMultiMatchesScalar(t *testing.T) {
 	for _, f := range []Field{GF8, GF16, GF32} {
 		wb := f.WordBytes()
 		sizes := []int{0, wb, 8, 8 + wb, 24, 56 + wb, 256, 248 + wb}
-		for _, terms := range []int{1, 2, 3, maxFusedTerms, maxFusedTerms + 1, 2*maxFusedTerms + 3} {
+		for _, terms := range []int{1, 2, 3, blockBatch, blockBatch + 1, 2*blockBatch + 3} {
 			for _, size := range sizes {
 				consts := randConsts(rng, f, terms)
 				srcs := randSrcs(rng, terms, size)
@@ -191,46 +192,100 @@ func TestMultXORsMultiMismatchPanics(t *testing.T) {
 	kern.MultXOR(make([]byte, 8), make([][]byte, 3))
 }
 
-// FuzzFusedAgainstScalar drives the fused path with arbitrary constants
-// and buffer contents and cross-checks the scalar reference on all
-// three fields (the buffer is truncated to each field's word multiple),
-// exercising both the affine and the portable table kernels.
+// FuzzFusedAgainstScalar drives the fused row path and the row-block
+// kernel with arbitrary constants, block shapes and buffer contents and
+// cross-checks the scalar reference on all three fields, on both the
+// affine and the portable table kernels. The buffer is truncated to
+// each field's word multiple, so the input's length supplies regions
+// shorter than one 64-byte chunk and regions with a table-path tail.
+// shape selects the block: bits 0-1 the row count less one (up to
+// BlockRows), bit 2 overwrite instead of accumulate, bits 3-7 the
+// source count less one (up to two batches); it also seeds which of
+// 0, 1, a, b and c each term gets.
 func FuzzFusedAgainstScalar(f *testing.F) {
-	f.Add(uint32(2), uint32(3), uint32(0x1001), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	f.Add(uint32(0), uint32(1), uint32(0xFFFFFFFF), make([]byte, 40))
-	f.Add(uint32(0x8001), uint32(0xDEAD), uint32(0xBEEF), []byte{0xFF})
-	f.Add(uint32(7), uint32(0x1F0F), uint32(0xA5A5A5A5), make([]byte, 200))
+	f.Add(uint32(2), uint32(3), uint32(0x1001), uint32(0x1B), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add(uint32(0), uint32(1), uint32(0xFFFFFFFF), uint32(0x07), make([]byte, 40))
+	f.Add(uint32(0x8001), uint32(0xDEAD), uint32(0xBEEF), uint32(0), []byte{0xFF})
+	f.Add(uint32(7), uint32(0x1F0F), uint32(0xA5A5A5A5), uint32(0xFF), make([]byte, 200))
 
-	f.Fuzz(func(t *testing.T, a, b, c uint32, data []byte) {
+	f.Fuzz(func(t *testing.T, a, b, c, shape uint32, data []byte) {
+		nrows := 1 + int(shape%BlockRows)
+		overwrite := shape>>2&1 == 1
+		nsrcs := 1 + int(shape>>3&31)
 		for _, affine := range []bool{true, false} {
-			prev := SetAffineKernels(affine)
-			for _, field := range []Field{GF8, GF16, GF32} {
-				wb := field.WordBytes()
-				n := len(data) - len(data)%wb
-				if n == 0 {
-					continue
-				}
-				mask := uint32(field.Order() - 1)
-				consts := []uint32{a & mask, b & mask, c & mask}
-				srcs := [][]byte{data[:n], make([]byte, n), make([]byte, n)}
-				for i := 0; i < n; i++ {
-					srcs[1][i] = byte(i * 7)
-					srcs[2][i] = data[n-1-i]
-				}
-				dst := make([]byte, n)
-				copy(dst, data[:n])
-				want := append([]byte(nil), dst...)
-
-				field.MultXORsMulti(dst, srcs, consts)
-				refMultiXOR(field, want, srcs, consts)
-				for i := range dst {
-					if dst[i] != want[i] {
-						t.Fatalf("GF%d affine=%v: byte %d = %#x want %#x",
-							field.W(), affine, i, dst[i], want[i])
+			func() {
+				defer SetAffineKernels(SetAffineKernels(affine))
+				for _, field := range []Field{GF8, GF16, GF32} {
+					wb := field.WordBytes()
+					n := len(data) - len(data)%wb
+					if n == 0 {
+						continue
 					}
+					mask := uint32(field.Order() - 1)
+					pool := []uint32{0, 1, a & mask, b & mask, c & mask}
+					fuzzRow(t, field, pool[2:], data[:n], affine)
+					fuzzBlock(t, field, pool, shape, nrows, nsrcs, overwrite, data[:n], affine)
 				}
-			}
-			SetAffineKernels(prev)
+			}()
 		}
 	})
+}
+
+// fuzzRow checks MultXORsMulti with the three fuzzed constants.
+func fuzzRow(t *testing.T, field Field, consts []uint32, data []byte, affine bool) {
+	n := len(data)
+	srcs := [][]byte{data, make([]byte, n), make([]byte, n)}
+	for i := 0; i < n; i++ {
+		srcs[1][i] = byte(i * 7)
+		srcs[2][i] = data[n-1-i]
+	}
+	dst := append([]byte(nil), data...)
+	want := append([]byte(nil), dst...)
+	field.MultXORsMulti(dst, srcs, consts)
+	refMultiXOR(field, want, srcs, consts)
+	if !bytes.Equal(dst, want) {
+		t.Fatalf("GF%d affine=%v: MultXORsMulti differs from the scalar reference", field.W(), affine)
+	}
+}
+
+// fuzzBlock checks one RowBlock of nrows rows over nsrcs sources, with
+// terms drawn from pool and regions derived from data.
+func fuzzBlock(t *testing.T, field Field, pool []uint32, shape uint32, nrows, nsrcs int, overwrite bool, data []byte, affine bool) {
+	n := len(data)
+	rng := rand.New(rand.NewSource(int64(shape)))
+	consts := make([][]uint32, nrows)
+	for r := range consts {
+		consts[r] = make([]uint32, nsrcs)
+		for k := range consts[r] {
+			consts[r][k] = pool[rng.Intn(len(pool))]
+		}
+	}
+	srcs := make([][]byte, nsrcs)
+	for k := range srcs {
+		srcs[k] = make([]byte, n)
+		for i := range srcs[k] {
+			srcs[k][i] = data[(i*(k+1)+k)%n] ^ byte(k)
+		}
+	}
+	rows := make([]int, nrows)
+	out := make([][]byte, nrows+1)
+	want := make([][]byte, nrows+1)
+	for i := range out {
+		out[i] = make([]byte, n)
+		for p := range out[i] {
+			out[i][p] = data[(p+i)%n]
+		}
+		want[i] = append([]byte(nil), out[i]...)
+	}
+	for r := range rows {
+		rows[r] = nrows - r // reversed, and output 0 stays untouched
+	}
+	CompileBlock(field, rows, consts).Apply(out, srcs, overwrite)
+	refBlock(field, want, srcs, rows, consts, overwrite)
+	for i := range out {
+		if !bytes.Equal(out[i], want[i]) {
+			t.Fatalf("GF%d affine=%v rows=%d srcs=%d overwrite=%v len=%d: output %d differs from the scalar reference",
+				field.W(), affine, nrows, nsrcs, overwrite, n, i)
+		}
+	}
 }

@@ -87,9 +87,8 @@ func (m *multiplier8) Coefficient() uint32 { return m.a }
 //ppm:hotpath
 func (m *multiplier8) MultXOR(dst, src []byte) {
 	checkRegions(dst, src, 1)
-	if useAffine && len(dst) >= 64 {
-		n64 := len(dst) &^ 63
-		gf8AffineXorAsm(&dst[0], &src[0], n64, m.aff)
+	if n64 := affinePrefix(len(dst)); n64 > 0 {
+		affineOne(8, dst, src, &m.aff, n64)
 		if n64 == len(dst) {
 			return
 		}
@@ -121,9 +120,8 @@ func (m *multiplier16) Coefficient() uint32 { return m.a }
 //ppm:hotpath
 func (m *multiplier16) MultXOR(dst, src []byte) {
 	checkRegions(dst, src, 2)
-	if useAffine && len(dst) >= 64 {
-		n64 := len(dst) &^ 63
-		gf16AffineXorAsm(&dst[0], &src[0], n64, m.aff)
+	if n64 := affinePrefix(len(dst)); n64 > 0 {
+		affineOne(16, dst, src, &m.aff[0][0], n64)
 		if n64 == len(dst) {
 			return
 		}
@@ -158,9 +156,8 @@ func (m *multiplier32) Coefficient() uint32 { return m.a }
 //ppm:hotpath
 func (m *multiplier32) MultXOR(dst, src []byte) {
 	checkRegions(dst, src, 4)
-	if useAffine && len(dst) >= 64 {
-		n64 := len(dst) &^ 63
-		gf32AffineXorAsm(&dst[0], &src[0], n64, m.aff)
+	if n64 := affinePrefix(len(dst)); n64 > 0 {
+		affineOne(32, dst, src, &m.aff[0][0], n64)
 		if n64 == len(dst) {
 			return
 		}

@@ -9,13 +9,15 @@ import (
 	"ppm/internal/xorplan"
 )
 
-// CompiledMatrix is a matrix pre-lowered into fused per-row kernels:
-// every row's nonzero coefficients are bound to their lookup tables at
-// compile time (gf.CompileRow), so applying the matrix pays no
-// zero-coefficient scan, no per-call table construction, and — because
-// the row kernel streams all of a row's terms through each destination
-// word in one pass — one destination load/store per row instead of one
-// per nonzero term.
+// CompiledMatrix is a matrix pre-lowered for the region kernels: its
+// rows are grouped into row blocks (gf.RowBlock) of at most
+// gf.BlockRows rows with identical column support, and every
+// coefficient is bound to its lookup tables and affine matrices at
+// compile time (gf.CompileBlock). Applying the matrix pays no
+// zero-coefficient scan and no per-call table construction; with the
+// affine kernels active each block loads every source chunk once for
+// all of its rows, and a block's destination chunks are read and
+// written once per batch of sources instead of once per term.
 //
 // Application is cache-blocked: the tiled driver applies the whole
 // matrix to one tile of the byte range before the next (see tile.go),
@@ -28,14 +30,14 @@ import (
 // different worker goroutines.
 type CompiledMatrix struct {
 	rows, cols int
-	kerns      []gf.RowKernel
+	blocks     []*gf.RowBlock
 	// mults holds the per-row (column, multiplier) pairs of the same
 	// lowering, used by term-at-a-time consumers (the small-write path)
 	// and by tests asserting multiplier sharing.
 	mults [][]CompiledTerm
 	nnz   int
 	// prog, when non-nil, is the compiled XOR program (internal/xorplan)
-	// backing the region-application paths instead of the row kernels —
+	// backing the region-application paths instead of the row blocks —
 	// attached by Compile when XorplanActive (GFNI absent, or forced).
 	prog *xorplan.Program
 }
@@ -48,20 +50,17 @@ type CompiledTerm struct {
 
 // Compile lowers m over the field. Multipliers are shared between
 // equal coefficients (SD's all-ones disk-parity rows compile to one
-// XOR multiplier), and each row is additionally fused into a
-// gf.RowKernel.
+// XOR multiplier), and the rows are grouped into row blocks.
 func Compile(f gf.Field, m *matrix.Matrix) *CompiledMatrix {
 	cm := &CompiledMatrix{
-		rows:  m.Rows(),
-		cols:  m.Cols(),
-		kerns: make([]gf.RowKernel, m.Rows()),
-		mults: make([][]CompiledTerm, m.Rows()),
+		rows:   m.Rows(),
+		cols:   m.Cols(),
+		blocks: compileBlocks(f, m),
+		mults:  make([][]CompiledTerm, m.Rows()),
 	}
 	cache := make(map[uint32]gf.Multiplier)
 	for i := 0; i < m.Rows(); i++ {
-		row := m.Row(i)
-		cm.kerns[i] = gf.CompileRow(f, row)
-		for j, a := range row {
+		for j, a := range m.Row(i) {
 			if a == 0 {
 				continue
 			}
@@ -90,6 +89,46 @@ func Compile(f gf.Field, m *matrix.Matrix) *CompiledMatrix {
 	return cm
 }
 
+// compileBlocks groups the rows of m by column support, in order of
+// first appearance, into blocks of at most gf.BlockRows rows. Rows with
+// identical support share every source, so a block adds no zero terms;
+// all-zero rows form blocks of their own, which overwrite mode clears.
+func compileBlocks(f gf.Field, m *matrix.Matrix) []*gf.RowBlock {
+	open := make(map[string]int) // support -> index of its open group
+	var groups [][]int
+	key := make([]byte, (m.Cols()+7)/8)
+	for i := 0; i < m.Rows(); i++ {
+		for b := range key {
+			key[b] = 0
+		}
+		for j, a := range m.Row(i) {
+			if a != 0 {
+				key[j/8] |= 1 << uint(j%8)
+			}
+		}
+		g, ok := open[string(key)]
+		if !ok || len(groups[g]) == gf.BlockRows {
+			g = len(groups)
+			groups = append(groups, nil)
+			open[string(key)] = g
+		}
+		groups[g] = append(groups[g], i)
+	}
+	blocks := make([]*gf.RowBlock, len(groups))
+	for g, rows := range groups {
+		consts := make([][]uint32, len(rows))
+		for r, i := range rows {
+			consts[r] = m.Row(i)
+		}
+		blocks[g] = gf.CompileBlock(f, rows, consts)
+	}
+	return blocks
+}
+
+// Blocks returns the row blocks the matrix compiled to: every row of
+// the matrix in exactly one block (planverify proves the lowering).
+func (cm *CompiledMatrix) Blocks() []*gf.RowBlock { return cm.blocks }
+
 // Rows returns the compiled row count.
 func (cm *CompiledMatrix) Rows() int { return cm.rows }
 
@@ -110,22 +149,46 @@ func (cm *CompiledMatrix) checkShape(in, out [][]byte) {
 }
 
 // Apply computes out[i] ^= Σ_j M[i][j] * in[j], like kernel.Apply but
-// on the pre-lowered form: tiled, fused, and — for regions of
+// on the pre-lowered form: tiled, blocked, and — for regions of
 // FanoutMinBytes() and up — fanned out across the worker pool.
 func (cm *CompiledMatrix) Apply(in, out [][]byte, stats *Stats) {
+	cm.apply(in, out, false, stats)
+}
+
+// ApplyOverwrite computes out[i] = Σ_j M[i][j] * in[j], fully
+// overwriting out — Apply's contract minus the caller-side zeroing
+// pass. The row blocks store their first batch instead of adding it to
+// out, and an XOR program seeds each destination with its first fused
+// XOR (derivative-scheduled rows start from a sibling row), so nothing
+// zeroes out first.
+func (cm *CompiledMatrix) ApplyOverwrite(in, out [][]byte, stats *Stats) {
+	cm.apply(in, out, true, stats)
+}
+
+func (cm *CompiledMatrix) apply(in, out [][]byte, overwrite bool, stats *Stats) {
 	cm.checkShape(in, out)
 	size := regionLen(out)
-	if spans := tileSpans(size, applyWorkers(), TileSize()); spans != nil && size >= FanoutMinBytes() {
+	if spans := fanoutSpans(size); spans != nil {
 		if err := DefaultWorkers().Run(len(spans), func(i int) error {
-			cm.applySpan(in, out, spans[i][0], spans[i][1])
+			cm.applySpan(in, out, spans[i][0], spans[i][1], overwrite)
 			return nil
 		}); err != nil {
 			panic(err)
 		}
 	} else {
-		cm.applySpan(in, out, 0, size)
+		cm.applySpan(in, out, 0, size, overwrite)
 	}
 	stats.AddMultXORs(int64(cm.nnz))
+}
+
+// fanoutSpans splits a region of size bytes into tile spans for the
+// worker pool, or returns nil when it stays serial: below
+// FanoutMinBytes(), or too few tiles to split.
+func fanoutSpans(size int) [][2]int {
+	if size < FanoutMinBytes() {
+		return nil
+	}
+	return tileSpans(size, applyWorkers(), TileSize())
 }
 
 // ApplyRange applies the matrix to the [lo, hi) byte sub-range of every
@@ -136,30 +199,35 @@ func (cm *CompiledMatrix) Apply(in, out [][]byte, stats *Stats) {
 // nil stats and account once themselves.
 func (cm *CompiledMatrix) ApplyRange(in, out [][]byte, lo, hi int, stats *Stats) {
 	cm.checkShape(in, out)
-	cm.applySpan(in, out, lo, hi)
+	cm.applySpan(in, out, lo, hi, false)
 	stats.AddMultXORs(int64(cm.nnz))
 }
 
 // applySpan is the tiled inner driver: whole matrix, one tile at a
-// time, with pooled view headers presenting each tile of the sources
-// to the fused row kernels.
+// time, with pooled view headers presenting each tile of the regions
+// to the row blocks. overwrite selects out = M * in over out ^= M * in.
 //
 //ppm:hotpath
-//ppm:counted Apply/ApplyRange account the full NNZ once per logical application
-func (cm *CompiledMatrix) applySpan(in, out [][]byte, lo, hi int) {
+//ppm:counted apply/ApplyRange/CompiledProductRange account the full NNZ once per logical application
+func (cm *CompiledMatrix) applySpan(in, out [][]byte, lo, hi int, overwrite bool) {
 	if lo >= hi {
 		return
 	}
+	// The XOR program computes the same sum and does its own
+	// arena-budget tiling (capped at this driver's tile, so the two
+	// blockings compose). Derivative-scheduled programs copy between
+	// output rows and only run in overwrite mode.
+	if cm.prog != nil && overwrite {
+		cm.prog.RunOverwrite(in, out, lo, hi)
+		return
+	}
 	if cm.prog != nil && !cm.prog.HasDerivative() {
-		// The XOR program accumulates the same sum and does its own
-		// arena-budget tiling (capped at this driver's tile, so the two
-		// blockings compose). Derivative-scheduled programs copy between
-		// output rows and only run in overwrite mode — see ApplyOverwrite.
 		cm.prog.RunAccumulate(in, out, lo, hi)
 		return
 	}
-	arena := getViewArena(len(in))
+	arena := getViewArena(len(in) + len(out))
 	views := arena.take(len(in))
+	outs := arena.take(len(out))
 	tile := TileSize()
 	for t := lo; t < hi; t += tile {
 		te := t + tile
@@ -169,38 +237,29 @@ func (cm *CompiledMatrix) applySpan(in, out [][]byte, lo, hi int) {
 		for j := range in {
 			views[j] = in[j][t:te]
 		}
-		for i, kern := range cm.kerns {
-			kern.MultXOR(out[i][t:te], views)
+		for i := range out {
+			outs[i] = out[i][t:te]
+		}
+		for _, b := range cm.blocks {
+			b.Apply(outs, views, overwrite)
 		}
 	}
 	arena.release()
 }
 
-// ApplyOverwrite computes out[i] = Σ_j M[i][j] * in[j], fully
-// overwriting out — Apply's contract minus the caller-side zeroing
-// pass. With an XOR program attached the zeroing disappears entirely
-// (overwrite runs seed each destination with its first fused XOR, and
-// derivative-scheduled rows start from a sibling row instead of
-// nothing); otherwise it zeroes and falls back to Apply.
-func (cm *CompiledMatrix) ApplyOverwrite(in, out [][]byte, stats *Stats) {
-	cm.checkShape(in, out)
-	if cm.prog == nil {
-		Zero(out)
-		cm.Apply(in, out, stats)
+// overwriteTile computes out = M * in over whole tile views: the XOR
+// program's overwrite run, or every row block in overwrite mode.
+//
+//ppm:hotpath
+//ppm:counted chainSpan's callers account u(S)+u(F^-1) once per logical product
+func (cm *CompiledMatrix) overwriteTile(in, out [][]byte, n int) {
+	if cm.prog != nil {
+		cm.prog.RunOverwrite(in, out, 0, n)
 		return
 	}
-	size := regionLen(out)
-	if spans := tileSpans(size, applyWorkers(), TileSize()); spans != nil && size >= FanoutMinBytes() {
-		if err := DefaultWorkers().Run(len(spans), func(i int) error {
-			cm.prog.RunOverwrite(in, out, spans[i][0], spans[i][1])
-			return nil
-		}); err != nil {
-			panic(err)
-		}
-	} else {
-		cm.prog.RunOverwrite(in, out, 0, size)
+	for _, b := range cm.blocks {
+		b.Apply(out, in, true)
 	}
-	stats.AddMultXORs(int64(cm.nnz))
 }
 
 // chainSpan runs the Normal sequence over [lo, hi) with the
@@ -209,10 +268,10 @@ func (cm *CompiledMatrix) ApplyOverwrite(in, out [][]byte, stats *Stats) {
 // intermediate regions never materialise at full size (word positions
 // are independent, which makes the per-tile chaining exact). scratch,
 // if non-nil, provides caller-owned intermediate regions instead of
-// pooled tile scratch.
+// pooled tile scratch. Both stages overwrite their destinations, so no
+// tile is zeroed first.
 //
 //ppm:hotpath
-//ppm:counted CompiledProduct accounts u(S)+u(F^-1) once per logical product
 func chainSpan(finv, s *CompiledMatrix, in, out, scratch [][]byte, lo, hi int) {
 	if lo >= hi {
 		return
@@ -248,25 +307,8 @@ func chainSpan(finv, s *CompiledMatrix, in, out, scratch [][]byte, lo, hi int) {
 			}
 			outs[i] = out[i][t:te]
 		}
-		// Both stages fully overwrite their destinations, so when a stage
-		// carries an XOR program its overwrite run replaces the zeroing
-		// pass and the row kernels for that tile.
-		if s.prog != nil {
-			s.prog.RunOverwrite(views, mid, 0, n)
-		} else {
-			Zero(mid)
-			for i, kern := range s.kerns {
-				kern.MultXOR(mid[i], views)
-			}
-		}
-		if finv.prog != nil {
-			finv.prog.RunOverwrite(mid, outs, 0, n)
-		} else {
-			Zero(outs)
-			for i, kern := range finv.kerns {
-				kern.MultXOR(outs[i], mid)
-			}
-		}
+		s.overwriteTile(views, mid, n)
+		finv.overwriteTile(mid, outs, n)
 	}
 	sb.Release()
 	arena.release()
@@ -287,7 +329,7 @@ func CompiledProduct(finv, s, g *CompiledMatrix, in, out, scratch [][]byte, seq 
 		s.checkShape(in, scratchOrOut(scratch, out))
 		finv.checkShape(scratchOrOut(scratch, out), out)
 		size := regionLen(out)
-		if spans := tileSpans(size, applyWorkers(), TileSize()); spans != nil && size >= FanoutMinBytes() {
+		if spans := fanoutSpans(size); spans != nil {
 			if err := DefaultWorkers().Run(len(spans), func(i int) error {
 				chainSpan(finv, s, in, out, scratch, spans[i][0], spans[i][1])
 				return nil
@@ -306,21 +348,16 @@ func CompiledProduct(finv, s, g *CompiledMatrix, in, out, scratch [][]byte, seq 
 // CompiledProductRange is CompiledProduct restricted to the [lo, hi)
 // byte sub-range and always serial — for byte-range executors
 // (block-parallel decoding, hybrid chunk phases) that own their own
-// fan-out and call this from per-chunk workers. Unlike CompiledProduct
-// it also zeroes the output range itself for MatrixFirst, so one chunk
-// worker never touches another's bytes. Counts the full matrix nnz;
-// callers splitting one logical product across ranges pass nil stats
-// and account once themselves.
+// fan-out and call this from per-chunk workers. Both sequences
+// overwrite only the [lo, hi) range, so one chunk worker never touches
+// another's bytes. Counts the full matrix nnz; callers splitting one
+// logical product across ranges pass nil stats and account once
+// themselves.
 func CompiledProductRange(finv, s, g *CompiledMatrix, in, out, scratch [][]byte, seq Sequence, lo, hi int, stats *Stats) {
 	switch seq {
 	case MatrixFirst:
 		g.checkShape(in, out)
-		if g.prog != nil {
-			g.prog.RunOverwrite(in, out, lo, hi)
-		} else {
-			ZeroRange(out, lo, hi)
-			g.applySpan(in, out, lo, hi)
-		}
+		g.applySpan(in, out, lo, hi, true)
 		stats.AddMultXORs(int64(g.nnz))
 	case Normal:
 		s.checkShape(in, scratchOrOut(scratch, out))
@@ -329,17 +366,6 @@ func CompiledProductRange(finv, s, g *CompiledMatrix, in, out, scratch [][]byte,
 		stats.AddMultXORs(int64(s.nnz + finv.nnz))
 	default:
 		panic(fmt.Sprintf("kernel: unknown sequence %d", int(seq)))
-	}
-}
-
-// ZeroRange clears the [lo, hi) byte range of every region without
-// allocating sub-slice headers.
-func ZeroRange(regions [][]byte, lo, hi int) {
-	for _, r := range regions {
-		r := r[lo:hi]
-		for i := range r {
-			r[i] = 0
-		}
 	}
 }
 

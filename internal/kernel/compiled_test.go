@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ppm/internal/gf"
+	"ppm/internal/matrix"
 )
 
 // TestCompiledApplyMatchesApply: the lowered form computes exactly what
@@ -137,4 +138,147 @@ func BenchmarkCompiledVsPlainApply(b *testing.B) {
 			cm.Apply(in, out, nil)
 		}
 	})
+}
+
+// blockTestMatrix builds a rows x cols matrix whose rows group into
+// blocks of every kind: four rows on one dense support (more than
+// gf.BlockRows, so it splits), two on a sparse support with 0 and 1
+// coefficients, one row of its own and one all-zero row.
+func blockTestMatrix(rng *rand.Rand, f gf.Field) *matrix.Matrix {
+	const cols = 20
+	m := matrix.New(f, 9, cols)
+	mask := uint32(f.Order() - 1)
+	nonzero := func() uint32 {
+		if rng.Intn(3) == 0 {
+			return 1
+		}
+		if a := rng.Uint32() & mask; a != 0 {
+			return a
+		}
+		return 2
+	}
+	for _, i := range []int{0, 2, 3, 5, 7} {
+		for j := 0; j < cols; j++ {
+			m.Set(i, j, nonzero())
+		}
+	}
+	for _, i := range []int{1, 6} {
+		for j := 0; j < cols; j += 3 {
+			m.Set(i, j, nonzero())
+		}
+	}
+	m.Set(4, 7, nonzero())
+	return m
+}
+
+// refProduct computes M * in word by word with scalar arithmetic.
+func refProduct(f gf.Field, m *matrix.Matrix, in [][]byte) [][]byte {
+	wb := f.WordBytes()
+	out := AllocRegions(m.Rows(), regionLen(in))
+	vec := make([]uint32, m.Cols())
+	for p := 0; p+wb <= regionLen(in); p += wb {
+		for j := range vec {
+			vec[j] = 0
+			for b := 0; b < wb; b++ {
+				vec[j] |= uint32(in[j][p+b]) << uint(8*b)
+			}
+		}
+		for i, w := range m.MulVec(vec) {
+			for b := 0; b < wb; b++ {
+				out[i][p+b] = byte(w >> uint(8*b))
+			}
+		}
+	}
+	return out
+}
+
+// TestCompiledBlocksAffineOnOff: Apply, ApplyOverwrite, ApplyRange,
+// CompiledProduct and CompiledProductRange give byte-identical results
+// with the affine kernels on and off — also when they are switched off
+// after Compile — and both equal the scalar product, across lengths
+// below one 64-byte chunk, with word tails, and beyond one tile.
+func TestCompiledBlocksAffineOnOff(t *testing.T) {
+	SetTileSize(1 << 10)
+	defer SetTileSize(0)
+	rng := rand.New(rand.NewSource(158))
+	for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
+		m := blockTestMatrix(rng, f)
+		finv := randInvertible(rng, f, m.Rows())
+		cm, cFinv, cG := Compile(f, m), Compile(f, finv), Compile(f, finv.Mul(m))
+		if got := len(cm.Blocks()); got != 5 {
+			t.Fatalf("GF%d: %d blocks, want 5 (rows 0,2,3,5 | 7 | 1,6 | 4 | 8)", f.W(), got)
+		}
+		wb := f.WordBytes()
+		for _, size := range []int{40 - 40%wb, 3*64 + wb, 5<<10 + 64 + wb} {
+			in := randRegions(rng, m.Cols(), size)
+			seed := randRegions(rng, m.Rows(), size)
+			prod := refProduct(f, m, in)
+			chained := refProduct(f, finv, prod)
+			lo, hi := wb, size-wb
+			run := func() map[string][][]byte {
+				res := map[string][][]byte{}
+				fresh := func() [][]byte {
+					out := AllocRegions(len(seed), size)
+					for i := range out {
+						copy(out[i], seed[i])
+					}
+					return out
+				}
+				res["Apply"] = fresh()
+				cm.Apply(in, res["Apply"], nil)
+				res["ApplyOverwrite"] = fresh()
+				cm.ApplyOverwrite(in, res["ApplyOverwrite"], nil)
+				res["ApplyRange"] = fresh()
+				cm.ApplyRange(in, res["ApplyRange"], lo, hi, nil)
+				res["Normal"] = fresh()
+				CompiledProduct(cFinv, cm, nil, in, res["Normal"], nil, Normal, nil)
+				res["MatrixFirst"] = fresh()
+				CompiledProduct(nil, nil, cG, in, res["MatrixFirst"], nil, MatrixFirst, nil)
+				res["NormalRange"] = fresh()
+				CompiledProductRange(cFinv, cm, nil, in, res["NormalRange"], nil, Normal, lo, hi, nil)
+				res["MatrixFirstRange"] = fresh()
+				CompiledProductRange(nil, nil, cG, in, res["MatrixFirstRange"], nil, MatrixFirst, lo, hi, nil)
+				return res
+			}
+			on := run()
+			prev := gf.SetAffineKernels(false)
+			off := run()
+			gf.SetAffineKernels(prev)
+
+			for i := range seed {
+				want := map[string][]byte{
+					"Apply":            xorBytes(seed[i], prod[i]),
+					"ApplyOverwrite":   prod[i],
+					"ApplyRange":       splice(seed[i], xorBytes(seed[i], prod[i]), lo, hi),
+					"Normal":           chained[i],
+					"MatrixFirst":      chained[i],
+					"NormalRange":      splice(seed[i], chained[i], lo, hi),
+					"MatrixFirstRange": splice(seed[i], chained[i], lo, hi),
+				}
+				for name, w := range want {
+					if !bytes.Equal(on[name][i], w) {
+						t.Fatalf("GF%d size=%d %s (affine on): row %d differs from the scalar product", f.W(), size, name, i)
+					}
+					if !bytes.Equal(off[name][i], w) {
+						t.Fatalf("GF%d size=%d %s (affine off after Compile): row %d differs from the scalar product", f.W(), size, name, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+func xorBytes(a, b []byte) []byte {
+	out := make([]byte, len(a))
+	for i := range out {
+		out[i] = a[i] ^ b[i]
+	}
+	return out
+}
+
+// splice returns base with [lo, hi) taken from over.
+func splice(base, over []byte, lo, hi int) []byte {
+	out := append([]byte(nil), base...)
+	copy(out[lo:hi], over[lo:hi])
+	return out
 }

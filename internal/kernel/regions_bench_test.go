@@ -123,10 +123,8 @@ func BenchmarkKernelProductChain(b *testing.B) {
 		b.SetBytes(total)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			Zero(scratch)
-			cS.applySpan(in, scratch, 0, size)
-			Zero(out)
-			cFinv.applySpan(scratch, out, 0, size)
+			cS.applySpan(in, scratch, 0, size, true)
+			cFinv.applySpan(scratch, out, 0, size, true)
 		}
 	})
 	b.Run("tile-chained", func(b *testing.B) {

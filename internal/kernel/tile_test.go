@@ -317,6 +317,22 @@ func TestCompiledApplyAllocationFree(t *testing.T) {
 		t.Fatalf("compiled Normal product allocates %.1f/op on the serial path", avg)
 	}
 
+	// The row-block path in overwrite mode, at every width, over a
+	// matrix that splits into several blocks (with a region tail the
+	// table path finishes).
+	for _, bf := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
+		bm := blockTestMatrix(rng, bf)
+		bin := randRegions(rng, bm.Cols(), size+bf.WordBytes())
+		bout := AllocRegions(bm.Rows(), size+bf.WordBytes())
+		bcm := Compile(bf, bm)
+		if avg := testing.AllocsPerRun(10, func() {
+			bcm.ApplyOverwrite(bin, bout, &stats)
+			CompiledProductRange(nil, nil, bcm, bin, bout, nil, MatrixFirst, 64, size, &stats)
+		}); avg != 0 {
+			t.Fatalf("GF%d: row-block overwrite paths allocate %.1f/op on the serial path", bf.W(), avg)
+		}
+	}
+
 	// The uncompiled sweep must also be allocation-free once the
 	// field's multiplier memo is warm (it is, after the calls above).
 	if avg := testing.AllocsPerRun(10, func() {

@@ -19,6 +19,10 @@ func TestHotAllocRepairFixture(t *testing.T) {
 	RunFixture(t, ".", HotAlloc, "hotalloc/repair")
 }
 
+func TestHotAllocBlockFixture(t *testing.T) {
+	RunFixture(t, ".", HotAlloc, "hotalloc/blk")
+}
+
 func TestFaultFreeFixture(t *testing.T) {
 	RunFixture(t, ".", FaultFree, "faultfree/a")
 }

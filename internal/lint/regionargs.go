@@ -26,13 +26,19 @@ var RegionArgs = &Analyzer{
 }
 
 // regionOps maps gf method names to the indices of their dst and src
-// arguments (srcIdx < 0: the sources are a [][]byte whose elements are
-// checked individually when the argument is a slice literal).
-var regionOps = map[string]struct{ dst, src int }{
-	"MultXORs":      {0, 1},
-	"MulRegion":     {0, 1},
-	"MultXORsMulti": {0, -1},
-	"MultXOR":       {0, -1}, // gf.Multiplier / gf.RowKernel
+// arguments (src < 0: the sources are a [][]byte whose elements are
+// checked individually when the argument is a slice literal). lists
+// marks ops whose dst and src are both region lists: their lengths are
+// region counts, so only aliasing between the two lists is checkable.
+var regionOps = map[string]struct {
+	dst, src int
+	lists    bool
+}{
+	"MultXORs":      {dst: 0, src: 1},
+	"MulRegion":     {dst: 0, src: 1},
+	"MultXORsMulti": {dst: 0, src: -1},
+	"MultXOR":       {dst: 0, src: -1},             // gf.Multiplier / gf.RowKernel
+	"Apply":         {dst: 0, src: 1, lists: true}, // gf.RowBlock: out, in
 }
 
 // wordBytesOf maps a concrete gf field implementation (by type name)
@@ -80,6 +86,12 @@ func checkRegionCall(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	dst := call.Args[op.dst]
+	if op.lists {
+		if op.src < len(call.Args) && exprEqual(dst, call.Args[op.src]) {
+			pass.Reportf(call.Args[op.src].Pos(), "%s output and source region lists alias (%s); no output row may alias a source", name, exprString(pass, dst))
+		}
+		return
+	}
 
 	var srcs []ast.Expr
 	if op.src >= 0 {

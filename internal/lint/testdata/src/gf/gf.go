@@ -26,3 +26,9 @@ func New16() *field16 { return &field16{} }
 type RowKernel interface {
 	MultXOR(dst []byte, srcs [][]byte)
 }
+
+// RowBlock mirrors the row-block kernel: Apply(out, in, overwrite).
+type RowBlock struct{}
+
+// Apply mirrors RowBlock.Apply.
+func (*RowBlock) Apply(out, in [][]byte, overwrite bool) {}

@@ -31,3 +31,11 @@ func throughInterface(buf, other []byte, f gf.Field) {
 	// Word size is unknowable through the interface: never flagged.
 	f.MultXORs(buf[0:7], other[0:7], 3)
 }
+
+// blocks exercises the row-block op: output and source lists must be
+// distinct, and chaining one stage's outputs into the next is clean.
+func blocks(b *gf.RowBlock, mid, outs, views [][]byte) {
+	b.Apply(mid, views, true) // clean
+	b.Apply(outs, mid, true)  // chained stage reads the intermediate: clean
+	b.Apply(mid, mid, true)   // want "output and source region lists alias"
+}

@@ -32,3 +32,19 @@ func counted(f gf.Field, dst []byte, srcs [][]byte, consts []uint32) {
 func noOps(stats *Stats) {
 	stats.AddMultXORs(0)
 }
+
+// blockDriver applies row blocks and never ticks: flagged.
+func blockDriver(blocks []*gf.RowBlock, out, in [][]byte) {
+	for _, b := range blocks {
+		b.Apply(out, in, false) // want "blockDriver performs region operations .Apply. without ticking Stats.MultXORs"
+	}
+}
+
+// blockTile is the tiled inner driver; its caller accounts.
+//
+//ppm:counted accounted-by-caller: Apply adds the matrix NNZ once
+func blockTile(blocks []*gf.RowBlock, out, in [][]byte) {
+	for _, b := range blocks {
+		b.Apply(out, in, true)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"ppm/internal/bitmatrix"
 	"ppm/internal/codes"
 	"ppm/internal/core"
+	"ppm/internal/kernel"
 	"ppm/internal/matrix"
 	"ppm/internal/repair"
 	"ppm/internal/xorplan"
@@ -93,12 +94,13 @@ type SweepStats struct {
 	Repairs   int `json:"repairs"`
 	Programs  int `json:"programs"`
 	Schedules int `json:"schedules"`
+	Blocks    int `json:"blocks"`
 	Updaters  int `json:"updaters"`
 }
 
 // sweepMatrices collects the distinct coefficient matrices one core
-// plan applies, so the sweep can prove their xorplan and bit-matrix
-// lowerings too.
+// plan applies, so the sweep can prove their xorplan, bit-matrix and
+// row-block lowerings too.
 func sweepMatrices(p *core.Plan) []*matrix.Matrix {
 	var ms []*matrix.Matrix
 	addSub := func(sd *core.SubDecode) {
@@ -174,6 +176,8 @@ func Sweep(zoo []ZooCode, seed int64, extra int) ([]Finding, SweepStats) {
 					}
 					fs = append(fs, stamp(VerifySchedule(f, m, bitmatrix.Expand(f, m).Optimize()), detail)...)
 					stats.Schedules++
+					fs = append(fs, stamp(VerifyBlocks(f, m, kernel.Compile(f, m)), detail)...)
+					stats.Blocks++
 				}
 			}
 
