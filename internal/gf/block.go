@@ -78,10 +78,10 @@ var (
 // immutable and safe for concurrent use.
 type RowBlock struct {
 	w     int
-	rows  []int       // output regions, indices into Apply's out
-	cols  []int       // source regions, indices into Apply's in
-	mats  []*uint64   // per column: its rows' matrices, contiguous
-	kerns []rowKernel // per row: the table path over the same terms
+	rows  []int      // output regions, indices into Apply's out
+	cols  []int      // source regions, indices into Apply's in
+	mats  []*uint64  // per column: its rows' matrices, contiguous
+	kerns []tableRow // per row: the table path over the same terms
 	terms int
 }
 
@@ -94,20 +94,24 @@ func CompileBlock(f Field, rows []int, consts [][]uint32) *RowBlock {
 	if len(rows) == 0 || len(rows) > BlockRows || len(rows) != len(consts) {
 		panic(fmt.Sprintf("gf: block of %d rows with %d coefficient rows (max %d)", len(rows), len(consts), BlockRows))
 	}
-	b := &RowBlock{rows: append([]int(nil), rows...), kerns: make([]rowKernel, len(rows))}
+	b := &RowBlock{rows: append([]int(nil), rows...), kerns: make([]tableRow, len(rows))}
+	mask := uint32(f.Order() - 1)
 	for r, row := range consts {
 		if len(row) != len(consts[0]) {
 			panic(fmt.Sprintf("gf: block rows of %d and %d columns", len(consts[0]), len(row)))
 		}
-		b.kerns[r] = compileRow(f, row)
-		b.terms += b.kerns[r].Terms()
+		b.kerns[r] = compileTableRow(f, row)
 	}
 	for j := range consts[0] {
+		in := false
 		for _, row := range consts {
-			if row[j]&uint32(f.Order()-1) != 0 {
-				b.cols = append(b.cols, j)
-				break
+			if row[j]&mask != 0 {
+				b.terms++
+				in = true
 			}
+		}
+		if in {
+			b.cols = append(b.cols, j)
 		}
 	}
 	switch f.(type) {

@@ -140,7 +140,7 @@ func TestCompileBlockShapePanics(t *testing.T) {
 	}
 }
 
-// BenchmarkBlock compares one R-row block against R compiled rows over
+// BenchmarkBlock compares one R-row block against R 1-row blocks over
 // the same sources: the source traffic the block saves.
 func BenchmarkBlock(b *testing.B) {
 	const size = 16 << 10
@@ -165,14 +165,14 @@ func BenchmarkBlock(b *testing.B) {
 				}
 			})
 			b.Run(fmt.Sprintf("GF%d/srcs=%d/rows", f.W(), ns), func(b *testing.B) {
-				kerns := make([]RowKernel, BlockRows)
-				for r := range kerns {
-					kerns[r] = CompileRow(f, consts[r])
+				blks := make([]*RowBlock, BlockRows)
+				for r := range blks {
+					blks[r] = CompileBlock(f, rows[r:r+1], consts[r:r+1])
 				}
 				b.SetBytes(int64(BlockRows * ns * size))
 				for i := 0; i < b.N; i++ {
-					for r, k := range kerns {
-						k.MultXOR(out[r], srcs)
+					for _, blk := range blks {
+						blk.Apply(out, srcs, false)
 					}
 				}
 			})

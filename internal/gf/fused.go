@@ -31,60 +31,38 @@ import (
 // row pass performs exactly the same r region operations, and the
 // kernel's Stats still count r.
 //
-// Two entry points:
-//
-//   - Field.MultXORsMulti(dst, srcs, consts): resolves each constant's
-//     tables and matrices on the fly (memoized per field, so resolution
-//     is a cache hit after first use). Zero constants are skipped.
-//   - CompileRow(f, consts): pre-resolves them once, for plans that
-//     apply the same row thousands of times. The returned RowKernel is
-//     immutable and safe for concurrent use.
-//
-// Both keep a batch's per-term pointers in fixed-size stack arrays — no
-// per-call allocation.
+// Field.MultXORsMulti(dst, srcs, consts) resolves each constant's
+// tables and matrices on the fly (memoized per field, so resolution is a
+// cache hit after first use) and skips zero constants. It keeps a
+// batch's per-term pointers in fixed-size stack arrays — no per-call
+// allocation. Rows applied thousands of times are compiled instead, as
+// RowBlocks (block.go); a block runs each row's compiled table path
+// (tableRow below) over its tail and, with the affine kernels off, over
+// the whole region.
 
-// RowKernel is a row of coefficients compiled against its lookup
-// tables: MultXOR computes dst[i] ^= Σ_k consts[k] * srcs[k][i] with
-// every table resolved at compile time. A RowKernel is immutable and
-// safe for concurrent use.
-type RowKernel interface {
-	// Terms returns the number of nonzero coefficients the row applies —
-	// the mult_XORs cost of one MultXOR call.
-	Terms() int
-	// MultXOR applies the row: dst[i] ^= Σ_k a_k * srcs[k][i].
-	// len(srcs) must equal the length of the consts slice the row was
-	// compiled from; sources at zero-coefficient positions are ignored
-	// (and may be nil).
-	MultXOR(dst []byte, srcs [][]byte)
-}
-
-// rowKernel is a compiled row as the block driver sees it: RowBlock
-// runs a row's table path over the tail its kernel call left.
-type rowKernel interface {
-	RowKernel
-	// tableXOR applies the row to bytes [lo:] of dst and the sources
-	// with the table-driven core.
+// tableRow is one coefficient row compiled against its lookup tables:
+// tableXOR computes dst[i] ^= Σ_k consts[k] * srcs[k][i] over bytes
+// [lo:] with the table-driven core. Sources at zero-coefficient
+// positions are never touched. A tableRow is immutable and safe for
+// concurrent use.
+type tableRow interface {
 	tableXOR(dst []byte, srcs [][]byte, lo int)
 }
 
-// CompileRow lowers one coefficient row over the field. Zero constants
-// are skipped at compile time; the fused apply touches only the nonzero
-// positions of srcs.
-func CompileRow(f Field, consts []uint32) RowKernel { return compileRow(f, consts) }
-
-func compileRow(f Field, consts []uint32) rowKernel {
-	ra := rowAffine{w: f.W(), n: len(consts)}
+// compileTableRow lowers one coefficient row over the field. Zero
+// constants are skipped at compile time.
+func compileTableRow(f Field, consts []uint32) tableRow {
+	var cols []int
 	mask := uint32(f.Order() - 1)
 	for j, a := range consts {
 		if a&mask != 0 {
-			ra.cols = append(ra.cols, j)
-			ra.mats = append(ra.mats, affineMatrix(f, a&mask))
+			cols = append(cols, j)
 		}
 	}
 	switch ff := f.(type) {
 	case *field8:
-		r := &rowKernel8{rowAffine: ra}
-		for _, j := range ra.cols {
+		r := &tableRow8{cols: cols}
+		for _, j := range cols {
 			var row []uint8 // nil: coefficient 1
 			if a := consts[j] & 0xFF; a > 1 {
 				row = ff.muls[a].row
@@ -93,8 +71,8 @@ func compileRow(f Field, consts []uint32) rowKernel {
 		}
 		return r
 	case *field16:
-		r := &rowKernel16{rowAffine: ra}
-		for _, j := range ra.cols {
+		r := &tableRow16{cols: cols}
+		for _, j := range cols {
 			var t *[2][256]uint16
 			if a := consts[j] & 0xFFFF; a > 1 {
 				t = ff.multiplier(a).t
@@ -103,8 +81,8 @@ func compileRow(f Field, consts []uint32) rowKernel {
 		}
 		return r
 	case field32:
-		r := &rowKernel32{rowAffine: ra}
-		for _, j := range ra.cols {
+		r := &tableRow32{cols: cols}
+		for _, j := range cols {
 			var t *[4][256]uint32
 			if a := consts[j]; a > 1 {
 				t = ff.multiplier(a).t
@@ -114,45 +92,22 @@ func compileRow(f Field, consts []uint32) rowKernel {
 		return r
 	default:
 		// Unknown Field implementation: term-at-a-time fallback.
-		r := &rowKernelGeneric{f: f, rowAffine: ra}
-		for _, j := range ra.cols {
+		r := &tableRowGeneric{f: f, cols: cols}
+		for _, j := range cols {
 			r.consts = append(r.consts, consts[j])
 		}
 		return r
 	}
 }
 
-// checkFused validates the srcs/consts pairing shared by the fused
-// entry points.
+// checkFused validates the srcs/consts pairing of MultXORsMulti.
 func checkFused(nsrcs, nconsts int) {
 	if nsrcs != nconsts {
 		panic(fmt.Sprintf("gf: fused row has %d sources for %d coefficients", nsrcs, nconsts))
 	}
 }
 
-// rowAffine is the width-independent half of a compiled row: its
-// nonzero columns and their affine matrices.
-type rowAffine struct {
-	w    int
-	n    int // length of the consts row compiled from
-	cols []int
-	mats []*uint64
-}
-
-func (r *rowAffine) Terms() int { return len(r.cols) }
-
-// affine applies the row over the 64-byte-aligned prefix of dst as a
-// 1-row block-kernel call and returns the prefix length: 0 when the
-// affine kernels are off or dst is shorter than one chunk.
-//
-//ppm:hotpath
-func (r *rowAffine) affine(dst []byte, srcs [][]byte) int {
-	n := affinePrefix(len(dst))
-	multiAffine(r.w, dst, srcs, r.cols, r.mats, n)
-	return n
-}
-
-// multiAffine is the 1-row kernel call behind a fused row:
+// multiAffine is MultXORsMulti's 1-row kernel call:
 // dst[:n] ^= Σ_k M_k * srcs[cols[k]][:n], n a multiple of 64 (0 skips).
 //
 //ppm:hotpath
@@ -176,22 +131,13 @@ func affinePrefix(n int) int {
 
 // --- GF(2^8) ---
 
-type rowKernel8 struct {
-	rowAffine
+type tableRow8 struct {
+	cols []int
 	rows [][]uint8 // per term; nil: coefficient 1
 }
 
 //ppm:hotpath
-func (r *rowKernel8) MultXOR(dst []byte, srcs [][]byte) {
-	checkFused(len(srcs), r.n)
-	for _, j := range r.cols {
-		checkRegions(dst, srcs[j], 1)
-	}
-	r.tableXOR(dst, srcs, r.affine(dst, srcs))
-}
-
-//ppm:hotpath
-func (r *rowKernel8) tableXOR(dst []byte, srcs [][]byte, lo int) {
+func (r *tableRow8) tableXOR(dst []byte, srcs [][]byte, lo int) {
 	if lo == len(dst) {
 		return
 	}
@@ -293,22 +239,13 @@ func fuse8Tables(dst []byte, xs, ts [][]byte, rows [][]uint8) {
 
 // --- GF(2^16) ---
 
-type rowKernel16 struct {
-	rowAffine
+type tableRow16 struct {
+	cols []int
 	tabs []*[2][256]uint16 // per term; nil: coefficient 1
 }
 
 //ppm:hotpath
-func (r *rowKernel16) MultXOR(dst []byte, srcs [][]byte) {
-	checkFused(len(srcs), r.n)
-	for _, j := range r.cols {
-		checkRegions(dst, srcs[j], 2)
-	}
-	r.tableXOR(dst, srcs, r.affine(dst, srcs))
-}
-
-//ppm:hotpath
-func (r *rowKernel16) tableXOR(dst []byte, srcs [][]byte, lo int) {
+func (r *tableRow16) tableXOR(dst []byte, srcs [][]byte, lo int) {
 	if lo == len(dst) {
 		return
 	}
@@ -408,22 +345,13 @@ func fuse16Tables(dst []byte, xs, ts [][]byte, tabs []*[2][256]uint16) {
 
 // --- GF(2^32) ---
 
-type rowKernel32 struct {
-	rowAffine
+type tableRow32 struct {
+	cols []int
 	tabs []*[4][256]uint32 // per term; nil: coefficient 1
 }
 
 //ppm:hotpath
-func (r *rowKernel32) MultXOR(dst []byte, srcs [][]byte) {
-	checkFused(len(srcs), r.n)
-	for _, j := range r.cols {
-		checkRegions(dst, srcs[j], 4)
-	}
-	r.tableXOR(dst, srcs, r.affine(dst, srcs))
-}
-
-//ppm:hotpath
-func (r *rowKernel32) tableXOR(dst []byte, srcs [][]byte, lo int) {
+func (r *tableRow32) tableXOR(dst []byte, srcs [][]byte, lo int) {
 	if lo == len(dst) {
 		return
 	}
@@ -521,22 +449,16 @@ func fuse32Tables(dst []byte, xs, ts [][]byte, tabs []*[4][256]uint32) {
 
 // --- generic fallback ---
 
-// rowKernelGeneric serves Field implementations outside this package:
-// no matrices, one MultXORs call per term.
-type rowKernelGeneric struct {
-	rowAffine
+// tableRowGeneric serves Field implementations outside this package:
+// one MultXORs call per term.
+type tableRowGeneric struct {
 	f      Field
+	cols   []int
 	consts []uint32
 }
 
 //ppm:hotpath
-func (r *rowKernelGeneric) MultXOR(dst []byte, srcs [][]byte) {
-	checkFused(len(srcs), r.n)
-	r.tableXOR(dst, srcs, 0)
-}
-
-//ppm:hotpath
-func (r *rowKernelGeneric) tableXOR(dst []byte, srcs [][]byte, lo int) {
+func (r *tableRowGeneric) tableXOR(dst []byte, srcs [][]byte, lo int) {
 	for k, j := range r.cols {
 		r.f.MultXORs(dst[lo:], srcs[j][lo:], r.consts[k])
 	}

@@ -105,10 +105,10 @@ func testMultXORsMultiMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestCompileRowMatchesMulti: the compiled row kernel computes the same
-// result as the on-the-fly fused call, skips zero coefficients
-// (tolerating nil sources in those lanes), and reports the nonzero term
-// count. Runs on both kernel paths.
+// TestCompileRowMatchesMulti: a compiled row — a 1-row RowBlock —
+// computes the same result as the on-the-fly fused call, skips zero
+// coefficients (tolerating nil sources in those lanes), and reports the
+// nonzero term count. Runs on both kernel paths.
 func TestCompileRowMatchesMulti(t *testing.T) {
 	forBothKernelPaths(t, testCompileRowMatchesMulti)
 }
@@ -122,21 +122,21 @@ func testCompileRowMatchesMulti(t *testing.T) {
 		srcs := randSrcs(rng, 9, size)
 		srcs[0], srcs[4], srcs[8] = nil, nil, nil // zero lanes must never be touched
 
-		kern := CompileRow(f, consts)
+		blk := CompileBlock(f, []int{0}, [][]uint32{consts})
 		nz := 0
 		for _, a := range consts {
 			if a != 0 {
 				nz++
 			}
 		}
-		if kern.Terms() != nz {
-			t.Fatalf("GF%d: Terms() = %d, want %d", f.W(), kern.Terms(), nz)
+		if blk.Terms() != nz {
+			t.Fatalf("GF%d: Terms() = %d, want %d", f.W(), blk.Terms(), nz)
 		}
 
 		dst := make([]byte, size)
 		rng.Read(dst)
 		want := append([]byte(nil), dst...)
-		kern.MultXOR(dst, srcs)
+		blk.Apply([][]byte{dst}, srcs, false)
 
 		for k, a := range consts {
 			if a == 0 {
@@ -170,8 +170,7 @@ func TestMultXORsMultiAccumulates(t *testing.T) {
 }
 
 // TestMultXORsMultiMismatchPanics: srcs/consts length disagreement is a
-// programming error and must panic, for every field and for compiled
-// rows.
+// programming error and must panic, for every field.
 func TestMultXORsMultiMismatchPanics(t *testing.T) {
 	for _, f := range []Field{GF8, GF16, GF32} {
 		func() {
@@ -183,13 +182,6 @@ func TestMultXORsMultiMismatchPanics(t *testing.T) {
 			f.MultXORsMulti(make([]byte, 8), make([][]byte, 2), []uint32{1})
 		}()
 	}
-	kern := CompileRow(GF8, []uint32{1, 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("compiled row with wrong src count did not panic")
-		}
-	}()
-	kern.MultXOR(make([]byte, 8), make([][]byte, 3))
 }
 
 // FuzzFusedAgainstScalar drives the fused row path and the row-block

@@ -27,7 +27,6 @@ const blockRows = 4
 //	DX  chunk offset        R9  source index            R10 region pointer
 //	R11 matrix pointer      R12 accumulate flag
 //	Z0..Z(R-1)  row accumulators (planar at w=16/32)
-//	Z20..Z23    the matrices, when a one-source call keeps them in registers
 //	Z24, Z25    affine products
 //	Z26, Z27, Z30, Z31  the source vector and its plane rotations
 //	Z28, Z29    planarizing permutation and its inverse
@@ -144,73 +143,8 @@ func emit(p func(string, ...interface{}), wd width) {
 		p("\tCMPQ    AX, $%d", r)
 		p("\tJEQ     w%dr%d", wd.w, r)
 	}
-	p("\tCMPQ    BX, $1")
-	p("\tJEQ     w%done", wd.w)
 	for rows := 1; rows <= blockRows; rows++ {
 		body(p, wd, rows, rowStride)
-	}
-	single(p, wd)
-}
-
-// single emits the one-row, one-source body (a Multiplier.MultXOR, or
-// a fused row with one term): with no source loop to amortise them
-// over, the general body's per-source pointer loads and loop control
-// would cost a third of its throughput, so the matrices stay in
-// registers instead.
-func single(p func(string, ...interface{}), wd width) {
-	l := fmt.Sprintf("w%done", wd.w)
-	mats := []string{"Z20", "Z21", "Z22", "Z23"}
-	p("")
-	p("%s:", l)
-	p("\tMOVQ    blockArgs_src(DI), SI")
-	p("\tMOVQ    blockArgs_mat(DI), R11")
-	p("\tMOVQ    blockArgs_dst(DI), R10")
-	if wd.w == 8 {
-		p("\tVPBROADCASTQ (R11), Z20")
-	} else {
-		for s := 0; s < wd.planes; s++ {
-			p("\tVMOVDQU64 %d(R11), %s", 64*s, mats[s])
-		}
-	}
-	p("\tTESTQ   R12, R12")
-	p("\tJEQ     %sow", l)
-	// Two copies of the loop, so the accumulate flag costs no branch per
-	// chunk.
-	for _, acc := range []bool{true, false} {
-		loop := l + "acc"
-		if !acc {
-			loop = l + "ow"
-		}
-		p("")
-		p("%s:", loop)
-		if wd.w == 8 {
-			p("\tVMOVDQU64 (SI), Z30")
-			p("\tVGF2P8AFFINEQB $0, Z20, Z30, Z0")
-		} else {
-			p("\tVPERMB  (SI), Z28, Z30")
-			for s, shuf := range wd.rot {
-				p("\t%s, Z30, Z30, %s", shuf, planeRegs[s+1])
-			}
-			p("\tVGF2P8AFFINEQB $0, Z20, Z30, Z24")
-			p("\tVGF2P8AFFINEQB $0, Z21, Z31, Z25")
-			p("\tVPXORQ  Z24, Z25, Z0")
-			if wd.planes == 4 {
-				p("\tVGF2P8AFFINEQB $0, Z22, Z27, Z24")
-				p("\tVGF2P8AFFINEQB $0, Z23, Z26, Z25")
-				p("\tVPTERNLOGQ $0x96, Z24, Z25, Z0")
-			}
-			p("\tVPERMB  Z0, Z29, Z0")
-		}
-		if acc {
-			p("\tVPXORQ  (R10), Z0, Z0")
-		}
-		p("\tVMOVDQU64 Z0, (R10)")
-		p("\tADDQ    $64, SI")
-		p("\tADDQ    $64, R10")
-		p("\tSUBQ    $64, CX")
-		p("\tJNE     %s", loop)
-		p("\tVZEROUPPER")
-		p("\tRET")
 	}
 }
 

@@ -81,6 +81,14 @@ func BenchmarkMultiplierVsMultXORs(b *testing.B) {
 	src := make([]byte, 4096)
 	dst := make([]byte, 4096)
 	rand.New(rand.NewSource(144)).Read(src)
+	b.Run("GF8-compiled", func(b *testing.B) {
+		m := MultiplierFor(GF8, 0x12)
+		b.SetBytes(4096)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.MultXOR(dst, src)
+		}
+	})
 	b.Run("GF16-fresh-tables", func(b *testing.B) {
 		b.SetBytes(4096)
 		for i := 0; i < b.N; i++ {

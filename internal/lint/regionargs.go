@@ -37,7 +37,7 @@ var regionOps = map[string]struct {
 	"MultXORs":      {dst: 0, src: 1},
 	"MulRegion":     {dst: 0, src: 1},
 	"MultXORsMulti": {dst: 0, src: -1},
-	"MultXOR":       {dst: 0, src: -1},             // gf.Multiplier / gf.RowKernel
+	"MultXOR":       {dst: 0, src: 1},              // gf.Multiplier
 	"Apply":         {dst: 0, src: 1, lists: true}, // gf.RowBlock: out, in
 }
 

@@ -22,9 +22,9 @@ func (field16) MulRegion(dst, src []byte, a uint32)                      {}
 // New16 exposes the concrete 16-bit stub field.
 func New16() *field16 { return &field16{} }
 
-// RowKernel mirrors the fused row kernel interface.
-type RowKernel interface {
-	MultXOR(dst []byte, srcs [][]byte)
+// Multiplier mirrors the single-constant region multiplier.
+type Multiplier interface {
+	MultXOR(dst, src []byte)
 }
 
 // RowBlock mirrors the row-block kernel: Apply(out, in, overwrite).

@@ -39,3 +39,12 @@ func blocks(b *gf.RowBlock, mid, outs, views [][]byte) {
 	b.Apply(outs, mid, true)  // chained stage reads the intermediate: clean
 	b.Apply(mid, mid, true)   // want "output and source region lists alias"
 }
+
+// multipliers exercises the single-constant op: dst and src are one
+// region each.
+func multipliers(m gf.Multiplier, buf, other []byte) {
+	m.MultXOR(buf, other)             // clean
+	m.MultXOR(buf, buf)               // want "dst and src alias"
+	m.MultXOR(buf[0:64], other[0:32]) // want "dst length 64 != src length 32"
+	m.MultXOR(buf[0:64], buf[64:128]) // disjoint constant ranges: clean
+}
