@@ -97,7 +97,7 @@ lint:
 	$(GO) run ./cmd/ppmlint ./...
 
 # Symbolically prove every compiled plan in the code zoo — XOR
-# programs, set schedules, decode plans, repair plans and delta
+# programs, row-block lowerings, decode plans, repair plans and delta
 # updaters — equal to their coefficient matrices, across all three
 # kernel backends. Exits non-zero with an op-level diagnosis on the
 # first unprovable plan.
@@ -112,7 +112,6 @@ fuzz-smoke:
 	$(GO) test ./internal/gf -run=^$$ -fuzz=FuzzMulAgainstReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gf -run=^$$ -fuzz=FuzzRegionOps -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gf -run=^$$ -fuzz=FuzzFusedAgainstScalar -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/bitmatrix -run=^$$ -fuzz=FuzzExpandApply -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/xorplan -run=^$$ -fuzz=FuzzProgramVsScalar -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/planverify -run=^$$ -fuzz=FuzzVerifierVsDifferential -fuzztime=$(FUZZTIME)
 

@@ -178,26 +178,6 @@ func WithStats(s *Stats) Option { return core.WithStats(s) }
 // allocations. capacity <= 0 disables caching.
 func WithPlanCache(capacity int) Option { return core.WithPlanCache(capacity) }
 
-// Backend selects the decoder's arithmetic engine.
-type Backend = core.Backend
-
-// Arithmetic back ends: table-driven GF(2^w) (default) or the
-// Cauchy-RS bit-matrix XOR schedule of the paper's reference [8].
-// A stripe must be encoded and decoded under the same back end.
-const (
-	BackendTable     = core.BackendTable
-	BackendBitMatrix = core.BackendBitMatrix
-)
-
-// WithBackend selects the decoder's arithmetic engine.
-func WithBackend(b Backend) Option { return core.WithBackend(b) }
-
-// WithHybrid enables the hybrid executor (extension beyond the paper):
-// serial plan phases are byte-range-chunked across the worker budget,
-// so even p <= 1 partitions keep every core busy. Bytes and operation
-// counts are identical to the standard executor's.
-func WithHybrid(enabled bool) Option { return core.WithHybrid(enabled) }
-
 // BuildPlan prepares a decode plan without touching data, for
 // inspection, cost analysis or reuse across stripes.
 func BuildPlan(c Code, sc Scenario, strategy Strategy) (*Plan, error) {

@@ -335,29 +335,6 @@ func BenchmarkBlockParallelBaseline(b *testing.B) {
 	}, benchStripeBytes)
 }
 
-// BenchmarkAblationHybrid compares the standard executor with the
-// hybrid executor on a p = 1 shape (RDP double-disk failure), where the
-// standard executor is serial and hybrid chunks the byte range. On a
-// multi-core host hybrid wins; on one core they tie.
-func BenchmarkAblationHybrid(b *testing.B) {
-	rdp, err := NewRDP(11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc, err := rdp.WorstCaseScenario(rand.New(rand.NewSource(42)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("standard", func(b *testing.B) {
-		dec := NewDecoder(rdp, WithThreads(4))
-		benchDecode(b, rdp, sc, func(st *Stripe) error { return dec.Decode(st, sc) }, benchStripeBytes)
-	})
-	b.Run("hybrid", func(b *testing.B) {
-		dec := NewDecoder(rdp, WithThreads(4), WithHybrid(true))
-		benchDecode(b, rdp, sc, func(st *Stripe) error { return dec.Decode(st, sc) }, benchStripeBytes)
-	})
-}
-
 // BenchmarkSmallWrite compares the incremental parity update against a
 // full stripe re-encode for a single-sector overwrite.
 func BenchmarkSmallWrite(b *testing.B) {
@@ -393,42 +370,4 @@ func BenchmarkSmallWrite(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationBackends compares the table-driven engine against
-// the Cauchy-RS bit-matrix engine (paper reference [8]) on the same
-// decode. The winner depends on coefficient bit-density; both are
-// measured here on the worked-geometry worst case.
-func BenchmarkAblationBackends(b *testing.B) {
-	sd, sc := sdWorstCase(b, 8, 16, 2, 2, 1)
-	for _, be := range []struct {
-		name string
-		bk   Backend
-	}{
-		{"table", BackendTable},
-		{"bitmatrix", BackendBitMatrix},
-	} {
-		be := be
-		b.Run(be.name, func(b *testing.B) {
-			dec := NewDecoder(sd, WithThreads(4), WithBackend(be.bk))
-			st, err := StripeForCode(sd, benchStripeBytes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st.FillDataRandom(1, DataPositions(sd))
-			if err := dec.Encode(st); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(st.TotalBytes()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				st.Scribble(int64(i), sc.Faulty)
-				b.StartTimer()
-				if err := dec.Decode(st, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

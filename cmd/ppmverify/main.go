@@ -1,10 +1,9 @@
 // Command ppmverify runs the symbolic plan verifier over the standard
 // code zoo: every decode plan, repair plan, xorplan XOR program,
-// optimised bit-matrix schedule, kernel row-block lowering and
-// delta-parity updater the production paths build, across every
-// decodable single- and double-failure scenario (plus seeded random
-// maximum-tolerance ones), proven algebraically equal to their source
-// coefficient matrices.
+// kernel row-block lowering and delta-parity updater the production
+// paths build, across every decodable single- and double-failure
+// scenario (plus seeded random maximum-tolerance ones), proven
+// algebraically equal to their source coefficient matrices.
 //
 // Usage:
 //
@@ -119,8 +118,8 @@ func main() {
 		for _, b := range rep.Backends {
 			name := strings.SplitN(b, " ", 2)[0]
 			s := rep.Stats[name]
-			fmt.Fprintf(out, "ppmverify: backend %s: proved %d plans, %d repairs, %d programs, %d schedules, %d row-block sets, %d updaters over %d scenarios\n",
-				b, s.Plans, s.Repairs, s.Programs, s.Schedules, s.Blocks, s.Updaters, s.Scenarios)
+			fmt.Fprintf(out, "ppmverify: backend %s: proved %d plans, %d repairs, %d programs, %d row-block sets, %d updaters over %d scenarios\n",
+				b, s.Plans, s.Repairs, s.Programs, s.Blocks, s.Updaters, s.Scenarios)
 		}
 	}
 	if len(rep.Findings) > 0 {

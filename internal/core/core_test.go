@@ -331,6 +331,9 @@ func TestEmptyScenarioPlan(t *testing.T) {
 	if !st.Equal(want) {
 		t.Fatal("empty plan modified the stripe")
 	}
+	if err := Execute(nil, st, sd.Field(), 4, nil); err == nil {
+		t.Fatal("nil plan accepted")
+	}
 }
 
 func TestUnrecoverablePlan(t *testing.T) {

@@ -11,14 +11,12 @@ import (
 // Decoder binds a code instance to PPM execution options. A Decoder is
 // safe for concurrent use by multiple goroutines on distinct stripes:
 // the plan cache is mutex-guarded, cached plans are immutable, and the
-// executors draw their per-decode scratch state from pools.
+// executor draws its per-decode scratch state from pools.
 type Decoder struct {
 	code     codes.Code
 	threads  int
 	strategy Strategy
 	stats    *kernel.Stats
-	hybrid   bool
-	backend  Backend
 	cacheCap int
 	cache    *planCache
 	partials *partialCache
@@ -41,15 +39,6 @@ func WithStrategy(s Strategy) Option {
 // WithStats attaches an operation counter shared across decodes.
 func WithStats(s *kernel.Stats) Option {
 	return func(d *Decoder) { d.stats = s }
-}
-
-// WithHybrid enables the hybrid executor (extension beyond the paper):
-// serial phases — H_rest, whole-matrix fallbacks, single-group plans —
-// are byte-range-chunked across the worker budget, so cases 1 and 2 of
-// §III-C still use every core. Recovered bytes and operation counts are
-// identical to the standard executor's.
-func WithHybrid(enabled bool) Option {
-	return func(d *Decoder) { d.hybrid = enabled }
 }
 
 // WithPlanCache bounds the Decoder's built-in plan cache: Decode keeps
@@ -98,7 +87,7 @@ func (d *Decoder) Decode(st *stripe.Stripe, sc codes.Scenario) error {
 	if err != nil {
 		return err
 	}
-	return d.execute(plan, st)
+	return Execute(plan, st, d.code.Field(), d.threads, d.stats)
 }
 
 // planFor returns the plan for the scenario, consulting the cache when
@@ -138,17 +127,6 @@ func (d *Decoder) PlanCacheStats() (hits, misses int64) {
 func (d *Decoder) DecodeWithPlan(plan *Plan, st *stripe.Stripe) error {
 	if err := d.checkGeometry(st); err != nil {
 		return err
-	}
-	return d.execute(plan, st)
-}
-
-// execute dispatches to the configured executor.
-func (d *Decoder) execute(plan *Plan, st *stripe.Stripe) error {
-	if d.backend == BackendBitMatrix {
-		return executeBitMatrix(d, plan, st)
-	}
-	if d.hybrid {
-		return ExecuteHybrid(plan, st, d.code.Field(), d.threads, d.stats)
 	}
 	return Execute(plan, st, d.code.Field(), d.threads, d.stats)
 }

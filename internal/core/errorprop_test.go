@@ -91,49 +91,26 @@ func TestExecuteParallelPropagatesLowestGroupError(t *testing.T) {
 	}
 }
 
-// TestHybridStridePropagatesLowestGroupError is the regression test for
-// the `_ = runSubDecode(...)` bug: the hybrid stride loop
-// (len(Groups) >= t) used to discard sub-decode errors entirely.
-func TestHybridStridePropagatesLowestGroupError(t *testing.T) {
-	plan, sd, sc, msgs := brokenPlan(t, 4, 2, 3)
+// TestPartialRangePropagatesLowestGroupError: the round-robin group
+// loop on a sub-range returns the lowest failing group's error, every
+// run, while several selected groups fail on concurrent workers.
+func TestPartialRangePropagatesLowestGroupError(t *testing.T) {
+	plan, sd, sc, msgs := brokenPlan(t, 4, 2, 1)
+	sel, err := plan.SelectPartial(sc.Faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := encodedStripe(t, sd, 64, 904)
+	wb := sd.Field().WordBytes()
 	for trial := 0; trial < 20; trial++ {
 		damaged := st.Clone()
 		damaged.Scribble(int64(trial), sc.Faulty)
-		// t=2 <= len(Groups) drives the stride branch.
-		err := ExecuteHybrid(plan, damaged, sd.Field(), 2, nil)
-		if err == nil || err.Error() != msgs[2] {
-			t.Fatalf("trial %d: got %v, want group 2's error %q", trial, err, msgs[2])
+		// T=2 < p: worker 0 fails on group 2, worker 1 on group 1, so
+		// only per-group slots (not per-worker) report group 1.
+		err := executeSpan(plan, damaged, 2, nil, &sel, wb, 64-wb)
+		if err == nil || err.Error() != msgs[1] {
+			t.Fatalf("trial %d: got %v, want group 1's error %q", trial, err, msgs[1])
 		}
-	}
-}
-
-// TestHybridSurplusSharePropagatesError is the regression test for the
-// second discarded error site: the surplus-share branch (fewer groups
-// than workers) used to drop chunked sub-decode failures.
-func TestHybridSurplusSharePropagatesError(t *testing.T) {
-	plan, sd, sc, msgs := brokenPlan(t, 2, 1)
-	plan.Groups = plan.Groups[:2] // force 1 < p < T
-	plan.Rest = nil
-	st := encodedStripe(t, sd, 64, 905)
-	st.Scribble(1, sc.Faulty)
-	err := ExecuteHybrid(plan, st, sd.Field(), 8, nil)
-	if err == nil || err.Error() != msgs[1] {
-		t.Fatalf("got %v, want group 1's error %q", err, msgs[1])
-	}
-}
-
-// TestHybridChunkedPropagatesError: a failing single-group plan (the
-// byte-range-chunked path) reports the error from its chunks.
-func TestHybridChunkedPropagatesError(t *testing.T) {
-	plan, sd, sc, msgs := brokenPlan(t, 1, 0)
-	plan.Groups = plan.Groups[:1]
-	plan.Rest = nil
-	st := encodedStripe(t, sd, 64, 906)
-	st.Scribble(1, sc.Faulty)
-	err := ExecuteHybrid(plan, st, sd.Field(), 4, nil)
-	if err == nil || err.Error() != msgs[0] {
-		t.Fatalf("got %v, want %q", err, msgs[0])
 	}
 }
 
@@ -141,6 +118,10 @@ func TestHybridChunkedPropagatesError(t *testing.T) {
 // list exceeds the stripe surfaces as an error, not a panic.
 func TestExecuteOutOfRangeColumnsBecomeErrors(t *testing.T) {
 	plan, sd, sc, _ := brokenPlan(t, 2)
+	sel, err := plan.SelectPartial(sc.Faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := encodedStripe(t, sd, 64, 907)
 	st.Scribble(1, sc.Faulty)
 	plan.Groups[0].FaultyCols = append([]int(nil), plan.Groups[0].FaultyCols...)
@@ -149,24 +130,31 @@ func TestExecuteOutOfRangeColumnsBecomeErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "core: execute failed") {
 		t.Fatalf("out-of-range columns not surfaced: %v", err)
 	}
-	if err := ExecuteHybrid(plan, st, sd.Field(), 2, nil); err == nil {
-		t.Fatal("hybrid: out-of-range columns not surfaced")
+	wb := sd.Field().WordBytes()
+	if err := executeSpan(plan, st, 2, nil, &sel, wb, 64-wb); err == nil ||
+		!strings.Contains(err.Error(), "core: execute failed") {
+		t.Fatalf("range path: out-of-range columns not surfaced: %v", err)
 	}
 }
 
-// TestStatsUntouchedOnFailedChunkedDecode: the chunked runner must not
-// credit mult_XORs for a sub-decode that failed.
-func TestStatsUntouchedOnFailedChunkedDecode(t *testing.T) {
+// TestStatsUntouchedOnFailedDecode: a sub-decode that fails credits
+// no mult_XORs, on the full-sector and the range path.
+func TestStatsUntouchedOnFailedDecode(t *testing.T) {
 	plan, sd, sc, _ := brokenPlan(t, 1, 0)
 	plan.Groups = plan.Groups[:1]
 	plan.Rest = nil
+	sel := PartialSelection{GroupIdx: []int{0}}
 	st := encodedStripe(t, sd, 64, 908)
 	st.Scribble(1, sc.Faulty)
 	var stats kernel.Stats
-	if err := ExecuteHybrid(plan, st, sd.Field(), 4, &stats); err == nil {
+	if err := Execute(plan, st, sd.Field(), 4, &stats); err == nil {
 		t.Fatal("expected error")
 	}
+	wb := sd.Field().WordBytes()
+	if err := executeSpan(plan, st, 4, &stats, &sel, wb, 64-wb); err == nil {
+		t.Fatal("expected error on the range path")
+	}
 	if got := stats.MultXORs(); got != 0 {
-		t.Fatalf("failed chunked decode credited %d mult_XORs", got)
+		t.Fatalf("failed decode credited %d mult_XORs", got)
 	}
 }

@@ -14,7 +14,8 @@ import (
 // merges the recovered blocks into the remaining decode. threads <= 0
 // selects the paper's default T = min(4, cores); the effective T never
 // exceeds p ("we also restrain the number of threads T (T <= p)",
-// §III-C).
+// §III-C). The field argument is unused: BuildPlan compiles every
+// sub-decode for its code's field.
 //
 // Error contract: if any sub-decode fails, Execute returns the error of
 // the lowest-indexed failing group (then the remaining decode's),
@@ -22,59 +23,62 @@ import (
 // per-decode state (sector views, error slots, Normal-sequence scratch)
 // comes from pools, so repeated executions of one plan allocate
 // nothing per stripe.
-func Execute(p *Plan, st *stripe.Stripe, field gf.Field, threads int, stats *kernel.Stats) (err error) {
-	if p == nil {
-		return fmt.Errorf("core: nil plan")
+func Execute(p *Plan, st *stripe.Stripe, _ gf.Field, threads int, stats *kernel.Stats) error {
+	if p == nil || st == nil {
+		return fmt.Errorf("core: nil plan or stripe")
 	}
-	// View preparation dereferences the plan's column lists; a malformed
-	// plan surfaces as an error, like every other executor failure.
+	return executeSpan(p, st, threads, stats, nil, 0, st.SectorSize())
+}
+
+// executeSpan is the one executor body. It runs the selected groups of
+// p (every group when sel is nil) over the [lo, hi) byte range of every
+// sector, thread (g mod T) taking group g as in Algorithm 1, then the
+// serial tail: H_rest when selected, or the single sub-decode of a
+// whole-matrix plan, which always runs in full. lo and hi must be
+// word-aligned.
+func executeSpan(p *Plan, st *stripe.Stripe, threads int, stats *kernel.Stats, sel *PartialSelection, lo, hi int) (err error) {
+	// View preparation indexes the stripe with the plan's column lists;
+	// a malformed plan surfaces as an error, like every other failure.
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: execute failed: %v", r)
 		}
 	}()
-	s := getSession()
+	s := getSession(st, lo, hi, stats)
 	defer s.release()
-	s.reserveViews(viewCount(p))
 
-	if p.Whole != nil {
-		in := s.sectorViews(st, p.Whole.SurvivorCols)
-		out := s.sectorViews(st, p.Whole.FaultyCols)
-		return applySubDecode(&p.Whole.SubDecode, field, in, out, stats)
-	}
-	if len(p.Groups) == 0 && p.Rest == nil {
-		return nil // nothing faulty
-	}
-
-	// Prepare every group's views serially; the views alias the stripe,
-	// so filling them before the fan-out costs pointer writes only.
-	s.reservePairs(len(p.Groups))
-	for i := range p.Groups {
-		s.ins[i] = s.sectorViews(st, p.Groups[i].SurvivorCols)
-		s.outs[i] = s.sectorViews(st, p.Groups[i].FaultyCols)
-	}
-
-	t := effectiveThreads(threads, len(p.Groups))
-	switch {
-	case len(p.Groups) == 0:
-		// Case 1: no independent sub-matrix; only the remaining decode.
-	case t <= 1 || len(p.Groups) == 1:
-		// Case 2 (or single worker): decode groups serially.
+	tail := p.Rest
+	if sel == nil {
 		for i := range p.Groups {
-			if err := applySubDecode(&p.Groups[i], field, s.ins[i], s.outs[i], stats); err != nil {
+			s.add(&p.Groups[i], st)
+		}
+	} else {
+		for _, gi := range sel.GroupIdx {
+			s.add(&p.Groups[gi], st)
+		}
+		if !sel.NeedRest {
+			tail = nil
+		}
+	}
+	if p.Whole != nil {
+		tail = &p.Whole.SubDecode
+	}
+
+	n := len(s.jobs)
+	if t := effectiveThreads(threads, n); t <= 1 {
+		for i := 0; i < n; i++ {
+			if err := s.apply(i); err != nil {
 				return err
 			}
 		}
-	default:
-		// Case 3/4: thread (g mod T) processes group g, as in
-		// Algorithm 1. Workers pick up a fixed stride of groups on the
-		// persistent pool; each group's outcome lands in its own slot
-		// and the lowest-indexed failure wins.
-		errs := s.errSlots(len(p.Groups))
+	} else {
+		// Each group's outcome lands in its own slot, so the error of
+		// the lowest group index wins whatever the scheduling order.
+		errs := s.errSlots(n)
 		//ppm:hotpath
 		poolErr := kernel.DefaultWorkers().Run(t, func(w int) error {
-			for g := w; g < len(p.Groups); g += t {
-				if err := applySubDecode(&p.Groups[g], field, s.ins[g], s.outs[g], stats); err != nil {
+			for g := w; g < n; g += t {
+				if err := s.apply(g); err != nil {
 					errs[g] = err
 					return err
 				}
@@ -91,10 +95,8 @@ func Execute(p *Plan, st *stripe.Stripe, field gf.Field, threads int, stats *ker
 		}
 	}
 
-	if p.Rest != nil {
-		in := s.sectorViews(st, p.Rest.SurvivorCols)
-		out := s.sectorViews(st, p.Rest.FaultyCols)
-		return applySubDecode(p.Rest, field, in, out, stats)
+	if tail != nil {
+		return s.apply(s.add(tail, st))
 	}
 	return nil
 }
@@ -119,22 +121,4 @@ func effectiveThreads(threads, p int) int {
 		t = 1
 	}
 	return t
-}
-
-// runSubDecode performs one matrix-decoding operation (Step 3.3 or
-// Step 4): writes the recovered faulty blocks into the stripe. The
-// compiled fast path is used when the plan was lowered (always, for
-// plans from BuildPlan); the matrix path remains as the fallback for
-// hand-assembled sub-decodes in tests. Failures — including
-// out-of-range column lists and kernel shape panics — are returned as
-// errors.
-func runSubDecode(sd *SubDecode, st *stripe.Stripe, field gf.Field, stats *kernel.Stats) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: sub-decode failed: %v", r)
-		}
-	}()
-	out := st.Sectors(sd.FaultyCols)
-	in := st.Sectors(sd.SurvivorCols)
-	return applySubDecode(sd, field, in, out, stats)
 }

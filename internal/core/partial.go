@@ -7,9 +7,6 @@ import (
 	"sync"
 
 	"ppm/internal/codes"
-
-	"ppm/internal/gf"
-	"ppm/internal/kernel"
 	"ppm/internal/stripe"
 )
 
@@ -108,127 +105,6 @@ func (p *Plan) SelectPartial(wanted []int) (PartialSelection, error) {
 		return sel, fmt.Errorf("core: wanted sectors %v are faulty but belong to no sub-decode (plan inconsistent)", wanted)
 	}
 	return sel, nil
-}
-
-// ExecutePartial runs only the selected sub-decodes. On return the
-// wanted sectors hold recovered content; other faulty sectors may or
-// may not have been recovered (those in executed groups were).
-func ExecutePartial(p *Plan, st *stripe.Stripe, field gf.Field, threads int, stats *kernel.Stats, wanted []int) error {
-	if p == nil {
-		return fmt.Errorf("core: nil plan")
-	}
-	if p.Whole != nil {
-		return runSubDecode(&p.Whole.SubDecode, st, field, stats)
-	}
-	sel, err := p.SelectPartial(wanted)
-	if err != nil {
-		return err
-	}
-	t := effectiveThreads(threads, len(sel.GroupIdx))
-	if t <= 1 || len(sel.GroupIdx) <= 1 {
-		for _, gi := range sel.GroupIdx {
-			if err := runSubDecode(&p.Groups[gi], st, field, stats); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Stride the selected groups over t workers of the persistent
-		// pool; the error from the lowest selected index wins.
-		errs := make([]error, len(sel.GroupIdx))
-		poolErr := kernel.DefaultWorkers().Run(t, func(w int) error {
-			for i := w; i < len(sel.GroupIdx); i += t {
-				if err := runSubDecode(&p.Groups[sel.GroupIdx[i]], st, field, stats); err != nil {
-					errs[i] = err
-					return err
-				}
-			}
-			return nil
-		})
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		if poolErr != nil {
-			return poolErr
-		}
-	}
-	if sel.NeedRest {
-		return runSubDecode(p.Rest, st, field, stats)
-	}
-	return nil
-}
-
-// ExecutePartialRange runs a pre-selected sub-decode closure over the
-// [lo, hi) byte sub-range of every sector — the range-restricted
-// executor a degraded read of a sector sub-range uses. Views come from
-// the pooled session arena and the matrices are pre-compiled, so the
-// repeated path allocates nothing per call. lo and hi must be
-// word-aligned (the kernels enforce region alignment).
-func ExecutePartialRange(p *Plan, st *stripe.Stripe, field gf.Field, threads int, stats *kernel.Stats, sel *PartialSelection, lo, hi int) error {
-	if p == nil {
-		return fmt.Errorf("core: nil plan")
-	}
-	s := getSession()
-	defer s.release()
-	if p.Whole != nil {
-		s.reserveViews(viewCount(p))
-		in := s.sectorViews(st, p.Whole.SurvivorCols)
-		out := s.sectorViews(st, p.Whole.FaultyCols)
-		return applySubDecodeRange(&p.Whole.SubDecode, field, in, out, lo, hi, stats)
-	}
-	n := 0
-	for _, gi := range sel.GroupIdx {
-		n += len(p.Groups[gi].FaultyCols) + len(p.Groups[gi].SurvivorCols)
-	}
-	if sel.NeedRest {
-		n += len(p.Rest.FaultyCols) + len(p.Rest.SurvivorCols)
-	}
-	s.reserveViews(n)
-	t := effectiveThreads(threads, len(sel.GroupIdx))
-	if t <= 1 || len(sel.GroupIdx) <= 1 {
-		for _, gi := range sel.GroupIdx {
-			g := &p.Groups[gi]
-			in := s.sectorViews(st, g.SurvivorCols)
-			out := s.sectorViews(st, g.FaultyCols)
-			if err := applySubDecodeRange(g, field, in, out, lo, hi, stats); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Stride the selected groups over t workers of the persistent
-		// pool; the error from the lowest selected index wins.
-		s.reservePairs(len(sel.GroupIdx))
-		for i, gi := range sel.GroupIdx {
-			g := &p.Groups[gi]
-			s.ins[i] = s.sectorViews(st, g.SurvivorCols)
-			s.outs[i] = s.sectorViews(st, g.FaultyCols)
-		}
-		errs := s.errSlots(len(sel.GroupIdx))
-		poolErr := kernel.DefaultWorkers().Run(t, func(w int) error {
-			for i := w; i < len(sel.GroupIdx); i += t {
-				if err := applySubDecodeRange(&p.Groups[sel.GroupIdx[i]], field, s.ins[i], s.outs[i], lo, hi, stats); err != nil {
-					errs[i] = err
-					return err
-				}
-			}
-			return nil
-		})
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		if poolErr != nil {
-			return poolErr
-		}
-	}
-	if sel.NeedRest {
-		in := s.sectorViews(st, p.Rest.SurvivorCols)
-		out := s.sectorViews(st, p.Rest.FaultyCols)
-		return applySubDecodeRange(p.Rest, field, in, out, lo, hi, stats)
-	}
-	return nil
 }
 
 // partialCache is an LRU of computed partial selections keyed by
@@ -340,5 +216,5 @@ func (d *Decoder) DecodeSectorsRange(st *stripe.Stripe, sc codes.Scenario, wante
 	if err != nil {
 		return err
 	}
-	return ExecutePartialRange(plan, st, d.code.Field(), d.threads, d.stats, sel, lo, hi)
+	return executeSpan(plan, st, d.threads, d.stats, sel, lo, hi)
 }

@@ -35,7 +35,7 @@ func TestPartialDecodeGroupOnly(t *testing.T) {
 	}
 
 	var stats kernel.Stats
-	if err := ExecutePartial(plan, st, sd.Field(), 2, &stats, []int{2}); err != nil {
+	if err := executeSpan(plan, st, 2, &stats, &sel, 0, st.SectorSize()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(st.Sector(2), want.Sector(2)) {
@@ -78,7 +78,7 @@ func TestPartialDecodeRestClosure(t *testing.T) {
 	st := encodedStripe(t, sd, 64, 822)
 	want := st.Clone()
 	st.Scribble(5, sc.Faulty)
-	if err := ExecutePartial(plan, st, sd.Field(), 3, nil, []int{13}); err != nil {
+	if err := executeSpan(plan, st, 3, nil, &sel, 0, st.SectorSize()); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Equal(want) {
@@ -146,10 +146,14 @@ func TestPartialDecodeWholePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sel, err := plan.SelectPartial([]int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := encodedStripe(t, sd, 64, 824)
 	want := st.Clone()
 	st.Scribble(5, sc.Faulty)
-	if err := ExecutePartial(plan, st, sd.Field(), 2, nil, []int{2}); err != nil {
+	if err := executeSpan(plan, st, 2, nil, &sel, 0, st.SectorSize()); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Equal(want) {

@@ -4,35 +4,48 @@ import (
 	"fmt"
 	"sync"
 
-	"ppm/internal/gf"
 	"ppm/internal/kernel"
 	"ppm/internal/stripe"
 )
 
-// execSession is the reusable per-decode state of the standard
-// executor: an arena of sector-view slice headers, the per-group
-// in/out view pairs, and the per-group error slots. Sessions circulate
-// through a sync.Pool, so the repeated-decode path — one plan executed
-// against thousands of stripes during a whole-disk rebuild — allocates
-// nothing per stripe beyond the worker pool's fixed dispatch state.
+// execSession is the reusable per-call state of the executor: the
+// byte range being decoded, an arena of sector-view slice headers, the
+// prepared sub-decodes, and the per-group error slots. Sessions
+// circulate through a sync.Pool and keep their slices' capacity, so the
+// repeated-decode path — one plan executed against thousands of
+// stripes during a whole-disk rebuild — allocates nothing per stripe
+// beyond the worker pool's fixed dispatch state.
 //
-// A session is owned by exactly one Execute call; the stripe views it
-// holds are cleared on release so the pool never pins stripe buffers.
+// A session is owned by exactly one executeSpan call; the stripe views
+// it holds are cleared on release so the pool never pins stripe
+// buffers.
 //
 //ppm:nocopy
 type execSession struct {
+	lo, hi int
+	// full marks a whole-sector range, which goes through the kernel
+	// entry point that fans large sectors out over the worker pool.
+	full  bool
+	stats *kernel.Stats
+
 	views [][]byte
-	used  int
-	ins   [][][]byte
-	outs  [][][]byte
+	jobs  []subJob
 	errs  []error
+}
+
+// subJob is one sub-decode with its survivor (in) and faulty (out)
+// sector views.
+type subJob struct {
+	sd      *SubDecode
+	in, out [][]byte
 }
 
 var sessionPool = sync.Pool{New: func() interface{} { return new(execSession) }}
 
-func getSession() *execSession {
+func getSession(st *stripe.Stripe, lo, hi int, stats *kernel.Stats) *execSession {
 	s := sessionPool.Get().(*execSession)
-	s.used = 0
+	s.lo, s.hi, s.full, s.stats = lo, hi, lo == 0 && hi == st.SectorSize(), stats
+	s.views, s.jobs = s.views[:0], s.jobs[:0]
 	return s
 }
 
@@ -40,37 +53,28 @@ func (s *execSession) release() {
 	for i := range s.views {
 		s.views[i] = nil // do not pin stripe buffers in the pool
 	}
+	for i := range s.jobs {
+		s.jobs[i] = subJob{}
+	}
+	s.stats = nil
 	sessionPool.Put(s)
 }
 
-// reserveViews sizes the arena for n sector views.
-func (s *execSession) reserveViews(n int) {
-	if cap(s.views) < n {
-		s.views = make([][]byte, n)
-	}
-	s.views = s.views[:n]
-	s.used = 0
-}
-
-// sectorViews takes len(cols) views from the arena and fills them with
-// the stripe's sector buffers.
+// sectorViews appends the stripe's buffers for cols to the view arena
+// and returns them as one capacity-capped slice.
 func (s *execSession) sectorViews(st *stripe.Stripe, cols []int) [][]byte {
-	v := s.views[s.used : s.used+len(cols) : s.used+len(cols)]
-	s.used += len(cols)
-	for i, c := range cols {
-		v[i] = st.Sector(c)
+	start := len(s.views)
+	for _, c := range cols {
+		s.views = append(s.views, st.Sector(c))
 	}
-	return v
+	return s.views[start:len(s.views):len(s.views)]
 }
 
-// reservePairs sizes the per-group in/out tables.
-func (s *execSession) reservePairs(n int) {
-	if cap(s.ins) < n {
-		s.ins = make([][][]byte, n)
-		s.outs = make([][][]byte, n)
-	}
-	s.ins = s.ins[:n]
-	s.outs = s.outs[:n]
+// add prepares a sub-decode's views and returns its index for apply.
+func (s *execSession) add(sd *SubDecode, st *stripe.Stripe) int {
+	in := s.sectorViews(st, sd.SurvivorCols)
+	s.jobs = append(s.jobs, subJob{sd: sd, in: in, out: s.sectorViews(st, sd.FaultyCols)})
+	return len(s.jobs) - 1
 }
 
 // errSlots returns n cleared error slots.
@@ -85,47 +89,22 @@ func (s *execSession) errSlots(n int) []error {
 	return s.errs
 }
 
-// viewCount returns the number of sector views a plan's execution
-// needs, so a session can reserve its arena in one step.
-func viewCount(p *Plan) int {
-	if p.Whole != nil {
-		return len(p.Whole.FaultyCols) + len(p.Whole.SurvivorCols)
-	}
-	n := 0
-	for i := range p.Groups {
-		n += len(p.Groups[i].FaultyCols) + len(p.Groups[i].SurvivorCols)
-	}
-	if p.Rest != nil {
-		n += len(p.Rest.FaultyCols) + len(p.Rest.SurvivorCols)
-	}
-	return n
-}
-
-// validate checks the sub-decode's matrices against the view counts the
-// executor is about to apply them to, so a malformed or hand-assembled
+// validate checks the sub-decode's compiled matrices against the view
+// counts the executor is about to apply them to, so a malformed
 // sub-decode surfaces as a returned error instead of a kernel panic.
 func (sd *SubDecode) validate(inN, outN int) error {
 	var rows, cols int
 	switch {
 	case sd.Seq == kernel.MatrixFirst && sd.cG != nil:
 		rows, cols = sd.cG.Rows(), sd.cG.Cols()
-	case sd.Seq == kernel.MatrixFirst && sd.G != nil:
-		rows, cols = sd.G.Rows(), sd.G.Cols()
-	case sd.Seq == kernel.MatrixFirst:
-		return fmt.Errorf("core: sub-decode has no matrix-first product")
-	case sd.cFinv != nil && sd.cS != nil:
+	case sd.Seq == kernel.Normal && sd.cFinv != nil && sd.cS != nil:
 		if sd.cFinv.Rows() != sd.cFinv.Cols() || sd.cFinv.Cols() != sd.cS.Rows() {
 			return fmt.Errorf("core: sub-decode F^-1 %dx%d does not chain to S %dx%d",
 				sd.cFinv.Rows(), sd.cFinv.Cols(), sd.cS.Rows(), sd.cS.Cols())
 		}
 		rows, cols = sd.cS.Rows(), sd.cS.Cols()
-	case sd.Finv != nil && sd.S != nil:
-		if sd.Finv.Rows() != sd.Finv.Cols() || sd.Finv.Cols() != sd.S.Rows() {
-			return fmt.Errorf("core: sub-decode F^-1 %s does not chain to S %s", sd.Finv.Dims(), sd.S.Dims())
-		}
-		rows, cols = sd.S.Rows(), sd.S.Cols()
 	default:
-		return fmt.Errorf("core: sub-decode has no matrices for the normal sequence")
+		return fmt.Errorf("core: sub-decode has no compiled matrices for the %v sequence", sd.Seq)
 	}
 	if rows != outN || cols != inN {
 		return fmt.Errorf("core: sub-decode matrix is %dx%d against %d survivors, %d faulty", rows, cols, inN, outN)
@@ -133,53 +112,29 @@ func (sd *SubDecode) validate(inN, outN int) error {
 	return nil
 }
 
-// applySubDecode runs one sub-decode's kernel product on prepared
-// views. Shape mismatches and kernel panics come back as errors — the
-// executors' contract is that a failing sub-decode is always reported,
-// never dropped and never allowed to kill the process.
+// apply runs prepared sub-decode i over the session's byte range. A
+// whole-sector range goes through kernel.CompiledProduct, whose tile
+// spans fan out across the worker pool on large sectors; a sub-range
+// runs serially. Shape mismatches and kernel panics come back as
+// errors — a failing sub-decode is always reported, never dropped and
+// never allowed to kill the process.
 //
 //ppm:hotpath
-func applySubDecode(sd *SubDecode, field gf.Field, in, out [][]byte, stats *kernel.Stats) (err error) {
+func (s *execSession) apply(i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			//ppm:allow(hotalloc) panic recovery: this branch is the cold failure path
 			err = fmt.Errorf("core: sub-decode failed: %v", r)
 		}
 	}()
+	sd, in, out := s.jobs[i].sd, s.jobs[i].in, s.jobs[i].out
 	if verr := sd.validate(len(in), len(out)); verr != nil {
 		return verr
 	}
-	if sd.cG != nil || sd.cFinv != nil {
-		kernel.CompiledProduct(sd.cFinv, sd.cS, sd.cG, in, out, nil, sd.Seq, stats)
+	if s.full {
+		kernel.CompiledProduct(sd.cFinv, sd.cS, sd.cG, in, out, nil, sd.Seq, s.stats)
 	} else {
-		kernel.Product(field, sd.Finv, sd.S, in, out, nil, sd.Seq, stats)
-	}
-	return nil
-}
-
-// applySubDecodeRange runs one sub-decode over the [lo, hi) byte
-// sub-range of the prepared views, serially — the per-chunk body of the
-// hybrid executor's byte-range fan-out. Compiled plans go through the
-// allocation-free tiled range product; the matrix fallback (only
-// hand-assembled sub-decodes in tests reach it) slices the views.
-//
-//ppm:hotpath
-func applySubDecodeRange(sd *SubDecode, field gf.Field, in, out [][]byte, lo, hi int, stats *kernel.Stats) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			//ppm:allow(hotalloc) panic recovery: this branch is the cold failure path
-			err = fmt.Errorf("core: sub-decode failed: %v", r)
-		}
-	}()
-	if verr := sd.validate(len(in), len(out)); verr != nil {
-		return verr
-	}
-	if sd.cG != nil || sd.cFinv != nil {
-		kernel.CompiledProductRange(sd.cFinv, sd.cS, sd.cG, in, out, nil, sd.Seq, lo, hi, stats)
-	} else {
-		cin := kernel.SliceRegions(in, lo, hi)
-		cout := kernel.SliceRegions(out, lo, hi)
-		kernel.Product(field, sd.Finv, sd.S, cin, cout, nil, sd.Seq, stats)
+		kernel.CompiledProductRange(sd.cFinv, sd.cS, sd.cG, in, out, nil, sd.Seq, s.lo, s.hi, s.stats)
 	}
 	return nil
 }

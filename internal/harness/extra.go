@@ -98,9 +98,6 @@ func runAblation(w io.Writer, cfg Config) error {
 				{"ppm", func(st *stripe.Stripe, stats *kernel.Stats) error {
 					return core.NewDecoder(sd, core.WithThreads(cfg.Threads), core.WithStats(stats)).Decode(st, sc)
 				}},
-				{"ppm-hybrid", func(st *stripe.Stripe, stats *kernel.Stats) error {
-					return core.NewDecoder(sd, core.WithThreads(cfg.Threads), core.WithStats(stats), core.WithHybrid(true)).Decode(st, sc)
-				}},
 			}
 			for _, v := range variants {
 				meas, ops, err := measureVariant(sd, sc, cfg, v.run)

@@ -213,7 +213,7 @@ func TestAblationExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, variant := range []string{"trad", "block-par", "ppm-T1", "ppm", "ppm-hybrid"} {
+	for _, variant := range []string{"trad", "block-par", "ppm-T1", "ppm"} {
 		if !strings.Contains(out, variant) {
 			t.Fatalf("variant %s missing:\n%s", variant, out)
 		}
@@ -237,7 +237,7 @@ func TestAblationExperiment(t *testing.T) {
 		if v["trad"] != v["block-par"] {
 			t.Fatalf("%v: trad ops %s != block-par ops %s", k, v["trad"], v["block-par"])
 		}
-		if v["ppm"] != v["ppm-T1"] || v["ppm"] != v["ppm-hybrid"] {
+		if v["ppm"] != v["ppm-T1"] {
 			t.Fatalf("%v: ppm variants disagree on ops: %v", k, v)
 		}
 	}

@@ -191,24 +191,12 @@ func fanoutSpans(size int) [][2]int {
 	return tileSpans(size, applyWorkers(), TileSize())
 }
 
-// ApplyRange applies the matrix to the [lo, hi) byte sub-range of every
-// region, serially tiled — the building block byte-range executors
-// (hybrid chunking, the block-parallel baseline) use to run one
-// compiled matrix over worker-private chunks. Counts the full nnz as
-// operations; callers splitting one logical apply across ranges pass
-// nil stats and account once themselves.
-func (cm *CompiledMatrix) ApplyRange(in, out [][]byte, lo, hi int, stats *Stats) {
-	cm.checkShape(in, out)
-	cm.applySpan(in, out, lo, hi, false)
-	stats.AddMultXORs(int64(cm.nnz))
-}
-
 // applySpan is the tiled inner driver: whole matrix, one tile at a
 // time, with pooled view headers presenting each tile of the regions
 // to the row blocks. overwrite selects out = M * in over out ^= M * in.
 //
 //ppm:hotpath
-//ppm:counted apply/ApplyRange/CompiledProductRange account the full NNZ once per logical application
+//ppm:counted apply/CompiledProductRange account the full NNZ once per logical application
 func (cm *CompiledMatrix) applySpan(in, out [][]byte, lo, hi int, overwrite bool) {
 	if lo >= hi {
 		return
@@ -346,13 +334,13 @@ func CompiledProduct(finv, s, g *CompiledMatrix, in, out, scratch [][]byte, seq 
 }
 
 // CompiledProductRange is CompiledProduct restricted to the [lo, hi)
-// byte sub-range and always serial — for byte-range executors
-// (block-parallel decoding, hybrid chunk phases) that own their own
-// fan-out and call this from per-chunk workers. Both sequences
-// overwrite only the [lo, hi) range, so one chunk worker never touches
-// another's bytes. Counts the full matrix nnz; callers splitting one
-// logical product across ranges pass nil stats and account once
-// themselves.
+// byte sub-range and always serial — for the PPM executor's sub-range
+// decodes and for byte-range executors (block-parallel decoding) that
+// own their own fan-out and call this from per-chunk workers. Both
+// sequences overwrite only the [lo, hi) range, so one chunk worker
+// never touches another's bytes. Counts the full matrix nnz; callers
+// splitting one logical product across ranges pass nil stats and
+// account once themselves.
 func CompiledProductRange(finv, s, g *CompiledMatrix, in, out, scratch [][]byte, seq Sequence, lo, hi int, stats *Stats) {
 	switch seq {
 	case MatrixFirst:
@@ -380,8 +368,7 @@ func scratchOrOut(scratch, out [][]byte) [][]byte {
 
 // ChunkRanges splits a region byte range [0, size) into at most parts
 // word-aligned, non-empty half-open ranges — the byte-range splitting
-// used by block-level parallel decoding and by the hybrid executor's
-// chunked serial phases.
+// used by block-level parallel decoding.
 func ChunkRanges(size, parts, wordBytes int) [][2]int {
 	words := size / wordBytes
 	if parts > words {
@@ -404,13 +391,4 @@ func ChunkRanges(size, parts, wordBytes int) [][2]int {
 		start = end
 	}
 	return ranges
-}
-
-// SliceRegions returns the [lo, hi) sub-slices of each region.
-func SliceRegions(regions [][]byte, lo, hi int) [][]byte {
-	out := make([][]byte, len(regions))
-	for i, r := range regions {
-		out[i] = r[lo:hi]
-	}
-	return out
 }

@@ -192,8 +192,8 @@ func refProduct(f gf.Field, m *matrix.Matrix, in [][]byte) [][]byte {
 	return out
 }
 
-// TestCompiledBlocksAffineOnOff: Apply, ApplyOverwrite, ApplyRange,
-// CompiledProduct and CompiledProductRange give byte-identical results
+// TestCompiledBlocksAffineOnOff: Apply, ApplyOverwrite, CompiledProduct
+// and CompiledProductRange give byte-identical results
 // with the affine kernels on and off — also when they are switched off
 // after Compile — and both equal the scalar product, across lengths
 // below one 64-byte chunk, with word tails, and beyond one tile.
@@ -228,8 +228,6 @@ func TestCompiledBlocksAffineOnOff(t *testing.T) {
 				cm.Apply(in, res["Apply"], nil)
 				res["ApplyOverwrite"] = fresh()
 				cm.ApplyOverwrite(in, res["ApplyOverwrite"], nil)
-				res["ApplyRange"] = fresh()
-				cm.ApplyRange(in, res["ApplyRange"], lo, hi, nil)
 				res["Normal"] = fresh()
 				CompiledProduct(cFinv, cm, nil, in, res["Normal"], nil, Normal, nil)
 				res["MatrixFirst"] = fresh()
@@ -249,7 +247,6 @@ func TestCompiledBlocksAffineOnOff(t *testing.T) {
 				want := map[string][]byte{
 					"Apply":            xorBytes(seed[i], prod[i]),
 					"ApplyOverwrite":   prod[i],
-					"ApplyRange":       splice(seed[i], xorBytes(seed[i], prod[i]), lo, hi),
 					"Normal":           chained[i],
 					"MatrixFirst":      chained[i],
 					"NormalRange":      splice(seed[i], chained[i], lo, hi),

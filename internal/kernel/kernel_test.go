@@ -300,12 +300,3 @@ func TestChunkRangesDegenerate(t *testing.T) {
 		t.Fatalf("zero parts = %v", got)
 	}
 }
-
-func TestSliceRegions(t *testing.T) {
-	rs := AllocRegions(2, 16)
-	rs[0][5] = 7
-	sub := SliceRegions(rs, 4, 8)
-	if len(sub) != 2 || len(sub[0]) != 4 || sub[0][1] != 7 {
-		t.Fatalf("SliceRegions wrong: %v", sub[0])
-	}
-}

@@ -159,10 +159,9 @@ func (a *viewArena) release() {
 
 // ChunkRangesAligned is ChunkRanges with the boundaries additionally
 // aligned to the current tile size when every part is at least two
-// tiles long — byte-range executors (hybrid serial phases, the
-// block-parallel baseline) use it so their chunk splits compose with
-// the kernel's tiling instead of shearing tiles across workers. For
-// smaller ranges it degrades to plain word alignment.
+// tiles long — the block-parallel baseline uses it so its chunk splits
+// compose with the kernel's tiling instead of shearing tiles across
+// workers. For smaller ranges it degrades to plain word alignment.
 func ChunkRangesAligned(size, parts, wordBytes int) [][2]int {
 	tile := TileSize()
 	if parts > 1 && size >= 2*tile*parts {

@@ -102,7 +102,7 @@ func TestChunkRangesAligned(t *testing.T) {
 // TestTiledApplyMatchesReference: with the tile shrunk to the minimum,
 // region sizes straddling tile boundaries (±1 word) run through many
 // tiles and must equal the term-at-a-time reference exactly — for the
-// matrix path, the compiled path, and a range-split compiled apply.
+// matrix path, the compiled path, and a range-split compiled product.
 func TestTiledApplyMatchesReference(t *testing.T) {
 	defer SetTileSize(0)
 	SetTileSize(minTileBytes)
@@ -141,15 +141,15 @@ func TestTiledApplyMatchesReference(t *testing.T) {
 				}
 			}
 
-			// Range-split apply over uneven word-aligned cuts.
+			// Range-split product over uneven word-aligned cuts.
 			rgot := AllocRegions(4, size)
 			cuts := ChunkRanges(size, 3, wb)
 			for _, ch := range cuts {
-				cm.ApplyRange(in, rgot, ch[0], ch[1], nil)
+				CompiledProductRange(nil, nil, cm, in, rgot, nil, MatrixFirst, ch[0], ch[1], nil)
 			}
 			for i := range want {
 				if !bytes.Equal(want[i], rgot[i]) {
-					t.Fatalf("GF%d size=%d: ApplyRange row %d differs", f.W(), size, i)
+					t.Fatalf("GF%d size=%d: CompiledProductRange row %d differs", f.W(), size, i)
 				}
 			}
 		}

@@ -8,8 +8,8 @@ import (
 )
 
 // Workers is a persistent pool of goroutines shared by every parallel
-// executor in the repository (the PPM group fan-out, the hybrid
-// executor's chunked serial phases, and the block-parallel baseline).
+// executor in the repository (the PPM group fan-out, the kernels' tile
+// span fan-out, and the block-parallel baseline).
 // It replaces per-decode goroutine spawning: under a whole-disk rebuild
 // the executors dispatch thousands of times, and reusing a fixed set of
 // workers keeps that path free of goroutine-creation overhead and

@@ -1,14 +1,15 @@
 // Package planverify is the symbolic plan verifier: an abstract
 // interpreter that walks every kind of compiled artifact the repository
-// ships — xorplan straight-line XOR programs, bitmatrix set schedules,
-// core decode plans, repair plans and delta-update columns — and proves
-// each one algebraically equal to its source coefficient matrix. No
-// sampling: where the differential fuzzers compare outputs on random
-// inputs, this package tracks every buffer and arena slot as a symbolic
-// GF coefficient vector over the program's inputs and demands exact
-// equality with the matrix row (or, for recovery plans, membership of
-// the recovery residual in the parity-check row space — the statement
-// "this expression recovers that sector on every codeword").
+// ships — xorplan straight-line XOR programs, kernel row-block
+// lowerings, core decode plans, repair plans and delta-update columns —
+// and proves each one algebraically equal to its source coefficient
+// matrix. No sampling: where the differential fuzzers compare outputs on
+// random inputs, this package tracks every buffer and arena slot as a
+// symbolic GF coefficient vector over the program's inputs and demands
+// exact equality with the matrix row (or, for recovery plans,
+// membership of the recovery residual in the parity-check row space —
+// the statement "this expression recovers that sector on every
+// codeword").
 //
 // The symbolic pass is complemented by structural passes over the same
 // walk, because an optimiser bug can corrupt a program in ways the
@@ -41,7 +42,7 @@ import "fmt"
 // breaks the proof. The zero OpIndex ambiguity is avoided by using -1
 // for findings that are not op-specific.
 type Finding struct {
-	// Object names the artifact kind: "xorplan-program", "set-schedule",
+	// Object names the artifact kind: "xorplan-program", "row-blocks",
 	// "decode-plan", "repair-plan" or "updater".
 	Object string `json:"object"`
 	// Detail identifies the instance (code, scenario, backend) when the

@@ -257,7 +257,7 @@ func (st *xorProgState) checkStats() {
 			derivs++
 		}
 	}
-	// The bitmatrix schedule metric: 2 per CSE temp (copy + XOR),
+	// The set-schedule metric: 2 per CSE temp (copy + XOR),
 	// |Srcs| per output op, +1 per derivative op for the parent copy.
 	// Xtimes chain steps are derived-source materialisation, not
 	// schedule XORs, and are deliberately outside the metric.

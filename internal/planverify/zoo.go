@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ppm/internal/bitmatrix"
 	"ppm/internal/codes"
 	"ppm/internal/core"
 	"ppm/internal/kernel"
@@ -93,14 +92,13 @@ type SweepStats struct {
 	Plans     int `json:"plans"`
 	Repairs   int `json:"repairs"`
 	Programs  int `json:"programs"`
-	Schedules int `json:"schedules"`
 	Blocks    int `json:"blocks"`
 	Updaters  int `json:"updaters"`
 }
 
 // sweepMatrices collects the distinct coefficient matrices one core
-// plan applies, so the sweep can prove their xorplan, bit-matrix and
-// row-block lowerings too.
+// plan applies, so the sweep can prove their xorplan and row-block
+// lowerings too.
 func sweepMatrices(p *core.Plan) []*matrix.Matrix {
 	var ms []*matrix.Matrix
 	addSub := func(sd *core.SubDecode) {
@@ -127,8 +125,8 @@ func sweepMatrices(p *core.Plan) []*matrix.Matrix {
 // Sweep proves every compiled artifact of the zoo: core decode plans
 // (the PPM partition and, for the encoding scenario, the auto-resolved
 // strategy), repair plans (full and single-sector wanted sets), the
-// xorplan program and optimised bit-matrix schedule of every plan
-// matrix, and each code's delta-parity updater. seed feeds the random
+// xorplan program and row-block lowering of every plan matrix, and
+// each code's delta-parity updater. seed feeds the random
 // max-tolerance scenarios.
 func Sweep(zoo []ZooCode, seed int64, extra int) ([]Finding, SweepStats) {
 	var fs []Finding
@@ -174,8 +172,6 @@ func Sweep(zoo []ZooCode, seed int64, extra int) ([]Finding, SweepStats) {
 						fs = append(fs, stamp(VerifyProgram(f, m, prog), detail)...)
 						stats.Programs++
 					}
-					fs = append(fs, stamp(VerifySchedule(f, m, bitmatrix.Expand(f, m).Optimize()), detail)...)
-					stats.Schedules++
 					fs = append(fs, stamp(VerifyBlocks(f, m, kernel.Compile(f, m)), detail)...)
 					stats.Blocks++
 				}

@@ -10,7 +10,7 @@ import (
 
 // TestSweepProvesZoo is the headline property: every compiled artifact
 // of the standard zoo — decode plans, repair plans, XOR programs,
-// bit-matrix schedules, updaters — verifies with zero findings.
+// row-block lowerings, updaters — verifies with zero findings.
 func TestSweepProvesZoo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("zoo sweep is seconds-long; skipped in -short")
@@ -23,7 +23,7 @@ func TestSweepProvesZoo(t *testing.T) {
 	for _, f := range fs {
 		t.Errorf("%s", f)
 	}
-	if stats.Plans == 0 || stats.Repairs == 0 || stats.Programs == 0 || stats.Schedules == 0 || stats.Updaters == 0 {
+	if stats.Plans == 0 || stats.Repairs == 0 || stats.Programs == 0 || stats.Blocks == 0 || stats.Updaters == 0 {
 		t.Fatalf("sweep proved nothing in some category: %+v", stats)
 	}
 	t.Logf("proved %+v", stats)

@@ -75,14 +75,14 @@ func (r Result) String() string {
 }
 
 // Volume is the simulated degraded store: encoded stripes plus the
-// standing failure scenario (the same disks fail in every stripe).
+// standing failure scenario (the same disks fail in every stripe). The
+// decoder caches the scenario's plan and each wanted sector's partial
+// selection, so a degraded read pays only for its sub-decodes.
 type Volume struct {
-	code     codes.Code
 	stripes  []*stripe.Stripe
 	scenario codes.Scenario
 	faulty   map[int]bool
-	plan     *core.Plan
-	threads  int
+	dec      *core.Decoder
 	stats    *kernel.Stats
 }
 
@@ -106,19 +106,11 @@ func NewVolume(c codes.Code, numStripes, sectorSize int, failedDisks []int, thre
 		return nil, err
 	}
 	v := &Volume{
-		code:     c,
 		scenario: sc,
 		faulty:   sc.FaultySet(),
-		threads:  threads,
 		stats:    &kernel.Stats{},
 	}
-	if len(sc.Faulty) > 0 {
-		plan, err := core.BuildPlan(c, sc, core.StrategyPPM)
-		if err != nil {
-			return nil, fmt.Errorf("workload: failure pattern unrecoverable: %w", err)
-		}
-		v.plan = plan
-	}
+	v.dec = core.NewDecoder(c, core.WithThreads(threads), core.WithStats(v.stats), core.WithStrategy(core.StrategyPPM))
 	for i := 0; i < numStripes; i++ {
 		st, err := stripe.New(c.NumStrips(), c.NumRows(), sectorSize)
 		if err != nil {
@@ -131,6 +123,11 @@ func NewVolume(c codes.Code, numStripes, sectorSize int, failedDisks []int, thre
 		// Transient unavailability: the lost sectors read as garbage.
 		st.Scribble(seed+int64(1000+i), sc.Faulty)
 		v.stripes = append(v.stripes, st)
+	}
+	// Wanting no sector decodes nothing but builds and caches the plan:
+	// an unrecoverable pattern fails here, and no read pays for planning.
+	if err := v.dec.DecodeSectors(v.stripes[0], sc, nil); err != nil {
+		return nil, fmt.Errorf("workload: failure pattern unrecoverable: %w", err)
 	}
 	return v, nil
 }
@@ -163,7 +160,7 @@ func (v *Volume) Serve(trace []Read) (Result, error) {
 		res.Degraded++
 		before := v.stats.MultXORs()
 		start := time.Now()
-		if err := core.ExecutePartial(v.plan, st, v.code.Field(), v.threads, v.stats, []int{rd.Sector}); err != nil {
+		if err := v.dec.DecodeSectors(st, v.scenario, []int{rd.Sector}); err != nil {
 			return res, err
 		}
 		copy(buf, st.Sector(rd.Sector))

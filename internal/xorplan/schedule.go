@@ -1,34 +1,32 @@
-package bitmatrix
+package xorplan
 
 import "fmt"
 
 // Derivative scheduling (Plank's schedule-optimisation line of work,
-// e.g. CSHR): instead of computing every output packet as a fresh XOR
-// of its input packets, compute it as a delta from an already-computed
-// output packet when their input sets overlap heavily — the XOR count
-// drops from |S_v| to |S_u Δ S_v| + 1. The greedy construction below is
-// a directed MST over the output rows (Prim's algorithm with the
-// "from scratch" cost as the virtual root edge).
+// e.g. CSHR): instead of computing every output row as a fresh XOR of
+// its sources, compute it as a delta from an already-computed output
+// row when their source sets overlap heavily — the XOR count drops
+// from |S_v| to |S_u Δ S_v| + 1. The greedy construction below is a
+// directed MST over the output rows (Prim's algorithm with the "from
+// scratch" cost as the virtual root edge).
 //
-// Before the MST runs, a common-subexpression pass hunts for input
+// Before the MST runs, a common-subexpression pass hunts for source
 // *pairs* shared by three or more output rows and hoists each into a
-// temporary packet (Huang/Li-style XOR CSE): a pair appearing in k rows
+// temporary region (Huang/Li-style XOR CSE): a pair appearing in k rows
 // costs 2k XORs inline but 2 + k through a temp, so every extraction
-// with k >= 3 saves k - 2 packet XORs, and extracted temps can
-// themselves pair up in later rounds. ScheduleSets builds both programs
+// with k >= 3 saves k - 2 region XORs, and extracted temps can
+// themselves pair up in later rounds. scheduleSets builds both programs
 // and keeps the cheaper, so adding CSE can never regress a schedule.
 //
-// The scheduler is deliberately generic over "source sets": a source id
-// below InCount names an input, ids at InCount and above name CSE
-// temps, and nothing in the construction cares what the sources are.
-// The bit-packet back end in this package feeds it bit rows; the
-// xorplan word back end feeds it polynomial-ring derived regions. Both
-// execute the same SetSchedule shape against their own storage.
+// The scheduler is generic over "source sets": a source id below
+// InCount names an input, ids at InCount and above name CSE temps, and
+// nothing in the construction cares what the sources are. Compile
+// feeds it the polynomial-ring derived sources x^k ⊗ in[j].
 
-// SetOp is one output step of a scheduled XOR program: compute row Dst
+// setOp is one output step of a scheduled XOR program: compute row Dst
 // as the XOR of the Srcs, starting from a copy of previously computed
 // row From (or from nothing when From is -1).
-type SetOp struct {
+type setOp struct {
 	Dst  int
 	From int
 	// Srcs are the source ids XORed into the destination: inputs below
@@ -36,12 +34,11 @@ type SetOp struct {
 	Srcs []int
 }
 
-// SetSchedule is an optimised XOR program over abstract source sets:
+// setSchedule is an optimised XOR program over abstract source sets:
 // first the Temps are materialised in order (each the XOR of two
-// earlier sources), then the Ops run in order. It is produced by
-// ScheduleSets and executed by the packet back end (Schedule.Apply)
-// and the word back end (xorplan).
-type SetSchedule struct {
+// earlier sources), then the Ops run in order. scheduleSets produces
+// it and lower turns it into a Program.
+type setSchedule struct {
 	// Rows is the output row count the program computes.
 	Rows int
 	// InCount is the number of input sources; ids >= InCount are temps.
@@ -49,8 +46,8 @@ type SetSchedule struct {
 	// Temps[k] defines temporary (InCount + k) as the XOR of two earlier
 	// sources (inputs or lower-numbered temps).
 	Temps [][2]int
-	Ops   []SetOp
-	// XORCount is the packet-XOR cost metric of one run: 2 per temp
+	Ops   []setOp
+	// XORCount is the region-XOR cost metric of one run: 2 per temp
 	// (copy + XOR), |Srcs| per op, +1 per derivative op for the copy.
 	XORCount int
 }
@@ -60,10 +57,10 @@ type SetSchedule struct {
 // Prim used — correctness never depends on CSE, only the XOR count.
 const maxCSESourceTotal = 1 << 14
 
-// ScheduleSets builds the optimised XOR program for the given row
+// scheduleSets builds the optimised XOR program for the given row
 // sets: the better of plain Prim and CSE-then-Prim. Every set must be
 // sorted ascending with ids in [0, inCount).
-func ScheduleSets(rowSets [][]int, inCount int) *SetSchedule {
+func scheduleSets(rowSets [][]int, inCount int) *setSchedule {
 	plain := primSets(rowSets, nil, inCount)
 	if cse := cseSets(rowSets, inCount); cse != nil && cse.XORCount < plain.XORCount {
 		return cse
@@ -74,7 +71,7 @@ func ScheduleSets(rowSets [][]int, inCount int) *SetSchedule {
 // cseSets extracts shared input pairs into temps, then schedules the
 // rewritten rows. Returns nil when no pair clears the profitability bar
 // or the sets are too large for the quadratic pair scan.
-func cseSets(rowSets [][]int, inCount int) *SetSchedule {
+func cseSets(rowSets [][]int, inCount int) *setSchedule {
 	total := 0
 	for _, s := range rowSets {
 		total += len(s)
@@ -169,9 +166,9 @@ func substitutePair(s []int, a, b, id int) []int {
 // primSets runs the derivative-MST construction over the given row sets
 // (which may reference temps) and assembles the program. Each temp
 // costs 2 XORs (a copy plus an XOR) on top of the MST's own count.
-func primSets(rowSets [][]int, temps [][2]int, inCount int) *SetSchedule {
+func primSets(rowSets [][]int, temps [][2]int, inCount int) *setSchedule {
 	n := len(rowSets)
-	p := &SetSchedule{
+	p := &setSchedule{
 		Rows:     n,
 		InCount:  inCount,
 		Temps:    temps,
@@ -204,7 +201,7 @@ func primSets(rowSets [][]int, temps [][2]int, inCount int) *SetSchedule {
 		// symmetricDiff merges two sorted lists, so delta is sorted and
 		// freshly allocated.
 		delta := symmetricDiff(sets[v], parentSet(sets, bestFrom[v]))
-		p.Ops = append(p.Ops, SetOp{Dst: v, From: bestFrom[v], Srcs: delta})
+		p.Ops = append(p.Ops, setOp{Dst: v, From: bestFrom[v], Srcs: delta})
 		p.XORCount += len(delta)
 		if bestFrom[v] >= 0 {
 			p.XORCount++ // the copy of the parent output
@@ -271,33 +268,20 @@ func diffSize(a, b []int) int {
 	return n + (len(a) - i) + (len(b) - j)
 }
 
-// HasDerivative reports whether any op starts from a previously
-// computed row. Derivative programs can only run in overwrite mode:
-// accumulating into dirty outputs would fold the dirt into children.
-func (p *SetSchedule) HasDerivative() bool {
-	for _, op := range p.Ops {
-		if op.From >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Validate checks the program against the executor's arenas before any
-// packet is touched: every temp may reference only inputs and
-// *earlier* temps (a temp referencing a later temp would read an
-// unwritten — or, with a pooled arena, stale — packet), every op
-// source must be inside the input + temp id space, every derivative
-// parent must be a previously written row, and every row must be
-// written exactly once.
-func (p *SetSchedule) Validate() error {
+// validate checks the program before lower assigns arena slots: every
+// temp may reference only inputs and *earlier* temps (a temp
+// referencing a later temp would read an unwritten — or, with a pooled
+// arena, stale — region), every op source must be inside the input +
+// temp id space, every derivative parent must be a previously written
+// row, and every row must be written exactly once.
+func (p *setSchedule) validate() error {
 	if p.InCount < 0 || p.Rows < 0 {
-		return fmt.Errorf("bitmatrix: negative shape (%d rows, %d inputs)", p.Rows, p.InCount)
+		return fmt.Errorf("xorplan: schedule has negative shape (%d rows, %d inputs)", p.Rows, p.InCount)
 	}
 	for t, def := range p.Temps {
 		for _, s := range def {
 			if s < 0 || s >= p.InCount+t {
-				return fmt.Errorf("bitmatrix: temp %d references source %d, outside the %d inputs and %d earlier temps", t, s, p.InCount, t)
+				return fmt.Errorf("xorplan: schedule temp %d references source %d, outside the %d inputs and %d earlier temps", t, s, p.InCount, t)
 			}
 		}
 	}
@@ -305,109 +289,30 @@ func (p *SetSchedule) Validate() error {
 	written := make([]bool, p.Rows)
 	for oi, op := range p.Ops {
 		if op.Dst < 0 || op.Dst >= p.Rows {
-			return fmt.Errorf("bitmatrix: op %d writes row %d of %d", oi, op.Dst, p.Rows)
+			return fmt.Errorf("xorplan: schedule op %d writes row %d of %d", oi, op.Dst, p.Rows)
 		}
 		if written[op.Dst] {
-			return fmt.Errorf("bitmatrix: op %d writes row %d twice", oi, op.Dst)
+			return fmt.Errorf("xorplan: schedule op %d writes row %d twice", oi, op.Dst)
 		}
 		if op.From != -1 {
 			if op.From < 0 || op.From >= p.Rows {
-				return fmt.Errorf("bitmatrix: op %d derives from row %d of %d", oi, op.From, p.Rows)
+				return fmt.Errorf("xorplan: schedule op %d derives from row %d of %d", oi, op.From, p.Rows)
 			}
 			if !written[op.From] {
-				return fmt.Errorf("bitmatrix: op %d derives from row %d before it is written", oi, op.From)
+				return fmt.Errorf("xorplan: schedule op %d derives from row %d before it is written", oi, op.From)
 			}
 		}
 		for _, s := range op.Srcs {
 			if s < 0 || s >= limit {
-				return fmt.Errorf("bitmatrix: op %d references source %d, outside the %d inputs and %d temps", oi, s, p.InCount, len(p.Temps))
+				return fmt.Errorf("xorplan: schedule op %d references source %d, outside the %d inputs and %d temps", oi, s, p.InCount, len(p.Temps))
 			}
 		}
 		written[op.Dst] = true
 	}
 	for r, w := range written {
 		if !w {
-			return fmt.Errorf("bitmatrix: row %d is never written", r)
+			return fmt.Errorf("xorplan: schedule row %d is never written", r)
 		}
 	}
 	return nil
-}
-
-// Schedule is an optimised XOR program equivalent to a BitMatrix apply,
-// bound to the bit-packet layout.
-type Schedule struct {
-	rows, cols, w int
-	prog          *SetSchedule
-}
-
-// Optimize builds a derivative schedule for the bit matrix: the better
-// of plain Prim and CSE-then-Prim over its bit rows.
-func (bm *BitMatrix) Optimize() *Schedule {
-	return &Schedule{rows: bm.rows, cols: bm.cols, w: bm.w,
-		prog: ScheduleSets(bm.schedule, bm.cols*bm.w)}
-}
-
-// prim is the plain-Prim arm without CSE, kept as a comparison baseline
-// for schedule-quality tests.
-func (bm *BitMatrix) prim(rowSets [][]int, temps [][2]int) *Schedule {
-	return &Schedule{rows: bm.rows, cols: bm.cols, w: bm.w,
-		prog: primSets(rowSets, temps, bm.cols*bm.w)}
-}
-
-// XORs returns the packet-XOR count of one Apply — compare with the
-// unoptimised BitMatrix.Ones().
-func (s *Schedule) XORs() int { return s.prog.XORCount }
-
-// Temps returns the number of common-subexpression temporaries the
-// schedule materialises per Apply.
-func (s *Schedule) Temps() int { return len(s.prog.Temps) }
-
-// Program returns the underlying abstract XOR program.
-func (s *Schedule) Program() *SetSchedule { return s.prog }
-
-// source resolves a source id to its packet: an input, or a temp.
-func (s *Schedule) source(in, tmp [][]byte, id int) []byte {
-	if id < s.prog.InCount {
-		return in[id]
-	}
-	return tmp[id-s.prog.InCount]
-}
-
-// Apply runs the program: out = schedule(in), overwriting out. Unlike
-// BitMatrix.Apply it cannot accumulate, because derivative steps reuse
-// freshly-written outputs. A CSE schedule materialises its temporary
-// packets first; this back end exists for schedule-quality study, so
-// the temp buffers are plainly allocated per call rather than pooled.
-// The program is validated against the packet and temp arenas before
-// anything is written — a malformed schedule (e.g. a temp referencing
-// a later temp) panics instead of reading stale memory.
-func (s *Schedule) Apply(in, out [][]byte) {
-	if len(in) != s.cols*s.w || len(out) != s.rows*s.w {
-		panic("bitmatrix: schedule shape mismatch")
-	}
-	if err := s.prog.Validate(); err != nil {
-		panic(err)
-	}
-	var tmp [][]byte
-	if len(s.prog.Temps) > 0 {
-		tmp = AllocPackets(len(s.prog.Temps), len(in[0]))
-		for k, def := range s.prog.Temps {
-			dst := tmp[k]
-			copy(dst, s.source(in, tmp, def[0]))
-			xorBytes(dst, s.source(in, tmp, def[1]))
-		}
-	}
-	for _, op := range s.prog.Ops {
-		dst := out[op.Dst]
-		if op.From >= 0 {
-			copy(dst, out[op.From])
-		} else {
-			for i := range dst {
-				dst[i] = 0
-			}
-		}
-		for _, c := range op.Srcs {
-			xorBytes(dst, s.source(in, tmp, c))
-		}
-	}
 }

@@ -11,10 +11,9 @@
 // row therefore becomes a set of derived sources D(j,k) = x^k ⊗ in[j],
 // and the whole matrix application a pure XOR program over the native
 // word-interleaved layout — byte-identical with the table and affine
-// paths, unlike the bit-packetised bitmatrix back end.
+// paths.
 //
-// The program is then optimised exactly as the bitmatrix schedule pass
-// does it — bitmatrix.ScheduleSets runs common-subexpression
+// The program is then optimised — scheduleSets runs common-subexpression
 // extraction over shared source pairs and Prim derivative scheduling
 // over the output rows (the program-optimization view of XOR codes,
 // Uezato arXiv:2108.02692) — and lowered further for execution:
@@ -37,7 +36,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"ppm/internal/bitmatrix"
 	"ppm/internal/gf"
 	"ppm/internal/matrix"
 )
@@ -127,7 +125,7 @@ type Program struct {
 	instrs     []instr
 	outs       []outOp
 	derivative bool
-	xors       int // scheduled region-XOR count (bitmatrix metric)
+	xors       int // scheduled region-XOR count (setSchedule.XORCount)
 	ones       int // unscheduled count: total set bits of the expansion
 }
 
@@ -164,13 +162,13 @@ func Compile(f gf.Field, m *matrix.Matrix) (*Program, error) {
 			maxSet = len(s)
 		}
 	}
-	var sched *bitmatrix.SetSchedule
+	var sched *setSchedule
 	if ones > maxScheduledOnes || maxSet > maxScheduledSet {
 		sched = flatSets(sets, inCount, ones)
 	} else {
-		sched = bitmatrix.ScheduleSets(sets, inCount)
+		sched = scheduleSets(sets, inCount)
 	}
-	if err := sched.Validate(); err != nil {
+	if err := sched.validate(); err != nil {
 		return nil, fmt.Errorf("xorplan: scheduler emitted an invalid program: %w", err)
 	}
 	return lower(w, rows, cols, sched, ones)
@@ -178,10 +176,10 @@ func Compile(f gf.Field, m *matrix.Matrix) (*Program, error) {
 
 // flatSets builds the unoptimised schedule: no temps, no derivatives,
 // every output row the plain XOR of its derived sources.
-func flatSets(sets [][]int, inCount, ones int) *bitmatrix.SetSchedule {
-	s := &bitmatrix.SetSchedule{Rows: len(sets), InCount: inCount, XORCount: ones}
+func flatSets(sets [][]int, inCount, ones int) *setSchedule {
+	s := &setSchedule{Rows: len(sets), InCount: inCount, XORCount: ones}
 	for i, set := range sets {
-		s.Ops = append(s.Ops, bitmatrix.SetOp{Dst: i, From: -1, Srcs: set})
+		s.Ops = append(s.Ops, setOp{Dst: i, From: -1, Srcs: set})
 	}
 	return s
 }
@@ -190,7 +188,7 @@ func flatSets(sets [][]int, inCount, ones int) *bitmatrix.SetSchedule {
 // derived-source chains, temp defs and output ops in one linear order,
 // with arena slots assigned by linear-scan liveness so the working set
 // is the maximum concurrently-live temps.
-func lower(w, rows, cols int, sched *bitmatrix.SetSchedule, ones int) (*Program, error) {
+func lower(w, rows, cols int, sched *setSchedule, ones int) (*Program, error) {
 	inCount := cols * w
 	total := inCount + len(sched.Temps)
 	// slotBacked: derived sources x^k ⊗ in[j] with k >= 1, and CSE
@@ -402,8 +400,9 @@ func (p *Program) Slots() int { return p.nslots }
 // programs only run in overwrite mode.
 func (p *Program) HasDerivative() bool { return p.derivative }
 
-// XORs returns the scheduled region-XOR count of one run, in the
-// bitmatrix schedule metric — compare against Ones.
+// XORs returns the scheduled region-XOR count of one run (2 per CSE
+// temp, one per source XOR, one per derivative copy) — compare against
+// Ones.
 func (p *Program) XORs() int { return p.xors }
 
 // Ones returns the unscheduled count: the total set bits of the
