@@ -331,8 +331,50 @@ func TestEmptyScenarioPlan(t *testing.T) {
 	if !st.Equal(want) {
 		t.Fatal("empty plan modified the stripe")
 	}
-	if err := Execute(nil, st, sd.Field(), 4, nil); err == nil {
+}
+
+// TestExecuteNilPlan: a nil plan or stripe is an error, never a panic,
+// from Execute and from the Decoder's plan entry point.
+func TestExecuteNilPlan(t *testing.T) {
+	sd := paperSD(t)
+	st := encodedStripe(t, sd, 64, 806)
+	if err := Execute(nil, st, sd.Field(), 2, nil); err == nil {
 		t.Fatal("nil plan accepted")
+	}
+	plan, err := BuildPlan(sd, paperScenario(t, sd), StrategyPPM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Execute(plan, nil, sd.Field(), 2, nil); err == nil {
+		t.Fatal("nil stripe accepted")
+	}
+	if err := NewDecoder(sd).DecodeWithPlan(nil, st); err == nil {
+		t.Fatal("DecodeWithPlan accepted a nil plan")
+	}
+}
+
+// TestExecuteEmptyPlan: nothing faulty, nothing touched — on the full
+// path and on a word-aligned sub-range, at T = 1, 2 and 4.
+func TestExecuteEmptyPlan(t *testing.T) {
+	sd := paperSD(t)
+	plan, err := BuildPlan(sd, codes.Scenario{}, StrategyPPM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := encodedStripe(t, sd, 64, 805)
+	want := st.Clone()
+	wb := sd.Field().WordBytes()
+	for _, threads := range []int{1, 2, 4} {
+		if err := Execute(plan, st, sd.Field(), threads, nil); err != nil {
+			t.Fatalf("T=%d: %v", threads, err)
+		}
+		dec := NewDecoder(sd, WithThreads(threads))
+		if err := dec.DecodeSectorsRange(st, codes.Scenario{}, nil, wb, 3*wb); err != nil {
+			t.Fatalf("T=%d range: %v", threads, err)
+		}
+		if !st.Equal(want) {
+			t.Fatalf("T=%d: empty plan touched the stripe", threads)
+		}
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"ppm/internal/gf"
+	"ppm/internal/matrix"
 )
 
 // evalSets runs a set schedule symbolically: input i is bit i of a
@@ -39,70 +42,115 @@ func setMask(set []int) uint64 {
 	return m
 }
 
-// paletteSets draws rows x (cols*w) source sets shaped like a GF(2^w)
-// expansion: each (row, column) cell takes one w-bit pattern from a
-// small palette, so the same source pairs recur across rows the way
-// repeated coefficients make them recur. Sets come out sorted.
-func paletteSets(rng *rand.Rand, rows, cols, w int, palette []uint32) [][]int {
-	sets := make([][]int, rows)
+// matrixSets expands m the way Compile does: row i's set holds source
+// j*w+k for every set bit k of coefficient (i, j). It also returns the
+// flat XOR count, the total number of set bits.
+func matrixSets(w int, m *matrix.Matrix) (sets [][]int, ones int) {
+	sets = make([][]int, m.Rows())
 	for i := range sets {
-		for j := 0; j < cols; j++ {
-			pat := palette[rng.Intn(len(palette))]
+		for j := 0; j < m.Cols(); j++ {
+			a := m.At(i, j)
 			for k := 0; k < w; k++ {
-				if pat>>uint(k)&1 == 1 {
+				if a>>uint(k)&1 == 1 {
 					sets[i] = append(sets[i], j*w+k)
+					ones++
 				}
 			}
 		}
 	}
-	return sets
+	return sets, ones
 }
 
-// TestScheduleEquivalence: every schedule the construction emits
-// validates, computes exactly its rows' source sets, and costs no more
-// than plain Prim, which in turn costs no more than the flat count —
-// on random sets and on palette-shaped sets where CSE fires.
+// checkComputes fails t unless sched computes exactly sets.
+func checkComputes(t *testing.T, trial int, sched *setSchedule, sets [][]int) {
+	t.Helper()
+	got := evalSets(sched)
+	for i, set := range sets {
+		if got[i] != setMask(set) {
+			t.Fatalf("trial %d: row %d computes %#x, want %#x (temps=%d)", trial, i, got[i], setMask(set), len(sched.Temps))
+		}
+	}
+}
+
+// TestScheduleEquivalence: on random GF(2^8) matrices the schedule
+// computes exactly each row's source set, as the flat sum would.
 func TestScheduleEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(191))
-	const w = 8
-	cses := 0
-	for trial := 0; trial < 40; trial++ {
-		rows, cols := 1+rng.Intn(4), 1+rng.Intn(7)
-		palette := []uint32{uint32(1 + rng.Intn(255))}
-		if trial%2 == 0 {
-			palette = append(palette, 3, 7, uint32(2+rng.Intn(250)))
-		} else {
-			for len(palette) < 8 {
-				palette = append(palette, uint32(rng.Intn(256)))
-			}
-		}
-		sets := paletteSets(rng, rows, cols, w, palette)
-		inCount := cols * w
-		ones := 0
-		for _, s := range sets {
-			ones += len(s)
-		}
+	for trial := 0; trial < 10; trial++ {
+		m := randMatrix(rng, gf.GF8, 1+rng.Intn(3), 1+rng.Intn(6))
+		sets, _ := matrixSets(8, m)
+		checkComputes(t, trial, scheduleSets(sets, m.Cols()*8), sets)
+	}
+}
 
-		sched := scheduleSets(sets, inCount)
-		if err := sched.validate(); err != nil {
-			t.Fatalf("trial %d: schedule fails validation: %v", trial, err)
-		}
-		got := evalSets(sched)
-		for i, set := range sets {
-			if got[i] != setMask(set) {
-				t.Fatalf("trial %d: row %d computes %#x, want %#x (temps=%d)", trial, i, got[i], setMask(set), len(sched.Temps))
-			}
-		}
-		plain := primSets(sets, nil, inCount)
+// TestScheduleDenseRandomNeverWorse: the root edge of the MST is the
+// from-scratch cost and a derivative is taken only when it wins, so on
+// random dense matrices neither plain Prim nor the full schedule may
+// exceed the flat count, and the schedule may not exceed plain Prim.
+func TestScheduleDenseRandomNeverWorse(t *testing.T) {
+	rng := rand.New(rand.NewSource(192))
+	for trial := 0; trial < 20; trial++ {
+		m := randMatrix(rng, gf.GF8, 2+rng.Intn(3), 2+rng.Intn(5))
+		sets, ones := matrixSets(8, m)
+		sched := scheduleSets(sets, m.Cols()*8)
+		plain := primSets(sets, nil, m.Cols()*8)
 		if sched.XORCount > plain.XORCount || plain.XORCount > ones {
 			t.Fatalf("trial %d: schedule %d XORs, plain MST %d, flat %d", trial, sched.XORCount, plain.XORCount, ones)
 		}
+	}
+}
+
+// TestScheduleCSEEquivalenceExpanded: matrices drawn from a small
+// coefficient palette make the same source pairs recur across rows, so
+// CSE fires; its schedules must still compute the right rows and never
+// cost more than plain Prim.
+func TestScheduleCSEEquivalenceExpanded(t *testing.T) {
+	rng := rand.New(rand.NewSource(195))
+	cses := 0
+	for trial := 0; trial < 20; trial++ {
+		// 4 rows of at most 7 columns keep the sets within evalSets' 64
+		// inputs; a pair must recur in 3 rows before CSE pays.
+		rows, cols := 4, 4+rng.Intn(4)
+		palette := []uint32{3, 7}
+		for len(palette) < 8 {
+			palette = append(palette, uint32(2+rng.Intn(250)))
+		}
+		m := matrix.New(gf.GF8, rows, cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				m.Set(i, j, palette[rng.Intn(len(palette))])
+			}
+		}
+		sets, _ := matrixSets(8, m)
+		sched := scheduleSets(sets, cols*8)
+		if plain := primSets(sets, nil, cols*8); sched.XORCount > plain.XORCount {
+			t.Fatalf("trial %d: schedule %d XORs worse than plain MST %d", trial, sched.XORCount, plain.XORCount)
+		}
+		checkComputes(t, trial, sched, sets)
 		if len(sched.Temps) > 0 {
 			cses++
 		}
 	}
 	if cses == 0 {
 		t.Fatal("no trial exercised the CSE pass")
+	}
+}
+
+// TestOptimizedSchedulesValidate pins that every schedule the real
+// construction emits passes its own validation, in every field width —
+// Compile's check must never fire on legitimate programs.
+func TestOptimizedSchedulesValidate(t *testing.T) {
+	for _, f := range testFields {
+		m := matrix.New(f, 3, 5)
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 5; j++ {
+				m.Set(i, j, uint32(1+(i+j)%6))
+			}
+		}
+		sets, _ := matrixSets(f.W(), m)
+		if err := scheduleSets(sets, 5*f.W()).validate(); err != nil {
+			t.Errorf("gf%d: optimized schedule fails validation: %v", f.W(), err)
+		}
 	}
 }
 
