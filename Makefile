@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-smoke bench-kernel bench-pipeline bench-traffic bench-repair tune experiments paper fmt fmt-check vet lint verify-plans fuzz-smoke checkptr chaos check clean
+.PHONY: all build test test-short race cover bench bench-smoke tune experiments paper fmt fmt-check vet lint verify-plans fuzz-smoke checkptr chaos check clean
 
 all: check
 
@@ -22,51 +22,24 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# One testing.B benchmark per paper figure plus kernel micro-benches.
+# One testing.B benchmark per paper figure plus kernel micro-benches
+# (BenchmarkKernelRegions: reference vs tiled; BenchmarkKernelXorplan:
+# table vs xorplan). Timings only; bench-smoke keeps the ledger.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The repository benchmark (bench/, see bench/README.md): its own tests,
-# then a 2-second pass over every workload with every output checked.
-# bench/ is a module of its own, so the root `go test ./...` never runs
-# bench/bench_test.go. Fails when the result line counts a failed
-# operation.
+# The repository benchmark (bench/, see bench/README.md), the one
+# performance ledger: its own tests, then a 2-second pass over every
+# workload with every output checked. bench/ is a module of its own, so
+# the root `go test ./...` never runs bench/bench_test.go. Each
+# workload's record goes to .bench_build/bench-smoke.jsonl, the format
+# `bash bench/run.sh -compare base.jsonl head.jsonl` diffs. Fails when
+# the result line counts a failed operation.
 bench-smoke:
 	cd bench && $(GO) test -timeout 900s .
-	@line=$$(bash bench/run.sh -workload all -seconds 2 -trace 0 | tail -n 1); echo "$$line"; \
+	rm -f .bench_build/bench-smoke.jsonl
+	@line=$$(bash bench/run.sh -workload all -seconds 2 -trace 0 -record .bench_build/bench-smoke.jsonl | tail -n 1); echo "$$line"; \
 		case "$$line" in *'"failed":0,'*) ;; *) echo "bench-smoke: failed operations"; exit 1;; esac
-
-# Record the kernel-layer series: gf + kernel region benchmarks, 5 runs
-# each (best sample kept), ref-vs-tiled and portable-vs-xorplan
-# speedups -> BENCH_kernel.json plus a dated BENCH_history/ copy.
-# Fails if any 128 KiB/8 MiB ref/tiled case drops below the 1.5x floor,
-# or if no GF width reaches 2x for xorplan at a 128 KiB+ size.
-bench-kernel:
-	$(GO) run ./cmd/benchkernel -count 5 -o BENCH_kernel.json
-
-# Record the streaming-pipeline series: serial loop vs pipeline at
-# depths 1/2/4/8 across SD/LRC/RS, encode + rebuild, with outputs
-# verified byte-identical per run -> BENCH_pipeline.json. Fails if any
-# store-mode depth>=4 run is below 1.3x the serial loop's throughput.
-bench-pipeline:
-	$(GO) run ./cmd/benchpipeline -o BENCH_pipeline.json
-
-# Record the simulated-traffic serving comparison: open-loop arrivals
-# against a single fixed-default engine vs the autotuned engine pool,
-# p50/p99/p999 request latency + aggregate GB/s -> BENCH_traffic.json.
-# Fails if the pool is below 1.3x the single engine's throughput at the
-# default 8-stream admission cap.
-bench-traffic:
-	$(GO) run ./cmd/benchpipeline -traffic -traffic-o BENCH_traffic.json
-
-# Record the repair-planner series: minimal-read repair fractions and
-# partial-vs-full decode timings per code, plus delta-parity-update
-# speedups over full re-encode, with every case differential-checked
-# byte-identical -> BENCH_repair.json plus a dated BENCH_history/ copy.
-# Fails if an LRC single-failure repair reads more than 60% of the
-# survivors, or a 128 KiB+ delta update is below 2x re-encode.
-bench-repair:
-	$(GO) run ./cmd/benchrepair -o BENCH_repair.json
 
 # Calibrate (or show) this host's tuning profile.
 tune:

@@ -80,9 +80,7 @@ func Registry() []Experiment {
 		{ID: "encode", Title: "Encoding speed, traditional vs PPM (extension)", Run: runEncodeExp},
 		{ID: "ablation", Title: "Mechanism ablation: trad / block-par / ppm-T1 / ppm (extension)", Run: runAblation},
 		{ID: "degraded", Title: "Degraded-read latency under load: LRC vs RS vs SD (extension)", Run: runDegraded},
-		{ID: "pipeline", Title: "Batch pipeline vs serial per-stripe loop (extension)", Run: runPipelineExp},
 		{ID: "chaos", Title: "Chaos storm: checksummed degraded reads under injected faults (extension)", Run: runChaos},
-		{ID: "repair", Title: "Minimal-read repair vs full decode; delta updates vs re-encode (extension)", Run: runRepair},
 	}
 }
 

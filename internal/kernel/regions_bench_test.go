@@ -9,10 +9,10 @@ import (
 )
 
 // BenchmarkKernelRegions is the headline before/after pair for the
-// fused+tiled kernel, the series `make bench-kernel` records in
-// BENCH_kernel.json. Both arms apply the same representative decode
-// matrix (4 outputs from 12 survivors — an SD/RS-shaped recovery) to
-// the same regions:
+// fused+tiled kernel (`make bench` runs it; the repository benchmark
+// reports the production rate as kernel.apply_gbps.affine). Both arms
+// apply the same representative decode matrix (4 outputs from 12
+// survivors — an SD/RS-shaped recovery) to the same regions:
 //
 //   - ref_*: the pre-PR sweep — one whole-region scalar table pass per
 //     nonzero coefficient, destination loaded and stored once per term,
@@ -58,10 +58,11 @@ func BenchmarkKernelRegions(b *testing.B) {
 }
 
 // BenchmarkKernelXorplan is the no-GFNI before/after pair for the
-// XOR-program backend, recorded as the xorplan_pairs series of
-// BENCH_kernel.json. Both arms run with the affine kernels forced off
-// — the hardware class the backend exists for — over the same
-// SD/RS-shaped decode matrix and regions:
+// XOR-program backend (the repository benchmark reports both arms'
+// production rates as kernel.apply_gbps.{table,xorplan}). Both arms
+// run with the affine kernels forced off — the hardware class the
+// backend exists for — over the same SD/RS-shaped decode matrix and
+// regions:
 //
 //   - portable_*: the compiled tiled path on the scalar table row
 //     kernels, today's best no-GFNI path.

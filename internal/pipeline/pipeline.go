@@ -593,9 +593,10 @@ func (e *Engine) ReadColumns() []int {
 // Serial is the fixed serial per-stripe loop the pipeline is compared
 // against: one slab, one decoder, the plan compiled once — but fill,
 // compute and drain strictly in sequence on the calling goroutine with
-// no overlap. It is the honest single-goroutine baseline for the
-// throughput benchmark (and a convenient fallback where goroutines are
-// unwelcome). The stripe count and Source/Sink contracts match Run's.
+// no overlap. It is the single-goroutine reference the tests check the
+// engine's outputs and overlap against (and a convenient fallback where
+// goroutines are unwelcome). The stripe count and Source/Sink contracts
+// match Run's.
 func Serial(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config, src Source, dst Sink) (int, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1

@@ -85,3 +85,60 @@ func TestPoolScalingAcrossGOMAXPROCS(t *testing.T) {
 		lastProcs, lastThr = procs, thr
 	}
 }
+
+// TestEngineOverlapsStoreLatency: the engine's reason to exist is
+// hiding store latency behind compute and behind the other edge. With
+// a 1 ms sleep on both the fill and the drain edge, the Serial loop
+// pays both per stripe; an Engine at Depth 4 overlaps them, so it must
+// finish at least 1.3x faster. Both sides are best of 3. The sleeps
+// bound the timing, not the host's speed, so the ratio sits near 2
+// with or without -race.
+func TestEngineOverlapsStoreLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("overlap check is wall-clock bound")
+	}
+	sd := testSD(t)
+	sc := codes.EncodingScenario(sd)
+	const (
+		stripes = 16
+		lat     = 1 * time.Millisecond
+		sector  = 512
+		iters   = 3
+		floor   = 1.3
+	)
+	e, err := New(sd, sc, sector, Config{Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	best := func(run func() (int, error)) time.Duration {
+		var b time.Duration
+		for i := 0; i < iters; i++ {
+			start := time.Now()
+			n, err := run()
+			d := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != stripes {
+				t.Fatalf("ran %d stripes, want %d", n, stripes)
+			}
+			if b == 0 || d < b {
+				b = d
+			}
+		}
+		return b
+	}
+	serial := best(func() (int, error) {
+		return Serial(sd, sc, sector, Config{}, &sleepSource{count: stripes, d: lat}, &sleepSink{d: lat})
+	})
+	engine := best(func() (int, error) {
+		return e.Run(&sleepSource{count: stripes, d: lat}, &sleepSink{d: lat})
+	})
+	ratio := serial.Seconds() / engine.Seconds()
+	t.Logf("serial %v, engine %v: %.2fx", serial, engine, ratio)
+	if ratio < floor {
+		t.Errorf("engine at Depth 4 is %.2fx the serial loop, want >= %.1fx", ratio, floor)
+	}
+}

@@ -16,7 +16,7 @@ package pipeline
 // The counters are sampled only when a stage would actually block
 // (channel fast paths add nothing), accumulate across runs, and cost
 // two time.Now calls per blocking event. They answer the capacity
-// question the traffic harness and the future blob-store daemon need:
+// question the repository benchmark reports as pipeline.*_stall_s:
 // which stage to widen when a host saturates.
 
 // StageStats is a snapshot of an engine's (or pool's) cumulative stage

@@ -35,46 +35,51 @@ func scenario(t *testing.T, c codes.Code, faulty []int) codes.Scenario {
 }
 
 // TestLRCSingleFailureReadsLocalGroup: the heart of the minimal-read
-// planner — repairing one LRC data block reads its local group (k/l
-// survivors), not the stripe, and stays under the 60% bytes-read gate.
+// planner — repairing one LRC block, a data block or its local parity,
+// reads its local group (k/l survivors), not the stripe, and stays
+// under the 60% bytes-read gate.
 func TestLRCSingleFailureReadsLocalGroup(t *testing.T) {
 	lrc, err := codes.NewLRC(12, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pl := NewPlanner(lrc)
-	sc := scenario(t, lrc, []int{3})
-	plan, err := pl.Plan(sc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// LRC(12,2,2): local groups of 12/2 = 6 data blocks + 1 local
-	// parity; repairing block 3 must read exactly the 6 other members
-	// of its local group.
-	if got := len(plan.ReadCols); got != 6 {
-		t.Fatalf("single-failure LRC repair reads %d sectors (%v), want 6", got, plan.ReadCols)
-	}
-	if frac := plan.Cost.ReadFraction(); frac > 0.60 {
-		t.Fatalf("read fraction %.2f exceeds the 0.60 gate", frac)
-	}
-	// The local-group partition is already row-minimal here, so the
-	// plan is a single 1-output step over the 6 group survivors.
-	if len(plan.Steps) != 1 || len(plan.Steps[0].Out) != 1 || len(plan.Steps[0].In) != 6 {
-		t.Fatalf("expected one 1x6 step, got %+v", plan.Steps)
-	}
+	// parity. Data block 3 and local parity 12 both sit in group 0.
+	for _, col := range []int{3, 12} {
+		sc := scenario(t, lrc, []int{col})
+		plan, err := pl.Plan(sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Repairing either must read exactly the 6 other members of
+		// the local group.
+		if got := len(plan.ReadCols); got != 6 {
+			t.Fatalf("col %d: single-failure LRC repair reads %d sectors (%v), want 6", col, got, plan.ReadCols)
+		}
+		if frac := plan.Cost.ReadFraction(); frac > 0.60 {
+			t.Fatalf("col %d: read fraction %.2f exceeds the 0.60 gate", col, frac)
+		}
+		// The local-group partition is already row-minimal here, so
+		// the plan is a single 1-output step over the 6 group
+		// survivors.
+		if len(plan.Steps) != 1 || len(plan.Steps[0].Out) != 1 || len(plan.Steps[0].In) != 6 {
+			t.Fatalf("col %d: expected one 1x6 step, got %+v", col, plan.Steps)
+		}
 
-	st := encoded(t, lrc, 64, 1)
-	want := st.Clone()
-	st.Scribble(2, sc.Faulty)
-	var stats kernel.Stats
-	if err := plan.Execute(st, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(st.Sector(3), want.Sector(3)) {
-		t.Fatal("repaired sector differs from original")
-	}
-	if stats.MultXORs() != plan.Cost.MultXORs {
-		t.Fatalf("measured %d ops, plan predicted %d", stats.MultXORs(), plan.Cost.MultXORs)
+		st := encoded(t, lrc, 64, 1)
+		want := st.Clone()
+		st.Scribble(2, sc.Faulty)
+		var stats kernel.Stats
+		if err := plan.Execute(st, &stats); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(st.Sector(col), want.Sector(col)) {
+			t.Fatalf("col %d: repaired sector differs from original", col)
+		}
+		if stats.MultXORs() != plan.Cost.MultXORs {
+			t.Fatalf("col %d: measured %d ops, plan predicted %d", col, stats.MultXORs(), plan.Cost.MultXORs)
+		}
 	}
 }
 

@@ -56,9 +56,6 @@ func init() {
 // returns the previous setting (restore idiom for tests).
 func SetVerifyPlans(on bool) (prev bool) { return verifyPlans.Swap(on) }
 
-// VerifyPlansEnabled reports whether compile-time verification is on.
-func VerifyPlansEnabled() bool { return verifyPlans.Load() }
-
 // verifyCompiled runs the registered verifier against a freshly
 // compiled program when the gate is on. A nil return admits the
 // program; ErrVerify-wrapped errors refuse it.
@@ -159,45 +156,7 @@ func CompileCached(f gf.Field, m *matrix.Matrix) (*Program, error) {
 }
 
 // CacheStats returns the cumulative hit and miss counts of
-// CompileCached since process start (or the last ResetCacheStats).
+// CompileCached since process start.
 func CacheStats() (hits, misses int64) {
 	return progCache.hits.Load(), progCache.misses.Load()
-}
-
-// SetCacheCapacity bounds the compiled-program LRU to n entries,
-// evicting the least recently used programs if the cache already holds
-// more, and returns the previous capacity. n <= 0 restores the
-// default. A process serving many code instances from bounded memory
-// (the daemon shape of ROADMAP item 1) sizes the cache here; tests use
-// it to create eviction pressure without hundreds of compiles.
-func SetCacheCapacity(n int) (prev int) {
-	if n <= 0 {
-		n = DefaultCacheSize
-	}
-	c := &progCache
-	c.mu.Lock()
-	prev = c.cap
-	c.cap = n
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-	}
-	c.mu.Unlock()
-	return prev
-}
-
-// CacheLen reports the number of programs currently resident.
-func CacheLen() int {
-	c := &progCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// ResetCacheStats zeroes the hit/miss counters. Test seam — the cached
-// programs themselves stay resident.
-func ResetCacheStats() {
-	progCache.hits.Store(0)
-	progCache.misses.Store(0)
 }

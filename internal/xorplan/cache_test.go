@@ -26,6 +26,42 @@ func cacheTestMatrix(f gf.Field, tag, rows, cols int) *matrix.Matrix {
 	return m
 }
 
+// setCacheCapacity bounds the compiled-program LRU to n entries,
+// evicting the least recently used programs if the cache already holds
+// more, and returns the previous capacity; n <= 0 restores the default.
+// It creates eviction pressure without hundreds of compiles.
+func setCacheCapacity(n int) (prev int) {
+	if n <= 0 {
+		n = DefaultCacheSize
+	}
+	c := &progCache
+	c.mu.Lock()
+	prev = c.cap
+	c.cap = n
+	for c.order.Len() > c.cap {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.byKey, oldest.Value.(*cacheEntry).key)
+	}
+	c.mu.Unlock()
+	return prev
+}
+
+// cacheLen reports the number of programs currently resident.
+func cacheLen() int {
+	c := &progCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
+}
+
+// resetCacheStats zeroes the hit/miss counters; the cached programs
+// themselves stay resident.
+func resetCacheStats() {
+	progCache.hits.Store(0)
+	progCache.misses.Store(0)
+}
+
 // TestCacheEviction pins the LRU discipline under capacity pressure:
 // filling a capacity-3 cache with four distinct keys evicts exactly
 // the least recently used one, a re-request of the evicted key misses
@@ -36,8 +72,8 @@ func TestCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetCacheCapacity(SetCacheCapacity(3))
-	ResetCacheStats()
+	defer setCacheCapacity(setCacheCapacity(3))
+	resetCacheStats()
 
 	ms := make([]*matrix.Matrix, 5)
 	progs := make([]*Program, 5)
@@ -53,8 +89,8 @@ func TestCacheEviction(t *testing.T) {
 		}
 		progs[i] = p
 	}
-	if CacheLen() != 3 {
-		t.Fatalf("cache holds %d entries after 3 inserts at capacity 3", CacheLen())
+	if cacheLen() != 3 {
+		t.Fatalf("cache holds %d entries after 3 inserts at capacity 3", cacheLen())
 	}
 
 	// Touch 0 so 1 becomes the LRU victim, then insert 3 to evict it.
@@ -64,8 +100,8 @@ func TestCacheEviction(t *testing.T) {
 	if _, err := CompileCached(f, ms[3]); err != nil {
 		t.Fatal(err)
 	}
-	if CacheLen() != 3 {
-		t.Fatalf("cache holds %d entries after eviction at capacity 3", CacheLen())
+	if cacheLen() != 3 {
+		t.Fatalf("cache holds %d entries after eviction at capacity 3", cacheLen())
 	}
 
 	// 0 and 2 must still be resident (hits), 1 must have been evicted
@@ -101,27 +137,27 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCacheCapacityShrinkEvicts pins SetCacheCapacity's down-sizing:
+// TestCacheCapacityShrinkEvicts pins setCacheCapacity's down-sizing:
 // shrinking below the resident count evicts oldest-first immediately.
 func TestCacheCapacityShrinkEvicts(t *testing.T) {
 	f, err := gf.ForWord(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetCacheCapacity(SetCacheCapacity(4))
+	defer setCacheCapacity(setCacheCapacity(4))
 	for i := 0; i < 4; i++ {
 		if _, err := CompileCached(f, cacheTestMatrix(f, 9100+i, 2, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if CacheLen() != 4 {
-		t.Fatalf("cache holds %d entries, want 4", CacheLen())
+	if cacheLen() != 4 {
+		t.Fatalf("cache holds %d entries, want 4", cacheLen())
 	}
-	SetCacheCapacity(2)
-	if CacheLen() != 2 {
-		t.Fatalf("cache holds %d entries after shrink to 2", CacheLen())
+	setCacheCapacity(2)
+	if cacheLen() != 2 {
+		t.Fatalf("cache holds %d entries after shrink to 2", cacheLen())
 	}
-	ResetCacheStats()
+	resetCacheStats()
 	// The two most recent keys survived the shrink.
 	for i := 2; i < 4; i++ {
 		if _, err := CompileCached(f, cacheTestMatrix(f, 9100+i, 2, 2)); err != nil {
@@ -141,8 +177,8 @@ func TestCacheConcurrentCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetCacheCapacity(SetCacheCapacity(64))
-	ResetCacheStats()
+	defer setCacheCapacity(setCacheCapacity(64))
+	resetCacheStats()
 
 	shared := cacheTestMatrix(f, 9200, 3, 4)
 	const workers = 8

@@ -27,25 +27,6 @@ func detectVec() int {
 	return gf.VectorISALevel()
 }
 
-// SetVectorISA overrides the active vector-XOR level and returns the
-// previous one, clamped to what the hardware supports. Test/bench
-// seam, same restore idiom as gf.SetAffineKernels:
-//
-//	defer xorplan.SetVectorISA(xorplan.SetVectorISA(gf.VecNone))
-//
-// Not synchronized — do not race it against running programs.
-func SetVectorISA(level int) (prev int) {
-	prev = vecLevel
-	if max := gf.VectorISALevel(); level > max {
-		level = max
-	}
-	if level < gf.VecNone {
-		level = gf.VecNone
-	}
-	vecLevel = level
-	return prev
-}
-
 // zeroRegion clears dst (compiles to a memclr).
 //
 //ppm:hotpath

@@ -13,6 +13,25 @@ import (
 
 var testFields = []gf.Field{gf.GF8, gf.GF16, gf.GF32}
 
+// setVectorISA overrides the active vector-XOR level and returns the
+// previous one, clamped to what the hardware supports, in the same
+// restore idiom as gf.SetAffineKernels:
+//
+//	defer setVectorISA(setVectorISA(gf.VecNone))
+//
+// Not synchronized: tests that call it must not run in parallel.
+func setVectorISA(level int) (prev int) {
+	prev = vecLevel
+	if max := gf.VectorISALevel(); level > max {
+		level = max
+	}
+	if level < gf.VecNone {
+		level = gf.VecNone
+	}
+	vecLevel = level
+	return prev
+}
+
 func randRegions(rng *rand.Rand, count, size int) [][]byte {
 	regions := make([][]byte, count)
 	for i := range regions {
@@ -173,7 +192,7 @@ func TestVectorLevelsAgree(t *testing.T) {
 	}
 	in := randRegions(rng, 9, size)
 	run := func(level int) [][]byte {
-		defer SetVectorISA(SetVectorISA(level))
+		defer setVectorISA(setVectorISA(level))
 		out := make([][]byte, 5)
 		for i := range out {
 			out[i] = make([]byte, size)
@@ -246,7 +265,7 @@ func TestXtimesMatchesFieldMul(t *testing.T) {
 			continue
 		}
 		t.Run(fmt.Sprintf("level%d", level), func(t *testing.T) {
-			defer SetVectorISA(SetVectorISA(level))
+			defer setVectorISA(setVectorISA(level))
 			testXtimes(t, rng)
 		})
 	}
@@ -341,7 +360,7 @@ func TestCompileCachedCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	f := gf.GF8
 	m := randMatrix(rng, f, 4, 4)
-	ResetCacheStats()
+	resetCacheStats()
 	p1, err := CompileCached(f, m)
 	if err != nil {
 		t.Fatal(err)
