@@ -250,11 +250,12 @@ func NewArray(c Code, numStripes, sectorSize int, seed int64) (*Array, error) {
 }
 
 // StreamConfig tunes the streaming multi-stripe pipeline: Depth bounds
-// the stripes in flight (backpressure), Workers the compute shards on
-// the persistent kernel pool (default: the core count), Threads the
-// per-stripe parallel phase (default 1 — the pipeline parallelises
-// across stripes). Auto fills unset fields from this host's calibrated
-// tuning profile (see Autotune), calibrating one on first use.
+// the stripes in flight (backpressure; Depth 1 runs each stream on the
+// caller's goroutine with no stage goroutines), Workers the compute
+// shard goroutines (default: the core count), Threads the per-stripe
+// parallel phase (default 1 — the pipeline parallelises across
+// stripes). Auto fills unset fields from this host's calibrated tuning
+// profile (see Autotune), calibrating one on first use.
 type StreamConfig = pipeline.Config
 
 // StreamResult reports a stream run: stripes drained and payload bytes
@@ -284,7 +285,8 @@ var StopStream = pipeline.Stop
 // counters: nanoseconds the fill stage waited for free slabs, compute
 // shards waited for work, and the in-order drain waited on stripe
 // completion — plus the stripes drained. The dominant counter names the
-// bottleneck stage.
+// bottleneck stage. A Depth-1 engine runs its stages in turn, so its
+// stalls are always 0.
 type StageStats = pipeline.StageStats
 
 // StreamRetry configures bounded retries with jittered exponential
@@ -321,13 +323,20 @@ func VerifyStripeChecksums(st *Stripe, sums []uint32) []int {
 // StreamPool is a fixed set of stream engines serving many concurrent
 // streams for one code + scenario pair: each Run checks an engine out,
 // so up to Size streams overlap their store I/O (and compute, given
-// cores) while excess callers queue — the admission bound.
+// cores) while excess callers queue — the admission bound. A pool with
+// an engine per core runs each stream on its caller's goroutine by
+// default (see NewStreamPool).
 type StreamPool = pipeline.Pool
 
 // NewStreamPool builds a pool of size engines (size <= 0 selects the
 // autotuned pool size under cfg.Auto, else the core count). With
 // cfg.Workers unset, the engines divide the host's compute-shard budget
-// between them.
+// between them; when that leaves one shard per engine and cfg.Depth is
+// unset too, the engines get Depth 1 and run each stream on its
+// caller's goroutine, with one slab each. Such a pool over a source
+// that blocks per read overlaps its streams with each other but no
+// longer one stream's fill with its drain; set cfg.Depth >= 2 to keep
+// that overlap.
 func NewStreamPool(c Code, sc Scenario, sectorSize, size int, cfg StreamConfig) (*StreamPool, error) {
 	return pipeline.NewPool(c, sc, sectorSize, size, cfg)
 }

@@ -26,8 +26,8 @@ func (NopSink) Drain(int, *stripe.Stripe) error { return nil }
 
 // Batch runs one scenario over an in-memory batch of stripes: the plan
 // is compiled once and the stripes are decoded in place, sharded across
-// the worker pool with Depth of them in flight. Encoding is the batch
-// whose scenario is codes.EncodingScenario(c).
+// the engine's compute shards with Depth of them in flight. Encoding is
+// the batch whose scenario is codes.EncodingScenario(c).
 //
 // Callers with many batches should build an Engine once (sectorSize 0:
 // the batch path needs no slabs) and Run it with a SliceSource per

@@ -9,8 +9,10 @@
 // set of pre-allocated jobs (stripe slabs plus bookkeeping), so the
 // engine exerts backpressure instead of queueing without bound and the
 // steady state performs zero heap allocations per stripe. Compute is
-// sharded stripe-by-stripe across the persistent kernel.Workers pool;
-// per-stripe scratch comes from the core executor's pools.
+// sharded stripe-by-stripe across the engine's shard goroutines;
+// per-stripe scratch comes from the core executor's pools. An engine
+// of Depth 1 has no stage goroutines: it fills, computes and drains
+// each stripe in turn on the goroutine that called Run.
 //
 // Output is strictly in stripe order no matter how compute completes,
 // and the error contract matches the executors': the failure with the
@@ -40,7 +42,8 @@ import (
 // returns it, or returns a caller-owned stripe to process in place
 // (the batch path; slab is nil when the engine was built without
 // slabs). Returning (nil, nil) ends the stream. Next runs on the
-// engine's fill goroutine, never concurrently with itself.
+// engine's fill goroutine (at Depth 1, the goroutine that called Run),
+// never concurrently with itself.
 type Source interface {
 	Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error)
 }
@@ -67,15 +70,18 @@ var Stop = errors.New("pipeline: stop")
 // Config tunes an Engine.
 type Config struct {
 	// Depth bounds the number of stripes in flight (and the number of
-	// stripe slabs the engine allocates). Depth 1 degenerates to a
-	// serial loop with the plan still amortised; <= 0 selects
-	// max(DefaultDepth, Workers) — queue depth must cover the compute
-	// shards or they starve, but it is otherwise an independent knob
-	// (how much I/O to keep in flight, not how many cores to use).
+	// stripe slabs the engine allocates). Depth 1 runs on the caller's
+	// goroutine: each stripe is filled, computed and drained in turn,
+	// with one slab, no stage goroutines and the plan still amortised.
+	// <= 0 selects max(DefaultDepth, Workers) — queue depth must cover
+	// the compute shards or they starve, but it is otherwise an
+	// independent knob (how much I/O to keep in flight, not how many
+	// cores to use).
 	Depth int
 	// Workers is the number of compute shards pulling stripes off the
-	// fill stage; <= 0 selects NumCPU. Each shard occupies one
-	// kernel.Workers slot for the engine's lifetime.
+	// fill stage, each on its own goroutine for the engine's lifetime;
+	// <= 0 selects NumCPU. A Depth-1 engine has no shards and resolves
+	// Workers to 1.
 	Workers int
 	// Threads is the per-stripe worker count for the plan's parallel
 	// phase; <= 0 selects 1 (the pipeline parallelises across stripes,
@@ -131,34 +137,36 @@ type Engine struct {
 	cfg   Config
 
 	free  chan *job     // recycled jobs (capacity Depth)
-	work  chan *job     // fill → compute (capacity Depth)
-	order chan *job     // fill → drain, in index order (capacity Depth+1)
-	start chan struct{} // Run → fill stage wake-up
+	work  chan *job     // fill → compute (capacity Depth; nil at Depth 1)
+	order chan *job     // fill → drain, in index order (capacity Depth+1; nil at Depth 1)
+	start chan struct{} // Run → fill stage wake-up (nil at Depth 1)
 
 	sentinel *job // end-of-stream marker on order
 
 	// Per-run state, published to the fill goroutine via the start
 	// channel send (happens-before its receive). dst is only read by the
 	// Run goroutine itself and the drain guard's runner (happens-before
-	// via the guard's request channel).
+	// via the guard's request channel). A Depth-1 engine reads all of it
+	// on the Run goroutine.
 	src  Source
 	dst  Sink
 	ctx  context.Context
 	stop atomic.Bool
 
 	// Guarded-op lanes for Config.Retry.OpTimeout (nil without one).
-	// fillGuard is driven by the fill goroutine, drainGuard by the Run
-	// goroutine; each owns a persistent runner so the steady state costs
-	// a channel round trip, not a goroutine spawn, per op.
+	// fillGuard is driven by the fill goroutine (the Run goroutine at
+	// Depth 1), drainGuard by the Run goroutine; each owns a persistent
+	// runner so the steady state costs a channel round trip, not a
+	// goroutine spawn, per op.
 	fillGuard  *opGuard
 	drainGuard *opGuard
 	fillRng    uint64 // jitter state, fill goroutine only
 	drainRng   uint64 // jitter state, Run goroutine only
 
 	// shardErr records a compute-shard failure that escaped the per-job
-	// path (a pool-level panic outside compute). It poisons the engine:
-	// the next RunContext surfaces it instead of running with fewer
-	// shards than configured.
+	// path (a panic outside computeSafe). It poisons the engine: the
+	// next RunContext surfaces it instead of running with fewer shards
+	// than configured.
 	shardErr atomic.Value // error
 
 	closeOnce sync.Once
@@ -167,7 +175,8 @@ type Engine struct {
 	// Stage stall accounting (see StageStats): cumulative nanoseconds
 	// each stage spent blocked waiting on its upstream/downstream, plus
 	// the stripes drained. running/runStart let the compute shards
-	// exclude between-run idle time from their stall count.
+	// exclude between-run idle time from their stall count. A Depth-1
+	// engine's stages never wait on each other, so its stalls stay 0.
 	fillStall    atomic.Int64
 	computeStall atomic.Int64
 	drainStall   atomic.Int64
@@ -195,13 +204,18 @@ type Engine struct {
 // engine for sources that hand over caller-owned stripes (the batch
 // path). The scenario may be empty, in which case the compute stage is
 // a passthrough (useful for overlapped read/extract with no repair).
+// A Depth-1 engine starts no goroutines (bar the Retry.OpTimeout
+// guards' runners).
 func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, error) {
 	cfg = resolveAuto(cfg)
 	// Depth (queue) and Workers (parallelism) are distinct knobs with
 	// independent defaults: workers follow the core count, depth covers
 	// the shards plus I/O headroom. The old min(Depth, NumCPU) coupling
 	// silently capped compute at DefaultDepth shards on many-core hosts.
-	if cfg.Workers <= 0 {
+	switch {
+	case cfg.Depth == 1:
+		cfg.Workers = 1 // computes on the Run goroutine
+	case cfg.Workers <= 0:
 		cfg.Workers = runtime.NumCPU()
 	}
 	if cfg.Depth <= 0 {
@@ -219,14 +233,10 @@ func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, 
 	}
 
 	e := &Engine{
-		code:     c,
-		sc:       sc,
-		cfg:      cfg,
-		free:     make(chan *job, cfg.Depth),
-		work:     make(chan *job, cfg.Depth),
-		order:    make(chan *job, cfg.Depth+1),
-		start:    make(chan struct{}),
-		sentinel: &job{},
+		code: c,
+		sc:   sc,
+		cfg:  cfg,
+		free: make(chan *job, cfg.Depth),
 	}
 	e.dec = core.NewDecoder(c,
 		core.WithThreads(cfg.Threads),
@@ -270,19 +280,28 @@ func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, 
 		})
 	}
 
+	if cfg.Depth == 1 {
+		return e, nil
+	}
+	e.work = make(chan *job, cfg.Depth)
+	e.order = make(chan *job, cfg.Depth+1)
+	e.start = make(chan struct{})
+	e.sentinel = &job{}
 	go e.fillLoop()
-	// The compute shards ride the persistent kernel pool: each shard
-	// claims one pool worker (falling back to the launcher goroutine
-	// when the pool is saturated — Run never deadlocks on a busy pool)
-	// and serves stripes until Close.
-	go func() {
-		if err := kernel.DefaultWorkers().Run(cfg.Workers, func(int) error {
+	// Each compute shard is its own goroutine serving stripes until
+	// Close. Shards must not ride kernel.Workers.Run: it runs a task
+	// inline when no pool worker is parked, and an inline shard returns
+	// only at Close, so the shards after it would never start.
+	for i := 0; i < cfg.Workers; i++ {
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					e.shardErr.Store(fmt.Errorf("compute shard panicked: %v", r))
+				}
+			}()
 			e.computeLoop()
-			return nil
-		}); err != nil {
-			e.shardErr.Store(err)
-		}
-	}()
+		}()
+	}
 	return e, nil
 }
 
@@ -319,15 +338,17 @@ func (e *Engine) RecordCorruption(n int) {
 // under Auto, every autotuned knob) resolved.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Close shuts the engine's stage goroutines down and releases its pool
-// slots. Close must not be called while a Run is in progress; it is
+// Close shuts the engine's stage goroutines down (a Depth-1 engine has
+// none). Close must not be called while a Run is in progress; it is
 // idempotent and safe to call from several goroutines at once (two
 // deferred Closes racing must not double-close the stage channels).
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
-		close(e.start)
-		close(e.work)
+		if e.cfg.Depth > 1 {
+			close(e.start)
+			close(e.work)
+		}
 		if e.fillGuard != nil {
 			e.fillGuard.close()
 			e.drainGuard.close()
@@ -349,7 +370,8 @@ func (e *Engine) Run(src Source, dst Sink) (int, error) {
 // the context stops intake at the next stripe boundary and drains
 // cleanly; ctx.Err() is returned unless an earlier-indexed stage
 // failure takes precedence. After Run returns — error or not — the
-// engine is reusable.
+// engine is reusable. A Depth-1 engine keeps the same contract with
+// every stage on the calling goroutine.
 func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, error) {
 	if e.closed.Load() {
 		return 0, fmt.Errorf("pipeline: engine is closed")
@@ -360,6 +382,12 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 	e.src = src
 	e.dst = dst
 	e.ctx = ctx
+	if e.cfg.Depth == 1 {
+		j := <-e.free
+		n, err := e.runInline(j.slab)
+		e.free <- j
+		return n, err
+	}
 	e.stop.Store(false)
 	e.runStart.Store(time.Now().UnixNano())
 	e.running.Store(true)
@@ -432,6 +460,45 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 		}
 	}
 	return drained, firstErr
+}
+
+// runInline is a Depth-1 engine's run: each stripe is filled, computed
+// and drained in turn on the Run goroutine, through the same guarded
+// srcNext/computeSafe/sinkDrain calls as the staged path, so output
+// order, the lowest-index error, Stop, cancellation at stripe
+// boundaries and Retry all behave as they do there. Nothing waits on
+// another stage, so no stall is counted.
+//
+//ppm:hotpath
+func (e *Engine) runInline(slab *stripe.Stripe) (int, error) {
+	done := e.ctx.Done()
+	for idx := 0; ; idx++ {
+		select {
+		case <-done:
+			return idx, e.ctx.Err()
+		default:
+		}
+		st, err := e.srcNext(idx, slab)
+		if err == nil && st == nil {
+			return idx, nil
+		}
+		if err == nil {
+			err = e.computeSafe(idx, st)
+		}
+		if err == nil {
+			switch err = e.sinkDrain(e.dst, idx, st); {
+			case err == nil:
+				e.stripes.Add(1)
+				continue
+			case errors.Is(err, Stop):
+				// The sink is satisfied: this stripe still counts.
+				e.stripes.Add(1)
+				return idx + 1, nil
+			}
+		}
+		//ppm:allow(hotalloc) failure path: the run ends here, so the wrap allocates once per failed run
+		return idx, fmt.Errorf("pipeline: stripe %d: %w", idx, err)
+	}
 }
 
 // fillLoop is the persistent fill stage: one iteration per Run.
@@ -530,38 +597,38 @@ func (e *Engine) computeLoop() {
 			j.done <- nil
 			continue
 		}
-		j.done <- e.computeSafe(j)
+		j.done <- e.computeSafe(j.idx, j.st)
 	}
 }
 
-// computeSafe converts a compute panic into the job's error, so the
+// computeSafe converts a compute panic into the stripe's error, so the
 // drain stage always receives an outcome for every in-flight stripe —
 // a panicking stripe can fail its Run but never wedge it.
-func (e *Engine) computeSafe(j *job) (err error) {
+func (e *Engine) computeSafe(idx int, st *stripe.Stripe) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("compute stripe %d panicked: %v", j.idx, r)
+			err = fmt.Errorf("compute stripe %d panicked: %v", idx, r)
 		}
 	}()
-	return e.compute(j)
+	return e.compute(idx, st)
 }
 
-func (e *Engine) compute(j *job) error {
+func (e *Engine) compute(idx int, st *stripe.Stripe) error {
 	if e.testDelay != nil {
-		e.testDelay(j.idx)
+		e.testDelay(idx)
 	}
 	if e.testFail != nil {
-		if err := e.testFail(j.idx); err != nil {
+		if err := e.testFail(idx); err != nil {
 			return err
 		}
 	}
 	if e.rplan != nil {
-		return e.rplan.Execute(j.st, e.cfg.Stats)
+		return e.rplan.Execute(st, e.cfg.Stats)
 	}
 	if e.plan == nil {
 		return nil
 	}
-	return e.dec.DecodeWithPlan(e.plan, j.st)
+	return e.dec.DecodeWithPlan(e.plan, st)
 }
 
 // ReadColumns reports which sectors a fill Source must materialise
@@ -590,68 +657,17 @@ func (e *Engine) ReadColumns() []int {
 	return out
 }
 
-// Serial is the fixed serial per-stripe loop the pipeline is compared
-// against: one slab, one decoder, the plan compiled once — but fill,
-// compute and drain strictly in sequence on the calling goroutine with
-// no overlap. It is the single-goroutine reference the tests check the
-// engine's outputs and overlap against (and a convenient fallback where
-// goroutines are unwelcome). The stripe count and Source/Sink contracts
-// match Run's.
+// Serial runs one stream through a Depth-1 engine built for the call:
+// fill, compute and drain strictly in sequence on the calling goroutine
+// with no overlap, the plan compiled once. It is the single-goroutine
+// reference the tests check the staged engine's outputs and overlap
+// against. The stripe count and Source/Sink contracts match Run's.
 func Serial(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config, src Source, dst Sink) (int, error) {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 1
+	cfg.Depth = 1
+	e, err := New(c, sc, sectorSize, cfg)
+	if err != nil {
+		return 0, err
 	}
-	dec := core.NewDecoder(c,
-		core.WithThreads(cfg.Threads),
-		core.WithStrategy(cfg.Strategy),
-		core.WithStats(cfg.Stats))
-	var plan *core.Plan
-	var rplan *repair.Plan
-	if len(sc.Faulty) > 0 {
-		if len(cfg.Wanted) > 0 {
-			rp, err := repair.NewPlanner(c).Plan(sc, cfg.Wanted)
-			if err != nil {
-				return 0, fmt.Errorf("pipeline: %w", err)
-			}
-			rplan = rp
-		} else {
-			p, err := core.BuildPlan(c, sc, cfg.Strategy)
-			if err != nil {
-				return 0, fmt.Errorf("pipeline: %w", err)
-			}
-			plan = p
-		}
-	}
-	var slab *stripe.Stripe
-	if sectorSize > 0 {
-		s, err := stripe.New(c.NumStrips(), c.NumRows(), sectorSize)
-		if err != nil {
-			return 0, err
-		}
-		slab = s
-	}
-	for idx := 0; ; idx++ {
-		st, err := src.Next(idx, slab)
-		if err != nil {
-			return idx, fmt.Errorf("pipeline: stripe %d: %w", idx, err)
-		}
-		if st == nil {
-			return idx, nil
-		}
-		if rplan != nil {
-			if err := rplan.Execute(st, cfg.Stats); err != nil {
-				return idx, fmt.Errorf("pipeline: stripe %d: %w", idx, err)
-			}
-		} else if plan != nil {
-			if err := dec.DecodeWithPlan(plan, st); err != nil {
-				return idx, fmt.Errorf("pipeline: stripe %d: %w", idx, err)
-			}
-		}
-		if err := dst.Drain(idx, st); err != nil {
-			if errors.Is(err, Stop) {
-				return idx + 1, nil
-			}
-			return idx, fmt.Errorf("pipeline: stripe %d: %w", idx, err)
-		}
-	}
+	defer e.Close()
+	return e.Run(src, dst)
 }

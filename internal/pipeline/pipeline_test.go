@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +24,16 @@ func testSD(t *testing.T) *codes.SD {
 		t.Fatal(err)
 	}
 	return sd
+}
+
+// atDepths runs fn as one subtest per engine shape: Depth 1, which runs
+// on the caller's goroutine, and the staged depth the test was written
+// for.
+func atDepths(t *testing.T, staged int, fn func(t *testing.T, depth int)) {
+	t.Helper()
+	for _, depth := range []int{1, staged} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) { fn(t, depth) })
+	}
 }
 
 // payload returns size deterministic pseudo-random bytes.
@@ -50,6 +61,10 @@ func encodeSerialImages(t *testing.T, c codes.Code, data []byte, sectorSize int)
 // over two whole disks' bytes in the stream, DecodeStream recovers the
 // exact payload — including a non-stripe-aligned tail.
 func TestStreamRoundTrip(t *testing.T) {
+	atDepths(t, 4, testStreamRoundTrip)
+}
+
+func testStreamRoundTrip(t *testing.T, depth int) {
 	sd := testSD(t)
 	const sector = 256
 	// 11.5 stripes of payload: the tail exercises zero-padding and trim.
@@ -59,7 +74,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	want := encodeSerialImages(t, sd, data, sector)
 
 	var enc bytes.Buffer
-	res, err := EncodeStream(sd, &enc, bytes.NewReader(data), sector, Config{Depth: 4, Workers: 3})
+	res, err := EncodeStream(sd, &enc, bytes.NewReader(data), sector, Config{Depth: depth, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +105,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 
 	var dec bytes.Buffer
-	dres, err := DecodeStream(sd, &dec, bytes.NewReader(images), sc, int64(len(data)), sector, Config{Depth: 4, Workers: 3})
+	dres, err := DecodeStream(sd, &dec, bytes.NewReader(images), sc, int64(len(data)), sector, Config{Depth: depth, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +209,16 @@ func TestInOrderUnderOutOfOrderCompletion(t *testing.T) {
 }
 
 // TestLowestIndexComputeErrorWins injects compute failures at stripes 2
-// and 5, with 5 completing first; the reported error must carry stripe
-// 2, and only stripes 0 and 1 may drain.
+// and 5, with 5 completing first when the engine is staged; the
+// reported error must carry stripe 2, and only stripes 0 and 1 may
+// drain.
 func TestLowestIndexComputeErrorWins(t *testing.T) {
+	atDepths(t, 8, testLowestIndexComputeErrorWins)
+}
+
+func testLowestIndexComputeErrorWins(t *testing.T, depth int) {
 	sd := testSD(t)
-	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: 8, Workers: 4})
+	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +272,12 @@ func (s *failSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) 
 // TestFillErrorPropagates: a source failure carries its stripe index
 // and stops intake after draining the preceding stripes.
 func TestFillErrorPropagates(t *testing.T) {
+	atDepths(t, 4, testFillErrorPropagates)
+}
+
+func testFillErrorPropagates(t *testing.T, depth int) {
 	sd := testSD(t)
-	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: 4})
+	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +314,12 @@ func (s *errSink) Drain(idx int, _ *stripe.Stripe) error {
 
 // TestDrainErrorStops: a sink failure carries its stripe index too.
 func TestDrainErrorStops(t *testing.T) {
+	atDepths(t, 4, testDrainErrorStops)
+}
+
+func testDrainErrorStops(t *testing.T, depth int) {
 	sd := testSD(t)
-	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: 4})
+	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +355,12 @@ func (s *slowSink) Drain(idx int, _ *stripe.Stripe) error {
 // stops with ctx.Err(), every job returns to the free list, and the
 // engine stays usable.
 func TestCancellationDrainsCleanly(t *testing.T) {
+	atDepths(t, 4, testCancellationDrainsCleanly)
+}
+
+func testCancellationDrainsCleanly(t *testing.T, depth int) {
 	sd := testSD(t)
-	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: 4, Workers: 2})
+	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,8 +392,12 @@ func TestCancellationDrainsCleanly(t *testing.T) {
 // TestRunContextPreCancelled: a context cancelled before Run drains
 // nothing but still returns cleanly.
 func TestRunContextPreCancelled(t *testing.T) {
+	atDepths(t, 2, testRunContextPreCancelled)
+}
+
+func testRunContextPreCancelled(t *testing.T, depth int) {
 	sd := testSD(t)
-	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: 2})
+	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +414,12 @@ func TestRunContextPreCancelled(t *testing.T) {
 
 // TestEngineReuseAfterError: a failed run leaves the engine consistent.
 func TestEngineReuseAfterError(t *testing.T) {
+	atDepths(t, 4, testEngineReuseAfterError)
+}
+
+func testEngineReuseAfterError(t *testing.T, depth int) {
 	sd := testSD(t)
-	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: 4})
+	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,6 +448,43 @@ func TestClosedEngineRejectsRun(t *testing.T) {
 	if _, err := e.Run(&constSource{count: 1}, &recordSink{}); err == nil {
 		t.Fatal("Run on a closed engine succeeded")
 	}
+}
+
+// TestDepthOneStartsNoGoroutines: a Depth-1 engine runs on the caller's
+// goroutine, so New, Run and Close leave the goroutine count where it
+// was — no fill stage, no compute shards.
+func TestDepthOneStartsNoGoroutines(t *testing.T) {
+	sd := testSD(t)
+	before := settledGoroutines()
+	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(&constSource{count: 4}, &recordSink{}); err != nil {
+		t.Fatal(err)
+	}
+	during := runtime.NumGoroutine()
+	e.Close()
+	if after := runtime.NumGoroutine(); during != before || after != before {
+		t.Fatalf("goroutines: %d before New, %d after Run, %d after Close; want no change", before, during, after)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 20 ms (2 s at most): goroutines that earlier tests released, such
+// as closed engines' stages, exit asynchronously and would otherwise
+// move the count mid-measurement.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still, start := 0, time.Now(); still < 20 && time.Since(start) < 2*time.Second; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }
 
 // TestBatchEncodeDecode: Batch encodes a set of stripes identically to

@@ -18,8 +18,16 @@ var errPoolClosed = errors.New("pipeline: pool is closed")
 // serialises its runs, so concurrent request serving through a single
 // engine queues head-to-tail; a pool overlaps up to Size streams —
 // their store I/O always, and their compute too once the host has the
-// cores (each engine keeps its own compute shards). The plan is still
-// compiled once per engine, at construction, never per stream.
+// cores. The plan is still compiled once per engine, at construction,
+// never per stream.
+//
+// A pool whose streams already cover the cores gives its engines
+// Depth 1 by default (see NewPool): each stream then runs on its
+// caller's goroutine with one slab, and the concurrency comes from the
+// streams. The trade-off is that such a pool, over a source that
+// blocks per read, no longer overlaps one stream's fill with its
+// drain; its other streams still overlap. Set Config.Depth >= 2 to
+// keep per-stream overlap.
 //
 // A Pool is safe for concurrent RunContext calls. Close must not be
 // called while streams are running (the Engine contract), and is
@@ -49,11 +57,16 @@ type Pool struct {
 // profile's pool size under cfg.Auto, else max(2, NumCPU)) sharing one
 // config. When the caller leaves cfg.Workers unset, the per-engine
 // compute shards divide the host budget (NumCPU, or the profile's
-// worker count under cfg.Auto) across the pool instead of letting the
-// first engine claim every kernel pool slot for its lifetime.
+// worker count under cfg.Auto) across the pool instead of every engine
+// starting a shard per core. When the caller leaves cfg.Depth unset
+// too and the pool has at least one engine per unit of that budget —
+// exactly when the division leaves one shard per engine — the engines
+// get Depth 1 and run each stream on its caller's goroutine, with no
+// stage handoffs and one slab per engine instead of DefaultDepth. An
+// explicit Depth or Workers keeps the staged engine.
 func NewPool(c codes.Code, sc codes.Scenario, sectorSize, size int, cfg Config) (*Pool, error) {
 	wasAuto := cfg.Auto
-	callerWorkers := cfg.Workers
+	callerWorkers, callerDepth := cfg.Workers, cfg.Depth
 	cfg = resolveAuto(cfg)
 	if size <= 0 {
 		if wasAuto {
@@ -74,6 +87,9 @@ func NewPool(c codes.Code, sc codes.Scenario, sectorSize, size int, cfg Config) 
 		cfg.Workers = budget / size
 		if cfg.Workers < 1 {
 			cfg.Workers = 1
+		}
+		if callerDepth <= 0 && size >= budget {
+			cfg.Depth = 1
 		}
 	}
 	p := &Pool{

@@ -16,9 +16,15 @@ import (
 
 // TestPoolConcurrentStreams drives more concurrent encode streams than
 // the pool has engines and checks every stream's output byte-for-byte
-// against the serial loop. Under -race this also pins the checkout
-// protocol.
+// against the serial loop, for an explicitly staged pool and for the
+// default one, which runs Depth 1 wherever its 3 engines cover the
+// cores. Under -race this also pins the checkout protocol.
 func TestPoolConcurrentStreams(t *testing.T) {
+	t.Run("staged", func(t *testing.T) { testPoolConcurrentStreams(t, Config{Depth: 2, Workers: 1}) })
+	t.Run("default", func(t *testing.T) { testPoolConcurrentStreams(t, Config{}) })
+}
+
+func testPoolConcurrentStreams(t *testing.T, cfg Config) {
 	sd := testSD(t)
 	const sector = 128
 	const streams = 8
@@ -35,7 +41,7 @@ func TestPoolConcurrentStreams(t *testing.T) {
 		wants[i] = encodeSerialImages(t, sd, data, sector)
 	}
 
-	p, err := NewPool(sd, codes.EncodingScenario(sd), sector, 3, Config{Depth: 2, Workers: 1})
+	p, err := NewPool(sd, codes.EncodingScenario(sd), sector, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,30 +83,44 @@ func TestPoolConcurrentStreams(t *testing.T) {
 
 // TestPoolWorkerBudget: with Workers unset the per-engine shards divide
 // the host budget across the pool instead of each engine claiming the
-// full core count.
+// full core count, and a pool with an engine per core (Depth and
+// Workers unset) runs its engines at Depth 1. An explicit Depth or
+// Workers keeps the staged engine.
 func TestPoolWorkerBudget(t *testing.T) {
 	sd := testSD(t)
-	p, err := NewPool(sd, codes.EncodingScenario(sd), 64, 2, Config{})
-	if err != nil {
-		t.Fatal(err)
+	ncpu := runtime.NumCPU()
+	wide := maxInt(2, ncpu) // one engine per core
+	// A 2-engine pool covers the cores only on a host with at most 2.
+	depth2 := maxInt(DefaultDepth, maxInt(1, ncpu/2))
+	if 2 >= ncpu {
+		depth2 = 1
 	}
-	defer p.Close()
-	got := p.Config().Workers
-	if got < 1 {
-		t.Fatalf("pool engine workers %d, want >= 1", got)
+	cases := []struct {
+		name        string
+		size        int
+		cfg         Config
+		wantWorkers int
+		wantDepth   int
+	}{
+		{"size-2", 2, Config{}, maxInt(1, ncpu/2), depth2},
+		{"engine-per-core", wide, Config{}, 1, 1},
+		{"depth-explicit", wide, Config{Depth: 3}, 1, 3},
+		{"workers-explicit", 2, Config{Workers: 3}, 3, maxInt(DefaultDepth, 3)},
+		{"workers-explicit-per-core", wide, Config{Workers: 1}, 1, DefaultDepth},
 	}
-	if want := maxInt(1, runtime.NumCPU()/2); got != want {
-		t.Errorf("pool engine workers %d, want budget/size = %d", got, want)
-	}
-
-	// An explicit Workers value is honoured verbatim.
-	p2, err := NewPool(sd, codes.EncodingScenario(sd), 64, 2, Config{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if got := p2.Config().Workers; got != 3 {
-		t.Errorf("explicit workers: got %d, want 3", got)
+	for _, tc := range cases {
+		p, err := NewPool(sd, codes.EncodingScenario(sd), 64, tc.size, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := p.Config()
+		p.Close()
+		if got.Workers != tc.wantWorkers {
+			t.Errorf("%s: pool engine Workers=%d, want %d", tc.name, got.Workers, tc.wantWorkers)
+		}
+		if got.Depth != tc.wantDepth {
+			t.Errorf("%s: pool engine Depth=%d, want %d", tc.name, got.Depth, tc.wantDepth)
+		}
 	}
 }
 

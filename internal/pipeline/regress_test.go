@@ -5,15 +5,19 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ppm/internal/codes"
+	"ppm/internal/kernel"
 	"ppm/internal/stripe"
 )
 
-// Regression tests for the three pipeline scaling defects: the
+// Regression tests for the pipeline scaling defects: the
 // unsynchronized double-Close, the Workers-capped-by-Depth defaulting,
-// and DecodeStream decoding past the requested payload.
+// DecodeStream decoding past the requested payload, and a shard launch
+// that started fewer compute shards than Workers.
 
 // TestConcurrentClose: Close is documented idempotent and is commonly
 // deferred from more than one goroutine; racing Closes must not
@@ -71,6 +75,8 @@ func TestWorkersDecoupledFromDepth(t *testing.T) {
 		{"workers-explicit", Config{Workers: 3}, 3, maxInt(DefaultDepth, 3)},
 		// Wide explicit workers pull the defaulted depth up with them.
 		{"workers-wide", Config{Workers: 2 * DefaultDepth}, 2 * DefaultDepth, 2 * DefaultDepth},
+		// Depth 1 computes on the Run goroutine: no shards to size.
+		{"depth-1", Config{Depth: 1, Workers: 3}, 1, 1},
 	}
 	for _, tc := range cases {
 		e, err := New(sd, codes.EncodingScenario(sd), 64, tc.cfg)
@@ -86,6 +92,85 @@ func TestWorkersDecoupledFromDepth(t *testing.T) {
 			t.Errorf("%s: Depth=%d, want %d", tc.name, got.Depth, tc.wantDepth)
 		}
 	}
+}
+
+// TestEngineStartsEveryShard: an engine runs Workers compute shards at
+// once even while every kernel pool worker is busy. Launching the
+// shards through one kernel.Workers.Run ran the first shard inline when
+// no pool worker was free, and that shard returns only at Close, so
+// the rest never started. Two stripes meet at a barrier inside compute;
+// with a single shard the first waits out the timeout alone.
+func TestEngineStartsEveryShard(t *testing.T) {
+	release := holdKernelPool(t)
+	defer release()
+
+	sd := testSD(t)
+	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var inflight atomic.Int32
+	met := make(chan struct{})
+	var once sync.Once
+	e.testDelay = func(int) {
+		if inflight.Add(1) == 2 {
+			once.Do(func() { close(met) })
+		}
+		defer inflight.Add(-1)
+		select {
+		case <-met:
+		case <-time.After(2 * time.Second):
+		}
+	}
+	if _, err := e.Run(&constSource{count: 2}, &recordSink{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-met:
+	default:
+		t.Fatal("an engine with Workers: 2 never ran two computes at once")
+	}
+}
+
+// holdKernelPool blocks every kernel.DefaultWorkers worker in a task
+// until the returned release is called, which also waits for the
+// holding Run to return. A Run of NumCPU+1 tasks hands NumCPU of them to
+// parked workers and runs the last inline, so all NumCPU+1 starting
+// means every worker is held; a worker that was not yet parked makes a
+// task run inline early, and the attempt is released and repeated.
+func holdKernelPool(t *testing.T) (release func()) {
+	t.Helper()
+	pool := kernel.DefaultWorkers()
+	want := int32(runtime.NumCPU() + 1)
+	for attempt := 0; attempt < 5; attempt++ {
+		var held atomic.Int32
+		gate := make(chan struct{})
+		returned := make(chan error, 1)
+		go func() {
+			returned <- pool.Run(int(want), func(int) error {
+				held.Add(1)
+				<-gate
+				return nil
+			})
+		}()
+		deadline := time.Now().Add(200 * time.Millisecond)
+		for held.Load() < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		release := func() {
+			close(gate)
+			if err := <-returned; err != nil {
+				t.Errorf("holding Run: %v", err)
+			}
+		}
+		if held.Load() == want {
+			return release
+		}
+		release()
+	}
+	t.Fatal("could not hold every kernel pool worker")
+	return nil
 }
 
 func maxInt(a, b int) int {
@@ -214,8 +299,12 @@ func TestDecodeStreamEarlyStopWithRepair(t *testing.T) {
 // contract, not a dataSink private: any sink can end a stream early
 // without an error, and the stopping stripe counts as drained.
 func TestStopFromCustomSink(t *testing.T) {
+	atDepths(t, 4, testStopFromCustomSink)
+}
+
+func testStopFromCustomSink(t *testing.T, depth int) {
 	sd := testSD(t)
-	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: 4, Workers: 2})
+	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

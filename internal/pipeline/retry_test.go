@@ -74,13 +74,17 @@ func retryBatch(t *testing.T, sd *codes.SD, stripes, sector int) []*stripe.Strip
 // Source/Sink failures are retried away invisibly (the stream completes,
 // in order) and the retries surface in StageStats.
 func TestRetryTransientFillAndDrain(t *testing.T) {
+	atDepths(t, 4, testRetryTransientFillAndDrain)
+}
+
+func testRetryTransientFillAndDrain(t *testing.T, depth int) {
 	sd := testSD(t)
 	batch := retryBatch(t, sd, 6, 64)
 	src := &flakySource{batch: batch, fail: map[int]int{1: 2, 4: 1}}
 	snk := &flakySink{fail: map[int]int{2: 1}}
 
 	e, err := New(sd, codes.EncodingScenario(sd), 0, Config{
-		Depth: 4, Workers: 2,
+		Depth: depth, Workers: 2,
 		Retry: RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond},
 	})
 	if err != nil {
@@ -198,12 +202,16 @@ func (s *hangSource) Next(idx int, _ *stripe.Stripe) (*stripe.Stripe, error) {
 // forever), with ErrOpTimeout, and the abandoned call is left to finish
 // on its own.
 func TestHungSourceAbandonedAtDeadline(t *testing.T) {
+	atDepths(t, 2, testHungSourceAbandonedAtDeadline)
+}
+
+func testHungSourceAbandonedAtDeadline(t *testing.T, depth int) {
 	sd := testSD(t)
 	src := &hangSource{batch: retryBatch(t, sd, 6, 64), at: 2, release: make(chan struct{})}
 	defer close(src.release) // let the abandoned runner exit
 
 	e, err := New(sd, codes.EncodingScenario(sd), 0, Config{
-		Depth: 2, Workers: 1,
+		Depth: depth, Workers: 1,
 		Retry: RetryPolicy{MaxAttempts: 2, OpTimeout: 50 * time.Millisecond},
 	})
 	if err != nil {
@@ -231,10 +239,14 @@ func TestHungSourceAbandonedAtDeadline(t *testing.T) {
 // TestRetryRunCancellation pins that context cancellation cuts a retry
 // loop short (during backoff) and surfaces ctx.Err.
 func TestRetryRunCancellation(t *testing.T) {
+	atDepths(t, 2, testRetryRunCancellation)
+}
+
+func testRetryRunCancellation(t *testing.T, depth int) {
 	sd := testSD(t)
 	src := &flakySource{batch: retryBatch(t, sd, 2, 64), fail: map[int]int{0: 1 << 30}}
 	e, err := New(sd, codes.EncodingScenario(sd), 0, Config{
-		Depth: 2,
+		Depth: depth,
 		Retry: RetryPolicy{MaxAttempts: 1 << 20, BaseDelay: time.Hour, MaxDelay: time.Hour},
 	})
 	if err != nil {
@@ -270,25 +282,27 @@ func TestRetryConfiguredAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := retryBatch(t, sd, 8, 1024)
-	e, err := New(sd, codes.EncodingScenario(sd), 0, Config{
-		Depth: 4, Workers: 2,
-		Retry: RetryPolicy{MaxAttempts: 4, OpTimeout: 30 * time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	var src Source = SliceSource(batch)
-	if _, err := e.Run(src, NopSink{}); err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(10, func() {
+	atDepths(t, 4, func(t *testing.T, depth int) {
+		e, err := New(sd, codes.EncodingScenario(sd), 0, Config{
+			Depth: depth, Workers: 2,
+			Retry: RetryPolicy{MaxAttempts: 4, OpTimeout: 30 * time.Second},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		var src Source = SliceSource(batch)
 		if _, err := e.Run(src, NopSink{}); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Errorf("guarded steady state allocates %.1f/op, want 0", avg)
-	}
+		if avg := testing.AllocsPerRun(10, func() {
+			if _, err := e.Run(src, NopSink{}); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("guarded steady state allocates %.1f/op, want 0", avg)
+		}
+	})
 }
 
 // TestPoolReplacesPoisonedEngine pins the self-healing checkout: a

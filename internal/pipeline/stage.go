@@ -17,10 +17,14 @@ package pipeline
 // (channel fast paths add nothing), accumulate across runs, and cost
 // two time.Now calls per blocking event. They answer the capacity
 // question the repository benchmark reports as pipeline.*_stall_s:
-// which stage to widen when a host saturates.
+// which stage to widen when a host saturates. A Depth-1 engine has no
+// stalls: its stages run in sequence on one goroutine and never wait
+// on each other, so all three counters stay 0 while Stripes and the
+// retry counts still move.
 
 // StageStats is a snapshot of an engine's (or pool's) cumulative stage
-// stall times and drained stripe count. Durations are nanoseconds.
+// stall times and drained stripe count. Durations are nanoseconds; a
+// Depth-1 engine's stalls are always 0.
 type StageStats struct {
 	// FillStallNs is time the fill stage spent waiting for a free slab.
 	FillStallNs int64 `json:"fill_stall_ns"`

@@ -87,6 +87,22 @@ func TestStageStatsAttribution(t *testing.T) {
 	if s3.DrainStallNs <= 0 {
 		t.Errorf("slow compute: DrainStallNs = %d, want > 0", s3.DrainStallNs)
 	}
+
+	// Depth 1: the stages run in turn on the Run goroutine, so nothing
+	// stalls however slow each edge is; stripes still count.
+	e4, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e4.testDelay = func(int) { time.Sleep(lat) }
+	if _, err := e4.Run(&sleepSource{count: stripes, d: lat}, &sleepSink{d: lat}); err != nil {
+		t.Fatal(err)
+	}
+	s4 := e4.StageStats()
+	e4.Close()
+	if s4 != (StageStats{Stripes: stripes}) {
+		t.Errorf("depth 1: StageStats = %+v, want only Stripes = %d", s4, stripes)
+	}
 }
 
 // TestStageStatsAccumulate: counters accumulate across runs and the
