@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-smoke tune experiments paper fmt fmt-check vet lint verify-plans fuzz-smoke checkptr chaos check clean
+.PHONY: all build test test-short race cover bench bench-smoke experiments paper fmt fmt-check vet lint verify-plans fuzz-smoke checkptr chaos check clean
 
 all: check
 
@@ -41,10 +41,6 @@ bench-smoke:
 	@line=$$(bash bench/run.sh -workload all -seconds 2 -trace 0 -record .bench_build/bench-smoke.jsonl | tail -n 1); echo "$$line"; \
 		case "$$line" in *'"failed":0,'*) ;; *) echo "bench-smoke: failed operations"; exit 1;; esac
 
-# Calibrate (or show) this host's tuning profile.
-tune:
-	$(GO) run ./cmd/ppminspect -tune
-
 # Regenerate the paper's figures at CI scale (minutes).
 experiments:
 	$(GO) run ./cmd/ppmbench -exp all
@@ -61,8 +57,10 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# bench/ is a module of its own, so the root ./... never reaches it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # The repository's own analyzers: hot-path allocations, goroutine error
 # routing, gf region-call contracts, stats accounting, no-copy types.

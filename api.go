@@ -14,7 +14,6 @@ import (
 	"ppm/internal/pipeline"
 	"ppm/internal/repair"
 	"ppm/internal/stripe"
-	"ppm/internal/tune"
 )
 
 // Code is an erasure-code instance exposed as a parity-check matrix over
@@ -254,8 +253,8 @@ func NewArray(c Code, numStripes, sectorSize int, seed int64) (*Array, error) {
 // caller's goroutine with no stage goroutines), Workers the compute
 // shard goroutines (default: the core count), Threads the per-stripe
 // parallel phase (default 1 — the pipeline parallelises across
-// stripes). Auto fills unset fields from this host's calibrated tuning
-// profile (see Autotune), calibrating one on first use.
+// stripes). NewStreamPool picks Depth 1 when its engines cover the
+// cores.
 type StreamConfig = pipeline.Config
 
 // StreamResult reports a stream run: stripes drained and payload bytes
@@ -329,45 +328,16 @@ func VerifyStripeChecksums(st *Stripe, sums []uint32) []int {
 type StreamPool = pipeline.Pool
 
 // NewStreamPool builds a pool of size engines (size <= 0 selects the
-// autotuned pool size under cfg.Auto, else the core count). With
-// cfg.Workers unset, the engines divide the host's compute-shard budget
-// between them; when that leaves one shard per engine and cfg.Depth is
-// unset too, the engines get Depth 1 and run each stream on its
-// caller's goroutine, with one slab each. Such a pool over a source
-// that blocks per read overlaps its streams with each other but no
-// longer one stream's fill with its drain; set cfg.Depth >= 2 to keep
-// that overlap.
+// core count, at least 2). With cfg.Workers unset, the engines divide
+// the host's cores between them; when that leaves one shard per engine
+// and cfg.Depth is unset too, the engines get Depth 1 and run each
+// stream on its caller's goroutine, with one slab each. Such a pool
+// over a source that blocks per read overlaps its streams with each
+// other but no longer one stream's fill with its drain; set
+// cfg.Depth >= 2 to keep that overlap.
 func NewStreamPool(c Code, sc Scenario, sectorSize, size int, cfg StreamConfig) (*StreamPool, error) {
 	return pipeline.NewPool(c, sc, sectorSize, size, cfg)
 }
-
-// TuneProfile is one host's calibrated knob settings: kernel tile size
-// and fan-out threshold, pipeline depth and workers, and the serving
-// pool size, with the measurements that chose them.
-type TuneProfile = tune.Profile
-
-// TuneOptions bounds an explicit Calibrate sweep; the zero value is the
-// quick profile Autotune uses.
-type TuneOptions = tune.Options
-
-// Autotune returns this host's tuning profile — loading the one
-// persisted under os.UserCacheDir()/ppm (override with PPM_TUNE_DIR),
-// or calibrating and persisting a fresh one on first use — and installs
-// its kernel knobs. StreamConfig{Auto: true} does the same lazily;
-// PPM_TUNE=off disables both (Autotune then returns nil, nil).
-func Autotune() (*TuneProfile, error) {
-	p, err := tune.Get()
-	if err != nil || p == nil {
-		return nil, err
-	}
-	tune.Apply(p)
-	return p, nil
-}
-
-// Calibrate runs the knob sweeps now, regardless of any persisted
-// profile, and returns the winners without installing or saving them.
-// Use tune-aware callers sparingly: Autotune is the cached entry point.
-func Calibrate(o TuneOptions) (*TuneProfile, error) { return tune.Calibrate(o) }
 
 // NewStreamEngine builds a reusable pipeline engine for one code +
 // scenario pair (use EncodingScenario(c) for encoding). sectorSize > 0

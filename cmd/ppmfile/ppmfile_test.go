@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -266,7 +268,8 @@ func TestScrubCleanDirectory(t *testing.T) {
 }
 
 // TestManifestHardening: readManifest rejects coefficient counts that
-// disagree with m+s and field word sizes the library doesn't support.
+// disagree with m+s, field word sizes the library doesn't support, and
+// strip sizes (stripes × r × sector_size) that overflow.
 func TestManifestHardening(t *testing.T) {
 	base := manifest{
 		N: 8, R: 16, M: 2, S: 2, Word: 8,
@@ -283,6 +286,7 @@ func TestManifestHardening(t *testing.T) {
 		{"word 7", func(mf *manifest) { mf.Word = 7 }},
 		{"word 0", func(mf *manifest) { mf.Word = 0 }},
 		{"word 64", func(mf *manifest) { mf.Word = 64 }},
+		{"strip bytes overflow", func(mf *manifest) { mf.SectorSize, mf.Stripes = 1<<40, 1<<30 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -305,6 +309,51 @@ func TestManifestHardening(t *testing.T) {
 	}
 	if _, err := readManifest(dir); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
+	}
+}
+
+// TestManifestClaimExceedsStrips: a manifest whose stripes × r ×
+// sector_size exceeds every strip file on disk is rejected with an
+// error naming the manifest, before any buffer is sized from it. A
+// 1 TiB sector_size used to kill verify and decode with a fatal
+// out-of-memory error.
+func TestManifestClaimExceedsStrips(t *testing.T) {
+	work := t.TempDir()
+	in, _ := writeInput(t, work, 200_000)
+	shards := filepath.Join(work, "shards")
+	if err := runEncode([]string{"-in", in, "-dir", shards}); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := readManifest(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(mf *manifest)
+	}{
+		{"sector_size", func(mf *manifest) { mf.SectorSize = 1 << 40 }},
+		// Without checksum rows the stripe count is checked by the
+		// strip files alone.
+		{"stripes", func(mf *manifest) { mf.Stripes, mf.ChecksumAlgo, mf.Checksums = 1<<40, "", nil }},
+	}
+	for _, tc := range cases {
+		mf := orig
+		tc.mutate(&mf)
+		if err := writeManifest(shards, mf); err != nil {
+			t.Fatal(err)
+		}
+		runs := map[string]func() error{
+			"verify": func() error { return runVerify([]string{"-dir", shards}) },
+			"decode": func() error { return runDecode([]string{"-dir", shards, "-out", filepath.Join(work, "out.bin")}) },
+			"scrub":  func() error { return runScrub([]string{"-dir", shards}) },
+		}
+		for cmd, run := range runs {
+			err := run()
+			if !errors.Is(err, errManifestExceedsStrips) || !strings.Contains(err.Error(), manifestName) {
+				t.Errorf("%s with oversized %s: got %v, want the manifest's claim rejected", cmd, tc.name, err)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -65,6 +67,12 @@ func readManifest(dir string) (manifest, error) {
 	if mf.M < 0 || mf.S < 0 {
 		return manifest{}, fmt.Errorf("manifest is inconsistent: m=%d s=%d", mf.M, mf.S)
 	}
+	// Every strip file holds stripes × r × sector_size bytes; a product
+	// that overflows describes no archive.
+	if mf.SectorSize > math.MaxInt/mf.R || mf.Stripes > math.MaxInt/(mf.R*mf.SectorSize) {
+		return manifest{}, fmt.Errorf("manifest is inconsistent: r=%d × sector_size=%d × stripes=%d overflows",
+			mf.R, mf.SectorSize, mf.Stripes)
+	}
 	if _, err := gf.ForWord(mf.Word); err != nil {
 		return manifest{}, fmt.Errorf("manifest names an unsupported field: %w", err)
 	}
@@ -109,17 +117,27 @@ type diskStore struct {
 	buf []byte     // one strip of scratch, reused across stripes
 }
 
+// errManifestExceedsStrips rejects a manifest that claims more bytes
+// per strip file than any strip file present holds.
+var errManifestExceedsStrips = errors.New("claims more bytes than any strip file holds")
+
 // openStore opens every strip file and allocates the store's single
 // strip-sized scratch buffer. readStripe and writeStripe share it, so a
 // store must not serve reads and writes from different goroutines at
 // once — the ppmfile commands either only read (decode fill stage,
 // verify, scrub) or only write (encode drain stage) through it.
+//
+// In read mode the manifest's stripes × r × sector_size must fit in
+// the largest strip file present, checked before the buffer is sized
+// from it. A truncated or missing strip alone is left to the repair
+// paths. With no strip present there is nothing to read, so no buffer
+// is allocated.
 func openStore(dir string, mf manifest, write bool) (*diskStore, error) {
 	ds := &diskStore{
 		dir: dir, mf: mf,
-		fh:  make([]*os.File, mf.N),
-		buf: make([]byte, mf.R*mf.SectorSize),
+		fh: make([]*os.File, mf.N),
 	}
+	present, largest := false, int64(0)
 	for j := 0; j < mf.N; j++ {
 		path := filepath.Join(dir, diskFileName(j))
 		var f *os.File
@@ -137,6 +155,22 @@ func openStore(dir string, mf manifest, write bool) (*diskStore, error) {
 			continue // missing disk: recoverable at decode time
 		}
 		ds.fh[j] = f
+		if !write {
+			fi, err := f.Stat()
+			if err != nil {
+				ds.Close()
+				return nil, err
+			}
+			present, largest = true, max(largest, fi.Size())
+		}
+	}
+	if claim := int64(mf.Stripes) * int64(ds.stripBytes()); present && claim > largest {
+		ds.Close()
+		return nil, fmt.Errorf("%s %w: %d stripes × r=%d × sector_size=%d = %d bytes per strip file, largest present %d",
+			filepath.Join(dir, manifestName), errManifestExceedsStrips, mf.Stripes, mf.R, mf.SectorSize, claim, largest)
+	}
+	if write || present {
+		ds.buf = make([]byte, ds.stripBytes())
 	}
 	return ds, nil
 }

@@ -47,16 +47,8 @@ func main() {
 		showH  = flag.Bool("H", false, "print the full parity-check matrix")
 		audit  = flag.Int("audit", 0, "run a fault-tolerance census up to this many simultaneous failures")
 		budget = flag.Int("audit-budget", 20000, "max patterns per census level (samples beyond)")
-		tuneFl = flag.Bool("tune", false, "print this host's tuning profile and a stage-stall demonstration")
 	)
 	flag.Parse()
-
-	if *tuneFl {
-		if err := inspectTune(); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	code, err := buildCode(*kind, *n, *r, *m, *s, *k, *l, *g, *delta, *prime)
 	if err != nil {

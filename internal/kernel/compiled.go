@@ -21,7 +21,7 @@ import (
 //
 // Application is cache-blocked: the tiled driver applies the whole
 // matrix to one tile of the byte range before the next (see tile.go),
-// and regions of FanoutMinBytes() and up fan their tile spans out
+// and regions of fanoutMinBytes() and up fan their tile spans out
 // across the persistent worker pool, composing with the executors'
 // group-level parallelism.
 //
@@ -150,7 +150,7 @@ func (cm *CompiledMatrix) checkShape(in, out [][]byte) {
 
 // Apply computes out[i] ^= Σ_j M[i][j] * in[j], like kernel.Apply but
 // on the pre-lowered form: tiled, blocked, and — for regions of
-// FanoutMinBytes() and up — fanned out across the worker pool.
+// fanoutMinBytes() and up — fanned out across the worker pool.
 func (cm *CompiledMatrix) Apply(in, out [][]byte, stats *Stats) {
 	cm.apply(in, out, false, stats)
 }
@@ -183,12 +183,12 @@ func (cm *CompiledMatrix) apply(in, out [][]byte, overwrite bool, stats *Stats) 
 
 // fanoutSpans splits a region of size bytes into tile spans for the
 // worker pool, or returns nil when it stays serial: below
-// FanoutMinBytes(), or too few tiles to split.
+// fanoutMinBytes(), or too few tiles to split.
 func fanoutSpans(size int) [][2]int {
-	if size < FanoutMinBytes() {
+	if size < fanoutMinBytes() {
 		return nil
 	}
-	return tileSpans(size, applyWorkers(), TileSize())
+	return tileSpans(size, applyWorkers(), tileSize())
 }
 
 // applySpan is the tiled inner driver: whole matrix, one tile at a
@@ -216,7 +216,7 @@ func (cm *CompiledMatrix) applySpan(in, out [][]byte, lo, hi int, overwrite bool
 	arena := getViewArena(len(in) + len(out))
 	views := arena.take(len(in))
 	outs := arena.take(len(out))
-	tile := TileSize()
+	tile := tileSize()
 	for t := lo; t < hi; t += tile {
 		te := t + tile
 		if te > hi {
@@ -264,7 +264,7 @@ func chainSpan(finv, s *CompiledMatrix, in, out, scratch [][]byte, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	tile := TileSize()
+	tile := tileSize()
 	arena := getViewArena(len(in) + 2*len(out))
 	views := arena.take(len(in))
 	mid := arena.take(len(out))

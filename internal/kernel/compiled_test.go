@@ -198,8 +198,8 @@ func refProduct(f gf.Field, m *matrix.Matrix, in [][]byte) [][]byte {
 // after Compile — and both equal the scalar product, across lengths
 // below one 64-byte chunk, with word tails, and beyond one tile.
 func TestCompiledBlocksAffineOnOff(t *testing.T) {
-	SetTileSize(1 << 10)
-	defer SetTileSize(0)
+	setTileSize(1 << 10)
+	defer setTileSize(0)
 	rng := rand.New(rand.NewSource(158))
 	for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
 		m := blockTestMatrix(rng, f)

@@ -107,7 +107,7 @@ func applyTiled(f gf.Field, m *matrix.Matrix, in, out [][]byte, lo, hi int) {
 	}
 	arena := getViewArena(len(in))
 	views := arena.take(len(in))
-	tile := TileSize()
+	tile := tileSize()
 	for t := lo; t < hi; t += tile {
 		te := t + tile
 		if te > hi {
@@ -172,7 +172,7 @@ func matChainSpan(f gf.Field, finv, s *matrix.Matrix, in, out, scratch [][]byte,
 	if lo >= hi {
 		return
 	}
-	tile := TileSize()
+	tile := tileSize()
 	arena := getViewArena(len(in) + 2*len(out))
 	views := arena.take(len(in))
 	mid := arena.take(len(out))

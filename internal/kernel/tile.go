@@ -15,11 +15,13 @@ import (
 // every later row, and the Normal sequence's intermediate S*BS product
 // never leaves cache at all (see chained product in compiled.go).
 //
-// Tile size is a process-wide tuning knob: 32 KiB keeps a typical
-// decode working set (tile x survivor count) inside L2 while staying
-// large enough that per-tile bookkeeping is noise. SetTileSize adjusts
-// it for unusual cache hierarchies; the differential tests shrink it to
-// force many-tile execution on small regions.
+// The tile is a fixed 32 KiB: it keeps a typical decode working set
+// (tile x survivor count) inside L2 while staying large enough that
+// per-tile bookkeeping is noise. No host calibration picks it: over
+// 8 MiB regions the best tile changes with the field width and from
+// run to run, and a sector of 32 KiB or less is one tile at any larger
+// size. setTileSize is a test seam: the differential tests shrink the
+// tile to force many-tile execution on small regions.
 
 const (
 	defaultTileBytes = 32 << 10
@@ -46,15 +48,15 @@ func init() {
 	fanoutBytes.Store(defaultFanoutMinBytes)
 }
 
-// TileSize returns the current cache-blocking tile size in bytes.
-func TileSize() int { return int(tileBytes.Load()) }
+// tileSize returns the current cache-blocking tile size in bytes.
+func tileSize() int { return int(tileBytes.Load()) }
 
-// SetTileSize sets the cache-blocking tile size. n is rounded up to a
+// setTileSize sets the cache-blocking tile size. n is rounded up to a
 // multiple of 8 bytes (an exact multiple of every supported GF word
 // size) and clamped below at 512; n <= 0 restores the 32 KiB default.
-// Safe to call concurrently with running decodes — in-flight
-// applications keep the size they started with.
-func SetTileSize(n int) {
+// Tests call it; in-flight applications keep the size they started
+// with.
+func setTileSize(n int) {
 	if n <= 0 {
 		n = defaultTileBytes
 	}
@@ -64,16 +66,15 @@ func SetTileSize(n int) {
 	tileBytes.Store(int64((n + 7) &^ 7))
 }
 
-// FanoutMinBytes returns the region size at which one compiled apply
+// fanoutMinBytes returns the region size at which one compiled apply
 // fans its tile spans out across the worker pool.
-func FanoutMinBytes() int { return int(fanoutBytes.Load()) }
+func fanoutMinBytes() int { return int(fanoutBytes.Load()) }
 
-// SetFanoutMinBytes sets the worker fan-out threshold. n is clamped
-// below at 4 KiB; n <= 0 restores the 1 MiB default. Like the tile
-// size it is a process-wide knob the autotuner owns: safe to adjust
-// concurrently with running decodes, which keep the threshold they
-// started with.
-func SetFanoutMinBytes(n int) {
+// setFanoutMinBytes sets the worker fan-out threshold. n is clamped
+// below at 4 KiB; n <= 0 restores the 1 MiB default. It is a test seam
+// that forces the fan-out path at small sizes; in-flight applications
+// keep the threshold they started with.
+func setFanoutMinBytes(n int) {
 	if n <= 0 {
 		n = defaultFanoutMinBytes
 	}
@@ -163,7 +164,7 @@ func (a *viewArena) release() {
 // compose with the kernel's tiling instead of shearing tiles across
 // workers. For smaller ranges it degrades to plain word alignment.
 func ChunkRangesAligned(size, parts, wordBytes int) [][2]int {
-	tile := TileSize()
+	tile := tileSize()
 	if parts > 1 && size >= 2*tile*parts {
 		spans := tileSpans(size, parts, tile)
 		if spans != nil {

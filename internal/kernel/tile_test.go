@@ -25,18 +25,18 @@ func refApply(f gf.Field, m *matrix.Matrix, in, out [][]byte) {
 }
 
 func TestSetTileSizeClamps(t *testing.T) {
-	defer SetTileSize(0)
-	SetTileSize(1)
-	if got := TileSize(); got != minTileBytes {
-		t.Fatalf("TileSize after SetTileSize(1) = %d, want %d", got, minTileBytes)
+	defer setTileSize(0)
+	setTileSize(1)
+	if got := tileSize(); got != minTileBytes {
+		t.Fatalf("tileSize after setTileSize(1) = %d, want %d", got, minTileBytes)
 	}
-	SetTileSize(1000)
-	if got := TileSize(); got != 1000+(8-1000%8)%8 && got%8 != 0 {
-		t.Fatalf("TileSize after SetTileSize(1000) = %d, want multiple of 8 >= 1000", got)
+	setTileSize(1000)
+	if got := tileSize(); got != 1000+(8-1000%8)%8 && got%8 != 0 {
+		t.Fatalf("tileSize after setTileSize(1000) = %d, want multiple of 8 >= 1000", got)
 	}
-	SetTileSize(0)
-	if got := TileSize(); got != defaultTileBytes {
-		t.Fatalf("TileSize after SetTileSize(0) = %d, want default %d", got, defaultTileBytes)
+	setTileSize(0)
+	if got := tileSize(); got != defaultTileBytes {
+		t.Fatalf("tileSize after setTileSize(0) = %d, want default %d", got, defaultTileBytes)
 	}
 }
 
@@ -71,8 +71,8 @@ func TestTileSpansCoverRange(t *testing.T) {
 }
 
 func TestChunkRangesAligned(t *testing.T) {
-	defer SetTileSize(0)
-	SetTileSize(512)
+	defer setTileSize(0)
+	setTileSize(512)
 	// Large enough for tile alignment: interior boundaries on tile edges.
 	ranges := ChunkRangesAligned(8192, 4, 2)
 	if len(ranges) < 2 {
@@ -104,9 +104,9 @@ func TestChunkRangesAligned(t *testing.T) {
 // tiles and must equal the term-at-a-time reference exactly — for the
 // matrix path, the compiled path, and a range-split compiled product.
 func TestTiledApplyMatchesReference(t *testing.T) {
-	defer SetTileSize(0)
-	SetTileSize(minTileBytes)
-	tile := TileSize()
+	defer setTileSize(0)
+	setTileSize(minTileBytes)
+	tile := tileSize()
 	rng := rand.New(rand.NewSource(404))
 	for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
 		wb := f.WordBytes()
@@ -163,9 +163,9 @@ func TestTiledApplyMatchesReference(t *testing.T) {
 // tiled drivers.)
 func TestTiledApplyPortableKernels(t *testing.T) {
 	defer gf.SetAffineKernels(gf.SetAffineKernels(false))
-	defer SetTileSize(0)
-	SetTileSize(minTileBytes)
-	tile := TileSize()
+	defer setTileSize(0)
+	setTileSize(minTileBytes)
+	tile := tileSize()
 	rng := rand.New(rand.NewSource(412))
 	for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
 		wb := f.WordBytes()
@@ -189,9 +189,9 @@ func TestTiledApplyPortableKernels(t *testing.T) {
 // (matrix and compiled forms, pooled and caller scratch, range-split
 // form) equals the two-pass reference.
 func TestTiledProductMatchesReference(t *testing.T) {
-	defer SetTileSize(0)
-	SetTileSize(minTileBytes)
-	tile := TileSize()
+	defer setTileSize(0)
+	setTileSize(minTileBytes)
+	tile := tileSize()
 	rng := rand.New(rand.NewSource(405))
 	f := gf.GF16
 	finv := randInvertible(rng, f, 3)
@@ -242,7 +242,7 @@ func TestTiledProductMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCompiledApplyParallelPath: a region at/above FanoutMinBytes()
+// TestCompiledApplyParallelPath: a region at/above fanoutMinBytes()
 // takes the worker fan-out arm and must still match the serial
 // reference bit for bit with the full operation count. Run under -race
 // this also proves the fan-out is data-race-free.
@@ -252,7 +252,7 @@ func TestCompiledApplyParallelPath(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(406))
 	f := gf.GF16
-	size := FanoutMinBytes() + 2*TileSize() + 2 // sub-tile, sub-word-8 tail
+	size := fanoutMinBytes() + 2*tileSize() + 2 // sub-tile, sub-word-8 tail
 	m := randMatrix(rng, f, 3, 5)
 	in := randRegions(rng, 5, size)
 

@@ -62,6 +62,6 @@ func XorplanActive() bool {
 }
 
 // XORProgram returns the compiled XOR program backing this matrix, or
-// nil when the row kernels serve it. Inspection seam for tests and the
-// autotuner.
+// nil when the row kernels serve it. Inspection seam for tests and
+// planverify.
 func (cm *CompiledMatrix) XORProgram() *xorplan.Program { return cm.prog }

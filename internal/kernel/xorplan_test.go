@@ -49,8 +49,8 @@ func TestXorplanModeSelection(t *testing.T) {
 // exercises the pooled run arenas from the fanout workers.
 func TestXorplanByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
-	defer SetFanoutMinBytes(0)
-	SetFanoutMinBytes(4 << 10) // force the fanout path at test sizes
+	defer setFanoutMinBytes(0)
+	setFanoutMinBytes(4 << 10) // force the fanout path at test sizes
 	for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
 		for _, size := range []int{512, 40960} {
 			name := fmt.Sprintf("gf%d_%dB", f.W(), size)
@@ -151,7 +151,7 @@ func TestXorplanApplyZeroAllocs(t *testing.T) {
 	if cm.XORProgram() == nil {
 		t.Fatal("forced compile carries no program")
 	}
-	size := 64 << 10 // below FanoutMinBytes: the serial span path
+	size := 64 << 10 // below fanoutMinBytes(): the serial span path
 	in := randRegions(rng, 10, size)
 	out := randRegions(rng, 4, size)
 	var stats Stats

@@ -76,7 +76,8 @@ type Config struct {
 	// <= 0 selects max(DefaultDepth, Workers) — queue depth must cover
 	// the compute shards or they starve, but it is otherwise an
 	// independent knob (how much I/O to keep in flight, not how many
-	// cores to use).
+	// cores to use). NewPool picks Depth 1 for a pool whose engines
+	// cover the cores.
 	Depth int
 	// Workers is the number of compute shards pulling stripes off the
 	// fill stage, each on its own goroutine for the engine's lifetime;
@@ -97,12 +98,6 @@ type Config struct {
 	// The zero value keeps the historical behaviour: one attempt, no
 	// deadline, no extra goroutines. See RetryPolicy.
 	Retry RetryPolicy
-	// Auto fills the unset knobs (Depth, Workers, and the process-wide
-	// kernel tile size / fan-out threshold) from the host's calibrated
-	// autotune profile. The resolver is registered by importing
-	// internal/tune (the root ppm package does); without a registered
-	// resolver Auto is a no-op and the static defaults above apply.
-	Auto bool
 	// Wanted switches the compute stage to the minimal-read repair
 	// plan that materialises just these sectors of the scenario — the
 	// partial-read fill path: a degraded read of specific blocks runs
@@ -207,7 +202,6 @@ type Engine struct {
 // A Depth-1 engine starts no goroutines (bar the Retry.OpTimeout
 // guards' runners).
 func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, error) {
-	cfg = resolveAuto(cfg)
 	// Depth (queue) and Workers (parallelism) are distinct knobs with
 	// independent defaults: workers follow the core count, depth covers
 	// the shards plus I/O headroom. The old min(Depth, NumCPU) coupling
@@ -334,8 +328,8 @@ func (e *Engine) RecordCorruption(n int) {
 	}
 }
 
-// Config returns the engine's configuration with every default (and,
-// under Auto, every autotuned knob) resolved.
+// Config returns the engine's configuration with every default
+// resolved.
 func (e *Engine) Config() Config { return e.cfg }
 
 // Close shuts the engine's stage goroutines down (a Depth-1 engine has

@@ -53,42 +53,23 @@ type Pool struct {
 	retired StageStats // accumulated stats of replaced engines
 }
 
-// NewPool builds size engines (size <= 0 selects the autotune
-// profile's pool size under cfg.Auto, else max(2, NumCPU)) sharing one
-// config. When the caller leaves cfg.Workers unset, the per-engine
-// compute shards divide the host budget (NumCPU, or the profile's
-// worker count under cfg.Auto) across the pool instead of every engine
-// starting a shard per core. When the caller leaves cfg.Depth unset
-// too and the pool has at least one engine per unit of that budget —
-// exactly when the division leaves one shard per engine — the engines
-// get Depth 1 and run each stream on its caller's goroutine, with no
-// stage handoffs and one slab per engine instead of DefaultDepth. An
-// explicit Depth or Workers keeps the staged engine.
+// NewPool builds size engines (size <= 0 selects max(2, NumCPU))
+// sharing one config. When the caller leaves cfg.Workers unset, the
+// per-engine compute shards divide the host's cores across the pool
+// instead of every engine starting a shard per core. When the caller
+// leaves cfg.Depth unset too and the pool has at least one engine per
+// core — exactly when the division leaves one shard per engine — the
+// engines get Depth 1 and run each stream on its caller's goroutine,
+// with no stage handoffs and one slab per engine instead of
+// DefaultDepth. An explicit Depth or Workers keeps the staged engine.
 func NewPool(c codes.Code, sc codes.Scenario, sectorSize, size int, cfg Config) (*Pool, error) {
-	wasAuto := cfg.Auto
-	callerWorkers, callerDepth := cfg.Workers, cfg.Depth
-	cfg = resolveAuto(cfg)
 	if size <= 0 {
-		if wasAuto {
-			size = resolveAutoPoolSize()
-		}
-		if size <= 0 {
-			size = runtime.NumCPU()
-			if size < 2 {
-				size = 2
-			}
-		}
+		size = max(2, runtime.NumCPU())
 	}
-	if callerWorkers <= 0 {
-		budget := cfg.Workers
-		if budget <= 0 {
-			budget = runtime.NumCPU()
-		}
-		cfg.Workers = budget / size
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
-		if callerDepth <= 0 && size >= budget {
+	if cfg.Workers <= 0 {
+		budget := runtime.NumCPU()
+		cfg.Workers = max(1, budget/size)
+		if cfg.Depth <= 0 && size >= budget {
 			cfg.Depth = 1
 		}
 	}
@@ -120,7 +101,7 @@ func NewPool(c codes.Code, sc codes.Scenario, sectorSize, size int, cfg Config) 
 func (p *Pool) Size() int { return len(p.all) }
 
 // Config returns the per-engine configuration the pool resolved at
-// construction (after autotune and worker-budget division).
+// construction (after the worker-budget division).
 func (p *Pool) Config() Config { return p.cfg }
 
 // get checks an engine out, honouring ctx while every engine is busy.

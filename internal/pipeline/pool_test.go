@@ -85,7 +85,8 @@ func testPoolConcurrentStreams(t *testing.T, cfg Config) {
 // the host budget across the pool instead of each engine claiming the
 // full core count, and a pool with an engine per core (Depth and
 // Workers unset) runs its engines at Depth 1. An explicit Depth or
-// Workers keeps the staged engine.
+// Workers keeps the staged engine. Size 0 selects max(2, NumCPU)
+// engines.
 func TestPoolWorkerBudget(t *testing.T) {
 	sd := testSD(t)
 	ncpu := runtime.NumCPU()
@@ -104,6 +105,7 @@ func TestPoolWorkerBudget(t *testing.T) {
 	}{
 		{"size-2", 2, Config{}, maxInt(1, ncpu/2), depth2},
 		{"engine-per-core", wide, Config{}, 1, 1},
+		{"size-0", 0, Config{}, 1, 1}, // defaults to one engine per core
 		{"depth-explicit", wide, Config{Depth: 3}, 1, 3},
 		{"workers-explicit", 2, Config{Workers: 3}, 3, maxInt(DefaultDepth, 3)},
 		{"workers-explicit-per-core", wide, Config{Workers: 1}, 1, DefaultDepth},
@@ -113,8 +115,15 @@ func TestPoolWorkerBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := p.Config()
+		got, size := p.Config(), p.Size()
 		p.Close()
+		wantSize := tc.size
+		if wantSize <= 0 {
+			wantSize = wide
+		}
+		if size != wantSize {
+			t.Errorf("%s: pool Size=%d, want %d", tc.name, size, wantSize)
+		}
 		if got.Workers != tc.wantWorkers {
 			t.Errorf("%s: pool engine Workers=%d, want %d", tc.name, got.Workers, tc.wantWorkers)
 		}

@@ -28,8 +28,7 @@ var ErrVerify = errors.New("xorplan: compiled program failed plan verification")
 // verifier is the registered plan verifier (a func(gf.Field,
 // *matrix.Matrix, *Program) error), set by internal/planverify's init.
 // The hook indirection exists because planverify must import xorplan to
-// walk programs; registration keeps the dependency one-way, the same
-// RegisterAutoTuner idiom pipeline/tune use.
+// walk programs; registration keeps the dependency one-way.
 var verifier atomic.Value
 
 type verifierFn func(gf.Field, *matrix.Matrix, *Program) error

@@ -44,8 +44,8 @@ import (
 // backing array of nslots × tile bytes; TileBytes sizes the tile so
 // that working set respects the budget, between floor and cap.
 const (
-	// DefaultArenaBudget bounds the live temp working set of one run.
-	DefaultArenaBudget = 256 << 10
+	// defaultArenaBudget bounds the live temp working set of one run.
+	defaultArenaBudget = 256 << 10
 	// minProgramTile floors the internal tile: below this, per-pass
 	// dispatch overhead dominates the 64-byte-per-cycle XOR sweeps, so
 	// slot-heavy programs spill past the budget toward L2 instead.
@@ -68,26 +68,25 @@ const (
 	maxScheduledSet  = 256
 )
 
-var arenaBudget atomic.Int64
+var arenaBytes atomic.Int64
 
-func init() { arenaBudget.Store(DefaultArenaBudget) }
+func init() { arenaBytes.Store(defaultArenaBudget) }
 
-// ArenaBudget returns the current temp-arena budget in bytes.
-func ArenaBudget() int { return int(arenaBudget.Load()) }
+// arenaBudget returns the current temp-arena budget in bytes.
+func arenaBudget() int { return int(arenaBytes.Load()) }
 
-// SetArenaBudget sets the temp-arena budget: the target byte size of
+// setArenaBudget sets the temp-arena budget: the target byte size of
 // one run's live temp working set. n <= 0 restores the default; the
-// budget is clamped below at the minimum tile. It is a process-wide
-// tuning knob owned by the autotuner — safe to adjust concurrently
-// with running programs, which keep the tile they started with.
-func SetArenaBudget(n int) {
+// budget is clamped below at the minimum tile. It is a test seam;
+// running programs keep the tile they started with.
+func setArenaBudget(n int) {
 	if n <= 0 {
-		n = DefaultArenaBudget
+		n = defaultArenaBudget
 	}
 	if n < minProgramTile {
 		n = minProgramTile
 	}
-	arenaBudget.Store(int64(n))
+	arenaBytes.Store(int64(n))
 }
 
 type instrKind uint8
@@ -418,7 +417,7 @@ func (p *Program) TileBytes() int {
 	if n < 1 {
 		n = 1
 	}
-	t := ArenaBudget() / n
+	t := arenaBudget() / n
 	if t > maxProgramTile {
 		t = maxProgramTile
 	}

@@ -115,8 +115,8 @@ func TestProgramMatchesScalarOracle(t *testing.T) {
 // TestMultiTileMatchesOracle shrinks the arena budget so one run
 // crosses many internal tiles, and checks the stitched result.
 func TestMultiTileMatchesOracle(t *testing.T) {
-	defer SetArenaBudget(0)
-	SetArenaBudget(minProgramTile)
+	defer setArenaBudget(0)
+	setArenaBudget(minProgramTile)
 	rng := rand.New(rand.NewSource(82))
 	for _, f := range testFields {
 		size := 6*minProgramTile + 5*f.WordBytes() // ragged final tile
@@ -340,8 +340,8 @@ func TestRunAccumulatePanicsOnDerivative(t *testing.T) {
 }
 
 func TestTileBytesClamps(t *testing.T) {
-	defer SetArenaBudget(0)
-	SetArenaBudget(1 << 20)
+	defer setArenaBudget(0)
+	setArenaBudget(1 << 20)
 	one := &Program{nslots: 1}
 	if got := one.TileBytes(); got != maxProgramTile {
 		t.Errorf("1-slot tile under a 1 MiB budget = %d, want cap %d", got, maxProgramTile)
@@ -350,9 +350,9 @@ func TestTileBytesClamps(t *testing.T) {
 	if got := many.TileBytes(); got != minProgramTile {
 		t.Errorf("4096-slot tile = %d, want floor %d", got, minProgramTile)
 	}
-	SetArenaBudget(-1)
-	if got := ArenaBudget(); got != DefaultArenaBudget {
-		t.Errorf("SetArenaBudget(-1) left budget %d, want default restore", got)
+	setArenaBudget(-1)
+	if got := arenaBudget(); got != defaultArenaBudget {
+		t.Errorf("setArenaBudget(-1) left budget %d, want default restore", got)
 	}
 }
 
