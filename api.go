@@ -213,18 +213,6 @@ func ScrubAndRepair(c Code, st *Stripe, stats *Stats) (ScrubResult, error) {
 	return decode.ScrubAndRepair(c, st, decode.Options{Stats: stats})
 }
 
-// PartialSelection lists which of a plan's sub-decodes a partial decode
-// must run to materialise a set of wanted sectors.
-type PartialSelection = core.PartialSelection
-
-// DecodeSectors recovers only the wanted sectors of the scenario — the
-// degraded-read path. PPM's partition makes this minimal: an LRC block
-// costs one local-group decode; an SD sector costs its stripe row's
-// sub-decode; only blocks in H_rest pull in the full closure.
-func DecodeSectors(c Code, st *Stripe, sc Scenario, wanted []int, opts ...Option) error {
-	return NewDecoder(c, opts...).DecodeSectors(st, sc, wanted)
-}
-
 // Updater implements the small-write path: patch the parity sectors
 // affected by one data-sector overwrite instead of re-encoding the
 // stripe (cost: the nonzero count of the generator column, e.g. 3
@@ -413,10 +401,3 @@ type RepairCost = cost.RepairCost
 // group over the global parities, a minimized parity-check row when
 // one beats the partition.
 func NewRepairPlanner(c Code) *RepairPlanner { return repair.NewPlanner(c) }
-
-// DecodeSectorsRange recovers only the wanted sectors of the scenario,
-// and only the byte range [lo, hi) of each — the degraded partial-read
-// path. lo and hi must be word-aligned for the code's field.
-func DecodeSectorsRange(c Code, st *Stripe, sc Scenario, wanted []int, lo, hi int, opts ...Option) error {
-	return NewDecoder(c, opts...).DecodeSectorsRange(st, sc, wanted, lo, hi)
-}

@@ -247,7 +247,7 @@ func TestStreamRetryAPI(t *testing.T) {
 
 // TestRepairAPIMinimalRead drives the exported repair surface: plan a
 // single LRC failure, check the read set is the local group, execute,
-// and patch one strip with the range-restricted partial decode.
+// then recover a byte sub-range of the sector through the cached plan.
 func TestRepairAPIMinimalRead(t *testing.T) {
 	code, err := NewLRC(12, 2, 2)
 	if err != nil {
@@ -284,9 +284,17 @@ func TestRepairAPIMinimalRead(t *testing.T) {
 		t.Fatal("repair plan did not restore the stripe")
 	}
 
-	// Range-restricted partial decode through the package-level helper.
+	// Range-restricted degraded read: a cache hit for the same plan,
+	// executed over a byte sub-range only.
 	st.Scribble(3, sc.Faulty)
-	if err := DecodeSectorsRange(code, st, sc, []int{3}, 64, 192); err != nil {
+	again, err := planner.Plan(sc, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != plan {
+		t.Fatal("repeated Plan did not hit the planner cache")
+	}
+	if err := again.ExecuteRange(st, 64, 192, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 64; i < 192; i++ {

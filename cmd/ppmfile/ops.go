@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -126,11 +127,24 @@ func runEncode(args []string) error {
 	// clean data and demote it to an erasure.
 	mf.ChecksumAlgo = checksumAlgo
 	mf.Checksums = sink.sums
-	if err := writeManifest(*dir, mf); err != nil {
-		return fmt.Errorf("recording checksums: %w", err)
+	if err := finishEncode(*dir, ds, mf); err != nil {
+		return err
 	}
 	fmt.Printf("encoded %d bytes as %s: %d stripes x %d disks (%d-byte sectors), tolerates %d disk + %d sector failures per stripe; %s sector checksums recorded\n",
 		size, sd.Name(), stripes, *n, *sector, *m, *s, checksumAlgo)
+	return nil
+}
+
+// finishEncode closes the strip files and only then writes the final,
+// checksummed manifest, so the manifest never vouches for a strip that
+// failed to close.
+func finishEncode(dir string, ds *diskStore, mf manifest) error {
+	if err := ds.Close(); err != nil {
+		return err
+	}
+	if err := writeManifest(dir, mf); err != nil {
+		return fmt.Errorf("recording checksums: %w", err)
+	}
 	return nil
 }
 
@@ -248,6 +262,18 @@ func runDecode(args []string) error {
 	}
 	if sink.remaining != 0 {
 		return fmt.Errorf("short archive: %d bytes unaccounted for", sink.remaining)
+	}
+	// Close what was written before reporting it: a file that fails to
+	// close may not hold its bytes. The deferred Closes, there for the
+	// error paths, then fail harmlessly.
+	closeErr := outFile.Close()
+	for _, j := range missing {
+		if f := repairFiles[j]; f != nil {
+			closeErr = errors.Join(closeErr, f.Close())
+		}
+	}
+	if closeErr != nil {
+		return closeErr
 	}
 	fmt.Printf("restored %q (%d bytes)\n", *out, mf.FileSize)
 	if hs := healer.Stats; hs.Retries+hs.DemotedStrips+hs.CorruptSectors > 0 {
@@ -529,11 +555,10 @@ func writeBackStripe(dir string, ds *diskStore, idx int, st *stripe.Stripe) erro
 		for i := 0; i < ds.mf.R; i++ {
 			copy(buf[i*ds.mf.SectorSize:(i+1)*ds.mf.SectorSize], st.SectorAt(i, j))
 		}
-		if _, err := f.WriteAt(buf, int64(idx)*int64(ds.stripBytes())); err != nil {
-			f.Close()
+		_, werr := f.WriteAt(buf, int64(idx)*int64(ds.stripBytes()))
+		if err := errors.Join(werr, f.Close()); err != nil {
 			return err
 		}
-		f.Close()
 	}
 	return nil
 }

@@ -428,6 +428,44 @@ func TestEncodeEmptyFile(t *testing.T) {
 	}
 }
 
+// TestEncodeCloseErrorKeepsManifest: a strip handle closed under the
+// store makes the store's Close report os.ErrClosed, and the encode's
+// last step fails on it before the checksummed manifest is written.
+func TestEncodeCloseErrorKeepsManifest(t *testing.T) {
+	dir := t.TempDir()
+	mf := manifest{
+		N: 5, R: 4, M: 1, S: 1, Word: 8,
+		Coeffs:     []uint32{1, 2},
+		SectorSize: 512, Stripes: 1, FileName: "x.bin",
+	}
+	if err := writeManifest(dir, mf); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := openStore(dir, mf, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.fh[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	final := mf
+	final.ChecksumAlgo = checksumAlgo
+	final.Checksums = [][]uint32{make([]uint32, mf.N*mf.R)}
+	if err := finishEncode(dir, ds, final); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("finishEncode = %v, want os.ErrClosed", err)
+	}
+	got, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ChecksumAlgo != "" || len(got.Checksums) != 0 {
+		t.Fatal("manifest records checksums over a strip that failed to close")
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
+	}
+}
+
 // flipDiskByte flips one byte of a strip file in place: silent on-disk
 // corruption for the checksum layer to catch.
 func flipDiskByte(t *testing.T, shards string, disk int, off int64) {

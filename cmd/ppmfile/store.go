@@ -288,10 +288,17 @@ func (ds *diskStore) writeStripe(idx int, st *stripe.Stripe) error {
 	return nil
 }
 
-func (ds *diskStore) Close() {
-	for _, f := range ds.fh {
+// Close closes every open strip file and returns their close errors
+// joined: a strip written through a handle that fails to close may not
+// hold what was written. Closed handles are dropped, so a second Close
+// (the deferred one on a path that already closed) is a no-op.
+func (ds *diskStore) Close() error {
+	var errs []error
+	for j, f := range ds.fh {
 		if f != nil {
-			f.Close()
+			errs = append(errs, f.Close())
+			ds.fh[j] = nil
 		}
 	}
+	return errors.Join(errs...)
 }

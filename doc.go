@@ -49,13 +49,14 @@
 //
 // # Error propagation
 //
-// Every decode entry point — Decode, DecodeWithPlan, DecodeSectors,
-// BlockParallelDecode — reports sub-decode failures as returned errors:
-// a failing sub-decode is never silently dropped, and kernel-level
-// shape violations are converted from panics into errors. When several
-// parallel sub-decodes fail in one call, the error of the lowest group
-// index is returned, deterministically. An attached Stats counter is
-// never credited for work a failed sub-decode did not complete.
+// Every decode entry point — Decode, DecodeWithPlan,
+// BlockParallelDecode, and a RepairPlan's Execute and ExecuteRange —
+// reports sub-decode failures as returned errors: a failing sub-decode
+// is never silently dropped, and kernel-level shape violations are
+// converted from panics into errors. When several parallel sub-decodes
+// fail in one call, the error of the lowest group index is returned,
+// deterministically. An attached Stats counter is never credited for
+// work a failed sub-decode did not complete.
 //
 // See examples/ for runnable programs, DESIGN.md for the architecture,
 // and EXPERIMENTS.md for the paper-figure reproductions.

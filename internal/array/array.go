@@ -10,8 +10,6 @@ package array
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"ppm/internal/codes"
@@ -71,15 +69,20 @@ func (a *Array) TotalBytes() int {
 
 // FailDisks marks whole disks as failed: the affected sectors of every
 // stripe are scribbled over (a rebuilt replacement drive starts with
-// garbage, not zeros).
+// garbage, not zeros). Every index is checked before any disk fails, so
+// a rejected call changes nothing.
 func (a *Array) FailDisks(disks ...int) error {
+	seen := make(map[int]bool, len(disks))
 	for _, d := range disks {
 		if d < 0 || d >= a.code.NumStrips() {
 			return fmt.Errorf("array: disk %d out of range [0,%d)", d, a.code.NumStrips())
 		}
-		if a.failedDisk[d] {
+		if a.failedDisk[d] || seen[d] {
 			return fmt.Errorf("array: disk %d already failed", d)
 		}
+		seen[d] = true
+	}
+	for _, d := range disks {
 		a.failedDisk[d] = true
 	}
 	for i, st := range a.stripes {
@@ -171,7 +174,12 @@ func (a *Array) Repair(threads int) (RepairStats, error) {
 	start := time.Now()
 	for i, st := range a.stripes {
 		faulty := append([]int(nil), diskSectors...)
-		faulty = append(faulty, a.extra[i]...)
+		for _, s := range a.extra[i] {
+			// A latent error on a failed disk is already in diskSectors.
+			if !a.failedDisk[s%a.code.NumStrips()] {
+				faulty = append(faulty, s)
+			}
+		}
 		if len(faulty) == 0 {
 			continue
 		}
@@ -227,98 +235,4 @@ func (a *Array) failedDisks() []int {
 	}
 	sort.Ints(disks)
 	return disks
-}
-
-func signature(faulty []int) string {
-	parts := make([]string, len(faulty))
-	for i, f := range faulty {
-		parts[i] = fmt.Sprintf("%d", f)
-	}
-	return strings.Join(parts, ",")
-}
-
-// RepairParallel is Repair with stripe-level parallelism: distinct
-// stripes decode on distinct goroutines (each itself running PPM's
-// intra-stripe parallel phase with the given threads). Stripe decodes
-// are independent — they touch disjoint buffers — so this composes the
-// two parallelism levels the way a real rebuild would.
-func (a *Array) RepairParallel(stripeWorkers, threads int) (RepairStats, error) {
-	if stripeWorkers <= 1 {
-		return a.Repair(threads)
-	}
-	var stats RepairStats
-	if !a.Degraded() {
-		return stats, nil
-	}
-	disks := a.failedDisks()
-	var diskSectors []int
-	for _, d := range disks {
-		for row := 0; row < a.code.NumRows(); row++ {
-			diskSectors = append(diskSectors, row*a.code.NumStrips()+d)
-		}
-	}
-
-	var opCounter kernel.Stats
-	dec := core.NewDecoder(a.code, core.WithThreads(threads), core.WithStats(&opCounter))
-
-	// Pre-build plans serially (they are shared read-only afterwards).
-	type job struct {
-		idx  int
-		plan *core.Plan
-		n    int
-	}
-	plans := make(map[string]*core.Plan)
-	var jobs []job
-	for i := range a.stripes {
-		faulty := append([]int(nil), diskSectors...)
-		faulty = append(faulty, a.extra[i]...)
-		if len(faulty) == 0 {
-			continue
-		}
-		sc, err := codes.NewScenario(a.code, faulty)
-		if err != nil {
-			return stats, fmt.Errorf("array: stripe %d: %w", i, err)
-		}
-		key := signature(sc.Faulty)
-		plan, ok := plans[key]
-		if !ok {
-			plan, err = dec.Plan(sc)
-			if err != nil {
-				return stats, fmt.Errorf("array: stripe %d unrecoverable: %w", i, err)
-			}
-			plans[key] = plan
-			stats.PlansBuilt++
-		}
-		jobs = append(jobs, job{idx: i, plan: plan, n: len(sc.Faulty)})
-	}
-
-	start := time.Now()
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, stripeWorkers)
-	for ji, j := range jobs {
-		ji, j := ji, j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[ji] = dec.DecodeWithPlan(j.plan, a.stripes[j.idx])
-		}()
-	}
-	wg.Wait()
-	for ji, err := range errs {
-		if err != nil {
-			return stats, fmt.Errorf("array: stripe %d: %w", jobs[ji].idx, err)
-		}
-	}
-	stats.Elapsed = time.Since(start)
-	stats.MultXORs = opCounter.MultXORs()
-	for _, j := range jobs {
-		stats.Stripes++
-		stats.BytesRepaired += int64(j.n * a.stripes[j.idx].SectorSize())
-	}
-	a.failedDisk = make(map[int]bool)
-	a.extra = make(map[int][]int)
-	return stats, nil
 }

@@ -92,6 +92,34 @@ func TestMixedDiskAndSectorRepair(t *testing.T) {
 	}
 }
 
+// TestLatentErrorOnFailedDisk: a latent sector error on a disk that
+// also fails is one lost sector, whichever failure came first.
+func TestLatentErrorOnFailedDisk(t *testing.T) {
+	for _, diskFirst := range []bool{false, true} {
+		a, sd := newTestArray(t, 3)
+		// Sector (row 1, disk 2) of stripe 1 sits on the failed disk.
+		failDisk := func() error { return a.FailDisks(2) }
+		failSector := func() error { return a.FailSectors(1, 1*sd.NumStrips()+2) }
+		first, second := failSector, failDisk
+		if diskFirst {
+			first, second = failDisk, failSector
+		}
+		if err := first(); err != nil {
+			t.Fatal(err)
+		}
+		if err := second(); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := a.Repair(2)
+		if err != nil {
+			t.Fatalf("disk first %v: %v", diskFirst, err)
+		}
+		if stats.Stripes != 3 || !a.Intact() || a.Degraded() {
+			t.Fatalf("disk first %v: repair incomplete: %+v", diskFirst, stats)
+		}
+	}
+}
+
 func TestSectorOnlyRepair(t *testing.T) {
 	a, _ := newTestArray(t, 3)
 	if err := a.FailSectors(1, 7); err != nil {
@@ -124,6 +152,17 @@ func TestFailureValidation(t *testing.T) {
 	a, _ := newTestArray(t, 2)
 	if err := a.FailDisks(9); err == nil {
 		t.Error("out-of-range disk accepted")
+	}
+	// A rejected call fails no disk, not even the valid ones before
+	// the bad index.
+	if err := a.FailDisks(2, 99); err == nil {
+		t.Error("out-of-range disk accepted after a valid one")
+	}
+	if err := a.FailDisks(3, 3); err == nil {
+		t.Error("disk listed twice accepted")
+	}
+	if a.Degraded() || !a.Intact() {
+		t.Fatal("rejected FailDisks call left the array degraded")
 	}
 	if err := a.FailDisks(1); err != nil {
 		t.Fatal(err)
@@ -160,60 +199,5 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(sd, 1, 3, 1); err == nil {
 		t.Error("unaligned sector size accepted")
-	}
-}
-
-func TestRepairParallelMatchesSerial(t *testing.T) {
-	build := func() *Array {
-		a, _ := newTestArray(t, 8)
-		if err := a.FailDisks(0, 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.FailSectors(4, 1, 2); err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	serial := build()
-	sStats, err := serial.Repair(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel := build()
-	pStats, err := parallel.RepairParallel(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !serial.Intact() || !parallel.Intact() {
-		t.Fatal("repairs incomplete")
-	}
-	if sStats.MultXORs != pStats.MultXORs || sStats.Stripes != pStats.Stripes ||
-		sStats.BytesRepaired != pStats.BytesRepaired || sStats.PlansBuilt != pStats.PlansBuilt {
-		t.Fatalf("stats diverge: serial %+v parallel %+v", sStats, pStats)
-	}
-}
-
-func TestRepairParallelNoFailures(t *testing.T) {
-	a, _ := newTestArray(t, 2)
-	stats, err := a.RepairParallel(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Stripes != 0 {
-		t.Fatalf("no-op parallel repair did work: %+v", stats)
-	}
-}
-
-func TestRepairParallelSingleWorkerDelegates(t *testing.T) {
-	a, _ := newTestArray(t, 3)
-	if err := a.FailDisks(2); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := a.RepairParallel(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Stripes != 3 || !a.Intact() {
-		t.Fatalf("delegated repair wrong: %+v", stats)
 	}
 }

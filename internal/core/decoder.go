@@ -19,7 +19,6 @@ type Decoder struct {
 	stats    *kernel.Stats
 	cacheCap int
 	cache    *planCache
-	partials *partialCache
 }
 
 // Option configures a Decoder.
@@ -61,7 +60,6 @@ func NewDecoder(c codes.Code, opts ...Option) *Decoder {
 	}
 	if d.cacheCap > 0 {
 		d.cache = newPlanCache(d.cacheCap)
-		d.partials = newPartialCache(d.cacheCap)
 	}
 	return d
 }

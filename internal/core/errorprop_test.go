@@ -79,38 +79,28 @@ func TestExecuteSerialPropagatesStubError(t *testing.T) {
 // failing on concurrent workers, the lowest group index's error is
 // returned — deterministically, every run.
 func TestExecuteParallelPropagatesLowestGroupError(t *testing.T) {
-	plan, sd, sc, msgs := brokenPlan(t, 4, 3, 1)
-	st := encodedStripe(t, sd, 64, 903)
-	for trial := 0; trial < 20; trial++ {
-		damaged := st.Clone()
-		damaged.Scribble(int64(trial), sc.Faulty)
-		err := Execute(plan, damaged, sd.Field(), 4, nil)
-		if err == nil || err.Error() != msgs[1] {
-			t.Fatalf("trial %d: got %v, want group 1's error %q", trial, err, msgs[1])
-		}
-	}
-}
-
-// TestPartialRangePropagatesLowestGroupError: the round-robin group
-// loop on a sub-range returns the lowest failing group's error, every
-// run, while several selected groups fail on concurrent workers.
-func TestPartialRangePropagatesLowestGroupError(t *testing.T) {
-	plan, sd, sc, msgs := brokenPlan(t, 4, 2, 1)
-	sel, err := plan.SelectPartial(sc.Faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := encodedStripe(t, sd, 64, 904)
-	wb := sd.Field().WordBytes()
-	for trial := 0; trial < 20; trial++ {
-		damaged := st.Clone()
-		damaged.Scribble(int64(trial), sc.Faulty)
+	cases := []struct {
+		threads int
+		breaks  []int
+	}{
 		// T=2 < p: worker 0 fails on group 2, worker 1 on group 1, so
 		// only per-group slots (not per-worker) report group 1.
-		err := executeSpan(plan, damaged, 2, nil, &sel, wb, 64-wb)
-		if err == nil || err.Error() != msgs[1] {
-			t.Fatalf("trial %d: got %v, want group 1's error %q", trial, err, msgs[1])
-		}
+		{2, []int{2, 1}},
+		{4, []int{3, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("T=%d", tc.threads), func(t *testing.T) {
+			plan, sd, sc, msgs := brokenPlan(t, 4, tc.breaks...)
+			st := encodedStripe(t, sd, 64, 903)
+			for trial := 0; trial < 20; trial++ {
+				damaged := st.Clone()
+				damaged.Scribble(int64(trial), sc.Faulty)
+				err := Execute(plan, damaged, sd.Field(), tc.threads, nil)
+				if err == nil || err.Error() != msgs[1] {
+					t.Fatalf("trial %d: got %v, want group 1's error %q", trial, err, msgs[1])
+				}
+			}
+		})
 	}
 }
 
@@ -118,10 +108,6 @@ func TestPartialRangePropagatesLowestGroupError(t *testing.T) {
 // list exceeds the stripe surfaces as an error, not a panic.
 func TestExecuteOutOfRangeColumnsBecomeErrors(t *testing.T) {
 	plan, sd, sc, _ := brokenPlan(t, 2)
-	sel, err := plan.SelectPartial(sc.Faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := encodedStripe(t, sd, 64, 907)
 	st.Scribble(1, sc.Faulty)
 	plan.Groups[0].FaultyCols = append([]int(nil), plan.Groups[0].FaultyCols...)
@@ -130,29 +116,19 @@ func TestExecuteOutOfRangeColumnsBecomeErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "core: execute failed") {
 		t.Fatalf("out-of-range columns not surfaced: %v", err)
 	}
-	wb := sd.Field().WordBytes()
-	if err := executeSpan(plan, st, 2, nil, &sel, wb, 64-wb); err == nil ||
-		!strings.Contains(err.Error(), "core: execute failed") {
-		t.Fatalf("range path: out-of-range columns not surfaced: %v", err)
-	}
 }
 
 // TestStatsUntouchedOnFailedDecode: a sub-decode that fails credits
-// no mult_XORs, on the full-sector and the range path.
+// no mult_XORs.
 func TestStatsUntouchedOnFailedDecode(t *testing.T) {
 	plan, sd, sc, _ := brokenPlan(t, 1, 0)
 	plan.Groups = plan.Groups[:1]
 	plan.Rest = nil
-	sel := PartialSelection{GroupIdx: []int{0}}
 	st := encodedStripe(t, sd, 64, 908)
 	st.Scribble(1, sc.Faulty)
 	var stats kernel.Stats
 	if err := Execute(plan, st, sd.Field(), 4, &stats); err == nil {
 		t.Fatal("expected error")
-	}
-	wb := sd.Field().WordBytes()
-	if err := executeSpan(plan, st, 4, &stats, &sel, wb, 64-wb); err == nil {
-		t.Fatal("expected error on the range path")
 	}
 	if got := stats.MultXORs(); got != 0 {
 		t.Fatalf("failed decode credited %d mult_XORs", got)

@@ -27,16 +27,13 @@ func Execute(p *Plan, st *stripe.Stripe, _ gf.Field, threads int, stats *kernel.
 	if p == nil || st == nil {
 		return fmt.Errorf("core: nil plan or stripe")
 	}
-	return executeSpan(p, st, threads, stats, nil, 0, st.SectorSize())
+	return executeSpan(p, st, threads, stats)
 }
 
-// executeSpan is the one executor body. It runs the selected groups of
-// p (every group when sel is nil) over the [lo, hi) byte range of every
-// sector, thread (g mod T) taking group g as in Algorithm 1, then the
-// serial tail: H_rest when selected, or the single sub-decode of a
-// whole-matrix plan, which always runs in full. lo and hi must be
-// word-aligned.
-func executeSpan(p *Plan, st *stripe.Stripe, threads int, stats *kernel.Stats, sel *PartialSelection, lo, hi int) (err error) {
+// executeSpan is the one executor body: Algorithm 1 over whole
+// sectors. Thread (g mod T) takes group g, then the serial tail runs:
+// H_rest, or the single sub-decode of a whole-matrix plan.
+func executeSpan(p *Plan, st *stripe.Stripe, threads int, stats *kernel.Stats) (err error) {
 	// View preparation indexes the stripe with the plan's column lists;
 	// a malformed plan surfaces as an error, like every other failure.
 	defer func() {
@@ -44,22 +41,13 @@ func executeSpan(p *Plan, st *stripe.Stripe, threads int, stats *kernel.Stats, s
 			err = fmt.Errorf("core: execute failed: %v", r)
 		}
 	}()
-	s := getSession(st, lo, hi, stats)
+	s := getSession(stats)
 	defer s.release()
 
-	tail := p.Rest
-	if sel == nil {
-		for i := range p.Groups {
-			s.add(&p.Groups[i], st)
-		}
-	} else {
-		for _, gi := range sel.GroupIdx {
-			s.add(&p.Groups[gi], st)
-		}
-		if !sel.NeedRest {
-			tail = nil
-		}
+	for i := range p.Groups {
+		s.add(&p.Groups[i], st)
 	}
+	tail := p.Rest
 	if p.Whole != nil {
 		tail = &p.Whole.SubDecode
 	}

@@ -9,9 +9,34 @@ import (
 	"ppm/internal/kernel"
 )
 
+// selected cuts a plan down to the sub-decodes a selection names, so
+// executing it runs exactly the selection's closure.
+func selected(p *Plan, sel PartialSelection) *Plan {
+	sub := &Plan{Scenario: p.Scenario}
+	for _, gi := range sel.GroupIdx {
+		sub.Groups = append(sub.Groups, p.Groups[gi])
+	}
+	if sel.NeedRest {
+		sub.Rest = p.Rest
+	}
+	return sub
+}
+
+// selectionOps is the predicted mult_XORs of running a selection.
+func selectionOps(p *Plan, sel PartialSelection) int64 {
+	var ops int64
+	for _, gi := range sel.GroupIdx {
+		ops += p.Groups[gi].ops()
+	}
+	if sel.NeedRest {
+		ops += p.Rest.ops()
+	}
+	return ops
+}
+
 // TestPartialDecodeGroupOnly: reading a block recovered by an
-// independent sub-matrix runs only that sub-decode (the Figure 3
-// example: reading b2 costs u(G0) = 4, not C4 = 29).
+// independent sub-matrix selects only that sub-decode (the Figure 3
+// example: reading b2 costs u(G0), not C4 = 29).
 func TestPartialDecodeGroupOnly(t *testing.T) {
 	sd := paperSD(t)
 	sc := paperScenario(t, sd)
@@ -30,24 +55,21 @@ func TestPartialDecodeGroupOnly(t *testing.T) {
 	if len(sel.GroupIdx) != 1 || sel.NeedRest {
 		t.Fatalf("selection = %+v, want one group and no rest", sel)
 	}
-	if sel.Ops != 4 { // G0 is 1x4 (b2 from the 3 survivors of row 0... plus)
-		t.Logf("selection ops = %d", sel.Ops)
-	}
 
 	var stats kernel.Stats
-	if err := executeSpan(plan, st, 2, &stats, &sel, 0, st.SectorSize()); err != nil {
+	if err := Execute(selected(plan, sel), st, sd.Field(), 2, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(st.Sector(2), want.Sector(2)) {
 		t.Fatal("wanted sector not recovered")
 	}
 	// The untouched faulty sectors must still hold scribble, proving the
-	// partial decode really skipped their sub-decodes.
+	// selection really skipped their sub-decodes.
 	if bytes.Equal(st.Sector(13), want.Sector(13)) {
 		t.Fatal("rest sector was decoded although not wanted")
 	}
-	if stats.MultXORs() != sel.Ops {
-		t.Fatalf("measured %d ops, selection predicted %d", stats.MultXORs(), sel.Ops)
+	if got, want := stats.MultXORs(), selectionOps(plan, sel); got != want {
+		t.Fatalf("measured %d ops, selection predicted %d", got, want)
 	}
 	if stats.MultXORs() >= plan.Costs.Chosen {
 		t.Fatalf("partial decode cost %d not below full C4 %d", stats.MultXORs(), plan.Costs.Chosen)
@@ -71,14 +93,14 @@ func TestPartialDecodeRestClosure(t *testing.T) {
 	if !sel.NeedRest || len(sel.GroupIdx) != 3 {
 		t.Fatalf("selection = %+v, want rest + all 3 groups", sel)
 	}
-	if sel.Ops != plan.Costs.Chosen {
-		t.Fatalf("closure ops %d != C4 %d", sel.Ops, plan.Costs.Chosen)
+	if ops := selectionOps(plan, sel); ops != plan.Costs.Chosen {
+		t.Fatalf("closure ops %d != C4 %d", ops, plan.Costs.Chosen)
 	}
 
 	st := encodedStripe(t, sd, 64, 822)
 	want := st.Clone()
 	st.Scribble(5, sc.Faulty)
-	if err := executeSpan(plan, st, 3, nil, &sel, 0, st.SectorSize()); err != nil {
+	if err := Execute(selected(plan, sel), st, sd.Field(), 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Equal(want) {
@@ -87,7 +109,7 @@ func TestPartialDecodeRestClosure(t *testing.T) {
 }
 
 // TestPartialDecodeLRCDegradedRead: with one failure per local group,
-// reading one lost block decodes exactly one group.
+// reading one lost block selects exactly one group.
 func TestPartialDecodeLRCDegradedRead(t *testing.T) {
 	lrc, err := codes.NewLRC(12, 4, 2)
 	if err != nil {
@@ -102,9 +124,16 @@ func TestPartialDecodeLRCDegradedRead(t *testing.T) {
 	want := st.Clone()
 	st.Scribble(5, sc.Faulty)
 
+	plan, err := BuildPlan(lrc, sc, StrategyPPM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := plan.SelectPartial([]int{6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var stats kernel.Stats
-	dec := NewDecoder(lrc, WithStats(&stats))
-	if err := dec.DecodeSectors(st, sc, []int{6}); err != nil {
+	if err := Execute(selected(plan, sel), st, lrc.Field(), 1, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(st.Sector(6), want.Sector(6)) {
@@ -121,7 +150,8 @@ func TestPartialDecodeLRCDegradedRead(t *testing.T) {
 	}
 }
 
-// TestPartialDecodeHealthyWanted: wanting a readable sector is a no-op.
+// TestPartialDecodeHealthyWanted: wanting a readable sector selects
+// nothing.
 func TestPartialDecodeHealthyWanted(t *testing.T) {
 	sd := paperSD(t)
 	sc := paperScenario(t, sd)
@@ -133,12 +163,14 @@ func TestPartialDecodeHealthyWanted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.GroupIdx) != 0 || sel.NeedRest || sel.Ops != 0 {
+	if len(sel.GroupIdx) != 0 || sel.NeedRest {
 		t.Fatalf("selection for healthy sectors = %+v", sel)
 	}
 }
 
-// TestPartialDecodeWholePlan: whole-matrix plans run fully.
+// TestPartialDecodeWholePlan: a whole-matrix plan has no sub-decodes
+// to select, so a wanted faulty sector is an error; a healthy one still
+// selects nothing.
 func TestPartialDecodeWholePlan(t *testing.T) {
 	sd := paperSD(t)
 	sc := paperScenario(t, sd)
@@ -146,23 +178,17 @@ func TestPartialDecodeWholePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := plan.SelectPartial([]int{2})
-	if err != nil {
-		t.Fatal(err)
+	if sel, err := plan.SelectPartial([]int{2}); err == nil {
+		t.Fatalf("whole-matrix plan selected %+v for a faulty sector", sel)
 	}
-	st := encodedStripe(t, sd, 64, 824)
-	want := st.Clone()
-	st.Scribble(5, sc.Faulty)
-	if err := executeSpan(plan, st, 2, nil, &sel, 0, st.SectorSize()); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Equal(want) {
-		t.Fatal("whole-matrix partial decode must decode everything")
+	if sel, err := plan.SelectPartial([]int{0}); err != nil || len(sel.GroupIdx) != 0 || sel.NeedRest {
+		t.Fatalf("healthy sector on a whole-matrix plan: %+v, %v", sel, err)
 	}
 }
 
-// TestPartialDecodeRandomConsistency: for random wanted subsets, every
-// wanted faulty sector is recovered correctly.
+// TestPartialDecodeRandomConsistency: for random wanted subsets,
+// running only the selected sub-decodes recovers every wanted faulty
+// sector correctly.
 func TestPartialDecodeRandomConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(825))
 	sd, err := codes.NewSD(8, 8, 2, 2)
@@ -177,10 +203,17 @@ func TestPartialDecodeRandomConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		wanted := []int{sc.Faulty[rng.Intn(len(sc.Faulty))], sc.Faulty[rng.Intn(len(sc.Faulty))]}
+		plan, err := BuildPlan(sd, sc, StrategyPPM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := plan.SelectPartial(wanted)
+		if err != nil {
+			t.Fatal(err)
+		}
 		work := st.Clone()
 		work.Scribble(int64(trial), sc.Faulty)
-		dec := NewDecoder(sd, WithThreads(3))
-		if err := dec.DecodeSectors(work, sc, wanted); err != nil {
+		if err := Execute(selected(plan, sel), work, sd.Field(), 3, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, wIdx := range wanted {

@@ -8,13 +8,13 @@ import (
 	"ppm/internal/stripe"
 )
 
-// execSession is the reusable per-call state of the executor: the
-// byte range being decoded, an arena of sector-view slice headers, the
-// prepared sub-decodes, and the per-group error slots. Sessions
-// circulate through a sync.Pool and keep their slices' capacity, so the
-// repeated-decode path — one plan executed against thousands of
-// stripes during a whole-disk rebuild — allocates nothing per stripe
-// beyond the worker pool's fixed dispatch state.
+// execSession is the reusable per-call state of the executor: an
+// arena of sector-view slice headers, the prepared sub-decodes, and
+// the per-group error slots. Sessions circulate through a sync.Pool
+// and keep their slices' capacity, so the repeated-decode path — one
+// plan executed against thousands of stripes during a whole-disk
+// rebuild — allocates nothing per stripe beyond the worker pool's
+// fixed dispatch state.
 //
 // A session is owned by exactly one executeSpan call; the stripe views
 // it holds are cleared on release so the pool never pins stripe
@@ -22,10 +22,6 @@ import (
 //
 //ppm:nocopy
 type execSession struct {
-	lo, hi int
-	// full marks a whole-sector range, which goes through the kernel
-	// entry point that fans large sectors out over the worker pool.
-	full  bool
 	stats *kernel.Stats
 
 	views [][]byte
@@ -42,9 +38,9 @@ type subJob struct {
 
 var sessionPool = sync.Pool{New: func() interface{} { return new(execSession) }}
 
-func getSession(st *stripe.Stripe, lo, hi int, stats *kernel.Stats) *execSession {
+func getSession(stats *kernel.Stats) *execSession {
 	s := sessionPool.Get().(*execSession)
-	s.lo, s.hi, s.full, s.stats = lo, hi, lo == 0 && hi == st.SectorSize(), stats
+	s.stats = stats
 	s.views, s.jobs = s.views[:0], s.jobs[:0]
 	return s
 }
@@ -112,12 +108,11 @@ func (sd *SubDecode) validate(inN, outN int) error {
 	return nil
 }
 
-// apply runs prepared sub-decode i over the session's byte range. A
-// whole-sector range goes through kernel.CompiledProduct, whose tile
-// spans fan out across the worker pool on large sectors; a sub-range
-// runs serially. Shape mismatches and kernel panics come back as
-// errors — a failing sub-decode is always reported, never dropped and
-// never allowed to kill the process.
+// apply runs prepared sub-decode i over whole sectors through
+// kernel.CompiledProduct, whose tile spans fan out across the worker
+// pool on large sectors. Shape mismatches and kernel panics come back
+// as errors — a failing sub-decode is always reported, never dropped
+// and never allowed to kill the process.
 //
 //ppm:hotpath
 func (s *execSession) apply(i int) (err error) {
@@ -131,10 +126,6 @@ func (s *execSession) apply(i int) (err error) {
 	if verr := sd.validate(len(in), len(out)); verr != nil {
 		return verr
 	}
-	if s.full {
-		kernel.CompiledProduct(sd.cFinv, sd.cS, sd.cG, in, out, nil, sd.Seq, s.stats)
-	} else {
-		kernel.CompiledProductRange(sd.cFinv, sd.cS, sd.cG, in, out, nil, sd.Seq, s.lo, s.hi, s.stats)
-	}
+	kernel.CompiledProduct(sd.cFinv, sd.cS, sd.cG, in, out, nil, sd.Seq, s.stats)
 	return nil
 }

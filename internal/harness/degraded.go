@@ -60,7 +60,7 @@ func runDegraded(w io.Writer, cfg Config) error {
 			{"zipf", workload.ZipfTrace(numStripes, total, reads, cfg.Seed+11)},
 		}
 		for _, tr := range traces {
-			v, err := workload.NewVolume(cse.code, numStripes, sectorSize, []int{cse.disk}, cfg.Threads, cfg.Seed)
+			v, err := workload.NewVolume(cse.code, numStripes, sectorSize, []int{cse.disk}, cfg.Seed)
 			if err != nil {
 				return err
 			}

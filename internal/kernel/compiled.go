@@ -334,13 +334,13 @@ func CompiledProduct(finv, s, g *CompiledMatrix, in, out, scratch [][]byte, seq 
 }
 
 // CompiledProductRange is CompiledProduct restricted to the [lo, hi)
-// byte sub-range and always serial — for the PPM executor's sub-range
-// decodes and for byte-range executors (block-parallel decoding) that
-// own their own fan-out and call this from per-chunk workers. Both
-// sequences overwrite only the [lo, hi) range, so one chunk worker
-// never touches another's bytes. Counts the full matrix nnz; callers
-// splitting one logical product across ranges pass nil stats and
-// account once themselves.
+// byte sub-range and always serial — for repair plans' byte-range
+// reads (repair.Plan.ExecuteRange) and for byte-range executors
+// (block-parallel decoding) that own their own fan-out and call this
+// from per-chunk workers. Both sequences overwrite only the [lo, hi)
+// range, so one chunk worker never touches another's bytes. Counts the
+// full matrix nnz; callers splitting one logical product across ranges
+// pass nil stats and account once themselves.
 func CompiledProductRange(finv, s, g *CompiledMatrix, in, out, scratch [][]byte, seq Sequence, lo, hi int, stats *Stats) {
 	switch seq {
 	case MatrixFirst:

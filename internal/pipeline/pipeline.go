@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +32,6 @@ import (
 	"ppm/internal/codes"
 	"ppm/internal/core"
 	"ppm/internal/kernel"
-	"ppm/internal/repair"
 	"ppm/internal/stripe"
 )
 
@@ -98,13 +96,6 @@ type Config struct {
 	// The zero value keeps the historical behaviour: one attempt, no
 	// deadline, no extra goroutines. See RetryPolicy.
 	Retry RetryPolicy
-	// Wanted switches the compute stage to the minimal-read repair
-	// plan that materialises just these sectors of the scenario — the
-	// partial-read fill path: a degraded read of specific blocks runs
-	// only their survivor closure, and Engine.ReadColumns reports
-	// which sectors the Source must fill (survivor slices outside it
-	// are never touched). Nil keeps the full-stripe decode.
-	Wanted []int
 }
 
 // job is one in-flight stripe. The engine pre-allocates Depth jobs and
@@ -124,12 +115,10 @@ type job struct {
 //
 //ppm:nocopy
 type Engine struct {
-	code  codes.Code
-	sc    codes.Scenario
-	dec   *core.Decoder
-	plan  *core.Plan   // nil for the empty scenario: a pure passthrough
-	rplan *repair.Plan // partial-read repair plan when Config.Wanted is set
-	cfg   Config
+	code codes.Code
+	dec  *core.Decoder
+	plan *core.Plan // nil for the empty scenario: a pure passthrough
+	cfg  Config
 
 	free  chan *job     // recycled jobs (capacity Depth)
 	work  chan *job     // fill → compute (capacity Depth; nil at Depth 1)
@@ -228,7 +217,6 @@ func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, 
 
 	e := &Engine{
 		code: c,
-		sc:   sc,
 		cfg:  cfg,
 		free: make(chan *job, cfg.Depth),
 	}
@@ -237,19 +225,11 @@ func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, 
 		core.WithStrategy(cfg.Strategy),
 		core.WithStats(cfg.Stats))
 	if len(sc.Faulty) > 0 {
-		if len(cfg.Wanted) > 0 {
-			rp, err := repair.NewPlanner(c).Plan(sc, cfg.Wanted)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: %w", err)
-			}
-			e.rplan = rp
-		} else {
-			plan, err := core.BuildPlan(c, sc, cfg.Strategy)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: %w", err)
-			}
-			e.plan = plan
+		plan, err := core.BuildPlan(c, sc, cfg.Strategy)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: %w", err)
 		}
+		e.plan = plan
 	}
 	for i := 0; i < cfg.Depth; i++ {
 		j := &job{done: make(chan error, 1)}
@@ -616,39 +596,10 @@ func (e *Engine) compute(idx int, st *stripe.Stripe) error {
 			return err
 		}
 	}
-	if e.rplan != nil {
-		return e.rplan.Execute(st, e.cfg.Stats)
-	}
 	if e.plan == nil {
 		return nil
 	}
 	return e.dec.DecodeWithPlan(e.plan, st)
-}
-
-// ReadColumns reports which sectors a fill Source must materialise
-// per stripe: with Config.Wanted set, the repair plan's survivor
-// columns plus the wanted live sectors, sorted; nil means every
-// sector (full-stripe decode or passthrough).
-func (e *Engine) ReadColumns() []int {
-	if e.rplan == nil {
-		return nil
-	}
-	faulty := e.sc.FaultySet()
-	cols := make(map[int]bool, len(e.rplan.ReadCols)+len(e.cfg.Wanted))
-	for _, c := range e.rplan.ReadCols {
-		cols[c] = true
-	}
-	for _, w := range e.cfg.Wanted {
-		if !faulty[w] {
-			cols[w] = true
-		}
-	}
-	out := make([]int, 0, len(cols))
-	for c := range cols {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Serial runs one stream through a Depth-1 engine built for the call:

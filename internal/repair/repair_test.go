@@ -7,6 +7,7 @@ import (
 
 	"ppm/internal/codes"
 	"ppm/internal/core"
+	"ppm/internal/gf"
 	"ppm/internal/kernel"
 	"ppm/internal/stripe"
 )
@@ -184,7 +185,9 @@ func TestDifferentialAgainstFullDecode(t *testing.T) {
 }
 
 // TestExecuteRangeMatchesFull: range execution over word-aligned
-// chunks reassembles to exactly the full-sector repair.
+// chunks reassembles to exactly the full-sector repair, both for a plan
+// that repairs every faulty sector and for one that recovers a single
+// wanted sector (a degraded read).
 func TestExecuteRangeMatchesFull(t *testing.T) {
 	sd, err := codes.NewSD(6, 4, 2, 1)
 	if err != nil {
@@ -192,36 +195,80 @@ func TestExecuteRangeMatchesFull(t *testing.T) {
 	}
 	pl := NewPlanner(sd)
 	sc := scenario(t, sd, []int{2, 9, 14})
-	plan, err := pl.Plan(sc, nil)
+	for _, tc := range []struct {
+		name   string
+		wanted []int
+	}{
+		{"all-faulty", nil},
+		{"one-wanted", []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := pl.Plan(sc, tc.wanted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := tc.wanted
+			if check == nil {
+				check = sc.Faulty
+			}
+			full := encoded(t, sd, 256, 5)
+			want := full.Clone()
+			full.Scribble(11, sc.Faulty)
+			chunked := full.Clone()
+
+			if err := plan.Execute(full, nil); err != nil {
+				t.Fatal(err)
+			}
+			wb := sd.Field().WordBytes()
+			for lo := 0; lo < 256; {
+				hi := lo + 32*wb
+				if hi > 256 {
+					hi = 256
+				}
+				if err := plan.ExecuteRange(chunked, lo, hi, nil); err != nil {
+					t.Fatal(err)
+				}
+				lo = hi
+			}
+			for _, f := range check {
+				if !bytes.Equal(full.Sector(f), want.Sector(f)) {
+					t.Fatalf("full repair of sector %d wrong", f)
+				}
+				if !bytes.Equal(chunked.Sector(f), full.Sector(f)) {
+					t.Fatalf("chunked repair of sector %d differs from full", f)
+				}
+			}
+		})
+	}
+}
+
+// TestExecuteRangeValidation rejects out-of-bounds, empty and
+// unaligned byte ranges and stripes of the wrong geometry.
+func TestExecuteRangeValidation(t *testing.T) {
+	sd, err := codes.NewSDInField(6, 4, 2, 1, gf.GF16) // 2-byte words
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := encoded(t, sd, 256, 5)
-	want := full.Clone()
-	full.Scribble(11, sc.Faulty)
-	chunked := full.Clone()
-
-	if err := plan.Execute(full, nil); err != nil {
+	plan, err := NewPlanner(sd).Plan(scenario(t, sd, []int{2, 9, 14}), []int{2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	wb := sd.Field().WordBytes()
-	for lo := 0; lo < 256; {
-		hi := lo + 32*wb
-		if hi > 256 {
-			hi = 256
-		}
-		if err := plan.ExecuteRange(chunked, lo, hi, nil); err != nil {
-			t.Fatal(err)
-		}
-		lo = hi
+	st := encoded(t, sd, 64, 5)
+	if err := plan.ExecuteRange(st, 0, 65, nil); err == nil {
+		t.Fatal("out-of-bounds hi accepted")
 	}
-	for _, f := range sc.Faulty {
-		if !bytes.Equal(full.Sector(f), want.Sector(f)) {
-			t.Fatalf("full repair of sector %d wrong", f)
-		}
-		if !bytes.Equal(chunked.Sector(f), full.Sector(f)) {
-			t.Fatalf("chunked repair of sector %d differs from full", f)
-		}
+	if err := plan.ExecuteRange(st, 8, 8, nil); err == nil {
+		t.Fatal("empty range accepted")
+	}
+	if err := plan.ExecuteRange(st, 1, 64, nil); err == nil {
+		t.Fatal("unaligned lo accepted")
+	}
+	rs, err := codes.NewRS(6, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Execute(encoded(t, rs, 64, 5), nil); err == nil {
+		t.Fatal("stripe of another geometry accepted")
 	}
 }
 
@@ -249,7 +296,9 @@ func TestPlannerCache(t *testing.T) {
 	}
 }
 
-// TestExecuteAllocFree: the steady-state repair path allocates nothing.
+// TestExecuteAllocFree: the steady-state repair path allocates nothing
+// — a full-stripe Execute, and the degraded partial read: a Plan cache
+// hit for one wanted sector plus ExecuteRange over a sub-range.
 func TestExecuteAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool deliberately drops items; alloc counts are meaningless")
@@ -260,23 +309,49 @@ func TestExecuteAllocFree(t *testing.T) {
 	}
 	pl := NewPlanner(lrc)
 	sc := scenario(t, lrc, []int{3})
-	plan, err := pl.Plan(sc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := encoded(t, lrc, 4096, 17)
 	var stats kernel.Stats
-	if err := plan.Execute(st, &stats); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := plan.Execute(st, &stats); err != nil {
+
+	t.Run("full", func(t *testing.T) {
+		plan, err := pl.Plan(sc, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := plan.Execute(st, &stats); err != nil { // warm the pool
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := plan.Execute(st, &stats); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("repair Execute allocates %.1f per run, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("repair Execute allocates %.1f per run, want 0", allocs)
-	}
+
+	t.Run("range", func(t *testing.T) {
+		wanted := []int{3}
+		p, err := pl.Plan(sc, wanted) // warm the cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ExecuteRange(st, 512, 1536, &stats); err != nil { // warm the pool
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			p, err := pl.Plan(sc, wanted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.ExecuteRange(st, 512, 1536, &stats); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("cached Plan + ExecuteRange allocates %.1f per run, want 0", allocs)
+		}
+	})
 }
 
 // TestUpdaterAllocFree: the pooled delta-update path allocates nothing

@@ -3,9 +3,9 @@
 // paper's introduction: transient unavailability turns reads of lost
 // blocks into reconstructions, and the reconstruction width decides the
 // degraded-read latency. Reads of healthy sectors are served directly;
-// reads of lost sectors run a *partial* PPM decode that materialises
-// only the requested sector's recovery closure (one local group for
-// LRC, one stripe row for an SD disk failure, k blocks for RS).
+// reads of lost sectors run a minimal-read repair plan that
+// materialises only the requested sector (one local group for LRC, one
+// stripe row for an SD disk failure, k blocks for RS).
 package workload
 
 import (
@@ -15,9 +15,9 @@ import (
 	"time"
 
 	"ppm/internal/codes"
-	"ppm/internal/core"
 	"ppm/internal/decode"
 	"ppm/internal/kernel"
+	"ppm/internal/repair"
 	"ppm/internal/stripe"
 )
 
@@ -76,19 +76,19 @@ func (r Result) String() string {
 
 // Volume is the simulated degraded store: encoded stripes plus the
 // standing failure scenario (the same disks fail in every stripe). The
-// decoder caches the scenario's plan and each wanted sector's partial
-// selection, so a degraded read pays only for its sub-decodes.
+// repair planner caches one plan per faulty sector, so a degraded read
+// pays only for executing its plan.
 type Volume struct {
 	stripes  []*stripe.Stripe
 	scenario codes.Scenario
 	faulty   map[int]bool
-	dec      *core.Decoder
+	planner  *repair.Planner
 	stats    *kernel.Stats
 }
 
 // NewVolume builds numStripes encoded stripes and marks the given disks
 // failed (transiently unavailable — nothing is repaired in place).
-func NewVolume(c codes.Code, numStripes, sectorSize int, failedDisks []int, threads int, seed int64) (*Volume, error) {
+func NewVolume(c codes.Code, numStripes, sectorSize int, failedDisks []int, seed int64) (*Volume, error) {
 	if numStripes < 1 {
 		return nil, fmt.Errorf("workload: need at least one stripe")
 	}
@@ -108,9 +108,9 @@ func NewVolume(c codes.Code, numStripes, sectorSize int, failedDisks []int, thre
 	v := &Volume{
 		scenario: sc,
 		faulty:   sc.FaultySet(),
+		planner:  repair.NewPlanner(c, repair.WithCacheSize(len(sc.Faulty))),
 		stats:    &kernel.Stats{},
 	}
-	v.dec = core.NewDecoder(c, core.WithThreads(threads), core.WithStats(v.stats), core.WithStrategy(core.StrategyPPM))
 	for i := 0; i < numStripes; i++ {
 		st, err := stripe.New(c.NumStrips(), c.NumRows(), sectorSize)
 		if err != nil {
@@ -124,10 +124,12 @@ func NewVolume(c codes.Code, numStripes, sectorSize int, failedDisks []int, thre
 		st.Scribble(seed+int64(1000+i), sc.Faulty)
 		v.stripes = append(v.stripes, st)
 	}
-	// Wanting no sector decodes nothing but builds and caches the plan:
-	// an unrecoverable pattern fails here, and no read pays for planning.
-	if err := v.dec.DecodeSectors(v.stripes[0], sc, nil); err != nil {
-		return nil, fmt.Errorf("workload: failure pattern unrecoverable: %w", err)
+	// Plan every faulty sector's read up front: an unrecoverable pattern
+	// fails here, and no timed read pays for planning.
+	for _, f := range sc.Faulty {
+		if _, err := v.planner.Plan(sc, []int{f}); err != nil {
+			return nil, fmt.Errorf("workload: failure pattern unrecoverable: %w", err)
+		}
 	}
 	return v, nil
 }
@@ -160,7 +162,11 @@ func (v *Volume) Serve(trace []Read) (Result, error) {
 		res.Degraded++
 		before := v.stats.MultXORs()
 		start := time.Now()
-		if err := v.dec.DecodeSectors(st, v.scenario, []int{rd.Sector}); err != nil {
+		plan, err := v.planner.Plan(v.scenario, []int{rd.Sector})
+		if err != nil {
+			return res, err
+		}
+		if err := plan.Execute(st, v.stats); err != nil {
 			return res, err
 		}
 		copy(buf, st.Sector(rd.Sector))

@@ -42,7 +42,7 @@ func TestVolumeHealthyOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := NewVolume(lrc, 4, 256, nil, 1, 1)
+	v, err := NewVolume(lrc, 4, 256, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestVolumeDegradedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Block 2 (in local group 0) is transiently unavailable.
-	v, err := NewVolume(lrc, 3, 256, []int{2}, 1, 1)
+	v, err := NewVolume(lrc, 3, 256, []int{2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestVolumeRSWiderThanLRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := NewVolume(lrc, 2, 256, []int{0}, 1, 1)
+	lv, err := NewVolume(lrc, 2, 256, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, err := NewVolume(rs, 2, 256, []int{0}, 1, 1)
+	rv, err := NewVolume(rs, 2, 256, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +122,13 @@ func TestVolumeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewVolume(lrc, 0, 256, nil, 1, 1); err == nil {
+	if _, err := NewVolume(lrc, 0, 256, nil, 1); err == nil {
 		t.Error("zero stripes accepted")
 	}
-	if _, err := NewVolume(lrc, 1, 256, []int{99}, 1, 1); err == nil {
+	if _, err := NewVolume(lrc, 1, 256, []int{99}, 1); err == nil {
 		t.Error("out-of-range disk accepted")
 	}
-	v, err := NewVolume(lrc, 1, 256, nil, 1, 1)
+	v, err := NewVolume(lrc, 1, 256, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestVolumeCorrectContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference stripe with the same seed the volume uses.
-	v, err := NewVolume(sd, 1, 64, []int{1}, 1, 42)
+	v, err := NewVolume(sd, 1, 64, []int{1}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func BenchmarkServeDegradedTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := NewVolume(lrc, 4, 4096, []int{2}, 2, 1)
+	v, err := NewVolume(lrc, 4, 4096, []int{2}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,6 +37,7 @@ func TestStatefulRandomWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	planner := NewRepairPlanner(code)
 	data := DataPositions(code)
 
 	check := func(step int, op string) {
@@ -99,8 +100,12 @@ func TestStatefulRandomWalk(t *testing.T) {
 			}
 			st.Scribble(int64(step), sc.Faulty)
 			want := sc.Faulty[rng.Intn(len(sc.Faulty))]
-			if err := DecodeSectors(code, st, sc, []int{want}, WithThreads(2)); err != nil {
-				t.Fatalf("step %d: partial decode: %v", step, err)
+			plan, err := planner.Plan(sc, []int{want})
+			if err != nil {
+				t.Fatalf("step %d: repair plan: %v", step, err)
+			}
+			if err := plan.Execute(st, nil); err != nil {
+				t.Fatalf("step %d: degraded read: %v", step, err)
 			}
 			if !bytes.Equal(st.Sector(want), model.Sector(want)) {
 				t.Fatalf("step %d: degraded read returned wrong bytes", step)
