@@ -276,20 +276,6 @@ var StopStream = pipeline.Stop
 // stalls are always 0.
 type StageStats = pipeline.StageStats
 
-// StreamRetry configures bounded retries with jittered exponential
-// backoff and optional per-attempt deadlines on a stream engine's fill
-// and drain edges (StreamConfig.Retry). The zero value disables
-// retries; a configured policy keeps the engine's 0 allocs/op steady
-// state. Retry counts surface in StageStats. A deadline expiry is not
-// retried at this level — the abandoned attempt may still touch the
-// in-flight slab — so it surfaces as ErrStreamOpTimeout for the caller
-// to restart with fresh buffers.
-type StreamRetry = pipeline.RetryPolicy
-
-// ErrStreamOpTimeout is wrapped into the error a stream run returns
-// when a fill or drain attempt outlives StreamRetry.OpTimeout.
-var ErrStreamOpTimeout = pipeline.ErrOpTimeout
-
 // ErrEnginePoisoned is wrapped into run errors after a compute shard
 // has died; a StreamPool replaces such engines at checkout instead of
 // handing them out.

@@ -223,25 +223,11 @@ func TestChecksumAPIDetectsAndHeals(t *testing.T) {
 	}
 }
 
-// TestStreamRetryAPI pins the retry surface: a configured StreamRetry
-// on a StreamConfig survives a transient source fault, and the sentinel
-// errors are exported and distinct.
-func TestStreamRetryAPI(t *testing.T) {
-	if ErrStreamOpTimeout == nil || ErrEnginePoisoned == nil {
-		t.Fatal("sentinel errors must be non-nil")
-	}
-	cfg := StreamConfig{Depth: 2, Retry: StreamRetry{MaxAttempts: 3}}
-	code, err := NewSD(6, 4, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewStreamEngine(code, EncodingScenario(code), 512, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if got := eng.StageStats().FillRetries; got != 0 {
-		t.Fatalf("fresh engine FillRetries = %d, want 0", got)
+// TestErrEnginePoisonedExported pins the exported sentinel a stream
+// run wraps once a compute shard has died.
+func TestErrEnginePoisonedExported(t *testing.T) {
+	if ErrEnginePoisoned == nil {
+		t.Fatal("ErrEnginePoisoned must be non-nil")
 	}
 }
 

@@ -168,15 +168,16 @@ func runDecode(args []string) error {
 	if err != nil {
 		return err
 	}
-	sd, err := codeFromManifest(mf)
-	if err != nil {
-		return err
-	}
+	// Before codeFromManifest: openStore bounds n and r by the strip files.
 	ds, err := openStore(*dir, mf, false)
 	if err != nil {
 		return err
 	}
 	defer ds.Close()
+	sd, err := codeFromManifest(mf)
+	if err != nil {
+		return err
+	}
 
 	missing := ds.missingDisks()
 	if len(missing) > mf.M {
@@ -256,7 +257,7 @@ func runDecode(args []string) error {
 			fmt.Printf("degraded read: "+format+"\n", a...)
 		},
 	}
-	src := &healSource{h: healer, stripes: mf.Stripes, eng: eng, ctx: context.Background()}
+	src := &healSource{h: healer, stripes: mf.Stripes, ctx: context.Background()}
 	if _, err := eng.Run(src, sink); err != nil {
 		return err
 	}
@@ -299,15 +300,16 @@ func runVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	sd, err := codeFromManifest(mf)
-	if err != nil {
-		return err
-	}
+	// Before codeFromManifest: openStore bounds n and r by the strip files.
 	ds, err := openStore(*dir, mf, false)
 	if err != nil {
 		return err
 	}
 	defer ds.Close()
+	sd, err := codeFromManifest(mf)
+	if err != nil {
+		return err
+	}
 	if missing := ds.missingDisks(); len(missing) > 0 {
 		return fmt.Errorf("disks %v missing; run decode to repair first", missing)
 	}
@@ -381,15 +383,16 @@ func runScrub(args []string) error {
 	if err != nil {
 		return err
 	}
-	sd, err := codeFromManifest(mf)
-	if err != nil {
-		return err
-	}
+	// Before codeFromManifest: openStore bounds n and r by the strip files.
 	ds, err := openStore(*dir, mf, false)
 	if err != nil {
 		return err
 	}
 	defer ds.Close()
+	sd, err := codeFromManifest(mf)
+	if err != nil {
+		return err
+	}
 	if len(mf.Checksums) == 0 {
 		// Pre-checksum archive: parity-syndrome scrub only.
 		if missing := ds.missingDisks(); len(missing) > 0 {

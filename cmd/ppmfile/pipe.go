@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"ppm/internal/fault"
-	"ppm/internal/pipeline"
 	"ppm/internal/stripe"
 )
 
@@ -100,14 +99,11 @@ func (s *storeSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error)
 // healSource feeds the decode pipeline through a fault.Healer: each
 // stripe is read with bounded retries, checksum-verified, and damage
 // beyond the baseline (missing disks) is demoted to an erasure and
-// re-decoded before the stripe enters the pipeline. Detected corruption
-// is forwarded to the engine's StageStats corruption counter.
+// re-decoded before the stripe enters the pipeline.
 type healSource struct {
 	h       *fault.Healer
 	stripes int
-	eng     *pipeline.Engine
 	ctx     context.Context
-	seen    int64 // corruption events already forwarded to eng
 }
 
 func (s *healSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) {
@@ -116,11 +112,6 @@ func (s *healSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) 
 	}
 	if err := s.h.ReadStripe(s.ctx, idx, slab); err != nil {
 		return nil, err
-	}
-	if s.eng != nil {
-		now := s.h.Stats.CorruptSectors + s.h.Stats.DemotedStrips
-		s.eng.RecordCorruption(int(now - s.seen))
-		s.seen = now
 	}
 	return slab, nil
 }

@@ -313,10 +313,12 @@ func TestManifestHardening(t *testing.T) {
 }
 
 // TestManifestClaimExceedsStrips: a manifest whose stripes × r ×
-// sector_size exceeds every strip file on disk is rejected with an
-// error naming the manifest, before any buffer is sized from it. A
-// 1 TiB sector_size used to kill verify and decode with a fatal
-// out-of-memory error.
+// sector_size exceeds every strip file on disk, or whose n leaves more
+// than m+s strip files missing, is rejected with an error naming the
+// manifest, before any buffer or code is sized from it. A 1 TiB
+// sector_size used to kill verify and decode with a fatal out-of-memory
+// error, and n = 1<<28 over GF(2^32) killed all three commands while
+// building the code.
 func TestManifestClaimExceedsStrips(t *testing.T) {
 	work := t.TempDir()
 	in, _ := writeInput(t, work, 200_000)
@@ -336,6 +338,9 @@ func TestManifestClaimExceedsStrips(t *testing.T) {
 		// Without checksum rows the stripe count is checked by the
 		// strip files alone.
 		{"stripes", func(mf *manifest) { mf.Stripes, mf.ChecksumAlgo, mf.Checksums = 1<<40, "", nil }},
+		{"n", func(mf *manifest) {
+			mf.N, mf.R, mf.Word, mf.ChecksumAlgo, mf.Checksums = 1<<28, 1, 32, "", nil
+		}},
 	}
 	for _, tc := range cases {
 		mf := orig

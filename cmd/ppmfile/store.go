@@ -117,9 +117,9 @@ type diskStore struct {
 	buf []byte     // one strip of scratch, reused across stripes
 }
 
-// errManifestExceedsStrips rejects a manifest that claims more bytes
-// per strip file than any strip file present holds.
-var errManifestExceedsStrips = errors.New("claims more bytes than any strip file holds")
+// errManifestExceedsStrips rejects a manifest that claims more disks
+// or more bytes per strip file than the strip files present hold.
+var errManifestExceedsStrips = errors.New("claims more than its strip files hold")
 
 // openStore opens every strip file and allocates the store's single
 // strip-sized scratch buffer. readStripe and writeStripe share it, so a
@@ -127,17 +127,30 @@ var errManifestExceedsStrips = errors.New("claims more bytes than any strip file
 // once — the ppmfile commands either only read (decode fill stage,
 // verify, scrub) or only write (encode drain stage) through it.
 //
-// In read mode the manifest's stripes × r × sector_size must fit in
-// the largest strip file present, checked before the buffer is sized
-// from it. A truncated or missing strip alone is left to the repair
-// paths. With no strip present there is nothing to read, so no buffer
-// is allocated.
+// In read mode the manifest is checked against the strip files before
+// anything is sized from it: at most m+s of the n strip files may be
+// missing, counted with one directory read before the per-disk table
+// is allocated, and stripes × r × sector_size must fit in the largest
+// strip file present. So n is bounded by the manifest's own coefficient
+// list and r by real bytes. A truncated or missing strip within those
+// bounds is left to the repair paths.
 func openStore(dir string, mf manifest, write bool) (*diskStore, error) {
+	mfPath := filepath.Join(dir, manifestName)
+	if !write {
+		present, err := countStrips(dir, mf.N)
+		if err != nil {
+			return nil, err
+		}
+		if present < mf.N-(mf.M+mf.S) {
+			return nil, fmt.Errorf("%s %w: n=%d disks, %d strip files present, at most m+s = %d may be missing",
+				mfPath, errManifestExceedsStrips, mf.N, present, mf.M+mf.S)
+		}
+	}
 	ds := &diskStore{
 		dir: dir, mf: mf,
 		fh: make([]*os.File, mf.N),
 	}
-	present, largest := false, int64(0)
+	largest := int64(0)
 	for j := 0; j < mf.N; j++ {
 		path := filepath.Join(dir, diskFileName(j))
 		var f *os.File
@@ -161,18 +174,33 @@ func openStore(dir string, mf manifest, write bool) (*diskStore, error) {
 				ds.Close()
 				return nil, err
 			}
-			present, largest = true, max(largest, fi.Size())
+			largest = max(largest, fi.Size())
 		}
 	}
-	if claim := int64(mf.Stripes) * int64(ds.stripBytes()); present && claim > largest {
+	if claim := int64(mf.Stripes) * int64(ds.stripBytes()); !write && claim > largest {
 		ds.Close()
 		return nil, fmt.Errorf("%s %w: %d stripes × r=%d × sector_size=%d = %d bytes per strip file, largest present %d",
-			filepath.Join(dir, manifestName), errManifestExceedsStrips, mf.Stripes, mf.R, mf.SectorSize, claim, largest)
+			mfPath, errManifestExceedsStrips, mf.Stripes, mf.R, mf.SectorSize, claim, largest)
 	}
-	if write || present {
-		ds.buf = make([]byte, ds.stripBytes())
-	}
+	ds.buf = make([]byte, ds.stripBytes())
 	return ds, nil
+}
+
+// countStrips counts the strip files of disks 0..n-1 in dir.
+func countStrips(dir string, n int) (int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	count := 0
+	for _, e := range entries {
+		var j int
+		if _, err := fmt.Sscanf(e.Name(), "disk_%d.strip", &j); err == nil &&
+			j >= 0 && j < n && e.Name() == diskFileName(j) {
+			count++
+		}
+	}
+	return count, nil
 }
 
 // missingDisks lists disks whose strip file could not be opened.

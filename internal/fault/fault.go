@@ -4,19 +4,21 @@
 //
 // Injection. A Schedule maps (stripe, disk) coordinates to fault
 // Events — transient read/write errors, latency spikes, hung I/O,
-// short (torn) writes, and silent bit-flip corruption — generated
-// reproducibly from a seed and a Rates mix, or parsed from a compact
-// spec string (the ppmfile -faults flag, the harness chaos experiment
-// and the CI chaos job all print the schedule so a failing run is
-// replayable). FaultyStore, FaultySource and FaultySink wrap the
-// storage and pipeline seams and fire the scheduled events.
+// short (torn) writes, and silent bit-flip corruption — parsed from a
+// compact spec string (the ppmfile -faults flag, the harness chaos
+// experiment and the CI chaos job all print the schedule so a failing
+// run is replayable). FaultyStore wraps a strip store and fires the
+// scheduled events.
 //
 // Survival. Classification (IsTransient), the jittered-exponential
-// Retry policy with per-attempt deadlines (Do), CRC-32C sector
+// retry Policy with per-attempt deadlines (Do), CRC-32C sector
 // checksums (SectorChecksums/VerifyStripe) and the checksummed
 // degraded-read Healer turn injected faults into recoveries: transient
 // errors are retried, hung ops are abandoned at their deadline, and
 // corrupt or unreadable strips are demoted to erasures and re-decoded.
+// This package is the only layer that retries, times out or counts
+// storage faults: the streaming pipeline hands every Source/Sink error
+// straight to its run.
 //
 // Nothing in this package may be referenced from a //ppm:hotpath
 // region — the faultfree analyzer in internal/lint enforces that the
@@ -25,7 +27,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,17 +99,6 @@ func (ev Event) String() string {
 	return s
 }
 
-// Rates is the per-strip-visit probability mix a generated Schedule
-// draws from. Each field is the chance, per (stripe, disk) strip, of
-// scheduling that event; they need not sum to 1.
-type Rates struct {
-	ReadError float64
-	Latency   float64
-	Hang      float64
-	TornWrite float64
-	BitFlip   float64
-}
-
 // Schedule is a deterministic fault plan over a stripes x disks grid.
 // Lookups consume event counts, so a Schedule is single-use state;
 // clone one per run with Clone when replaying. Lookups are mutex-
@@ -141,33 +131,6 @@ func (s *Schedule) Add(ev Event) *Schedule {
 	return s
 }
 
-// Generate builds a seeded schedule over a stripes x disks grid from a
-// Rates mix. The same (seed, geometry, rates) always yields the same
-// schedule, so a chaos run is replayable from its printed plan.
-func Generate(seed int64, stripes, disks int, r Rates) *Schedule {
-	s := NewSchedule(seed)
-	rng := rand.New(rand.NewSource(seed))
-	for st := 0; st < stripes; st++ {
-		for d := 0; d < disks; d++ {
-			roll := rng.Float64()
-			switch {
-			case roll < r.ReadError:
-				s.Add(Event{Stripe: st, Disk: d, Kind: ReadError, Count: 1 + rng.Intn(2)})
-			case roll < r.ReadError+r.Latency:
-				s.Add(Event{Stripe: st, Disk: d, Kind: Latency, Count: 1,
-					Delay: time.Duration(1+rng.Intn(5)) * time.Millisecond})
-			case roll < r.ReadError+r.Latency+r.Hang:
-				s.Add(Event{Stripe: st, Disk: d, Kind: Hang, Count: 1, Delay: time.Hour})
-			case roll < r.ReadError+r.Latency+r.Hang+r.TornWrite:
-				s.Add(Event{Stripe: st, Disk: d, Kind: TornWrite, Count: 1})
-			case roll < r.ReadError+r.Latency+r.Hang+r.TornWrite+r.BitFlip:
-				s.Add(Event{Stripe: st, Disk: d, Kind: BitFlip, Count: 1})
-			}
-		}
-	}
-	return s
-}
-
 // Clone returns a fresh schedule with every event's count reset, for
 // replaying the same plan across runs.
 func (s *Schedule) Clone() *Schedule {
@@ -184,7 +147,7 @@ func (s *Schedule) Clone() *Schedule {
 	return c
 }
 
-// Seed returns the seed the schedule was generated from.
+// Seed returns the schedule's seed, which drives its bit-flip masks.
 func (s *Schedule) Seed() int64 { return s.seed }
 
 // Len returns the number of scheduled events (fired or not).
@@ -247,7 +210,7 @@ func (s *Schedule) String() string {
 // ParseSpec parses the compact schedule spec used by the ppmfile
 // -faults flag. The spec is comma-separated directives:
 //
-//	seed=N                     seed for generated events and flip masks
+//	seed=N                     seed for the flip masks
 //	read@S.D[xC]               transient read error at stripe S, disk D
 //	                           (fails C attempts, default 1)
 //	flip@S.D                   silent bit-flip corruption of that strip

@@ -15,21 +15,6 @@ import (
 	"ppm/internal/stripe"
 )
 
-func TestScheduleDeterministic(t *testing.T) {
-	a := Generate(7, 16, 8, Rates{ReadError: 0.1, BitFlip: 0.1, Hang: 0.02})
-	b := Generate(7, 16, 8, Rates{ReadError: 0.1, BitFlip: 0.1, Hang: 0.02})
-	if a.String() != b.String() {
-		t.Fatalf("same seed produced different schedules:\n%s\n%s", a, b)
-	}
-	c := Generate(8, 16, 8, Rates{ReadError: 0.1, BitFlip: 0.1, Hang: 0.02})
-	if a.String() == c.String() {
-		t.Fatal("different seeds produced identical schedules")
-	}
-	if a.Len() == 0 {
-		t.Fatal("schedule with 10% rates over 128 strips scheduled nothing")
-	}
-}
-
 func TestScheduleCountsAndClone(t *testing.T) {
 	s := NewSchedule(1)
 	s.Add(Event{Stripe: 3, Disk: 2, Kind: ReadError, Count: 2})
@@ -184,7 +169,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	p := Policy{BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Jitter: 0}
 	var prev time.Duration
 	for i := 0; i < 6; i++ {
-		d := p.Backoff(i, nil)
+		d := p.backoff(i, nil)
 		if d < prev {
 			t.Fatalf("backoff shrank at retry %d: %v < %v", i, d, prev)
 		}
@@ -473,5 +458,33 @@ func TestHealerUnrecoverableReported(t *testing.T) {
 	st, _ := stripe.New(sd.NumStrips(), sd.NumRows(), 64)
 	if err := h.ReadStripe(context.Background(), 0, st); err == nil {
 		t.Fatal("unrecoverable stripe read reported success")
+	}
+}
+
+// TestHealerCancelledContextSpendsNoRetries: with the context done
+// before the first strip read, both read paths fail with
+// context.Canceled and count no retry. DoVal reports 0 attempts there,
+// which Retries used to take as -1.
+func TestHealerCancelledContextSpendsNoRetries(t *testing.T) {
+	sd, err := codes.NewSD(6, 2, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, _, sums := encodeToStore(t, sd, 1, 64, 37)
+	h := &Healer{Code: sd, Store: ms, Sums: sums, Policy: DefaultPolicy()}
+	st, err := stripe.New(sd.NumStrips(), sd.NumRows(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := h.ReadStripe(ctx, 0, st); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReadStripe: got %v, want context.Canceled", err)
+	}
+	if err := h.ReadSectors(ctx, 0, st, []int{0}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReadSectors: got %v, want context.Canceled", err)
+	}
+	if h.Stats.Retries != 0 {
+		t.Fatalf("Retries = %d after two cancelled reads, want 0", h.Stats.Retries)
 	}
 }

@@ -262,7 +262,10 @@ func (h *Healer) readStrip(ctx context.Context, idx, j int, st *stripe.Stripe) e
 			}
 			return b, nil
 		})
-	h.Stats.Retries += int64(attempts - 1)
+	if attempts > 1 {
+		// A context done before the first attempt reports 0 attempts.
+		h.Stats.Retries += int64(attempts - 1)
+	}
 	if err != nil {
 		return err
 	}

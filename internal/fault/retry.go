@@ -59,11 +59,9 @@ func (p Policy) max() time.Duration {
 	return p.MaxDelay
 }
 
-// Backoff returns the jittered sleep before retry number retry (0 is
-// the first retry). Exported so other layers (the pipeline's own
-// retry loop) can share the schedule shape without importing the
-// injection machinery at their call sites.
-func (p Policy) Backoff(retry int, rng *rand.Rand) time.Duration {
+// backoff returns the jittered sleep before retry number retry (0 is
+// the first retry).
+func (p Policy) backoff(retry int, rng *rand.Rand) time.Duration {
 	d := p.base() << uint(retry)
 	if d > p.max() || d <= 0 {
 		d = p.max()
@@ -125,7 +123,7 @@ func DoVal[T any](ctx context.Context, name string, p Policy, op func() (T, erro
 		if rng == nil {
 			rng = rand.New(rand.NewSource(p.Seed ^ 0x1e3779b97f4a7c15))
 		}
-		if !sleepCtx(ctx, p.Backoff(i, rng)) {
+		if !sleepCtx(ctx, p.backoff(i, rng)) {
 			return zero, i + 1, &OpError{Op: name, Attempts: i + 1, Err: ctx.Err()}
 		}
 	}

@@ -125,21 +125,14 @@ func (fs *FaultyStore) StripBytes() int { return fs.inner.StripBytes() }
 // Schedule returns the live schedule (for Fired counts in reports).
 func (fs *FaultyStore) Schedule() *Schedule { return fs.sched }
 
-func (fs *FaultyStore) delay(d time.Duration) { delayOrRelease(d, fs.Release) }
-
-// delayOrRelease sleeps for d, or until release (when non-nil) is
-// closed or signalled — how tests cut hour-long hangs short once the
-// op has been abandoned.
-func delayOrRelease(d time.Duration, release chan struct{}) {
+// delay sleeps for d, or until Release is closed or signalled — how
+// tests cut hour-long hangs short once the op has been abandoned.
+func (fs *FaultyStore) delay(d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
-	if release == nil {
-		<-t.C
-		return
-	}
 	select {
 	case <-t.C:
-	case <-release:
+	case <-fs.Release: // a nil Release never fires
 	}
 }
 

@@ -86,16 +86,8 @@ type Config struct {
 	// phase; <= 0 selects 1 (the pipeline parallelises across stripes,
 	// not within them).
 	Threads int
-	// Strategy selects the planning policy (default StrategyPPM).
-	Strategy core.Strategy
 	// Stats, when non-nil, accumulates mult_XORs across the stream.
 	Stats *kernel.Stats
-	// Retry bounds Source.Next/Sink.Drain failures: transient errors
-	// (per the structural Transient() bool contract) are retried with
-	// jittered exponential backoff, and OpTimeout abandons hung calls.
-	// The zero value keeps the historical behaviour: one attempt, no
-	// deadline, no extra goroutines. See RetryPolicy.
-	Retry RetryPolicy
 }
 
 // job is one in-flight stripe. The engine pre-allocates Depth jobs and
@@ -128,24 +120,11 @@ type Engine struct {
 	sentinel *job // end-of-stream marker on order
 
 	// Per-run state, published to the fill goroutine via the start
-	// channel send (happens-before its receive). dst is only read by the
-	// Run goroutine itself and the drain guard's runner (happens-before
-	// via the guard's request channel). A Depth-1 engine reads all of it
-	// on the Run goroutine.
+	// channel send (happens-before its receive). A Depth-1 engine reads
+	// it on the Run goroutine.
 	src  Source
-	dst  Sink
 	ctx  context.Context
 	stop atomic.Bool
-
-	// Guarded-op lanes for Config.Retry.OpTimeout (nil without one).
-	// fillGuard is driven by the fill goroutine (the Run goroutine at
-	// Depth 1), drainGuard by the Run goroutine; each owns a persistent
-	// runner so the steady state costs a channel round trip, not a
-	// goroutine spawn, per op.
-	fillGuard  *opGuard
-	drainGuard *opGuard
-	fillRng    uint64 // jitter state, fill goroutine only
-	drainRng   uint64 // jitter state, Run goroutine only
 
 	// shardErr records a compute-shard failure that escaped the per-job
 	// path (a panic outside computeSafe). It poisons the engine: the
@@ -168,13 +147,6 @@ type Engine struct {
 	running      atomic.Bool
 	runStart     atomic.Int64 // UnixNano of the active run's start
 
-	// Fault accounting (see StageStats): transient fill/drain failures
-	// that were retried away, and corruptions the storage layer detected
-	// and healed while feeding this engine (RecordCorruption).
-	fillRetries  atomic.Int64
-	drainRetries atomic.Int64
-	corruptions  atomic.Int64
-
 	// Test hooks (same-package tests only): testDelay stalls a stripe's
 	// compute to force out-of-order completion; testFail injects a
 	// compute error for chosen indices.
@@ -188,8 +160,7 @@ type Engine struct {
 // engine for sources that hand over caller-owned stripes (the batch
 // path). The scenario may be empty, in which case the compute stage is
 // a passthrough (useful for overlapped read/extract with no repair).
-// A Depth-1 engine starts no goroutines (bar the Retry.OpTimeout
-// guards' runners).
+// A Depth-1 engine starts no goroutines.
 func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, error) {
 	// Depth (queue) and Workers (parallelism) are distinct knobs with
 	// independent defaults: workers follow the core count, depth covers
@@ -222,10 +193,9 @@ func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, 
 	}
 	e.dec = core.NewDecoder(c,
 		core.WithThreads(cfg.Threads),
-		core.WithStrategy(cfg.Strategy),
 		core.WithStats(cfg.Stats))
 	if len(sc.Faulty) > 0 {
-		plan, err := core.BuildPlan(c, sc, cfg.Strategy)
+		plan, err := core.BuildPlan(c, sc, core.StrategyAuto)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
@@ -242,18 +212,6 @@ func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, 
 		}
 		e.free <- j
 	}
-	if cfg.Retry.OpTimeout > 0 {
-		// The guards' closures read e.src/e.dst at call time; both are
-		// published before the first guarded call crosses the request
-		// channel.
-		e.fillGuard = newOpGuard(func(idx int, st *stripe.Stripe) (*stripe.Stripe, error) {
-			return e.src.Next(idx, st)
-		})
-		e.drainGuard = newOpGuard(func(idx int, st *stripe.Stripe) (*stripe.Stripe, error) {
-			return nil, e.dst.Drain(idx, st)
-		})
-	}
-
 	if cfg.Depth == 1 {
 		return e, nil
 	}
@@ -298,16 +256,6 @@ func (e *Engine) Healthy() bool {
 	return err == nil
 }
 
-// RecordCorruption adds n detected-and-handled corruptions (checksum
-// mismatches demoted to erasures, torn strips a scrub rebuilt) to the
-// engine's fault counters. The storage layer that feeds the engine
-// calls it; the count surfaces through StageStats.
-func (e *Engine) RecordCorruption(n int) {
-	if n > 0 {
-		e.corruptions.Add(int64(n))
-	}
-}
-
 // Config returns the engine's configuration with every default
 // resolved.
 func (e *Engine) Config() Config { return e.cfg }
@@ -322,10 +270,6 @@ func (e *Engine) Close() {
 		if e.cfg.Depth > 1 {
 			close(e.start)
 			close(e.work)
-		}
-		if e.fillGuard != nil {
-			e.fillGuard.close()
-			e.drainGuard.close()
 		}
 	})
 }
@@ -354,11 +298,10 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 		return 0, fmt.Errorf("pipeline: %w: compute shard failed: %w", ErrEnginePoisoned, err)
 	}
 	e.src = src
-	e.dst = dst
 	e.ctx = ctx
 	if e.cfg.Depth == 1 {
 		j := <-e.free
-		n, err := e.runInline(j.slab)
+		n, err := e.runInline(j.slab, dst)
 		e.free <- j
 		return n, err
 	}
@@ -405,7 +348,7 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 			}
 		}
 		if firstErr == nil && !stopped {
-			switch derr := e.sinkDrain(dst, j.idx, j.st); {
+			switch derr := dst.Drain(j.idx, j.st); {
 			case derr == nil:
 				drained++
 				e.stripes.Add(1)
@@ -437,14 +380,14 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 }
 
 // runInline is a Depth-1 engine's run: each stripe is filled, computed
-// and drained in turn on the Run goroutine, through the same guarded
-// srcNext/computeSafe/sinkDrain calls as the staged path, so output
-// order, the lowest-index error, Stop, cancellation at stripe
-// boundaries and Retry all behave as they do there. Nothing waits on
-// another stage, so no stall is counted.
+// and drained in turn on the Run goroutine, through the same
+// Next/computeSafe/Drain calls as the staged path, so output order, the
+// lowest-index error, Stop and cancellation at stripe boundaries all
+// behave as they do there. Nothing waits on another stage, so no stall
+// is counted.
 //
 //ppm:hotpath
-func (e *Engine) runInline(slab *stripe.Stripe) (int, error) {
+func (e *Engine) runInline(slab *stripe.Stripe, dst Sink) (int, error) {
 	done := e.ctx.Done()
 	for idx := 0; ; idx++ {
 		select {
@@ -452,7 +395,7 @@ func (e *Engine) runInline(slab *stripe.Stripe) (int, error) {
 			return idx, e.ctx.Err()
 		default:
 		}
-		st, err := e.srcNext(idx, slab)
+		st, err := e.src.Next(idx, slab)
 		if err == nil && st == nil {
 			return idx, nil
 		}
@@ -460,7 +403,7 @@ func (e *Engine) runInline(slab *stripe.Stripe) (int, error) {
 			err = e.computeSafe(idx, st)
 		}
 		if err == nil {
-			switch err = e.sinkDrain(e.dst, idx, st); {
+			switch err = dst.Drain(idx, st); {
 			case err == nil:
 				e.stripes.Add(1)
 				continue
@@ -515,7 +458,7 @@ func (e *Engine) fillOne() {
 		if j == nil {
 			break
 		}
-		st, err := e.srcNext(idx, j.slab)
+		st, err := e.src.Next(idx, j.slab)
 		if err != nil {
 			// A fill failure takes the job's error slot straight to the
 			// drain stage; compute never sees it.

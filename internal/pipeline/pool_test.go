@@ -204,3 +204,129 @@ func TestPoolClose(t *testing.T) {
 		t.Fatalf("run on closed pool err = %v, want errPoolClosed", err)
 	}
 }
+
+func retryBatch(t *testing.T, sd *codes.SD, stripes, sector int) []*stripe.Stripe {
+	t.Helper()
+	batch := make([]*stripe.Stripe, stripes)
+	for i := range batch {
+		st, err := stripe.New(sd.NumStrips(), sd.NumRows(), sector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.FillDataRandom(int64(i), codes.DataPositions(sd))
+		batch[i] = st
+	}
+	return batch
+}
+
+// TestPoolReplacesPoisonedEngine pins the self-healing checkout: a
+// poisoned engine coming off the pool's free list is closed and replaced
+// with a fresh build, so the stream that drew the poisoned slot still
+// succeeds and the pool keeps its size.
+func TestPoolReplacesPoisonedEngine(t *testing.T) {
+	sd := testSD(t)
+	p, err := NewPool(sd, codes.EncodingScenario(sd), 0, 2, Config{Depth: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	// Poison every engine while checked in.
+	p.mu.Lock()
+	victims := append([]*Engine(nil), p.all...)
+	p.mu.Unlock()
+	for _, e := range victims {
+		e.shardErr.Store(errors.New("injected shard death"))
+	}
+
+	batch := retryBatch(t, sd, 4, 64)
+	for i := 0; i < 2*p.Size(); i++ {
+		if _, err := p.Run(SliceSource(batch), NopSink{}); err != nil {
+			t.Fatalf("run %d through self-healing pool: %v", i, err)
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.all) != 2 {
+		t.Fatalf("pool size drifted to %d", len(p.all))
+	}
+	for i, e := range p.all {
+		for _, v := range victims {
+			if e == v {
+				t.Fatalf("engine %d is still a poisoned victim", i)
+			}
+		}
+		if !e.Healthy() {
+			t.Fatalf("engine %d unhealthy after replacement", i)
+		}
+	}
+}
+
+// TestPoolCheckoutRacesPoisoning is the -race regression for the
+// checkout/poison window: engines are poisoned concurrently with
+// checkouts, and every RunContext must either succeed (healthy engine)
+// or fail with ErrEnginePoisoned (poisoned between checkout and run) —
+// never hang or hand out a dead engine silently.
+func TestPoolCheckoutRacesPoisoning(t *testing.T) {
+	sd := testSD(t)
+	p, err := NewPool(sd, codes.EncodingScenario(sd), 0, 2, Config{Depth: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	// One batch per runner: SliceSource hands over caller-owned
+	// stripes, so concurrent Runs must not share them — two checked-out
+	// engines encoding the same stripe is a real data race.
+	batch := retryBatch(t, sd, 2, 64)
+	batches := make([][]*stripe.Stripe, 4)
+	for g := range batches {
+		batches[g] = retryBatch(t, sd, 2, 64)
+	}
+	stop := make(chan struct{})
+	var poisoner sync.WaitGroup
+	poisoner.Add(1)
+	go func() {
+		defer poisoner.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p.mu.Lock()
+			e := p.all[i%len(p.all)]
+			p.mu.Unlock()
+			e.shardErr.Store(errors.New("storm"))
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(batch []*stripe.Stripe) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				_, err := p.Run(SliceSource(batch), NopSink{})
+				if err != nil && !errors.Is(err, ErrEnginePoisoned) {
+					t.Errorf("unexpected checkout error under poisoning storm: %v", err)
+					return
+				}
+			}
+		}(batches[g])
+	}
+	wg.Wait()
+	close(stop)
+	poisoner.Wait()
+
+	// The storm is over: the pool must recover within a bounded number
+	// of checkouts (each one replaces at most one poisoned engine).
+	var lastErr error
+	for i := 0; i <= p.Size(); i++ {
+		if _, lastErr = p.Run(SliceSource(batch), NopSink{}); lastErr == nil {
+			return
+		}
+	}
+	t.Fatalf("pool did not recover after the poisoning storm: %v", lastErr)
+}

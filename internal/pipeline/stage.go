@@ -19,8 +19,8 @@ package pipeline
 // question the repository benchmark reports as pipeline.*_stall_s:
 // which stage to widen when a host saturates. A Depth-1 engine has no
 // stalls: its stages run in sequence on one goroutine and never wait
-// on each other, so all three counters stay 0 while Stripes and the
-// retry counts still move.
+// on each other, so all three counters stay 0 while Stripes still
+// moves.
 
 // StageStats is a snapshot of an engine's (or pool's) cumulative stage
 // stall times and drained stripe count. Durations are nanoseconds; a
@@ -36,15 +36,6 @@ type StageStats struct {
 	DrainStallNs int64 `json:"drain_stall_ns"`
 	// Stripes is the number of stripes drained.
 	Stripes int64 `json:"stripes"`
-	// FillRetries counts transient Source.Next failures that were
-	// retried away under Config.Retry. Zero on a healthy store.
-	FillRetries int64 `json:"fill_retries"`
-	// DrainRetries counts transient Sink.Drain failures retried away.
-	DrainRetries int64 `json:"drain_retries"`
-	// Corruptions counts detected-and-handled corruptions the storage
-	// layer reported via RecordCorruption (checksum mismatches demoted
-	// to erasures and re-decoded, torn strips a scrub rebuilt).
-	Corruptions int64 `json:"corruptions"`
 }
 
 // Add accumulates o into s, for aggregating engines into a pool view.
@@ -53,9 +44,6 @@ func (s *StageStats) Add(o StageStats) {
 	s.ComputeStallNs += o.ComputeStallNs
 	s.DrainStallNs += o.DrainStallNs
 	s.Stripes += o.Stripes
-	s.FillRetries += o.FillRetries
-	s.DrainRetries += o.DrainRetries
-	s.Corruptions += o.Corruptions
 }
 
 // StageStats returns a snapshot of the engine's cumulative stage stall
@@ -67,8 +55,5 @@ func (e *Engine) StageStats() StageStats {
 		ComputeStallNs: e.computeStall.Load(),
 		DrainStallNs:   e.drainStall.Load(),
 		Stripes:        e.stripes.Load(),
-		FillRetries:    e.fillRetries.Load(),
-		DrainRetries:   e.drainRetries.Load(),
-		Corruptions:    e.corruptions.Load(),
 	}
 }
