@@ -290,7 +290,7 @@ func SectorChecksums(st *Stripe) []uint32 { return fault.SectorChecksums(st) }
 // row and returns the global indices of corrupt sectors (nil when
 // clean). Demote the returned indices to erasures and decode to heal.
 func VerifyStripeChecksums(st *Stripe, sums []uint32) []int {
-	return fault.VerifyStripe(st, sums, nil)
+	return fault.VerifyStripe(st, sums)
 }
 
 // StreamPool is a fixed set of stream engines serving many concurrent

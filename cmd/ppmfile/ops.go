@@ -328,7 +328,7 @@ func runVerify(args []string) error {
 		// work — no GF products, no plan. Only pre-checksum archives
 		// fall back to the full parity-check decode.
 		if idx < len(mf.Checksums) && mf.Checksums[idx] != nil {
-			if bad := fault.VerifyStripe(st, mf.Checksums[idx], nil); len(bad) > 0 {
+			if bad := fault.VerifyStripe(st, mf.Checksums[idx]); len(bad) > 0 {
 				return fmt.Errorf("stripe %d fails checksum verification at sector(s) %v; run scrub -repair", idx, bad)
 			}
 			checksummed++

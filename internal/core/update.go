@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"sync"
 
@@ -113,6 +114,22 @@ func (u *Updater) Terms(dataIdx int) ([]UpdateTerm, error) {
 // code — allocates nothing per update.
 var deltaPool = sync.Pool{New: func() interface{} { return new([]byte) }}
 
+// getDelta takes an n-byte delta scratch from the pool; putDelta
+// returns it. They stay outside UpdateRange's //ppm:hotpath region:
+// hotalloc reports Put's argument as boxed into an interface, though a
+// pointer boxes without allocating.
+func getDelta(n int) *[]byte {
+	bp := deltaPool.Get().(*[]byte)
+	if cap(*bp) < n {
+		//ppm:allow(hotalloc) scratch growth: amortised across pooled reuse
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+func putDelta(bp *[]byte) { deltaPool.Put(bp) }
+
 // Update overwrites data sector dataIdx of an encoded stripe with
 // newContent and patches every affected parity sector in place, leaving
 // the stripe a valid codeword. newContent must have the stripe's sector
@@ -126,41 +143,43 @@ func (u *Updater) Update(st *stripe.Stripe, dataIdx int, newContent []byte, stat
 // sub-range of every affected parity sector is delta-updated. lo and
 // hi must be multiples of the field word size. Allocation-free at
 // steady state (the delta scratch circulates through a pool).
+//
+//ppm:hotpath
 func (u *Updater) UpdateRange(st *stripe.Stripe, dataIdx int, newContent []byte, lo, hi int, stats *kernel.Stats) error {
 	if st.N() != u.code.NumStrips() || st.R() != u.code.NumRows() {
+		//ppm:allow(hotalloc) failure path: a rejected call allocates its error once
 		return fmt.Errorf("core: stripe %dx%d does not match code %s", st.N(), st.R(), u.code.Name())
 	}
 	wb := u.field.WordBytes()
 	if lo < 0 || hi > st.SectorSize() || lo >= hi {
+		//ppm:allow(hotalloc) failure path: a rejected call allocates its error once
 		return fmt.Errorf("core: byte range [%d,%d) outside sector size %d", lo, hi, st.SectorSize())
 	}
 	if lo%wb != 0 || hi%wb != 0 {
+		//ppm:allow(hotalloc) failure path: a rejected call allocates its error once
 		return fmt.Errorf("core: byte range [%d,%d) not aligned to the %d-byte GF word", lo, hi, wb)
 	}
 	if len(newContent) != hi-lo {
+		//ppm:allow(hotalloc) failure path: a rejected call allocates its error once
 		return fmt.Errorf("core: new content is %d bytes, range [%d,%d) needs %d", len(newContent), lo, hi, hi-lo)
 	}
 	j, ok := u.dataAt[dataIdx]
 	if !ok {
+		//ppm:allow(hotalloc) failure path: a rejected call allocates its error once
 		return fmt.Errorf("core: sector %d is not a data sector", dataIdx)
 	}
 
 	old := st.Sector(dataIdx)[lo:hi]
-	bp := deltaPool.Get().(*[]byte)
-	if cap(*bp) < len(old) {
-		*bp = make([]byte, len(old))
-	}
-	delta := (*bp)[:len(old)]
-	for i := range delta {
-		delta[i] = old[i] ^ newContent[i]
-	}
+	bp := getDelta(len(old))
+	delta := *bp
+	subtle.XORBytes(delta, old, newContent)
 	var ops int64
 	for _, term := range u.columns[j] {
 		term.mult.MultXOR(st.Sector(u.parity[term.parityRow])[lo:hi], delta)
 		ops++
 	}
 	copy(old, newContent)
-	deltaPool.Put(bp)
+	putDelta(bp)
 	stats.AddMultXORs(ops)
 	return nil
 }

@@ -317,7 +317,7 @@ func TestFaultyStoreInjection(t *testing.T) {
 
 // encodeToStore encodes `stripes` random stripes of the code into a
 // MemStore and returns the originals plus per-stripe checksums.
-func encodeToStore(t *testing.T, c codes.Code, stripes, sectorSize int, seed int64) (*MemStore, []*stripe.Stripe, [][]uint32) {
+func encodeToStore(t testing.TB, c codes.Code, stripes, sectorSize int, seed int64) (*MemStore, []*stripe.Stripe, [][]uint32) {
 	t.Helper()
 	ms := NewMemStore(c.NumStrips(), c.NumRows()*sectorSize)
 	var origs []*stripe.Stripe

@@ -2,11 +2,12 @@ package fault
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"ppm/internal/codes"
+	"ppm/internal/core"
 	"ppm/internal/repair"
 	"ppm/internal/stripe"
 )
@@ -39,14 +40,10 @@ func SectorChecksums(st *stripe.Stripe) []uint32 {
 
 // VerifyStripe compares every sector of st against the expected
 // checksum row and returns the global indices that mismatch (nil when
-// clean). skip, when non-nil, marks sectors excluded from verification
-// (already-declared erasures whose buffers hold no data).
-func VerifyStripe(st *stripe.Stripe, sums []uint32, skip map[int]bool) []int {
+// clean).
+func VerifyStripe(st *stripe.Stripe, sums []uint32) []int {
 	var bad []int
 	for i := 0; i < st.TotalSectors() && i < len(sums); i++ {
-		if skip[i] {
-			continue
-		}
 		if ChecksumSector(st.Sector(i)) != sums[i] {
 			bad = append(bad, i)
 		}
@@ -95,7 +92,9 @@ func (s *HealStats) Add(o HealStats) {
 // against the recorded checksums, and any strip or sector that cannot
 // be read clean is demoted to an erasure and recovered with a decode
 // over the survivors. A Healer is not safe for concurrent use; build
-// one per goroutine (they share nothing but the store).
+// one per goroutine (they share nothing but the store). Its scratch is
+// sized once for the code, so a warm read that meets no fault
+// allocates nothing.
 type Healer struct {
 	// Code is the stripe's erasure code.
 	Code codes.Code
@@ -122,18 +121,62 @@ type Healer struct {
 	Stats HealStats
 
 	planner *repair.Planner
-	baseSet map[int]bool
 	buf     []byte
+	// Per-read scratch: per-sector baseline and faulty flags, per-disk
+	// read and need flags, and the faulty and wanted lists handed to
+	// the planner, built in index order so they are sorted and unique.
+	base, faulty []bool
+	read, need   []bool
+	nBase        int
+	list, wanted []int
+	// readOp reads strip (readIdx, readDisk) into buf: the attempt of a
+	// Policy without OpTimeout, built once instead of per read.
+	readOp            func() ([]byte, error)
+	readIdx, readDisk int
 }
 
 // init lazily builds the repair planner (LRU-cached: repeated demotion
 // patterns reuse their compiled plans) and scratch.
-func (h *Healer) init() {
-	if h.planner == nil {
-		h.planner = repair.NewPlanner(h.Code)
-		h.baseSet = h.Baseline.FaultySet()
-		h.buf = make([]byte, h.Store.StripBytes())
+func (h *Healer) init() error {
+	if h.planner != nil {
+		return nil
 	}
+	n, total := h.Code.NumStrips(), codes.TotalSectors(h.Code)
+	base := make([]bool, total)
+	nBase := 0
+	for _, s := range h.Baseline.Faulty {
+		if s < 0 || s >= total {
+			return fmt.Errorf("baseline sector %d out of range [0,%d)", s, total)
+		}
+		if !base[s] {
+			base[s] = true
+			nBase++
+		}
+	}
+	h.base, h.nBase = base, nBase
+	h.faulty = make([]bool, total)
+	h.read, h.need = make([]bool, n), make([]bool, n)
+	h.list, h.wanted = make([]int, 0, total), make([]int, 0, total)
+	h.buf = make([]byte, h.Store.StripBytes())
+	h.readOp = h.readScratch
+	h.planner = repair.NewPlanner(h.Code)
+	return nil
+}
+
+// begin readies the healer for one read of stripe idx into st: it
+// checks st's geometry against the code and the store, and resets the
+// faulty flags to the baseline.
+func (h *Healer) begin(idx int, st *stripe.Stripe) error {
+	if err := h.init(); err != nil {
+		return fmt.Errorf("fault: stripe %d: %w", idx, err)
+	}
+	n, r := h.Code.NumStrips(), h.Code.NumRows()
+	if st.N() != n || st.R() != r || st.R()*st.SectorSize() != h.Store.StripBytes() {
+		return fmt.Errorf("fault: stripe %d: %dx%d stripe of %d-byte sectors does not fit code %s (%dx%d) over %d-byte strips",
+			idx, st.N(), st.R(), st.SectorSize(), h.Code.Name(), n, r, h.Store.StripBytes())
+	}
+	copy(h.faulty, h.base)
+	return nil
 }
 
 func (h *Healer) logf(format string, args ...any) {
@@ -142,21 +185,84 @@ func (h *Healer) logf(format string, args ...any) {
 	}
 }
 
+// faultyList returns the faulty sectors, sorted, in the healer's reused
+// list.
+func (h *Healer) faultyList() []int {
+	h.list = h.list[:0]
+	for s, f := range h.faulty {
+		if f {
+			h.list = append(h.list, s)
+		}
+	}
+	return h.list
+}
+
+// plan returns the repair plan for the wanted sectors over the current
+// faulty set. An undecodable set keeps the healer's tolerance message.
+func (h *Healer) plan(idx int, wanted []int) (*repair.Plan, error) {
+	faulty := h.faultyList()
+	plan, err := h.planner.Plan(codes.Scenario{Faulty: faulty}, wanted)
+	if errors.Is(err, core.ErrUnrecoverable) {
+		return nil, fmt.Errorf("fault: stripe %d: %d failures exceed %s's tolerance (unrecoverable)",
+			idx, len(faulty), h.Code.Name())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fault: stripe %d: repair planning: %w", idx, err)
+	}
+	return plan, nil
+}
+
+// demoteStrip turns strip j, unreadable after every attempt, into
+// erasures.
+func (h *Healer) demoteStrip(idx, j int, st *stripe.Stripe, err error) {
+	h.Stats.DemotedStrips++
+	h.logf("stripe %d disk %d: demoting strip to erasure: %v", idx, j, err)
+	n := st.N()
+	for i := 0; i < st.R(); i++ {
+		clear(st.SectorAt(i, j))
+		h.faulty[i*n+j] = true
+	}
+}
+
+// verifySector checks live sector s against its recorded checksum and
+// demotes it to an erasure on a mismatch, reporting whether it did.
+func (h *Healer) verifySector(idx, s int, st *stripe.Stripe, sums []uint32) bool {
+	if h.faulty[s] || s >= len(sums) || ChecksumSector(st.Sector(s)) == sums[s] {
+		return false
+	}
+	h.Stats.CorruptSectors++
+	n := st.N()
+	h.logf("stripe %d sector %d (row %d, disk %d): checksum mismatch, demoting to erasure",
+		idx, s, s/n, s%n)
+	clear(st.Sector(s))
+	h.faulty[s] = true
+	return true
+}
+
+// sums returns stripe idx's checksum row, nil when none was recorded.
+func (h *Healer) sums(idx int) []uint32 {
+	if idx < len(h.Sums) {
+		return h.Sums[idx]
+	}
+	return nil
+}
+
 // ReadStripe fills st with stripe idx, degraded-reading around
 // transient faults, hung strips and silent corruption. On return the
 // stripe holds correct bytes everywhere except the Baseline sectors
 // (left zeroed for the downstream decode) — unless the damage exceeded
 // the code's tolerance, which is the returned error.
 func (h *Healer) ReadStripe(ctx context.Context, idx int, st *stripe.Stripe) error {
-	h.init()
+	if err := h.begin(idx, st); err != nil {
+		return err
+	}
 	h.Stats.Stripes++
 	n, r := st.N(), st.R()
-	demoted := make(map[int]bool)
 
 	for j := 0; j < n; j++ {
 		baseMissing := true
 		for i := 0; i < r; i++ {
-			if !h.baseSet[i*n+j] {
+			if !h.base[i*n+j] {
 				baseMissing = false
 				break
 			}
@@ -173,38 +279,15 @@ func (h *Healer) ReadStripe(ctx context.Context, idx int, st *stripe.Stripe) err
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return ctxErr
 			}
-			h.Stats.DemotedStrips++
-			h.logf("stripe %d disk %d: demoting strip to erasure: %v", idx, j, err)
-			for i := 0; i < r; i++ {
-				clear(st.SectorAt(i, j))
-				demoted[i*n+j] = true
-			}
+			h.demoteStrip(idx, j, st, err)
 		}
 	}
 
 	// Checksum the survivors; mismatches join the demoted set.
-	if idx < len(h.Sums) && h.Sums[idx] != nil {
-		skip := demoted
-		if len(h.baseSet) > 0 {
-			skip = make(map[int]bool, len(demoted)+len(h.baseSet))
-			for s := range demoted {
-				skip[s] = true
-			}
-			for s := range h.baseSet {
-				skip[s] = true
-			}
+	if sums := h.sums(idx); sums != nil {
+		for s := range h.faulty {
+			h.verifySector(idx, s, st, sums)
 		}
-		for _, s := range VerifyStripe(st, h.Sums[idx], skip) {
-			h.Stats.CorruptSectors++
-			h.logf("stripe %d sector %d (row %d, disk %d): checksum mismatch, demoting to erasure",
-				idx, s, s/n, s%n)
-			clear(st.Sector(s))
-			demoted[s] = true
-		}
-	}
-
-	if len(demoted) == 0 {
-		return nil
 	}
 
 	// Damage beyond the baseline: repair-plan exactly the demoted
@@ -212,67 +295,76 @@ func (h *Healer) ReadStripe(ctx context.Context, idx int, st *stripe.Stripe) err
 	// survivor set skips whole sub-decodes an unrelated failure would
 	// have dragged in; baseline sectors stay zeroed for the downstream
 	// consumer's once-compiled decode (its plan recovers them anyway).
-	faulty := make([]int, 0, len(demoted)+len(h.baseSet))
-	wanted := make([]int, 0, len(demoted))
-	for s := range demoted {
-		faulty = append(faulty, s)
-		wanted = append(wanted, s)
-	}
-	sort.Ints(wanted)
-	for s := range h.baseSet {
-		if !demoted[s] {
-			faulty = append(faulty, s)
+	h.wanted = h.wanted[:0]
+	for s, f := range h.faulty {
+		if f && !h.base[s] {
+			h.wanted = append(h.wanted, s)
 		}
 	}
-	sc, err := codes.NewScenario(h.Code, faulty)
-	if err != nil {
-		return fmt.Errorf("fault: stripe %d: %w", idx, err)
+	if len(h.wanted) == 0 {
+		return nil
 	}
-	if !codes.Decodable(h.Code, sc) {
-		return fmt.Errorf("fault: stripe %d: %d failures exceed %s's tolerance (unrecoverable)",
-			idx, len(faulty), h.Code.Name())
-	}
-	plan, err := h.planner.Plan(sc, wanted)
+	plan, err := h.plan(idx, h.wanted)
 	if err != nil {
-		return fmt.Errorf("fault: stripe %d: repair planning: %w", idx, err)
+		return err
 	}
 	if err := plan.Execute(st, nil); err != nil {
 		return fmt.Errorf("fault: stripe %d: healing repair: %w", idx, err)
 	}
 	h.Stats.Healed++
 	h.logf("stripe %d: healed %d demoted sector(s) via repair plan (%d survivors)",
-		idx, len(demoted), len(plan.ReadCols))
+		idx, len(h.wanted), len(plan.ReadCols))
 	return nil
 }
 
 // readStrip fetches strip j of stripe idx into st under the retry
 // policy, returning an error when every attempt failed.
 func (h *Healer) readStrip(ctx context.Context, idx, j int, st *stripe.Stripe) error {
-	sector := st.SectorSize()
-	buf, attempts, err := DoVal(ctx, fmt.Sprintf("read stripe %d disk %d", idx, j), h.Policy,
-		func() ([]byte, error) {
-			b := h.buf
-			if h.Policy.OpTimeout > 0 {
-				// An abandoned hung read finishing late must not
-				// scribble scratch the healer is already reusing.
-				b = make([]byte, h.Store.StripBytes())
-			}
+	var (
+		buf      []byte
+		attempts int
+		err      error
+	)
+	if h.Policy.OpTimeout > 0 {
+		buf, attempts, err = DoVal(ctx, "", h.Policy, func() ([]byte, error) {
+			// An abandoned hung read finishing late must not
+			// scribble scratch the healer is already reusing.
+			b := make([]byte, h.Store.StripBytes())
 			if err := h.Store.ReadStrip(idx, j, b); err != nil {
 				return nil, err
 			}
 			return b, nil
 		})
+	} else {
+		h.readIdx, h.readDisk = idx, j
+		buf, attempts, err = DoVal(ctx, "", h.Policy, h.readOp)
+	}
 	if attempts > 1 {
 		// A context done before the first attempt reports 0 attempts.
 		h.Stats.Retries += int64(attempts - 1)
 	}
 	if err != nil {
+		// The op is named only when it failed, so a clean read formats
+		// nothing.
+		if oe, ok := err.(*OpError); ok {
+			oe.Op = fmt.Sprintf("read stripe %d disk %d", idx, j)
+		}
 		return err
 	}
+	sector := st.SectorSize()
 	for i := 0; i < st.R(); i++ {
 		copy(st.SectorAt(i, j), buf[i*sector:(i+1)*sector])
 	}
 	return nil
+}
+
+// readScratch is readOp: one attempt at strip (readIdx, readDisk) into
+// the healer's strip buffer.
+func (h *Healer) readScratch() ([]byte, error) {
+	if err := h.Store.ReadStrip(h.readIdx, h.readDisk, h.buf); err != nil {
+		return nil, err
+	}
+	return h.buf, nil
 }
 
 // ReadSectors materialises only the wanted sectors of stripe idx into
@@ -283,85 +375,60 @@ func (h *Healer) readStrip(ctx context.Context, idx, j int, st *stripe.Stripe) e
 // and replans over a wider survivor set, until the wanted sectors are
 // recovered or the damage exceeds the code's tolerance. Sectors
 // outside the plan are left untouched — the caller must only consume
-// the wanted ones.
+// the wanted ones. A wanted index outside the stripe is an error.
 func (h *Healer) ReadSectors(ctx context.Context, idx int, st *stripe.Stripe, wanted []int) error {
-	h.init()
-	h.Stats.Stripes++
-	n, r := st.N(), st.R()
-	faulty := make(map[int]bool, len(h.baseSet))
-	for s := range h.baseSet {
-		faulty[s] = true
+	if err := h.begin(idx, st); err != nil {
+		return err
 	}
-	read := make(map[int]bool, n)
-	faultyList := make([]int, 0, len(faulty))
+	for _, w := range wanted {
+		if w < 0 || w >= len(h.faulty) {
+			return fmt.Errorf("fault: stripe %d: wanted sector %d out of range [0,%d)", idx, w, len(h.faulty))
+		}
+	}
+	h.Stats.Stripes++
+	n := st.N()
+	sums := h.sums(idx)
+	clear(h.read)
 
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			h.Stats.Replans++
 		}
-		faultyList = faultyList[:0]
-		for s := range faulty {
-			faultyList = append(faultyList, s)
-		}
-		sort.Ints(faultyList)
-		sc, err := codes.NewScenario(h.Code, faultyList)
+		plan, err := h.plan(idx, wanted)
 		if err != nil {
-			return fmt.Errorf("fault: stripe %d: %w", idx, err)
-		}
-		if !codes.Decodable(h.Code, sc) {
-			return fmt.Errorf("fault: stripe %d: %d failures exceed %s's tolerance (unrecoverable)",
-				idx, len(faultyList), h.Code.Name())
-		}
-		plan, err := h.planner.Plan(sc, wanted)
-		if err != nil {
-			return fmt.Errorf("fault: stripe %d: repair planning: %w", idx, err)
+			return err
 		}
 
 		// Strips to fetch: the plan's survivor strips plus any strip
 		// holding a wanted, still-live sector.
-		need := make(map[int]bool, n)
+		clear(h.need)
 		for _, d := range plan.ReadDisks() {
-			need[d] = true
+			h.need[d] = true
 		}
 		for _, w := range wanted {
-			if !faulty[w] {
-				need[w%n] = true
+			if !h.faulty[w] {
+				h.need[w%n] = true
 			}
 		}
 
 		widened := false
 		for j := 0; j < n; j++ {
-			if !need[j] || read[j] {
+			if !h.need[j] || h.read[j] {
 				continue
 			}
 			if err := h.readStrip(ctx, idx, j, st); err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return ctxErr
 				}
-				h.Stats.DemotedStrips++
-				h.logf("stripe %d disk %d: demoting strip to erasure: %v", idx, j, err)
-				for i := 0; i < r; i++ {
-					clear(st.SectorAt(i, j))
-					faulty[i*n+j] = true
-				}
+				h.demoteStrip(idx, j, st, err)
 				widened = true
 				continue
 			}
-			read[j] = true
+			h.read[j] = true
 			h.Stats.StripsRead++
-			if idx < len(h.Sums) && h.Sums[idx] != nil {
-				sums := h.Sums[idx]
-				for i := 0; i < r; i++ {
-					s := i*n + j
-					if faulty[s] || s >= len(sums) {
-						continue
-					}
-					if ChecksumSector(st.SectorAt(i, j)) != sums[s] {
-						h.Stats.CorruptSectors++
-						h.logf("stripe %d sector %d (row %d, disk %d): checksum mismatch, demoting to erasure",
-							idx, s, i, j)
-						clear(st.SectorAt(i, j))
-						faulty[s] = true
+			if sums != nil {
+				for i := 0; i < st.R(); i++ {
+					if h.verifySector(idx, i*n+j, st, sums) {
 						widened = true
 					}
 				}
@@ -375,7 +442,7 @@ func (h *Healer) ReadSectors(ctx context.Context, idx int, st *stripe.Stripe, wa
 		if err := plan.Execute(st, nil); err != nil {
 			return fmt.Errorf("fault: stripe %d: repair execute: %w", idx, err)
 		}
-		if len(faulty) > len(h.baseSet) {
+		if len(h.list) > h.nBase {
 			h.Stats.Healed++
 		}
 		return nil

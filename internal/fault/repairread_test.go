@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -134,5 +135,95 @@ func TestReadSectorsLiveSector(t *testing.T) {
 	}
 	if h.Stats.Replans != 0 {
 		t.Fatalf("Replans = %d, want 0", h.Stats.Replans)
+	}
+}
+
+// TestReadSectorsWantedOutOfRange: a wanted index outside the stripe
+// fails before the first read. 19 on this 16-strip, one-row code names
+// the lost disk 3 modulo n: a healer that took it for a sector would
+// re-read, demote and replan that disk until its context ended.
+func TestReadSectorsWantedOutOfRange(t *testing.T) {
+	lrc, err := codes.NewLRC(12, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, _, sums := encodeToStore(t, lrc, 1, 64, 59)
+	ms.Lose(3)
+	h := &Healer{Code: lrc, Store: ms, Sums: sums}
+	st, err := stripe.New(lrc.NumStrips(), lrc.NumRows(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{19, -1, 16} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		err := h.ReadSectors(ctx, 0, st, []int{w})
+		cancel()
+		if err == nil || errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("wanted [%d]: got %v, want an out-of-range error", w, err)
+		}
+	}
+	if h.Stats.StripsRead != 0 || h.Stats.DemotedStrips != 0 {
+		t.Fatalf("stats = %+v, want no strip read or demoted", h.Stats)
+	}
+}
+
+// TestHealerRejectsGeometry: a stripe whose shape does not match the
+// code or the store's strips is an error from both read paths, before
+// any strip is read: no panic, no checksum failure, no partial read.
+func TestHealerRejectsGeometry(t *testing.T) {
+	lrc, err := codes.NewLRC(12, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, _, sums := encodeToStore(t, lrc, 1, 64, 67)
+	for _, g := range []struct {
+		name         string
+		n, r, sector int
+	}{
+		{"128-byte sectors", 16, 1, 128},
+		{"2 rows", 16, 2, 64},
+		{"32-byte sectors", 16, 1, 32},
+		{"12 strips", 12, 1, 64},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			st, err := stripe.New(g.n, g.r, g.sector)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &Healer{Code: lrc, Store: ms, Sums: sums}
+			if err := h.ReadSectors(context.Background(), 0, st, []int{0}); err == nil {
+				t.Error("ReadSectors accepted the stripe")
+			}
+			if err := h.ReadStripe(context.Background(), 0, st); err == nil {
+				t.Error("ReadStripe accepted the stripe")
+			}
+			if h.Stats != (HealStats{}) {
+				t.Errorf("stats = %+v, want none", h.Stats)
+			}
+		})
+	}
+}
+
+// TestHealerRejectsBaselineOutOfRange: a baseline sector outside the
+// code is an error from both read paths, not an index panic in the
+// per-sector scratch.
+func TestHealerRejectsBaselineOutOfRange(t *testing.T) {
+	lrc, err := codes.NewLRC(12, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, _, sums := encodeToStore(t, lrc, 1, 64, 73)
+	st, err := stripe.New(lrc.NumStrips(), lrc.NumRows(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []int{-1, 16} {
+		h := &Healer{Code: lrc, Store: ms, Sums: sums, Baseline: codes.Scenario{Faulty: []int{s}}}
+		if err := h.ReadSectors(context.Background(), 0, st, []int{0}); err == nil {
+			t.Errorf("baseline [%d]: ReadSectors succeeded", s)
+		}
+		if err := h.ReadStripe(context.Background(), 0, st); err == nil {
+			t.Errorf("baseline [%d]: ReadStripe succeeded", s)
+		}
 	}
 }

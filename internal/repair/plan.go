@@ -12,6 +12,7 @@ package repair
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ppm/internal/codes"
@@ -66,8 +67,9 @@ type Plan struct {
 	// Cost scores the plan (bytes read first, mult_XORs tiebreak).
 	Cost cost.RepairCost
 
-	code   codes.Code
-	nViews int
+	code      codes.Code
+	nViews    int
+	readDisks []int
 }
 
 // InputColumns returns the survivor sectors a caller must materialise
@@ -75,20 +77,10 @@ type Plan struct {
 func (p *Plan) InputColumns() []int { return p.ReadCols }
 
 // ReadDisks returns the distinct strips (disk indices) holding
-// ReadCols, sorted — the strips a store-level repair must fetch.
-func (p *Plan) ReadDisks() []int {
-	n := p.code.NumStrips()
-	seen := make(map[int]bool, n)
-	var disks []int
-	for _, c := range p.ReadCols {
-		if d := c % n; !seen[d] {
-			seen[d] = true
-			disks = append(disks, d)
-		}
-	}
-	sort.Ints(disks)
-	return disks
-}
+// ReadCols, sorted — the strips a store-level repair must fetch. The
+// slice is the plan's own, computed once when the plan was built;
+// callers must not modify it.
+func (p *Plan) ReadDisks() []int { return p.readDisks }
 
 // canonicalWanted intersects wanted with the scenario's faulty set and
 // sorts; a nil wanted selects every faulty sector (full repair).
@@ -115,8 +107,16 @@ func canonicalWanted(sc codes.Scenario, wanted []int) []int {
 // partial-decode closure for the wanted sectors, with every
 // single-failure group re-minimised against the raw parity-check rows
 // (the group merges all rows touching the failure; one row usually
-// reads fewer survivors).
+// reads fewer survivors). An undecodable scenario is rejected whatever
+// the wanted set, so a plan always stands for a decodable scenario.
 func buildPlan(c codes.Code, sc codes.Scenario, wanted []int) (*Plan, error) {
+	if !codes.Decodable(c, sc) {
+		return nil, fmt.Errorf("%w: %d erasures exceed %s's tolerance", core.ErrUnrecoverable, len(sc.Faulty), c.Name())
+	}
+	// The plan keeps its own copy of the scenario: a cached plan must
+	// not alias a slice the caller reuses.
+	sc.Faulty = slices.Clone(sc.Faulty)
+	sc.FailedDisks = slices.Clone(sc.FailedDisks)
 	p := &Plan{
 		Scenario: sc,
 		Wanted:   canonicalWanted(sc, wanted),
@@ -175,6 +175,16 @@ func buildPlan(c codes.Code, sc codes.Scenario, wanted []int) (*Plan, error) {
 	}
 	sort.Ints(p.ReadCols)
 	p.Cost.ReadSectors = len(p.ReadCols)
+	n := c.NumStrips()
+	onDisk := make([]bool, n)
+	for _, col := range p.ReadCols {
+		onDisk[col%n] = true
+	}
+	for d, ok := range onDisk {
+		if ok {
+			p.readDisks = append(p.readDisks, d)
+		}
+	}
 	return p, nil
 }
 

@@ -137,7 +137,10 @@ func planKey(buf []byte, sc codes.Scenario, wanted []int) []byte {
 // Plan returns the minimal-read repair plan recovering the wanted
 // faulty sectors of the scenario (nil wanted = every faulty sector),
 // consulting the LRU cache first. Wanted sectors that are not faulty
-// are ignored — they are readable as-is.
+// are ignored — they are readable as-is. An undecodable scenario fails
+// with an error wrapping core.ErrUnrecoverable, checked on a miss only
+// and never cached, so a plan from the cache stands for decodability.
+// The plan copies sc, so the caller may reuse its slices.
 func (p *Planner) Plan(sc codes.Scenario, wanted []int) (*Plan, error) {
 	if p.entries == nil {
 		return buildVerified(p.code, sc, wanted)

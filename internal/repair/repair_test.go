@@ -2,7 +2,9 @@ package repair
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ppm/internal/codes"
@@ -484,5 +486,56 @@ func TestUnrecoverableScenario(t *testing.T) {
 	sc := scenario(t, rs, []int{0, 1, 2})
 	if _, err := pl.Plan(sc, nil); err == nil {
 		t.Fatal("planning 3 erasures on a 2-parity RS code succeeded")
+	}
+}
+
+// TestPlannerRejectsUndecodable: an undecodable scenario fails with
+// core.ErrUnrecoverable whatever the wanted set, live sectors only
+// included, and is never cached, so a cached plan stands for
+// decodability.
+func TestPlannerRejectsUndecodable(t *testing.T) {
+	rs, err := codes.NewRS(8, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(rs)
+	sc := scenario(t, rs, []int{0, 1, 2})
+	for _, wanted := range [][]int{nil, {0}, {5}, {}} {
+		for try := 0; try < 2; try++ {
+			if _, err := pl.Plan(sc, wanted); !errors.Is(err, core.ErrUnrecoverable) {
+				t.Fatalf("wanted %v: got %v, want core.ErrUnrecoverable", wanted, err)
+			}
+		}
+	}
+	if hits, misses := pl.CacheStats(); hits != 0 || misses != 8 {
+		t.Fatalf("cache stats = %d hits / %d misses, want 0/8: a rejection was cached", hits, misses)
+	}
+}
+
+// TestPlanOwnsScenario: a cached plan keeps its own copy of the
+// scenario, so a caller that reuses its faulty slice cannot rewrite it,
+// and ReadDisks is computed once, without allocating.
+func TestPlanOwnsScenario(t *testing.T) {
+	lrc, err := codes.NewLRC(12, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(lrc)
+	faulty := []int{3}
+	plan, err := pl.Plan(codes.Scenario{Faulty: faulty}, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty[0] = 7
+	if plan.Scenario.Faulty[0] != 3 {
+		t.Fatalf("cached plan's scenario became %v after the caller reused its slice", plan.Scenario.Faulty)
+	}
+	if got, want := plan.ReadDisks(), []int{0, 1, 2, 4, 5, 12}; !slices.Equal(got, want) {
+		t.Fatalf("ReadDisks = %v, want %v", got, want)
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(20, func() { plan.ReadDisks() }); allocs != 0 {
+			t.Fatalf("ReadDisks allocates %.1f per call, want 0", allocs)
+		}
 	}
 }
