@@ -315,9 +315,10 @@ func NewStreamPool(c Code, sc Scenario, sectorSize, size int, cfg StreamConfig) 
 
 // NewStreamEngine builds a reusable pipeline engine for one code +
 // scenario pair (use EncodingScenario(c) for encoding). sectorSize > 0
-// pre-allocates Depth stripe slabs; sectorSize == 0 builds a slab-less
+// gives the engine Depth stripe slabs, reusing those of engines of the
+// same geometry that were closed; sectorSize == 0 builds a slab-less
 // engine for batch sources that hand over caller-owned stripes. Close
-// the engine when done.
+// the engine when done: its slabs then serve the next engine.
 func NewStreamEngine(c Code, sc Scenario, sectorSize int, cfg StreamConfig) (*StreamEngine, error) {
 	return pipeline.New(c, sc, sectorSize, cfg)
 }
@@ -327,7 +328,7 @@ func NewStreamEngine(c Code, sc Scenario, sectorSize int, cfg StreamConfig) (*St
 // stripe reads overlapping compute — and writes full stripe images
 // (n*r sectors, row-major) to dst. The final stripe is zero-padded;
 // StreamResult.Bytes is the payload size a later DecodeStream needs to
-// trim it.
+// trim it. sectorSize must be positive.
 func EncodeStream(c Code, dst io.Writer, src io.Reader, sectorSize int, cfg StreamConfig) (StreamResult, error) {
 	return pipeline.EncodeStream(c, dst, src, sectorSize, cfg)
 }
@@ -337,6 +338,7 @@ func EncodeStream(c Code, dst io.Writer, src io.Reader, sectorSize int, cfg Stre
 // reconstructed), and writes the recovered payload to dst, trimmed to
 // payload bytes (negative payload emits everything, padding included).
 // An empty scenario makes it an overlapped extract of an intact stream.
+// sectorSize must be positive.
 func DecodeStream(c Code, dst io.Writer, src io.Reader, sc Scenario, payload int64, sectorSize int, cfg StreamConfig) (StreamResult, error) {
 	return pipeline.DecodeStream(c, dst, src, sc, payload, sectorSize, cfg)
 }

@@ -12,8 +12,9 @@ import (
 
 // The ppmfile commands drive the streaming pipeline with these adapters:
 // a payload source that lays file bytes into stripe data sectors, a
-// strip-store sink/source pair over the per-disk files, and a restore
-// sink that writes the recovered payload plus any repaired strips.
+// strip-store sink over the per-disk files, a healing source that reads
+// them back, and a restore sink that writes the recovered payload plus
+// any repaired strips.
 // Source methods run on the pipeline's fill goroutine and sink methods
 // on the drain goroutine, so each adapter owns its own scratch buffer.
 
@@ -76,24 +77,6 @@ func (k *storeSink) Drain(idx int, st *stripe.Stripe) error {
 	}
 	k.sums = append(k.sums, fault.SectorChecksums(st))
 	return nil
-}
-
-// storeSource reads stripes back from the strip files (missing disks'
-// sectors stay zeroed for the decoder to recover). It is the raw,
-// non-healing read path; decode uses healSource instead.
-type storeSource struct {
-	ds      *diskStore
-	stripes int
-}
-
-func (s *storeSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) {
-	if idx >= s.stripes {
-		return nil, nil
-	}
-	if err := s.ds.readStripe(idx, slab); err != nil {
-		return nil, err
-	}
-	return slab, nil
 }
 
 // healSource feeds the decode pipeline through a fault.Healer: each

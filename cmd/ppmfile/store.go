@@ -283,8 +283,8 @@ func (ds *diskStore) WriteStrip(idx, disk int, src []byte) error {
 	return nil
 }
 
-// readStripe loads stripe number idx into st; missing disks' sectors
-// are left zeroed.
+// readStripe loads stripe number idx into st. A missing disk's sectors
+// keep whatever st held, so callers reject missing disks first.
 func (ds *diskStore) readStripe(idx int, st *stripe.Stripe) error {
 	for j, f := range ds.fh {
 		if f == nil {

@@ -25,7 +25,9 @@ type Result struct {
 // payload back.
 
 // readerSource lays payload bytes from r into the data sectors of the
-// slab, zero-padding the final partial stripe.
+// slab, zero-padding the final partial stripe itself: the slab still
+// holds an earlier stripe. The parity sectors are the encode's
+// erasures, so their old bytes are overwritten.
 type readerSource struct {
 	r    io.Reader
 	data []int
@@ -133,12 +135,25 @@ func (k *dataSink) Drain(_ int, st *stripe.Stripe) error {
 	return nil
 }
 
+// checkStreamSector rejects the sector sizes New accepts but a stream
+// cannot use: size 0 builds a slab-less engine, and the stream sources
+// fill slabs.
+func checkStreamSector(sectorSize int) error {
+	if sectorSize <= 0 {
+		return fmt.Errorf("pipeline: stream sector size %d must be positive", sectorSize)
+	}
+	return nil
+}
+
 // EncodeStream reads payload bytes from src, encodes them stripe by
 // stripe through the pipeline (plan compiled once, Depth stripes in
 // flight), and writes full stripe images to dst. The final stripe is
 // zero-padded; Result.Bytes reports the payload consumed, which the
 // caller needs to trim the padding after a later DecodeStream.
 func EncodeStream(c codes.Code, dst io.Writer, src io.Reader, sectorSize int, cfg Config) (Result, error) {
+	if err := checkStreamSector(sectorSize); err != nil {
+		return Result{}, err
+	}
 	e, err := New(c, codes.EncodingScenario(c), sectorSize, cfg)
 	if err != nil {
 		return Result{}, err
@@ -160,6 +175,9 @@ func EncodeStream(c codes.Code, dst io.Writer, src io.Reader, sectorSize int, cf
 // empty scenario turns DecodeStream into an overlapped extract of an
 // intact stream.
 func DecodeStream(c codes.Code, dst io.Writer, src io.Reader, sc codes.Scenario, payload int64, sectorSize int, cfg Config) (Result, error) {
+	if err := checkStreamSector(sectorSize); err != nil {
+		return Result{}, err
+	}
 	e, err := New(c, sc, sectorSize, cfg)
 	if err != nil {
 		return Result{}, err

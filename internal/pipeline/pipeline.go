@@ -42,13 +42,20 @@ import (
 // slabs). Returning (nil, nil) ends the stream. Next runs on the
 // engine's fill goroutine (at Depth 1, the goroutine that called Run),
 // never concurrently with itself.
+//
+// A slab is never zeroed: it holds the bytes of an earlier stripe of
+// this run, or of another engine's run. Next must write every sector
+// of a slab it returns, except the scenario's faulty positions, which
+// the compute stage overwrites; a short final stripe zero-pads itself.
 type Source interface {
 	Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error)
 }
 
 // Sink consumes processed stripes. Drain is called exactly once per
 // successful stripe, in strictly increasing index order, from the
-// goroutine that called Run — never concurrently with itself.
+// goroutine that called Run — never concurrently with itself. Drain
+// must not keep st after it returns: a slab goes back to the fill
+// stage at once, and to another engine once this one is closed.
 type Sink interface {
 	Drain(idx int, st *stripe.Stripe) error
 }
@@ -68,7 +75,7 @@ var Stop = errors.New("pipeline: stop")
 // Config tunes an Engine.
 type Config struct {
 	// Depth bounds the number of stripes in flight (and the number of
-	// stripe slabs the engine allocates). Depth 1 runs on the caller's
+	// stripe slabs the engine holds). Depth 1 runs on the caller's
 	// goroutine: each stripe is filled, computed and drained in turn,
 	// with one slab, no stage goroutines and the plan still amortised.
 	// <= 0 selects max(DefaultDepth, Workers) — queue depth must cover
@@ -155,13 +162,18 @@ type Engine struct {
 }
 
 // New builds an engine for one code + scenario pair, compiling the plan
-// once. sectorSize > 0 allocates Depth stripe slabs of that geometry
-// for sources that fill buffers; sectorSize == 0 builds a slab-less
-// engine for sources that hand over caller-owned stripes (the batch
-// path). The scenario may be empty, in which case the compute stage is
+// once. sectorSize > 0 gives the engine Depth stripe slabs of that
+// geometry for sources that fill buffers, taken from the slabs earlier
+// engines gave back at Close where there are any (see slab.go);
+// sectorSize == 0 builds a slab-less engine for sources that hand over
+// caller-owned stripes (the batch path), and a negative size is an
+// error. The scenario may be empty, in which case the compute stage is
 // a passthrough (useful for overlapped read/extract with no repair).
 // A Depth-1 engine starts no goroutines.
 func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, error) {
+	if sectorSize < 0 {
+		return nil, fmt.Errorf("pipeline: negative sector size %d", sectorSize)
+	}
 	// Depth (queue) and Workers (parallelism) are distinct knobs with
 	// independent defaults: workers follow the core count, depth covers
 	// the shards plus I/O headroom. The old min(Depth, NumCPU) coupling
@@ -204,7 +216,7 @@ func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, 
 	for i := 0; i < cfg.Depth; i++ {
 		j := &job{done: make(chan error, 1)}
 		if sectorSize > 0 {
-			slab, err := stripe.New(c.NumStrips(), c.NumRows(), sectorSize)
+			slab, err := takeSlab(c.NumStrips(), c.NumRows(), sectorSize)
 			if err != nil {
 				return nil, err
 			}
@@ -261,9 +273,12 @@ func (e *Engine) Healthy() bool {
 func (e *Engine) Config() Config { return e.cfg }
 
 // Close shuts the engine's stage goroutines down (a Depth-1 engine has
-// none). Close must not be called while a Run is in progress; it is
+// none) and gives its slabs to the next engine of the same geometry.
+// Close must not be called while a Run is in progress; it is
 // idempotent and safe to call from several goroutines at once (two
 // deferred Closes racing must not double-close the stage channels).
+// A Sink must not hold a drained stripe past Drain, since after Close
+// another engine may fill that slab.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
@@ -271,7 +286,29 @@ func (e *Engine) Close() {
 			close(e.start)
 			close(e.work)
 		}
+		// A dead shard may have died holding a job, or halfway through
+		// writing its slab: a poisoned engine gives nothing back.
+		if err, _ := e.shardErr.Load().(error); err == nil {
+			e.giveSlabs()
+		}
 	})
+}
+
+// giveSlabs gives the slab of every job on the free list to the next
+// engine of its geometry, and drops the job. It takes only what it can
+// without blocking: a job missing from the free list may still be in
+// flight, and its slab must never reach another engine.
+func (e *Engine) giveSlabs() {
+	for {
+		select {
+		case j := <-e.free:
+			if j.slab != nil {
+				giveSlab(j.slab)
+			}
+		default:
+			return
+		}
+	}
 }
 
 // Run drives one stream through the pipeline and reports the number of

@@ -563,7 +563,9 @@ func TestBatchGeometryMismatch(t *testing.T) {
 }
 
 // TestConcurrentEngines runs several engines over the shared worker
-// pool at once — the -race check for the concurrency layer.
+// pool at once — the -race check for the concurrency layer. Each
+// goroutine streams several times in turn, so slabs pass between the
+// goroutines' engines.
 func TestConcurrentEngines(t *testing.T) {
 	sd := testSD(t)
 	const sector = 128
@@ -576,13 +578,16 @@ func TestConcurrentEngines(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var buf bytes.Buffer
-			if _, err := EncodeStream(sd, &buf, bytes.NewReader(data), sector, Config{Depth: 3, Workers: 2}); err != nil {
-				errs[g] = err
-				return
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				errs[g] = fmt.Errorf("goroutine %d: stream output differs", g)
+			for call := 0; call < 4; call++ {
+				var buf bytes.Buffer
+				if _, err := EncodeStream(sd, &buf, bytes.NewReader(data), sector, Config{Depth: 3, Workers: 2}); err != nil {
+					errs[g] = err
+					return
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					errs[g] = fmt.Errorf("goroutine %d, call %d: stream output differs", g, call)
+					return
+				}
 			}
 		}(g)
 	}

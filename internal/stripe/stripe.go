@@ -8,6 +8,7 @@ package stripe
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ppm/internal/codes"
@@ -22,13 +23,17 @@ type Stripe struct {
 
 // New allocates a stripe of n strips by r rows with the given sector
 // size in bytes. The sector size must be a positive multiple of 4 so
-// that regions are word-aligned for every supported field.
+// that regions are word-aligned for every supported field, and the
+// stripe's n·r·sectorSize bytes must fit in an int.
 func New(n, r, sectorSize int) (*Stripe, error) {
 	if n < 1 || r < 1 {
 		return nil, fmt.Errorf("stripe: invalid geometry n=%d r=%d", n, r)
 	}
 	if sectorSize < 4 || sectorSize%4 != 0 {
 		return nil, fmt.Errorf("stripe: sector size %d must be a positive multiple of 4", sectorSize)
+	}
+	if n > math.MaxInt/r || n*r > math.MaxInt/sectorSize {
+		return nil, fmt.Errorf("stripe: %d×%d sectors of %d bytes overflow int", n, r, sectorSize)
 	}
 	// One backing allocation, sliced per sector (HPC-friendly layout).
 	backing := make([]byte, n*r*sectorSize)

@@ -2,6 +2,7 @@ package stripe
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"ppm/internal/codes"
@@ -29,6 +30,31 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(c.n, c.r, c.size); err == nil {
 			t.Errorf("New(%d,%d,%d) accepted", c.n, c.r, c.size)
 		}
+	}
+}
+
+// TestNewRejectsOverflow: a geometry whose n·r or n·r·sectorSize
+// overflows int is an error. It used to panic on a slice bound, or
+// return a stripe that reported its geometry but held no sectors.
+func TestNewRejectsOverflow(t *testing.T) {
+	cases := []struct {
+		name       string
+		n, r, size int
+	}{
+		{"bytes", 16, 16, 1 << 60},
+		{"bytes at 2^63", 8, 4, 1 << 58},
+		{"sectors", 1 << 40, 1 << 40, 4},
+		{"sectors at 2^64", 1 << 32, 1 << 32, 4},
+		{"max n", math.MaxInt, 2, 4},
+		{"max r", 2, math.MaxInt, 4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := New(c.n, c.r, c.size)
+			if err == nil {
+				t.Fatalf("New(%d, %d, %d) returned a %d×%d stripe of %d sectors", c.n, c.r, c.size, st.N(), st.R(), len(st.sectors))
+			}
+		})
 	}
 }
 

@@ -178,6 +178,40 @@ func TestConcurrentStreamCodecs(t *testing.T) {
 	}
 }
 
+// TestStreamRejectsBadSectorSize: the public stream calls return an
+// error for a sector size they cannot use, where they used to panic —
+// 0 and below on the fill goroutine, where no caller could recover it,
+// and 1<<58 inside the stripe allocation (n·r·sectorSize overflowed).
+func TestStreamRejectsBadSectorSize(t *testing.T) {
+	rs, err := NewRS(8, 4, 2) // n·r = 32: a 1<<58-byte sector overflows int
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := streamScenario(t, rs, []int{1})
+	data := make([]byte, 1000)
+	for _, depth := range []int{0, 1} {
+		for _, size := range []int{0, -4, 1 << 58} {
+			cfg := StreamConfig{Depth: depth}
+			var buf bytes.Buffer
+			if _, err := EncodeStream(rs, &buf, bytes.NewReader(data), size, cfg); err == nil {
+				t.Errorf("depth %d: EncodeStream accepted sector size %d", depth, size)
+			}
+			if _, err := DecodeStream(rs, &buf, bytes.NewReader(data), sc, -1, size, cfg); err == nil {
+				t.Errorf("depth %d: DecodeStream accepted sector size %d", depth, size)
+			}
+		}
+	}
+	if p, err := NewStreamPool(rs, sc, 1<<58, 2, StreamConfig{}); err == nil {
+		p.Close()
+		t.Error("NewStreamPool accepted a 1<<58-byte sector")
+	}
+	for _, g := range [][3]int{{16, 16, 1 << 60}, {1 << 40, 1 << 40, 4}} {
+		if _, err := NewStripe(g[0], g[1], g[2]); err == nil {
+			t.Errorf("NewStripe(%d, %d, %d) accepted an overflowing geometry", g[0], g[1], g[2])
+		}
+	}
+}
+
 var errTestMismatch = &mismatchError{}
 
 type mismatchError struct{}
