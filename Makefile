@@ -86,6 +86,7 @@ fuzz-smoke:
 	$(GO) test ./internal/xorplan -run=^$$ -fuzz=FuzzProgramVsScalar -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/planverify -run=^$$ -fuzz=FuzzVerifierVsDifferential -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fault -run=^$$ -fuzz=FuzzReadSectors -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/repair -run=^$$ -fuzz=FuzzDecodeScenario -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pipeline -run=^$$ -fuzz=FuzzStreamRoundTrip -fuzztime=$(FUZZTIME)
 
 # Pointer-safety instrumentation over the packages that sit on the

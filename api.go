@@ -369,13 +369,16 @@ func FieldFor(sectors int) (int, error) {
 }
 
 // RepairPlanner plans minimal-read repairs for one code instance:
-// which survivors to read and which compiled steps recover a wanted
-// sector set, LRU-cached per (scenario, wanted) pair.
+// which survivors to read and which sub-decodes of the scenario's PPM
+// plan recover a wanted sector set, LRU-cached per (scenario, wanted)
+// pair as the caller lists them.
 type RepairPlanner = repair.Planner
 
-// RepairPlan is a compiled minimal-read repair: its ReadCols/ReadDisks
-// name exactly the survivor sectors a caller must supply before
-// Execute (or ExecuteRange, for a byte sub-range) recovers the wanted
+// RepairPlan is a minimal-read repair: the scenario's PPM plan cut
+// down to the sub-decodes the wanted sectors need (its Selection). Its
+// ReadCols/ReadDisks name exactly the survivor sectors a caller must
+// supply before Execute (or ExecuteRange, for a byte sub-range) runs
+// the selection through the decode executor and recovers the wanted
 // sectors in place.
 type RepairPlan = repair.Plan
 

@@ -1,6 +1,9 @@
 package ppm
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -286,6 +289,100 @@ func TestRepairAPIMinimalRead(t *testing.T) {
 	for i := 64; i < 192; i++ {
 		if st.Sector(3)[i] != want.Sector(3)[i] {
 			t.Fatalf("byte %d of wanted sector not recovered", i)
+		}
+	}
+}
+
+// TestInvalidFaultyListsRejected drives every public entry point that
+// takes a Scenario with faulty lists no codes.NewScenario would build:
+// an index below the stripe, at n·r, far past it, and a repeat. Each
+// call returns an error (Decodable returns false); none panics and none
+// returns nil having decoded nothing.
+func TestInvalidFaultyListsRejected(t *testing.T) {
+	code, err := NewLRC(12, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sector = 64
+	total := code.NumStrips() * code.NumRows()
+	stripeFor := func(t *testing.T) *Stripe {
+		st, err := NewStripe(code.NumStrips(), code.NumRows(), sector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	entries := []struct {
+		name string
+		call func(t *testing.T, sc Scenario) error
+	}{
+		{"Decoder.Decode", func(t *testing.T, sc Scenario) error {
+			return NewDecoder(code).Decode(stripeFor(t), sc)
+		}},
+		{"BuildPlan", func(t *testing.T, sc Scenario) error {
+			_, err := BuildPlan(code, sc, StrategyPPM)
+			return err
+		}},
+		{"RepairPlanner.Plan", func(t *testing.T, sc Scenario) error {
+			_, err := NewRepairPlanner(code).Plan(sc, nil)
+			return err
+		}},
+		{"Decodable", func(t *testing.T, sc Scenario) error {
+			if Decodable(code, sc) {
+				return nil
+			}
+			return errors.New("not decodable")
+		}},
+		{"NewStreamEngine", func(t *testing.T, sc Scenario) error {
+			e, err := NewStreamEngine(code, sc, sector, StreamConfig{})
+			if e != nil {
+				e.Close()
+			}
+			return err
+		}},
+		{"NewStreamPool", func(t *testing.T, sc Scenario) error {
+			p, err := NewStreamPool(code, sc, sector, 2, StreamConfig{})
+			if p != nil {
+				p.Close()
+			}
+			return err
+		}},
+		{"DecodeBatch", func(t *testing.T, sc Scenario) error {
+			return DecodeBatch(code, sc, []*Stripe{stripeFor(t)}, StreamConfig{})
+		}},
+		{"DecodeStream", func(t *testing.T, sc Scenario) error {
+			image := make([]byte, total*sector)
+			_, err := DecodeStream(code, io.Discard, bytes.NewReader(image), sc, -1, sector, StreamConfig{})
+			return err
+		}},
+		{"TraditionalDecode", func(t *testing.T, sc Scenario) error {
+			return TraditionalDecode(code, stripeFor(t), sc, nil)
+		}},
+		{"BlockParallelDecode", func(t *testing.T, sc Scenario) error {
+			return BlockParallelDecode(code, stripeFor(t), sc, 2, nil)
+		}},
+	}
+	lists := []struct {
+		name   string
+		faulty []int
+	}{
+		{"negative", []int{-1}},
+		{"n*r", []int{total}},
+		{"n*r+100", []int{total + 100}},
+		{"repeat", []int{3, 3}},
+	}
+	for _, e := range entries {
+		for _, l := range lists {
+			t.Run(e.name+"/"+l.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("faulty %v panicked: %v", l.faulty, r)
+					}
+				}()
+				if err := e.call(t, Scenario{Faulty: l.faulty}); err == nil {
+					t.Fatalf("faulty %v accepted", l.faulty)
+				}
+			})
 		}
 	}
 }

@@ -50,13 +50,17 @@
 // # Error propagation
 //
 // Every decode entry point — Decode, DecodeWithPlan,
-// BlockParallelDecode, and a RepairPlan's Execute and ExecuteRange —
-// reports sub-decode failures as returned errors: a failing sub-decode
-// is never silently dropped, and kernel-level shape violations are
-// converted from panics into errors. When several parallel sub-decodes
-// fail in one call, the error of the lowest group index is returned,
-// deterministically. An attached Stats counter is never credited for
-// work a failed sub-decode did not complete.
+// BlockParallelDecode, and a RepairPlan's Execute and ExecuteRange,
+// which run the plan's selection through Decode's executor — reports
+// sub-decode failures as returned errors: a failing sub-decode is
+// never silently dropped, and kernel-level shape violations are
+// converted from panics into errors. A Scenario whose faulty list
+// holds an index outside the stripe or a repeat is an error wherever
+// it is passed in (Decodable reports false); unsorted lists are
+// accepted. When several parallel sub-decodes fail in one call, the
+// error of the lowest group index is returned, deterministically. An
+// attached Stats counter is never credited for work a failed
+// sub-decode did not complete.
 //
 // See examples/ for runnable programs, DESIGN.md for the architecture,
 // and EXPERIMENTS.md for the paper-figure reproductions.

@@ -12,6 +12,7 @@ package codes
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ppm/internal/gf"
@@ -73,20 +74,37 @@ type Scenario struct {
 // NewScenario builds a scenario from an arbitrary set of faulty sector
 // indices, validating them against the code's geometry.
 func NewScenario(c Code, faulty []int) (Scenario, error) {
-	total := TotalSectors(c)
-	seen := make(map[int]bool, len(faulty))
 	sorted := append([]int(nil), faulty...)
 	sort.Ints(sorted)
-	for _, idx := range sorted {
-		if idx < 0 || idx >= total {
-			return Scenario{}, fmt.Errorf("codes: faulty sector %d out of range [0,%d)", idx, total)
-		}
-		if seen[idx] {
-			return Scenario{}, fmt.Errorf("codes: duplicate faulty sector %d", idx)
-		}
-		seen[idx] = true
+	if err := CheckFaulty(c, sorted); err != nil {
+		return Scenario{}, err
 	}
 	return Scenario{Faulty: sorted}, nil
+}
+
+// CheckFaulty reports the first faulty index that lies outside
+// [0, n·r) or repeats an earlier one. The list need not be sorted, and
+// checking it allocates nothing. Every entry point that takes a
+// Scenario it did not build checks it here before indexing H or a
+// stripe with it.
+func CheckFaulty(c Code, faulty []int) error {
+	total := TotalSectors(c)
+	sorted := true
+	for i, idx := range faulty {
+		if idx < 0 || idx >= total {
+			return fmt.Errorf("codes: faulty sector %d out of range [0,%d)", idx, total)
+		}
+		if i == 0 {
+			continue
+		}
+		// A strictly increasing prefix holds no repeat; past the first
+		// descent, look back.
+		sorted = sorted && idx > faulty[i-1]
+		if !sorted && slices.Contains(faulty[:i], idx) {
+			return fmt.Errorf("codes: duplicate faulty sector %d", idx)
+		}
+	}
+	return nil
 }
 
 // FaultySet returns the scenario's faulty indices as a membership set.
@@ -107,9 +125,13 @@ func EncodingScenario(c Code) Scenario {
 }
 
 // Decodable reports whether the scenario is recoverable by this code
-// instance: the faulty-column sub-matrix F must have full column rank
-// (for square F, invertibility).
+// instance: its faulty list must pass CheckFaulty, and the
+// faulty-column sub-matrix F must have full column rank (for square F,
+// invertibility).
 func Decodable(c Code, sc Scenario) bool {
+	if CheckFaulty(c, sc.Faulty) != nil {
+		return false
+	}
 	h := c.ParityCheck()
 	if len(sc.Faulty) == 0 {
 		return true

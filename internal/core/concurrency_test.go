@@ -182,7 +182,7 @@ func TestPlanCacheEvictionBound(t *testing.T) {
 			t.Fatalf("decode %d: wrong bytes after eviction churn", i)
 		}
 	}
-	if dec.cache.lru.Len() > 2 {
-		t.Fatalf("cache holds %d entries, capacity 2", dec.cache.lru.Len())
+	if dec.cache.Len() > 2 {
+		t.Fatalf("cache holds %d entries, capacity 2", dec.cache.Len())
 	}
 }

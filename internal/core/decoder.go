@@ -2,11 +2,20 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"ppm/internal/codes"
 	"ppm/internal/kernel"
+	"ppm/internal/lru"
 	"ppm/internal/stripe"
 )
+
+// DefaultPlanCacheSize is the plan-cache bound a Decoder starts with.
+// A rebuild workload sees a handful of distinct failure signatures (one
+// per dead-disk pattern plus a few latent-sector variants), so a small
+// LRU holds the entire working set; the bound only matters for
+// adversarial scenario churn.
+const DefaultPlanCacheSize = 64
 
 // Decoder binds a code instance to PPM execution options. A Decoder is
 // safe for concurrent use by multiple goroutines on distinct stripes:
@@ -18,7 +27,7 @@ type Decoder struct {
 	strategy Strategy
 	stats    *kernel.Stats
 	cacheCap int
-	cache    *planCache
+	cache    *lru.Cache[*Plan]
 }
 
 // Option configures a Decoder.
@@ -58,9 +67,7 @@ func NewDecoder(c codes.Code, opts ...Option) *Decoder {
 	for _, o := range opts {
 		o(d)
 	}
-	if d.cacheCap > 0 {
-		d.cache = newPlanCache(d.cacheCap)
-	}
+	d.cache = lru.New[*Plan](d.cacheCap)
 	return d
 }
 
@@ -93,31 +100,36 @@ func (d *Decoder) Decode(st *stripe.Stripe, sc codes.Scenario) error {
 // plan more than once; plans are idempotent, so the duplicates are
 // merely discarded.
 func (d *Decoder) planFor(sc codes.Scenario) (*Plan, error) {
-	if d.cache == nil {
-		return BuildPlan(d.code, sc, d.strategy)
-	}
 	var arr [96]byte
 	key := planKey(arr[:0], sc, d.strategy)
-	if plan := d.cache.get(key); plan != nil {
+	if plan, ok := d.cache.Get(key); ok {
 		return plan, nil
 	}
 	plan, err := BuildPlan(d.code, sc, d.strategy)
 	if err != nil {
 		return nil, err
 	}
-	d.cache.put(key, plan)
+	d.cache.Put(key, plan)
 	return plan, nil
+}
+
+// planKey renders a failure pattern + strategy as a cache key.
+// Scenario.Faulty is sorted (codes.NewScenario and the generators
+// guarantee it), so equal patterns render equal keys; an unsorted list
+// gets an entry of its own.
+func planKey(buf []byte, sc codes.Scenario, strategy Strategy) []byte {
+	buf = strconv.AppendInt(buf, int64(strategy), 10)
+	for _, f := range sc.Faulty {
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(f), 10)
+	}
+	return buf
 }
 
 // PlanCacheStats reports the plan cache's hit and miss counters since
 // the Decoder was built (both zero when the cache is disabled). Misses
 // equal the number of plans Decode built.
-func (d *Decoder) PlanCacheStats() (hits, misses int64) {
-	if d.cache == nil {
-		return 0, 0
-	}
-	return d.cache.stats()
-}
+func (d *Decoder) PlanCacheStats() (hits, misses int64) { return d.cache.Stats() }
 
 // DecodeWithPlan runs a previously built plan against a stripe —
 // the repeated-decode fast path (one stripe after another fails the

@@ -27,13 +27,27 @@ func Execute(p *Plan, st *stripe.Stripe, _ gf.Field, threads int, stats *kernel.
 	if p == nil || st == nil {
 		return fmt.Errorf("core: nil plan or stripe")
 	}
-	return executeSpan(p, st, threads, stats)
+	return executeSpan(p, st, threads, 0, st.SectorSize(), stats)
 }
 
-// executeSpan is the one executor body: Algorithm 1 over whole
-// sectors. Thread (g mod T) takes group g, then the serial tail runs:
-// H_rest, or the single sub-decode of a whole-matrix plan.
-func executeSpan(p *Plan, st *stripe.Stripe, threads int, stats *kernel.Stats) (err error) {
+// ExecuteRange runs a plan at T = 1 over the [lo, hi) byte range of
+// every sector, leaving the rest of each recovered sector untouched —
+// the executor of repair plans (Plan.Select cut-downs), whose degraded
+// reads recover a sub-range. The caller checks the range: lo and hi
+// must be multiples of the field word size with 0 <= lo < hi <=
+// st.SectorSize(). The whole range runs exactly as Execute at T = 1.
+func ExecuteRange(p *Plan, st *stripe.Stripe, lo, hi int, stats *kernel.Stats) error {
+	if p == nil || st == nil {
+		return fmt.Errorf("core: nil plan or stripe")
+	}
+	return executeSpan(p, st, 1, lo, hi, stats)
+}
+
+// executeSpan is the one executor body: Algorithm 1 over the [lo, hi)
+// byte range of every sector. Thread (g mod T) takes group g, then the
+// serial tail runs: H_rest, or the single sub-decode of a whole-matrix
+// plan.
+func executeSpan(p *Plan, st *stripe.Stripe, threads, lo, hi int, stats *kernel.Stats) (err error) {
 	// View preparation indexes the stripe with the plan's column lists;
 	// a malformed plan surfaces as an error, like every other failure.
 	defer func() {
@@ -41,7 +55,7 @@ func executeSpan(p *Plan, st *stripe.Stripe, threads int, stats *kernel.Stats) (
 			err = fmt.Errorf("core: execute failed: %v", r)
 		}
 	}()
-	s := getSession(stats)
+	s := getSession(stats, lo, hi, lo == 0 && hi == st.SectorSize())
 	defer s.release()
 
 	for i := range p.Groups {

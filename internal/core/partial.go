@@ -11,83 +11,55 @@ import (
 // H_rest plus the groups whose outputs H_rest consumes as survivors.
 // For an LRC degraded read this collapses to the single local-group
 // decode — the core of the code family's design — without any special
-// casing. The repair planner (internal/repair) compiles its minimal-read
+// casing. The repair planner (internal/repair) builds its minimal-read
 // plans from this selection.
 
-// PartialSelection lists which sub-decodes of a partitioned plan must
-// run to materialise a set of wanted sectors.
-type PartialSelection struct {
-	// GroupIdx are indices into Plan.Groups, in execution order.
-	GroupIdx []int
-	// NeedRest marks whether the remaining decode must run.
-	NeedRest bool
-}
-
-// SelectPartial computes the minimal sub-decode closure for the wanted
-// sectors of a partitioned (StrategyPPM) plan. Wanted sectors that are
-// not faulty in the plan's scenario are ignored (they are readable
-// as-is). A wanted faulty sector that no sub-decode recovers — every
-// sector of a whole-matrix plan — is an error.
-func (p *Plan) SelectPartial(wanted []int) (PartialSelection, error) {
-	var sel PartialSelection
-	faultyWanted := make(map[int]bool)
-	inScenario := make(map[int]bool, len(p.Scenario.Faulty))
-	for _, c := range p.Scenario.Faulty {
-		inScenario[c] = true
-	}
+// Select cuts a partitioned plan down to the sub-decodes that recover
+// the wanted sectors. The result is a plan of the same scenario: its
+// Groups are copies of the selected groups, in plan order, and its Rest
+// is the plan's own H_rest when selected, so it shares their compiled
+// matrices, recompiles nothing and runs through the same executor. Its
+// Costs.Chosen is the selected sub-decodes' mult_XORs; C1..C4 are
+// CostUnknown. Wanted sectors that are not faulty are ignored (they are
+// readable as-is). A wanted faulty sector that no sub-decode recovers —
+// every sector of a whole-matrix plan — is an error.
+func (p *Plan) Select(wanted []int) (*Plan, error) {
+	want := make(map[int]bool, len(wanted))
 	for _, w := range wanted {
-		if inScenario[w] {
-			faultyWanted[w] = true
-		}
+		want[w] = true
 	}
-	if len(faultyWanted) == 0 {
-		return sel, nil
+	if p.Whole != nil && recoversAny(&p.Whole.SubDecode, want) {
+		return nil, fmt.Errorf("core: wanted sectors %v are faulty but belong to no sub-decode of the partition", wanted)
 	}
-
-	needGroup := make([]bool, len(p.Groups))
-	if p.Rest != nil {
-		for _, c := range p.Rest.FaultyCols {
-			if faultyWanted[c] {
-				sel.NeedRest = true
-				break
-			}
-		}
+	sel := &Plan{
+		Scenario: p.Scenario,
+		Costs:    Costs{C1: CostUnknown, C2: CostUnknown, C3: CostUnknown, C4: CostUnknown, Strategy: p.Costs.Strategy},
 	}
-	// Groups holding wanted blocks directly.
-	for gi := range p.Groups {
-		for _, c := range p.Groups[gi].FaultyCols {
-			if faultyWanted[c] {
-				needGroup[gi] = true
-				break
-			}
-		}
-	}
-	// H_rest consumes recovered group outputs as survivors: pull in
-	// every group whose faulty columns feed it.
-	if sel.NeedRest {
-		restSurvivor := make(map[int]bool, len(p.Rest.SurvivorCols))
+	// H_rest consumes recovered group outputs as survivors: selecting it
+	// pulls in every group whose faulty columns feed it.
+	feedsRest := make(map[int]bool)
+	if p.Rest != nil && recoversAny(p.Rest, want) {
+		sel.Rest = p.Rest
 		for _, c := range p.Rest.SurvivorCols {
-			restSurvivor[c] = true
+			feedsRest[c] = true
 		}
-		for gi := range p.Groups {
-			if needGroup[gi] {
-				continue
-			}
-			for _, c := range p.Groups[gi].FaultyCols {
-				if restSurvivor[c] {
-					needGroup[gi] = true
-					break
-				}
-			}
-		}
+		sel.Costs.Chosen += p.Rest.ops()
 	}
-	for gi, need := range needGroup {
-		if need {
-			sel.GroupIdx = append(sel.GroupIdx, gi)
+	for i := range p.Groups {
+		if g := &p.Groups[i]; recoversAny(g, want) || recoversAny(g, feedsRest) {
+			sel.Groups = append(sel.Groups, *g)
+			sel.Costs.Chosen += g.ops()
 		}
-	}
-	if len(sel.GroupIdx) == 0 && !sel.NeedRest {
-		return sel, fmt.Errorf("core: wanted sectors %v are faulty but belong to no sub-decode of the partition", wanted)
 	}
 	return sel, nil
+}
+
+// recoversAny reports whether the sub-decode recovers a sector in set.
+func recoversAny(sd *SubDecode, set map[int]bool) bool {
+	for _, c := range sd.FaultyCols {
+		if set[c] {
+			return true
+		}
+	}
+	return false
 }

@@ -9,27 +9,12 @@ import (
 	"ppm/internal/kernel"
 )
 
-// selected cuts a plan down to the sub-decodes a selection names, so
-// executing it runs exactly the selection's closure.
-func selected(p *Plan, sel PartialSelection) *Plan {
-	sub := &Plan{Scenario: p.Scenario}
-	for _, gi := range sel.GroupIdx {
-		sub.Groups = append(sub.Groups, p.Groups[gi])
-	}
-	if sel.NeedRest {
-		sub.Rest = p.Rest
-	}
-	return sub
-}
-
-// selectionOps is the predicted mult_XORs of running a selection.
-func selectionOps(p *Plan, sel PartialSelection) int64 {
-	var ops int64
-	for _, gi := range sel.GroupIdx {
-		ops += p.Groups[gi].ops()
-	}
-	if sel.NeedRest {
-		ops += p.Rest.ops()
+// selectionOps is the predicted mult_XORs of running a selection,
+// recomputed from its sub-decodes.
+func selectionOps(sel *Plan) int64 {
+	ops := sel.Rest.ops()
+	for i := range sel.Groups {
+		ops += sel.Groups[i].ops()
 	}
 	return ops
 }
@@ -48,16 +33,19 @@ func TestPartialDecodeGroupOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := plan.SelectPartial([]int{2})
+	sel, err := plan.Select([]int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.GroupIdx) != 1 || sel.NeedRest {
-		t.Fatalf("selection = %+v, want one group and no rest", sel)
+	if len(sel.Groups) != 1 || sel.Rest != nil {
+		t.Fatalf("selection = %d groups, rest %v; want one group and no rest", len(sel.Groups), sel.Rest != nil)
+	}
+	if sel.Costs.Chosen != selectionOps(sel) {
+		t.Fatalf("selection predicts %d ops, its sub-decodes hold %d", sel.Costs.Chosen, selectionOps(sel))
 	}
 
 	var stats kernel.Stats
-	if err := Execute(selected(plan, sel), st, sd.Field(), 2, &stats); err != nil {
+	if err := Execute(sel, st, sd.Field(), 2, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(st.Sector(2), want.Sector(2)) {
@@ -68,7 +56,7 @@ func TestPartialDecodeGroupOnly(t *testing.T) {
 	if bytes.Equal(st.Sector(13), want.Sector(13)) {
 		t.Fatal("rest sector was decoded although not wanted")
 	}
-	if got, want := stats.MultXORs(), selectionOps(plan, sel); got != want {
+	if got, want := stats.MultXORs(), selectionOps(sel); got != want {
 		t.Fatalf("measured %d ops, selection predicted %d", got, want)
 	}
 	if stats.MultXORs() >= plan.Costs.Chosen {
@@ -86,21 +74,21 @@ func TestPartialDecodeRestClosure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := plan.SelectPartial([]int{13})
+	sel, err := plan.Select([]int{13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sel.NeedRest || len(sel.GroupIdx) != 3 {
-		t.Fatalf("selection = %+v, want rest + all 3 groups", sel)
+	if sel.Rest == nil || len(sel.Groups) != 3 {
+		t.Fatalf("selection = %d groups, rest %v; want rest + all 3 groups", len(sel.Groups), sel.Rest != nil)
 	}
-	if ops := selectionOps(plan, sel); ops != plan.Costs.Chosen {
-		t.Fatalf("closure ops %d != C4 %d", ops, plan.Costs.Chosen)
+	if ops := selectionOps(sel); ops != plan.Costs.Chosen || sel.Costs.Chosen != ops {
+		t.Fatalf("closure ops %d (predicted %d) != C4 %d", ops, sel.Costs.Chosen, plan.Costs.Chosen)
 	}
 
 	st := encodedStripe(t, sd, 64, 822)
 	want := st.Clone()
 	st.Scribble(5, sc.Faulty)
-	if err := Execute(selected(plan, sel), st, sd.Field(), 3, nil); err != nil {
+	if err := Execute(sel, st, sd.Field(), 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Equal(want) {
@@ -128,12 +116,12 @@ func TestPartialDecodeLRCDegradedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := plan.SelectPartial([]int{6})
+	sel, err := plan.Select([]int{6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stats kernel.Stats
-	if err := Execute(selected(plan, sel), st, lrc.Field(), 1, &stats); err != nil {
+	if err := Execute(sel, st, lrc.Field(), 1, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(st.Sector(6), want.Sector(6)) {
@@ -159,12 +147,12 @@ func TestPartialDecodeHealthyWanted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := plan.SelectPartial([]int{0, 1})
+	sel, err := plan.Select([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.GroupIdx) != 0 || sel.NeedRest {
-		t.Fatalf("selection for healthy sectors = %+v", sel)
+	if len(sel.Groups) != 0 || sel.Rest != nil || sel.Costs.Chosen != 0 {
+		t.Fatalf("selection for healthy sectors = %d groups, rest %v, %d ops", len(sel.Groups), sel.Rest != nil, sel.Costs.Chosen)
 	}
 }
 
@@ -178,10 +166,10 @@ func TestPartialDecodeWholePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel, err := plan.SelectPartial([]int{2}); err == nil {
+	if sel, err := plan.Select([]int{2}); err == nil {
 		t.Fatalf("whole-matrix plan selected %+v for a faulty sector", sel)
 	}
-	if sel, err := plan.SelectPartial([]int{0}); err != nil || len(sel.GroupIdx) != 0 || sel.NeedRest {
+	if sel, err := plan.Select([]int{0}); err != nil || len(sel.Groups) != 0 || sel.Rest != nil || sel.Whole != nil {
 		t.Fatalf("healthy sector on a whole-matrix plan: %+v, %v", sel, err)
 	}
 }
@@ -207,13 +195,13 @@ func TestPartialDecodeRandomConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := plan.SelectPartial(wanted)
+		sel, err := plan.Select(wanted)
 		if err != nil {
 			t.Fatal(err)
 		}
 		work := st.Clone()
 		work.Scribble(int64(trial), sc.Faulty)
-		if err := Execute(selected(plan, sel), work, sd.Field(), 3, nil); err != nil {
+		if err := Execute(sel, work, sd.Field(), 3, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, wIdx := range wanted {

@@ -84,6 +84,13 @@ type SubDecode struct {
 	cFinv, cS, cG *kernel.CompiledMatrix
 }
 
+// Compiled returns the compiled matrices the executor applies: g under
+// MatrixFirst, finv and s under Normal, nil otherwise. planverify
+// proves them against G, Finv and S.
+func (sd *SubDecode) Compiled() (finv, s, g *kernel.CompiledMatrix) {
+	return sd.cFinv, sd.cS, sd.cG
+}
+
 // compile lowers the matrices the chosen sequence will apply.
 func (sd *SubDecode) compile(f gf.Field) {
 	if sd.Seq == kernel.MatrixFirst {
@@ -134,9 +141,12 @@ type WholePlan struct {
 var ErrUnrecoverable = errors.New("core: failure pattern is unrecoverable")
 
 // BuildPlan runs PPM Steps 1-2 plus the sequence optimisation and
-// returns an executable plan. The scenario's faulty list must be sorted
-// (codes.NewScenario and the generators guarantee this).
+// returns an executable plan. The faulty list may be unsorted; an index
+// outside the stripe or a repeated one is an error (codes.CheckFaulty).
 func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error) {
+	if err := codes.CheckFaulty(c, sc.Faulty); err != nil {
+		return nil, err
+	}
 	h := c.ParityCheck()
 	plan := &Plan{Scenario: sc}
 	plan.Costs = Costs{C1: CostUnknown, C2: CostUnknown, C3: CostUnknown, C4: CostUnknown}
@@ -318,6 +328,23 @@ func buildGroupSubDecode(h *matrix.Matrix, g Group) (*SubDecode, error) {
 		G:            finv.Mul(sM),
 		Seq:          kernel.MatrixFirst,
 	}, nil
+}
+
+// RowSubDecode compiles the one-row sub-decode that recovers faulty
+// sector col from parity-check row alone,
+//
+//	b_col = h[row][col]⁻¹ · Σ_{j≠col} h[row][j] · b_j,
+//
+// reading every other sector the row touches. The repair planner swaps
+// it in for a single-failure group whose merged rows read more
+// survivors.
+func RowSubDecode(c codes.Code, row, col int) (SubDecode, error) {
+	sd, err := buildGroupSubDecode(c.ParityCheck(), Group{Rows: []int{row}, FaultyCols: []int{col}})
+	if err != nil {
+		return SubDecode{}, fmt.Errorf("core: parity-check row %d cannot recover sector %d: %w", row, col, err)
+	}
+	sd.compile(c.Field())
+	return *sd, nil
 }
 
 // buildRestSubDecode prepares H_rest (Step 4): F_rest over the still-

@@ -23,6 +23,10 @@ import (
 //ppm:nocopy
 type execSession struct {
 	stats *kernel.Stats
+	// lo and hi bound the byte range every product covers; whole marks
+	// the full sector, which keeps the kernels' tile fan-out.
+	lo, hi int
+	whole  bool
 
 	views [][]byte
 	jobs  []subJob
@@ -38,9 +42,9 @@ type subJob struct {
 
 var sessionPool = sync.Pool{New: func() interface{} { return new(execSession) }}
 
-func getSession(stats *kernel.Stats) *execSession {
+func getSession(stats *kernel.Stats, lo, hi int, whole bool) *execSession {
 	s := sessionPool.Get().(*execSession)
-	s.stats = stats
+	s.stats, s.lo, s.hi, s.whole = stats, lo, hi, whole
 	s.views, s.jobs = s.views[:0], s.jobs[:0]
 	return s
 }
@@ -108,11 +112,12 @@ func (sd *SubDecode) validate(inN, outN int) error {
 	return nil
 }
 
-// apply runs prepared sub-decode i over whole sectors through
+// apply runs prepared sub-decode i: over whole sectors through
 // kernel.CompiledProduct, whose tile spans fan out across the worker
-// pool on large sectors. Shape mismatches and kernel panics come back
-// as errors — a failing sub-decode is always reported, never dropped
-// and never allowed to kill the process.
+// pool on large sectors, or serially over the session's byte range
+// through kernel.CompiledProductRange. Shape mismatches and kernel
+// panics come back as errors — a failing sub-decode is always
+// reported, never dropped and never allowed to kill the process.
 //
 //ppm:hotpath
 func (s *execSession) apply(i int) (err error) {
@@ -126,6 +131,10 @@ func (s *execSession) apply(i int) (err error) {
 	if verr := sd.validate(len(in), len(out)); verr != nil {
 		return verr
 	}
-	kernel.CompiledProduct(sd.cFinv, sd.cS, sd.cG, in, out, nil, sd.Seq, s.stats)
+	if s.whole {
+		kernel.CompiledProduct(sd.cFinv, sd.cS, sd.cG, in, out, nil, sd.Seq, s.stats)
+	} else {
+		kernel.CompiledProductRange(sd.cFinv, sd.cS, sd.cG, in, out, nil, sd.Seq, s.lo, s.hi, s.stats)
+	}
 	return nil
 }

@@ -26,6 +26,9 @@ func DecodeBlockParallel(c codes.Code, st *stripe.Stripe, sc codes.Scenario, thr
 	if err := checkGeometry(c, st); err != nil {
 		return err
 	}
+	if err := codes.CheckFaulty(c, sc.Faulty); err != nil {
+		return err
+	}
 	if len(sc.Faulty) == 0 {
 		return nil
 	}

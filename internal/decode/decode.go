@@ -32,9 +32,13 @@ type Options struct {
 
 // Decode recovers the scenario's faulty sectors of st in place from the
 // surviving sectors. The faulty buffers' prior contents are ignored and
-// overwritten. Returns codes/matrix errors for unrecoverable patterns.
+// overwritten. Returns codes/matrix errors for unrecoverable patterns
+// and for faulty lists codes.CheckFaulty rejects.
 func Decode(c codes.Code, st *stripe.Stripe, sc codes.Scenario, opts Options) error {
 	if err := checkGeometry(c, st); err != nil {
+		return err
+	}
+	if err := codes.CheckFaulty(c, sc.Faulty); err != nil {
 		return err
 	}
 	if len(sc.Faulty) == 0 {

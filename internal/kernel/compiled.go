@@ -334,8 +334,9 @@ func CompiledProduct(finv, s, g *CompiledMatrix, in, out, scratch [][]byte, seq 
 }
 
 // CompiledProductRange is CompiledProduct restricted to the [lo, hi)
-// byte sub-range and always serial — for repair plans' byte-range
-// reads (repair.Plan.ExecuteRange) and for byte-range executors
+// byte sub-range and always serial — for the plan executor's
+// byte-range calls (core.ExecuteRange, which repair plans'
+// ExecuteRange reads through) and for byte-range executors
 // (block-parallel decoding) that own their own fan-out and call this
 // from per-chunk workers. Both sequences overwrite only the [lo, hi)
 // range, so one chunk worker never touches another's bytes. Counts the

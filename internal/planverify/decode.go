@@ -44,18 +44,55 @@ func inRowSpace(h *matrix.Matrix, residual []uint32) bool {
 // decodeState accumulates the recovery expressions a plan builds up
 // stage by stage: expr[c] is non-nil once sector c has been recovered,
 // holding its coefficient vector over the originally surviving sectors.
+// read collects those surviving sectors the stages consume, and cost
+// the mult_XORs their matrices perform.
 type decodeState struct {
+	object   string
 	f        gf.Field
 	h        *matrix.Matrix
 	total    int
 	faulty   map[int]bool
 	expr     map[int][]uint32
+	read     map[int]bool
+	cost     int64
 	findings []Finding
 }
 
 func (st *decodeState) reportf(pass string, op int, format string, args ...interface{}) {
-	st.findings = append(st.findings, Finding{Object: objDecodePlan, Pass: pass, OpIndex: op,
+	st.findings = append(st.findings, Finding{Object: st.object, Pass: pass, OpIndex: op,
 		Message: fmt.Sprintf(format, args...)})
+}
+
+// walk is the one stage walk behind VerifyDecodePlan and
+// VerifyRepairPlan. It proves p's stages in the order the executor runs
+// them against scenario sc: the groups, which run concurrently and may
+// not read each other's outputs, then H_rest, which may; or the single
+// stage of a whole-matrix plan. Findings are labelled object, and each
+// OpIndex is a stage index (groups in order, then rest or whole).
+func walk(c codes.Code, sc codes.Scenario, p *core.Plan, object string) *decodeState {
+	st := &decodeState{
+		object: object,
+		f:      c.Field(),
+		h:      c.ParityCheck(),
+		total:  codes.TotalSectors(c),
+		faulty: sc.FaultySet(),
+		expr:   make(map[int][]uint32),
+		read:   make(map[int]bool),
+	}
+	if p.Whole != nil {
+		if len(p.Groups) > 0 || p.Rest != nil {
+			st.reportf("structure", -1, "plan mixes a whole-matrix stage with PPM stages")
+		}
+		st.subDecode(&p.Whole.SubDecode, 0, false)
+		return st
+	}
+	for i := range p.Groups {
+		st.subDecode(&p.Groups[i], i, false)
+	}
+	if p.Rest != nil {
+		st.subDecode(p.Rest, len(p.Groups), true)
+	}
+	return st
 }
 
 // available resolves a survivor reference at one plan stage: originally
@@ -69,6 +106,7 @@ func (st *decodeState) available(s, op int, allowRecovered bool) []uint32 {
 		return make([]uint32, st.total)
 	}
 	if !st.faulty[s] {
+		st.read[s] = true
 		v := make([]uint32, st.total)
 		v[s] = 1
 		return v
@@ -95,14 +133,17 @@ func effectiveMatrix(sd *core.SubDecode) *matrix.Matrix {
 	return nil
 }
 
-// subDecode verifies one matrix-decoding stage of a plan. op indexes
-// the stage for diagnostics (groups in order, then rest/whole).
+// subDecode verifies one matrix-decoding stage of a plan: its
+// compiled lowering, its cost, and the recovery expression of every
+// sector it writes. op indexes the stage for diagnostics.
 func (st *decodeState) subDecode(sd *core.SubDecode, op int, allowRecovered bool) {
 	r := effectiveMatrix(sd)
 	if r == nil {
 		st.reportf("structure", op, "stage carries no matrix for sequence %v", sd.Seq)
 		return
 	}
+	st.lowering(sd, op)
+	st.cost += stageCost(sd)
 	if sd.G != nil && sd.Finv != nil && sd.S != nil && !sd.G.Equal(sd.Finv.Mul(sd.S)) {
 		// The two sequences must compute the same algebra; a divergent G
 		// means the MatrixFirst and Normal paths decode differently.
@@ -155,6 +196,37 @@ func (st *decodeState) subDecode(sd *core.SubDecode, op int, allowRecovered bool
 	}
 }
 
+// lowering proves the compiled matrices the executor applies for the
+// stage's sequence equal to the stage's matrices: their row blocks
+// always, and their XOR program when one is attached (the forced or
+// no-GFNI backend). With the row-space proof of those matrices, this
+// covers the code that actually runs.
+func (st *decodeState) lowering(sd *core.SubDecode, op int) {
+	cFinv, cS, cG := sd.Compiled()
+	type pair struct {
+		name string
+		m    *matrix.Matrix
+		cm   *kernel.CompiledMatrix
+	}
+	pairs := []pair{{"G", sd.G, cG}}
+	if sd.Seq == kernel.Normal {
+		pairs = []pair{{"F^-1", sd.Finv, cFinv}, {"S", sd.S, cS}}
+	}
+	for _, pr := range pairs {
+		if pr.m == nil || pr.cm == nil {
+			st.reportf("structure", op, "stage has no compiled %s for the %v sequence", pr.name, sd.Seq)
+			continue
+		}
+		fs := VerifyBlocks(st.f, pr.m, pr.cm)
+		if prog := pr.cm.XORProgram(); prog != nil {
+			fs = append(fs, VerifyProgram(st.f, pr.m, prog)...)
+		}
+		for _, f := range fs {
+			st.reportf(f.Pass, op, "compiled %s: %s", pr.name, f)
+		}
+	}
+}
+
 // stageCost recomputes one stage's mult_XORs from the matrices its
 // sequence applies — the number Costs.Chosen and Stats.MultXORs
 // accounting are built on.
@@ -171,47 +243,21 @@ func stageCost(sd *core.SubDecode) int64 {
 	return 0
 }
 
-// VerifyDecodePlan proves a built core plan: every stage's recovery
-// expression is valid on every codeword, the stages together recover
-// exactly the scenario's faulty sectors, parallel groups never read
-// each other's outputs, and the plan's Chosen cost recomputes from the
-// matrices it will actually apply.
+// VerifyDecodePlan proves a built core plan: the stage walk (every
+// stage's compiled lowering equals its matrices, every recovery
+// expression is valid on every codeword, parallel groups never read
+// each other's outputs), the stages together recover every faulty
+// sector, and the plan's Chosen cost recomputes from the matrices it
+// will actually apply.
 func VerifyDecodePlan(c codes.Code, p *core.Plan) []Finding {
-	st := &decodeState{
-		f:      c.Field(),
-		h:      c.ParityCheck(),
-		total:  codes.TotalSectors(c),
-		faulty: p.Scenario.FaultySet(),
-		expr:   make(map[int][]uint32),
-	}
-
-	var cost int64
-	stage := 0
-	if p.Whole != nil {
-		if len(p.Groups) > 0 || p.Rest != nil {
-			st.reportf("structure", -1, "plan mixes a whole-matrix stage with PPM stages")
-		}
-		st.subDecode(&p.Whole.SubDecode, stage, false)
-		cost += stageCost(&p.Whole.SubDecode)
-	} else {
-		for i := range p.Groups {
-			st.subDecode(&p.Groups[i], stage, false)
-			cost += stageCost(&p.Groups[i])
-			stage++
-		}
-		if p.Rest != nil {
-			st.subDecode(p.Rest, stage, true)
-			cost += stageCost(p.Rest)
-		}
-	}
-
+	st := walk(c, p.Scenario, p, objDecodePlan)
 	for _, c := range p.Scenario.Faulty {
 		if st.expr[c] == nil {
 			st.reportf("structure", -1, "faulty sector %d is never recovered by any stage", c)
 		}
 	}
-	if p.Costs.Chosen != cost {
-		st.reportf("stats", -1, "plan predicts %d mult_XORs, its matrices perform %d", p.Costs.Chosen, cost)
+	if p.Costs.Chosen != st.cost {
+		st.reportf("stats", -1, "plan predicts %d mult_XORs, its matrices perform %d", p.Costs.Chosen, st.cost)
 	}
 	return st.findings
 }

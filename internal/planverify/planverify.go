@@ -27,6 +27,23 @@
 //     Stats.MultXORs accounting can never drift from the code a plan
 //     actually runs.
 //
+// Which verifier checks what:
+//
+//   - VerifyProgram: an xorplan program against its matrix (symbolic,
+//     liveness, alias, bounds, stats, tile geometry);
+//   - VerifyBlocks: a compiled matrix's row blocks against its matrix;
+//   - VerifyDecodePlan and VerifyRepairPlan: one stage walk over a
+//     core.Plan — a repair plan's Selection is one — that proves each
+//     stage's compiled lowering (VerifyBlocks, plus VerifyProgram when
+//     an XOR program is attached) and each recovery expression's
+//     row-space membership, and bars parallel groups from reading each
+//     other's outputs. VerifyDecodePlan then requires every faulty
+//     sector recovered and Costs.Chosen exact; VerifyRepairPlan requires
+//     every wanted sector recovered, ReadCols exactly the survivors the
+//     stages read, and the Cost counters exact;
+//   - VerifyUpdater: every delta-update column keeps the stripe a
+//     codeword.
+//
 // Verification is wired in four places: an opt-in compile-time gate
 // (PPM_VERIFY_PLANS=1 proves each program on cache miss before it is
 // admitted to an LRU — see xorplan.RegisterVerifier and

@@ -1,11 +1,13 @@
 package planverify
 
 import (
+	"slices"
 	"testing"
 
 	"ppm/internal/codes"
 	"ppm/internal/core"
 	"ppm/internal/kernel"
+	"ppm/internal/repair"
 )
 
 // TestSweepProvesZoo is the headline property: every compiled artifact
@@ -104,6 +106,75 @@ func TestVerifyDecodePlanCatchesCorruption(t *testing.T) {
 	}
 	if !symbolic {
 		t.Fatalf("corrupted plan passed verification (findings: %v)", fs)
+	}
+}
+
+// TestVerifyRepairPlanCatchesCorruption breaks one part of a freshly
+// built repair plan per case and demands at least one finding: the
+// compiled lowering, the read set, the recovery of the wanted sector
+// and the cost counters are each checked.
+func TestVerifyRepairPlanCatchesCorruption(t *testing.T) {
+	c, err := codes.NewLRC(12, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := codes.NewScenario(c, []int{3, 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner := repair.NewPlanner(c, repair.WithCacheSize(0))
+	build := func(t *testing.T) *repair.Plan {
+		t.Helper()
+		p, err := planner.Plan(sc, []int{3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Selection.Groups) == 0 || len(p.ReadCols) == 0 {
+			t.Fatalf("plan has no group stage to break: %+v", p.Selection)
+		}
+		if fs := VerifyRepairPlan(c, p); len(fs) != 0 {
+			t.Fatalf("unbroken plan has findings: %v", fs)
+		}
+		return p
+	}
+	cases := []struct {
+		name    string
+		corrupt func(p *repair.Plan)
+	}{
+		{"G changed after compiling", func(p *repair.Plan) {
+			g := p.Selection.Groups[0].G
+			g.Set(0, 0, g.At(0, 0)^1)
+		}},
+		{"ReadCols missing a sector", func(p *repair.Plan) {
+			p.ReadCols = p.ReadCols[1:]
+		}},
+		{"wanted sector's stage removed", func(p *repair.Plan) {
+			sel := *p.Selection
+			sel.Groups = nil
+			for _, g := range p.Selection.Groups {
+				if !slices.Contains(g.FaultyCols, p.Wanted[0]) {
+					sel.Groups = append(sel.Groups, g)
+				}
+			}
+			if sel.Rest != nil && slices.Contains(sel.Rest.FaultyCols, p.Wanted[0]) {
+				sel.Rest = nil
+			}
+			p.Selection = &sel
+		}},
+		{"Cost.MultXORs off by one", func(p *repair.Plan) {
+			p.Cost.MultXORs++
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := build(t)
+			tc.corrupt(p)
+			if fs := VerifyRepairPlan(c, p); len(fs) == 0 {
+				t.Fatal("broken plan passed verification")
+			} else {
+				t.Logf("%d findings, first: %s", len(fs), fs[0])
+			}
+		})
 	}
 }
 

@@ -2,59 +2,17 @@ package repair
 
 import (
 	"fmt"
-	"sync"
 
+	"ppm/internal/core"
 	"ppm/internal/kernel"
 	"ppm/internal/stripe"
 )
 
-// runState is the reusable per-execution arena of sector-view slice
-// headers, pooled so the repeated-repair path (one plan executed
-// against thousands of stripes while a disk rebuilds) allocates
-// nothing per stripe.
-//
-//ppm:nocopy
-type runState struct {
-	views [][]byte
-	used  int
-}
-
-var runPool = sync.Pool{New: func() interface{} { return new(runState) }}
-
-func getRun(n int) *runState {
-	rs := runPool.Get().(*runState)
-	if cap(rs.views) < n {
-		//ppm:allow(hotalloc) arena growth: amortised across pooled reuse
-		rs.views = make([][]byte, n)
-	}
-	rs.views = rs.views[:n]
-	rs.used = 0
-	return rs
-}
-
-func (rs *runState) release() {
-	for i := range rs.views {
-		rs.views[i] = nil // do not pin stripe buffers in the pool
-	}
-	runPool.Put(rs)
-}
-
-// take fills len(cols) views from the arena with the stripe's sector
-// buffers.
-func (rs *runState) take(st *stripe.Stripe, cols []int) [][]byte {
-	v := rs.views[rs.used : rs.used+len(cols) : rs.used+len(cols)]
-	rs.used += len(cols)
-	for i, c := range cols {
-		v[i] = st.Sector(c)
-	}
-	return v
-}
-
 // Execute runs the plan against a stripe whose ReadCols sectors hold
 // survivor data; on return the Wanted sectors hold recovered content.
-// Steps run in order (later steps consume earlier outputs), serially —
-// a repair plan is one or two small products, so the parallel win is
-// in pipelining stripes, not splitting a step.
+// The selection runs through core's executor at T = 1 — a repair plan
+// is one or two small stages, so the parallel win is in pipelining
+// stripes, not splitting a stage.
 func (p *Plan) Execute(st *stripe.Stripe, stats *kernel.Stats) error {
 	return p.ExecuteRange(st, 0, st.SectorSize(), stats)
 }
@@ -62,40 +20,29 @@ func (p *Plan) Execute(st *stripe.Stripe, stats *kernel.Stats) error {
 // ExecuteRange is Execute restricted to the [lo, hi) byte sub-range of
 // every sector — the partial-stripe path a range-restricted degraded
 // read uses. lo and hi must be multiples of the field word size.
-// Allocation-free at steady state: view arenas circulate through a
-// pool and the kernels run over pre-compiled matrices.
+// Allocation-free at steady state: core's executor draws its session
+// from a pool and applies the selection's compiled matrices.
 //
 //ppm:hotpath
 func (p *Plan) ExecuteRange(st *stripe.Stripe, lo, hi int, stats *kernel.Stats) error {
 	if err := p.validate(st.N(), st.R(), st.SectorSize(), lo, hi); err != nil {
 		return err
 	}
-	rs := getRun(p.nViews)
-	var err error
-	for i := range p.Steps {
-		s := &p.Steps[i]
-		in := rs.take(st, s.In)
-		out := rs.take(st, s.Out)
-		if err = applyStep(s, in, out, lo, hi, stats); err != nil {
-			break
-		}
-	}
-	rs.release()
-	return err
+	return core.ExecuteRange(p.Selection, st, lo, hi, stats)
 }
 
-// applyStep runs one compiled product over prepared views. Kernel
-// panics (shape mismatches from hand-assembled steps) come back as
-// errors — a failing repair step is reported, never dropped.
-//
-//ppm:hotpath
-func applyStep(s *Step, in, out [][]byte, lo, hi int, stats *kernel.Stats) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			//ppm:allow(hotalloc) panic recovery: this branch is the cold failure path
-			err = fmt.Errorf("repair: step failed: %v", r)
-		}
-	}()
-	kernel.CompiledProductRange(s.Finv, s.S, s.G, in, out, nil, s.Seq, lo, hi, stats)
+// validate checks a stripe and byte range against the plan's geometry.
+func (p *Plan) validate(n, r, sectorSize, lo, hi int) error {
+	if n != p.code.NumStrips() || r != p.code.NumRows() {
+		return fmt.Errorf("repair: stripe %dx%d does not match code %s (%dx%d)",
+			n, r, p.code.Name(), p.code.NumStrips(), p.code.NumRows())
+	}
+	wb := p.code.Field().WordBytes()
+	if lo < 0 || hi > sectorSize || lo >= hi {
+		return fmt.Errorf("repair: byte range [%d,%d) outside sector size %d", lo, hi, sectorSize)
+	}
+	if lo%wb != 0 || hi%wb != 0 {
+		return fmt.Errorf("repair: byte range [%d,%d) not aligned to the %d-byte GF word", lo, hi, wb)
+	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"strconv"
@@ -10,6 +9,7 @@ import (
 
 	"ppm/internal/codes"
 	"ppm/internal/core"
+	"ppm/internal/lru"
 )
 
 // ErrVerify wraps a plan-verification rejection: a freshly built repair
@@ -72,23 +72,14 @@ const DefaultCacheSize = 64
 // Safe for concurrent use: the cache is mutex-guarded and cached plans
 // are immutable.
 type Planner struct {
-	code codes.Code
-
-	mu       sync.Mutex
+	code     codes.Code
 	capacity int
-	entries  map[string]*list.Element
-	lru      list.List // Front is most recently used; values are *cacheEntry
-	hits     int64
-	misses   int64
+	cache    *lru.Cache[*Plan]
 
+	mu         sync.Mutex // guards the memoized updater
 	updater    *core.Updater
 	updaterErr error
 	updaterSet bool
-}
-
-type cacheEntry struct {
-	key  string
-	plan *Plan
 }
 
 // PlannerOption configures a Planner.
@@ -105,18 +96,19 @@ func NewPlanner(c codes.Code, opts ...PlannerOption) *Planner {
 	for _, o := range opts {
 		o(p)
 	}
-	if p.capacity > 0 {
-		p.entries = make(map[string]*list.Element, p.capacity)
-	}
+	p.cache = lru.New[*Plan](p.capacity)
 	return p
 }
 
 // Code returns the bound code instance.
 func (p *Planner) Code() codes.Code { return p.code }
 
-// planKey canonicalises (failure pattern, wanted set) into a byte key.
-// Scenario.Faulty is sorted; wanted is canonicalised by the builder,
-// so the caller's order is normalised here too.
+// planKey renders (failure pattern, wanted set) as a cache key, each
+// list in the order the caller gave it. The builder canonicalises
+// wanted, but the key does not: wanted {2,8}, {8,2} and {2,8,8} are
+// three keys, so three misses and three entries of equal plans. Callers
+// that replan one wanted set keep it in one order (fault.Healer builds
+// its lists in index order).
 func planKey(buf []byte, sc codes.Scenario, wanted []int) []byte {
 	for _, f := range sc.Faulty {
 		buf = strconv.AppendInt(buf, int64(f), 10)
@@ -136,57 +128,32 @@ func planKey(buf []byte, sc codes.Scenario, wanted []int) []byte {
 
 // Plan returns the minimal-read repair plan recovering the wanted
 // faulty sectors of the scenario (nil wanted = every faulty sector),
-// consulting the LRU cache first. Wanted sectors that are not faulty
-// are ignored — they are readable as-is. An undecodable scenario fails
-// with an error wrapping core.ErrUnrecoverable, checked on a miss only
-// and never cached, so a plan from the cache stands for decodability.
-// The plan copies sc, so the caller may reuse its slices.
+// consulting the LRU cache first. The cache keys the scenario and the
+// wanted list exactly as given (see planKey); the plan's Wanted is
+// canonical either way. Wanted sectors that are not faulty are ignored
+// — they are readable as-is. A faulty list with an index outside the
+// stripe or a repeat fails with that index (codes.CheckFaulty); an
+// undecodable scenario fails with an error wrapping
+// core.ErrUnrecoverable. Both are checked on a miss only and never
+// cached, so a plan from the cache stands for decodability. The plan
+// copies sc, so the caller may reuse its slices.
 func (p *Planner) Plan(sc codes.Scenario, wanted []int) (*Plan, error) {
-	if p.entries == nil {
-		return buildVerified(p.code, sc, wanted)
-	}
 	var arr [128]byte
 	key := planKey(arr[:0], sc, wanted)
-	p.mu.Lock()
-	if elem, ok := p.entries[string(key)]; ok {
-		p.lru.MoveToFront(elem)
-		p.hits++
-		plan := elem.Value.(*cacheEntry).plan
-		p.mu.Unlock()
+	if plan, ok := p.cache.Get(key); ok {
 		return plan, nil
 	}
-	p.misses++
-	p.mu.Unlock()
-
 	plan, err := buildVerified(p.code, sc, wanted)
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	if elem, ok := p.entries[string(key)]; ok {
-		// A concurrent miss built the same plan; keep the newer one.
-		elem.Value.(*cacheEntry).plan = plan
-		p.lru.MoveToFront(elem)
-	} else {
-		for p.lru.Len() >= p.capacity {
-			oldest := p.lru.Back()
-			p.lru.Remove(oldest)
-			delete(p.entries, oldest.Value.(*cacheEntry).key)
-		}
-		k := string(key)
-		p.entries[k] = p.lru.PushFront(&cacheEntry{key: k, plan: plan})
-	}
-	p.mu.Unlock()
+	p.cache.Put(key, plan)
 	return plan, nil
 }
 
 // CacheStats reports the plan cache's hit and miss counters (both zero
 // when the cache is disabled). Misses equal the number of plans built.
-func (p *Planner) CacheStats() (hits, misses int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses
-}
+func (p *Planner) CacheStats() (hits, misses int64) { return p.cache.Stats() }
 
 // Updater returns the planner's memoized delta-parity updater — the
 // read-modify-write small-write path that patches the parity sectors

@@ -64,10 +64,12 @@ func TestLRCSingleFailureReadsLocalGroup(t *testing.T) {
 			t.Fatalf("col %d: read fraction %.2f exceeds the 0.60 gate", col, frac)
 		}
 		// The local-group partition is already row-minimal here, so
-		// the plan is a single 1-output step over the 6 group
+		// the plan is a single 1-output stage over the 6 group
 		// survivors.
-		if len(plan.Steps) != 1 || len(plan.Steps[0].Out) != 1 || len(plan.Steps[0].In) != 6 {
-			t.Fatalf("col %d: expected one 1x6 step, got %+v", col, plan.Steps)
+		if sel := plan.Selection; len(sel.Groups) != 1 || sel.Rest != nil ||
+			len(sel.Groups[0].FaultyCols) != 1 || len(sel.Groups[0].SurvivorCols) != 6 {
+			t.Fatalf("col %d: expected one 1x6 stage, got %d groups (rest %v): %+v",
+				col, len(sel.Groups), sel.Rest != nil, sel.Groups)
 		}
 
 		st := encoded(t, lrc, 64, 1)
