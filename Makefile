@@ -24,7 +24,8 @@ cover:
 
 # One testing.B benchmark per paper figure plus kernel micro-benches
 # (BenchmarkKernelRegions: reference vs tiled; BenchmarkKernelXorplan:
-# table vs xorplan). Timings only; bench-smoke keeps the ledger.
+# table vs xorplan; BenchmarkChecksumSector: CRC-32C kernel vs
+# hash/crc32). Timings only; bench-smoke keeps the ledger.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -86,13 +87,14 @@ fuzz-smoke:
 	$(GO) test ./internal/xorplan -run=^$$ -fuzz=FuzzProgramVsScalar -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/planverify -run=^$$ -fuzz=FuzzVerifierVsDifferential -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fault -run=^$$ -fuzz=FuzzReadSectors -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/fault -run=^$$ -fuzz=FuzzChecksumSector -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/repair -run=^$$ -fuzz=FuzzDecodeScenario -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pipeline -run=^$$ -fuzz=FuzzStreamRoundTrip -fuzztime=$(FUZZTIME)
 
 # Pointer-safety instrumentation over the packages that sit on the
 # Go/assembly boundary.
 checkptr:
-	$(GO) test -gcflags=all=-d=checkptr ./internal/gf ./internal/kernel ./internal/xorplan
+	$(GO) test -gcflags=all=-d=checkptr ./internal/gf ./internal/kernel ./internal/xorplan ./internal/fault
 
 # Fault storm: the end-to-end ppmfile chaos tests (missing disk +
 # silent flip + transient errors + a permanently hung strip, recovered

@@ -44,6 +44,66 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestCommitIsAtomic: a commit that cannot complete (its temp
+// path is occupied by a directory) fails and leaves the previous
+// manifest readable and unchanged; a commit that succeeds leaves no
+// temp file behind.
+func TestManifestCommitIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	old := manifest{
+		N: 8, R: 16, M: 2, S: 2, Word: 8,
+		Coeffs:     []uint32{1, 2, 4, 8},
+		SectorSize: 4096, Stripes: 3, FileSize: 12345, FileName: "x.bin",
+	}
+	if err := writeManifest(dir, old); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, manifestTemp)
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a committed manifest left its temp file: %v", err)
+	}
+	before, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.MkdirAll(filepath.Join(tmp, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	next := old
+	next.FileName = "y.bin"
+	if err := writeManifest(dir, next); err == nil {
+		t.Fatal("a commit whose temp path is a directory succeeded")
+	}
+	after, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("a blocked commit changed the manifest")
+	}
+	if _, err := readManifest(dir); err != nil {
+		t.Fatalf("previous manifest unreadable after a blocked commit: %v", err)
+	}
+
+	if err := os.RemoveAll(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeManifest(dir, next); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.FileName != next.FileName {
+		t.Fatalf("second commit did not land: %+v", got)
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a committed manifest left its temp file: %v", err)
+	}
+}
+
 func TestReadManifestRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := readManifest(dir); err == nil {

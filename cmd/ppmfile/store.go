@@ -44,12 +44,59 @@ const manifestName = "manifest.json"
 
 func diskFileName(j int) string { return fmt.Sprintf("disk_%02d.strip", j) }
 
+// manifestTemp is where writeManifest stages a manifest before the
+// rename commits it.
+const manifestTemp = manifestName + ".tmp"
+
+// writeManifest commits mf as dir's manifest atomically: it writes and
+// fsyncs a temp file in dir, renames it over manifest.json, then fsyncs
+// dir so the rename itself is durable. A crash at any point leaves
+// either the previous manifest or the new one, never a torn file.
 func writeManifest(dir string, mf manifest) error {
 	data, err := json.MarshalIndent(mf, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, manifestName), append(data, '\n'), 0o644)
+	tmp := filepath.Join(dir, manifestTemp)
+	if err := writeSynced(tmp, append(data, '\n')); err != nil {
+		return fmt.Errorf("writing manifest: %w", err)
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("committing manifest: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("committing manifest: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("committing manifest: %w", err)
+	}
+	return nil
+}
+
+// writeSynced writes data to path and fsyncs it before closing. A file
+// it created but could not complete is removed.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }
 
 func readManifest(dir string) (manifest, error) {

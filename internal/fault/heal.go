@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"ppm/internal/codes"
 	"ppm/internal/core"
@@ -19,13 +18,6 @@ import (
 // the gap — a mismatching sector is *demoted to an erasure* and
 // re-decoded from the survivors, turning silent corruption into the
 // erasure problem the code already solves.
-
-// castagnoli is the CRC-32C table (the polynomial storage systems use;
-// SSE4.2 hosts compute it in hardware via the stdlib).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// ChecksumSector returns the CRC-32C of one sector.
-func ChecksumSector(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // SectorChecksums returns the CRC-32C of every sector of a stripe, in
 // global (row-major) sector order — the per-stripe checksum row the
@@ -129,10 +121,11 @@ type Healer struct {
 	read, need   []bool
 	nBase        int
 	list, wanted []int
-	// readOp reads strip (readIdx, readDisk) into buf: the attempt of a
-	// Policy without OpTimeout, built once instead of per read.
+	// readOp reads strip (readIdx, readDisk) into readDst: the attempt
+	// of a Policy without OpTimeout, built once instead of per read.
 	readOp            func() ([]byte, error)
 	readIdx, readDisk int
+	readDst           []byte
 }
 
 // init lazily builds the repair planner (LRU-cached: repeated demotion
@@ -325,6 +318,10 @@ func (h *Healer) readStrip(ctx context.Context, idx, j int, st *stripe.Stripe) e
 		attempts int
 		err      error
 	)
+	// A one-row strip is one sector: without a deadline the attempt
+	// reads it in place. After a failed read the sector is demoted
+	// (demoteStrip clears it) or the whole call fails.
+	inPlace := st.R() == 1 && h.Policy.OpTimeout == 0
 	if h.Policy.OpTimeout > 0 {
 		buf, attempts, err = DoVal(ctx, "", h.Policy, func() ([]byte, error) {
 			// An abandoned hung read finishing late must not
@@ -336,8 +333,12 @@ func (h *Healer) readStrip(ctx context.Context, idx, j int, st *stripe.Stripe) e
 			return b, nil
 		})
 	} else {
-		h.readIdx, h.readDisk = idx, j
+		h.readIdx, h.readDisk, h.readDst = idx, j, h.buf
+		if inPlace {
+			h.readDst = st.SectorAt(0, j)
+		}
 		buf, attempts, err = DoVal(ctx, "", h.Policy, h.readOp)
+		h.readDst = nil // hold no reference to the caller's stripe
 	}
 	if attempts > 1 {
 		// A context done before the first attempt reports 0 attempts.
@@ -351,6 +352,9 @@ func (h *Healer) readStrip(ctx context.Context, idx, j int, st *stripe.Stripe) e
 		}
 		return err
 	}
+	if inPlace {
+		return nil
+	}
 	sector := st.SectorSize()
 	for i := 0; i < st.R(); i++ {
 		copy(st.SectorAt(i, j), buf[i*sector:(i+1)*sector])
@@ -359,12 +363,12 @@ func (h *Healer) readStrip(ctx context.Context, idx, j int, st *stripe.Stripe) e
 }
 
 // readScratch is readOp: one attempt at strip (readIdx, readDisk) into
-// the healer's strip buffer.
+// readDst, the healer's strip buffer or a one-row strip's sector.
 func (h *Healer) readScratch() ([]byte, error) {
-	if err := h.Store.ReadStrip(h.readIdx, h.readDisk, h.buf); err != nil {
+	if err := h.Store.ReadStrip(h.readIdx, h.readDisk, h.readDst); err != nil {
 		return nil, err
 	}
-	return h.buf, nil
+	return h.readDst, nil
 }
 
 // ReadSectors materialises only the wanted sectors of stripe idx into

@@ -227,3 +227,59 @@ func TestHealerRejectsBaselineOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// TestOneRowStripReadInPlace: a one-row strip (LRC) is read straight
+// into its sector. A strip whose read fails and one whose bytes come
+// back flipped are still demoted and healed byte-identically, through
+// ReadSectors and ReadStripe, and the healer's strip buffer is never
+// written.
+func TestOneRowStripReadInPlace(t *testing.T) {
+	lrc, err := codes.NewLRC(12, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sector, lost, unreadable, flipped = 4 << 10, 3, 5, 7
+	ms, origs, sums := encodeToStore(t, lrc, 2, sector, 44)
+	ms.Lose(lost)
+	baseline, err := codes.NewScenario(lrc, []int{lost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ReadSectors", "ReadStripe"} {
+		t.Run(name, func(t *testing.T) {
+			sched := NewSchedule(9)
+			sched.Add(Event{Stripe: 1, Disk: unreadable, Kind: ReadError, Count: 1})
+			sched.Add(Event{Stripe: 1, Disk: flipped, Kind: BitFlip, Count: 1})
+			h := &Healer{Code: lrc, Store: NewFaultyStore(ms, sched), Sums: sums, Baseline: baseline}
+			st, err := stripe.New(lrc.NumStrips(), lrc.NumRows(), sector)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wanted := []int{unreadable, flipped}
+			if name == "ReadSectors" {
+				err = h.ReadSectors(context.Background(), 1, st, wanted)
+			} else {
+				err = h.ReadStripe(context.Background(), 1, st)
+				for s := 0; s < st.TotalSectors(); s++ {
+					if s != lost {
+						wanted = append(wanted, s)
+					}
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range wanted {
+				if !bytes.Equal(st.Sector(s), origs[1].Sector(s)) {
+					t.Fatalf("sector %d differs from the encoded stripe", s)
+				}
+			}
+			if h.Stats.DemotedStrips != 1 || h.Stats.CorruptSectors != 1 || h.Stats.Healed != 1 {
+				t.Fatalf("stats %+v, want 1 demoted strip, 1 corrupt sector, 1 healed stripe", h.Stats)
+			}
+			if !bytes.Equal(h.buf, make([]byte, len(h.buf))) {
+				t.Fatal("a one-row strip went through the strip buffer")
+			}
+		})
+	}
+}

@@ -281,49 +281,63 @@ func affineOne(w int, dst, src []byte, mat *uint64, n int) {
 	blockKernel(w, &a, 1, 1, n, true)
 }
 
+// AffineImageWords is the length of a term's image under AffineImage:
+// w basis words times the 512/w words of a 64-byte chunk.
+const AffineImageWords = 512
+
 // AffineImage evaluates the stored matrices of the term (row r, column
-// Cols()[k]) the way the kernel does, on a 64-byte chunk holding the
-// word x at every word position, and returns the product word at each
-// position. For a correct block each equals M[r][col] * x. The table
-// path (and unknown fields) has no matrices: the result is nil.
-func (b *RowBlock) AffineImage(r, k int, x uint32) []uint32 {
+// Cols()[k]) the way the kernel does, on each of the field's w basis
+// words x^t: for a 64-byte chunk holding x^t at every word position, it
+// stores the product word at position p in img[t*(512/w)+p]. For a
+// correct block each equals M[r][col]·x^t. The table path (and unknown
+// fields) has no matrices: AffineImage reports false and leaves img
+// alone.
+func (b *RowBlock) AffineImage(r, k int, img *[AffineImageWords]uint32) bool {
 	if b.w == 0 {
-		return nil
+		return false
 	}
 	qw := affineQwords(b.w)
 	m := unsafe.Slice(b.mats[k], len(b.rows)*qw)[r*qw : (r+1)*qw]
-	return affineEval(b.w/8, m, x)
+	affineEval(b.w/8, m, img)
+	return true
 }
 
-// affineEval is a scalar model of one kernel step: planarize a chunk of
-// words x, apply matrix vector s to plane rotation s with each byte
-// transformed by the matrix of its own qword lane, sum, and
-// un-planarize. At w=8 the single qword is broadcast.
-func affineEval(wb int, m []uint64, x uint32) []uint32 {
+// affineEval is a scalar model of one kernel step on a chunk of each
+// basis word: the kernel planarizes the chunk, applies matrix vector s
+// to plane rotation s with each byte transformed by the matrix of its
+// own qword lane, sums, and un-planarizes. At w=8 the single qword is
+// broadcast.
+//
+// GF2P8AFFINEQB with a zero immediate is linear over GF(2): a matrix
+// qword maps a byte to the XOR of the column images of its set bits.
+// A basis word has one nonzero byte with one set bit, so exactly one
+// rotation brings a nonzero byte to each output byte, and it adds one
+// column image. Each qword's eight column images are computed once.
+func affineEval(wb int, m []uint64, img *[AffineImageWords]uint32) {
+	var cols [8 * 4][8]byte // per qword: images of bits 0..7
+	for i, q := range m {
+		for c := range cols[i] {
+			cols[i][c] = affineByte(q, 1<<uint(c))
+		}
+	}
 	plane := 64 / wb
-	var in, out [64]byte
-	for p := 0; p < plane; p++ {
-		for j := 0; j < wb; j++ {
-			in[plane*j+p] = byte(x >> uint(8*j))
-		}
-	}
-	for s := 0; s < wb; s++ {
-		for i := range out {
-			q := m[0]
-			if wb > 1 {
-				q = m[8*s+i/8]
+	for t := 0; t < 8*wb; t++ {
+		jx, c := t/8, t%8 // x^t is bit c of word byte jx
+		for p := 0; p < plane; p++ {
+			var word uint32
+			for j := 0; j < wb; j++ {
+				// Output byte j of word p is chunk byte plane*j+p.
+				// Rotation s reads byte (j+s) mod wb of word p there,
+				// so only s = jx-j (mod wb) reads a nonzero byte.
+				q := 0
+				if wb > 1 {
+					q = 8*((jx-j+wb)%wb) + (plane*j+p)/8
+				}
+				word |= uint32(cols[q][c]) << uint(8*j)
 			}
-			src := in[(i+plane*s)%64]
-			out[i] ^= affineByte(q, src)
+			img[t*plane+p] = word
 		}
 	}
-	words := make([]uint32, plane)
-	for p := range words {
-		for j := 0; j < wb; j++ {
-			words[p] |= uint32(out[plane*j+p]) << uint(8*j)
-		}
-	}
-	return words
 }
 
 // affineByte evaluates one GF2P8AFFINEQB matrix qword on a byte: output

@@ -102,15 +102,20 @@ func TestBlockEmptySupport(t *testing.T) {
 // word at every word position — the property planverify proves.
 func TestBlockAffineImage(t *testing.T) {
 	rng := rand.New(rand.NewSource(413))
+	var img [AffineImageWords]uint32
 	for _, f := range []Field{GF8, GF16, GF32} {
 		consts := randBlockRows(rng, f, BlockRows, 9)
 		b := CompileBlock(f, []int{0, 1, 2, 3}, consts)
+		plane := AffineImageWords / f.W()
 		for r := range consts {
 			for k, j := range b.Cols() {
+				if !b.AffineImage(r, k, &img) {
+					t.Fatalf("GF%d: block has no matrices", f.W())
+				}
 				for bit := 0; bit < f.W(); bit++ {
 					x := uint32(1) << uint(bit)
 					want := f.Mul(consts[r][j], x)
-					for p, got := range b.AffineImage(r, k, x) {
+					for p, got := range img[bit*plane : (bit+1)*plane] {
 						if got != want {
 							t.Fatalf("GF%d row %d col %d: word %d maps %#x to %#x, want %#x", f.W(), r, j, p, x, got, want)
 						}

@@ -18,6 +18,7 @@
 package gf
 
 import (
+	"crypto/subtle"
 	"fmt"
 )
 
@@ -51,9 +52,12 @@ type Field interface {
 
 	// MultXORs computes dst[i] ^= a * src[i] over w-bit words. It is the
 	// paper's mult_XORs(d0, d1, a) primitive. Both slices must have the
-	// same length, a multiple of WordBytes. a == 0 is a no-op (callers
-	// normally skip zero coefficients; the kernel's operation counter
-	// only counts nonzero ones).
+	// same length, a multiple of WordBytes. dst and src must not
+	// partially overlap (a == 1 panics there; the regionargs lint
+	// rejects aliased arguments at the call site); dst == src is
+	// allowed. a == 0 is a no-op (callers normally skip zero
+	// coefficients; the kernel's operation counter only counts nonzero
+	// ones).
 	MultXORs(dst, src []byte, a uint32)
 	// MultXORsMulti is the fused form of a whole coefficient row:
 	// dst[i] ^= Σ_k consts[k] * srcs[k][i], with dst loaded and stored
@@ -121,26 +125,12 @@ func checkRegions(dst, src []byte, wordBytes int) {
 	}
 }
 
-// xorRegion is the shared a==1 fast path: dst ^= src, eight bytes at a
-// time. Region lengths are word-multiples, so the tail loop handles at
-// most 7 bytes.
+// xorRegion is the shared a==1 fast path: dst ^= src, in
+// crypto/subtle's vector loop (16-byte SSE2 on amd64, NEON on arm64).
+// dst and src are equal or disjoint; XORBytes panics on a partial
+// overlap.
 func xorRegion(dst, src []byte) {
-	n := len(dst) &^ 7
-	for i := 0; i < n; i += 8 {
-		d := dst[i : i+8 : i+8]
-		s := src[i : i+8 : i+8]
-		d[0] ^= s[0]
-		d[1] ^= s[1]
-		d[2] ^= s[2]
-		d[3] ^= s[3]
-		d[4] ^= s[4]
-		d[5] ^= s[5]
-		d[6] ^= s[6]
-		d[7] ^= s[7]
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }
 
 // copyRegion is the MulRegion a==1 fast path.

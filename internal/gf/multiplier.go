@@ -18,7 +18,8 @@ type Multiplier interface {
 	// Coefficient returns the bound constant.
 	Coefficient() uint32
 	// MultXOR computes dst[i] ^= a * src[i] over w-bit words, exactly
-	// like Field.MultXORs with the bound constant.
+	// like Field.MultXORs with the bound constant. dst and src must not
+	// partially overlap: the coefficient-1 multiplier panics there.
 	MultXOR(dst, src []byte)
 }
 

@@ -124,6 +124,44 @@ func TestMultXORsSpecialConstants(t *testing.T) {
 	}
 }
 
+// TestCoefficientOneXOR: the a == 1 path of MultXORs and the trivial
+// Multiplier is a plain XOR at every word-multiple length 4..4100, and
+// with dst == src it XORs a region with itself to zeros.
+func TestCoefficientOneXOR(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const max = 4100
+	src, base := randRegion(rng, max), randRegion(rng, max)
+	dst := make([]byte, max)
+	for _, tf := range testFields {
+		one := MultiplierFor(tf.f, 1)
+		ops := []struct {
+			name string
+			xor  func(dst, src []byte)
+		}{
+			{"MultXORs", func(dst, src []byte) { tf.f.MultXORs(dst, src, 1) }},
+			{"Multiplier", one.MultXOR},
+		}
+		wb := tf.f.WordBytes()
+		for _, op := range ops {
+			for n := 4; n <= max; n += wb {
+				copy(dst, base[:n])
+				op.xor(dst[:n], src[:n])
+				for i := 0; i < n; i++ {
+					if dst[i] != base[i]^src[i] {
+						t.Fatalf("%s %s, %d bytes: byte %d is %#x, want %#x", tf.name, op.name, n, i, dst[i], base[i]^src[i])
+					}
+				}
+			}
+			n := max / wb * wb
+			self := append([]byte(nil), src[:n]...)
+			op.xor(self, self)
+			if !bytes.Equal(self, make([]byte, n)) {
+				t.Fatalf("%s %s: dst == src did not XOR to zeros", tf.name, op.name)
+			}
+		}
+	}
+}
+
 func TestMulRegionSpecialConstants(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, tf := range testFields {

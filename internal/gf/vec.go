@@ -18,3 +18,9 @@ const (
 // support: VecAVX512, VecAVX2 or VecNone. It reflects hardware only;
 // run-time opt-outs (PPM_NO_VEC) are the consumer's business.
 func VectorISALevel() int { return vectorISA }
+
+// VectorCLMUL reports whether the CPU and OS support 512-bit carry-less
+// multiplication: AVX-512F, VPCLMULQDQ and OS-saved ZMM state. The
+// CRC-32C folding kernel of internal/fault dispatches on it, so the
+// whole module reads one CPUID/XGETBV probe.
+func VectorCLMUL() bool { return vectorCLMUL }

@@ -36,6 +36,8 @@ func VerifyBlocks(f gf.Field, m *matrix.Matrix, cm *kernel.CompiledMatrix) []Fin
 		owner[i] = -1
 	}
 	terms := 0
+	inSupport := make([]bool, m.Cols())
+	var img [gf.AffineImageWords]uint32
 	for bi, b := range cm.Blocks() {
 		terms += b.Terms()
 		if n := len(b.Rows()); n == 0 || n > gf.BlockRows {
@@ -51,7 +53,7 @@ func VerifyBlocks(f gf.Field, m *matrix.Matrix, cm *kernel.CompiledMatrix) []Fin
 			}
 			owner[i] = bi
 		}
-		inSupport := make(map[int]bool, len(b.Cols()))
+		clear(inSupport)
 		for _, j := range b.Cols() {
 			if j < 0 || j >= m.Cols() {
 				add("bounds", bi, "column %d outside the %d-column matrix", j, m.Cols())
@@ -66,7 +68,7 @@ func VerifyBlocks(f gf.Field, m *matrix.Matrix, cm *kernel.CompiledMatrix) []Fin
 				}
 			}
 			for k, j := range b.Cols() {
-				if msg := checkTermMatrix(f, b, r, k, m.At(i, j)); msg != "" {
+				if msg := checkTermMatrix(f, b, r, k, m.At(i, j), &img); msg != "" {
 					add("symbolic", bi, "M[%d][%d] = %#x: %s", i, j, m.At(i, j), msg)
 				}
 			}
@@ -84,14 +86,19 @@ func VerifyBlocks(f gf.Field, m *matrix.Matrix, cm *kernel.CompiledMatrix) []Fin
 }
 
 // checkTermMatrix evaluates one stored term on the field's basis words
-// and describes the first mismatch ("" when the matrices are exact).
-// Blocks of a Field implementation without matrices (AffineImage nil)
-// run on the table path only and have nothing to check.
-func checkTermMatrix(f gf.Field, b *gf.RowBlock, r, k int, coef uint32) string {
+// (into img, the caller's scratch) and describes the first mismatch (""
+// when the matrices are exact). Blocks of a Field implementation
+// without matrices run on the table path only and have nothing to
+// check.
+func checkTermMatrix(f gf.Field, b *gf.RowBlock, r, k int, coef uint32, img *[gf.AffineImageWords]uint32) string {
+	if !b.AffineImage(r, k, img) {
+		return ""
+	}
+	plane := gf.AffineImageWords / f.W()
 	for bit := 0; bit < f.W(); bit++ {
 		x := uint32(1) << uint(bit)
 		want := f.Mul(coef, x)
-		for p, got := range b.AffineImage(r, k, x) {
+		for p, got := range img[bit*plane : (bit+1)*plane] {
 			if got != want {
 				return fmt.Sprintf("stored matrix maps %#x to %#x at word %d, want %#x", x, got, p, want)
 			}
