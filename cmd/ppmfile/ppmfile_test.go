@@ -422,6 +422,36 @@ func TestManifestClaimExceedsStrips(t *testing.T) {
 	}
 }
 
+// TestManifestParityCheckBound: a 512 KiB archive whose manifest passes
+// every manifest and strip-file bound, n = 2 over r = 65,536 rows of
+// 4-byte sectors, fails verify, decode and scrub with an error naming
+// the manifest. Building its code used to allocate a 32 GiB
+// parity-check matrix and kill all three commands.
+func TestManifestParityCheckBound(t *testing.T) {
+	shards := t.TempDir()
+	mf := manifest{N: 2, R: 65536, M: 1, S: 0, Word: 32, Coeffs: []uint32{1}, SectorSize: 4, Stripes: 1}
+	if err := writeManifest(shards, mf); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < mf.N; j++ {
+		if err := os.WriteFile(filepath.Join(shards, diskFileName(j)), make([]byte, mf.R*mf.SectorSize), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := filepath.Join(t.TempDir(), "out.bin")
+	runs := map[string]func() error{
+		"verify": func() error { return runVerify([]string{"-dir", shards}) },
+		"decode": func() error { return runDecode([]string{"-dir", shards, "-out", out}) },
+		"scrub":  func() error { return runScrub([]string{"-dir", shards}) },
+	}
+	for cmd, run := range runs {
+		err := run()
+		if err == nil || !strings.Contains(err.Error(), manifestName) || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s: got %v, want the manifest's code rejected as too large", cmd, err)
+		}
+	}
+}
+
 // TestPipelinedRoundTripManyStripes drives the pipelined encode/decode
 // through enough stripes to keep several in flight, with a payload that
 // ends mid-stripe (non-stripe-aligned tail), and checks the restored

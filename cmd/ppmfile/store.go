@@ -146,13 +146,19 @@ func readManifest(dir string) (manifest, error) {
 }
 
 // codeFromManifest rebuilds the exact SD instance used at encode time
-// (same field and coefficients, so parity bytes match).
+// (same field and coefficients, so parity bytes match). A geometry the
+// code constructor rejects, an oversized parity-check matrix among
+// them, is the manifest's fault and says so.
 func codeFromManifest(mf manifest) (*codes.SD, error) {
 	f, err := gf.ForWord(mf.Word)
 	if err != nil {
 		return nil, err
 	}
-	return codes.NewSDWithCoefficients(mf.N, mf.R, mf.M, mf.S, f, mf.Coeffs)
+	sd, err := codes.NewSDWithCoefficients(mf.N, mf.R, mf.M, mf.S, f, mf.Coeffs)
+	if err != nil {
+		return nil, fmt.Errorf("%s describes no usable code: %w", manifestName, err)
+	}
+	return sd, nil
 }
 
 // diskStore reads and writes the per-disk strip files for one stripe at

@@ -143,6 +143,27 @@ func Decodable(c Code, sc Scenario) bool {
 	return f.Rank() == len(sc.Faulty)
 }
 
+// MaxParityCheckEntries bounds a code's parity-check matrix H at rows
+// × columns entries. H is dense, and a constructor's geometry may come
+// from untrusted input (a ppmfile manifest, an API argument): a 2-disk
+// SD over 65,536 rows would ask for 2^33 entries, 32 GiB. The paper's
+// grids stay under 10^5 entries.
+const MaxParityCheckEntries = 1 << 24
+
+// checkParityCheckSize returns an error when a rows × cols parity-check
+// matrix would exceed MaxParityCheckEntries. Every constructor calls it
+// before it sizes anything from its arguments. Callers compute the
+// dimensions in float64, where an absurd geometry cannot wrap into a
+// small one the way an int product can; any size past 2^53, where
+// float64 rounds, is far past the bound.
+func checkParityCheckSize(code string, rows, cols float64) error {
+	if rows*cols > MaxParityCheckEntries {
+		return fmt.Errorf("codes: %s parity-check matrix of %.0f x %.0f exceeds %d entries",
+			code, rows, cols, MaxParityCheckEntries)
+	}
+	return nil
+}
+
 // Validate checks structural invariants common to all instances:
 // H has the right shape, parity positions are in range and distinct,
 // and the encoding scenario is solvable (its F sub-matrix has full

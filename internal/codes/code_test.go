@@ -1,8 +1,10 @@
 package codes
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ppm/internal/gf"
@@ -206,6 +208,35 @@ func TestValidateRejectsBrokenCode(t *testing.T) {
 	bad = &brokenCode{h: matrix.New(gf.GF8, 1, 4), parity: []int{3}}
 	if err := Validate(bad); err == nil {
 		t.Error("singular encode accepted")
+	}
+}
+
+// TestConstructorsBoundParityCheck: every constructor rejects a
+// geometry whose parity-check matrix would exceed MaxParityCheckEntries
+// before allocating it, including geometries whose int size would
+// overflow. A 2-disk SD over 65,536 rows used to ask for 32 GiB.
+func TestConstructorsBoundParityCheck(t *testing.T) {
+	const huge = math.MaxInt / 2
+	for name, build := range map[string]func() (Code, error){
+		"SD":                  func() (Code, error) { return NewSD(2, 65536, 1, 0) },
+		"SD coefficients":     func() (Code, error) { return NewSDWithCoefficients(2, 65536, 1, 0, gf.GF32, []uint32{1}) },
+		"SD n*r overflow":     func() (Code, error) { return NewSDWithCoefficients(1<<32, 1<<32, 1, 0, gf.GF32, []uint32{1}) },
+		"SD in field":         func() (Code, error) { return NewSDInField(4, 1<<22, 1, 1, gf.GF32) },
+		"PMDS":                func() (Code, error) { return NewPMDS(2, 65536, 1, 0) },
+		"RS":                  func() (Code, error) { return NewRS(16, 1<<16, 4) },
+		"RS r overflow":       func() (Code, error) { return NewRSInField(16, huge, 4, gf.GF8) },
+		"LRC":                 func() (Code, error) { return NewLRC(1<<20, 1<<19, 2) },
+		"LRC sum overflow":    func() (Code, error) { return NewLRCInField(huge, 1, huge, gf.GF32) },
+		"locality LRC":        func() (Code, error) { return NewLRCLocality(1<<13, 1<<12, 2, 2) },
+		"locality LRC huge k": func() (Code, error) { return NewLRCLocality(huge, 1, 2, huge) },
+		"EVENODD":             func() (Code, error) { return NewEVENODD(257) },
+		"EVENODD huge p":      func() (Code, error) { return NewEVENODD(math.MaxInt) },
+		"RDP":                 func() (Code, error) { return NewRDP(257) },
+		"RDP huge p":          func() (Code, error) { return NewRDP(math.MaxInt) },
+	} {
+		if _, err := build(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s: got %v, want the parity-check size rejected", name, err)
+		}
 	}
 }
 

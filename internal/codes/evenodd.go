@@ -36,6 +36,10 @@ var _ Code = (*EVENODD)(nil)
 
 // NewEVENODD constructs the EVENODD instance for prime p >= 3.
 func NewEVENODD(p int) (*EVENODD, error) {
+	// The size check first: isPrime runs in √p steps.
+	if err := checkParityCheckSize("EVENODD", 2*(float64(p)-1), (float64(p)+2)*(float64(p)-1)); err != nil {
+		return nil, err
+	}
 	if p < 3 || !isPrime(p) {
 		return nil, fmt.Errorf("codes: EVENODD needs a prime p >= 3, got %d", p)
 	}

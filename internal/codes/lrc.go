@@ -50,7 +50,11 @@ func NewLRCInField(k, l, g int, field gf.Field) (*LRC, error) {
 		return nil, fmt.Errorf("codes: LRC l=%d out of range [1,%d]", l, k)
 	case g < 0:
 		return nil, fmt.Errorf("codes: LRC g=%d negative", g)
-	case uint64(2*(k+l+g)) > field.Order():
+	}
+	if err := checkParityCheckSize("LRC", float64(l)+float64(g), float64(k)+float64(l)+float64(g)); err != nil {
+		return nil, err
+	}
+	if uint64(2*(k+l+g)) > field.Order() {
 		return nil, fmt.Errorf("codes: LRC too large for GF(2^%d)", field.W())
 	}
 	lrc := &LRC{k: k, l: l, g: g, field: field}

@@ -44,6 +44,10 @@ func NewLRCLocality(k, l, delta, g int) (*LRCLocality, error) {
 	case g < 0:
 		return nil, fmt.Errorf("codes: locality LRC g=%d negative", g)
 	}
+	local := float64(l) * float64(delta-1)
+	if err := checkParityCheckSize("locality LRC", local+float64(g), float64(k)+local+float64(g)); err != nil {
+		return nil, err
+	}
 	n := k + l*(delta-1) + g
 	field, err := gf.FieldFor(2 * n)
 	if err != nil {

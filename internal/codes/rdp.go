@@ -30,6 +30,10 @@ var _ Code = (*RDP)(nil)
 
 // NewRDP constructs the RDP instance for prime p >= 3.
 func NewRDP(p int) (*RDP, error) {
+	// The size check first: isPrime runs in √p steps.
+	if err := checkParityCheckSize("RDP", 2*(float64(p)-1), (float64(p)+1)*(float64(p)-1)); err != nil {
+		return nil, err
+	}
 	if p < 3 || !isPrime(p) {
 		return nil, fmt.Errorf("codes: RDP needs a prime p >= 3, got %d", p)
 	}

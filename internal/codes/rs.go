@@ -46,6 +46,9 @@ func NewRSInField(n, r, m int, field gf.Field) (*RS, error) {
 	case uint64(2*n) > field.Order():
 		return nil, fmt.Errorf("codes: n=%d too large for Cauchy points in GF(2^%d)", n, field.W())
 	}
+	if err := checkParityCheckSize("RS", float64(m)*float64(r), float64(n)*float64(r)); err != nil {
+		return nil, err
+	}
 	rs := &RS{n: n, r: r, m: m, field: field}
 	rs.h = rs.buildParityCheck()
 	for i := 0; i < r; i++ {

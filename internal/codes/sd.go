@@ -41,6 +41,9 @@ var _ Code = (*SD)(nil)
 // and searching for coding coefficients that make the instance both
 // encodable and decodable on a battery of worst-case scenarios.
 func NewSD(n, r, m, s int) (*SD, error) {
+	if err := checkSDParams(n, r, m, s); err != nil {
+		return nil, err
+	}
 	f, err := gf.FieldFor(n * r)
 	if err != nil {
 		return nil, err
@@ -89,16 +92,24 @@ func NewSDWithCoefficients(n, r, m, s int, field gf.Field, coeffs []uint32) (*SD
 	return sd, nil
 }
 
+// checkSDParams validates an SD geometry. The size check comes before
+// any int product of the arguments: past it, n*r fits the entry bound.
 func checkSDParams(n, r, m, s int) error {
 	switch {
 	case n < 2 || r < 1:
 		return fmt.Errorf("codes: invalid SD geometry n=%d r=%d", n, r)
 	case m < 0 || m >= n:
 		return fmt.Errorf("codes: SD m=%d out of range [0,%d)", m, n)
-	case s < 0 || s > (n-m)*r:
+	case s < 0:
 		return fmt.Errorf("codes: SD s=%d out of range", s)
 	case m == 0 && s == 0:
 		return fmt.Errorf("codes: SD with no redundancy")
+	}
+	if err := checkParityCheckSize("SD", float64(m)*float64(r)+float64(s), float64(n)*float64(r)); err != nil {
+		return err
+	}
+	if s > (n-m)*r {
+		return fmt.Errorf("codes: SD s=%d out of range", s)
 	}
 	return nil
 }

@@ -59,12 +59,11 @@ type HealStats struct {
 	// Healed counts stripes the healer re-decoded beyond the baseline
 	// scenario.
 	Healed int64 `json:"healed"`
-	// StripsRead counts strips fetched from the store by the
-	// minimal-read path (ReadSectors); ReadStripe reads every live
-	// strip and does not tick this.
+	// StripsRead counts strips fetched clean from the store, by
+	// ReadSectors and ReadStripe alike.
 	StripsRead int64 `json:"strips_read"`
-	// Replans counts ReadSectors iterations that widened the survivor
-	// set after an unreadable or corrupt strip invalidated the plan.
+	// Replans counts read-loop iterations that widened the survivor set
+	// after an unreadable or corrupt strip invalidated the plan.
 	Replans int64 `json:"replans"`
 }
 
@@ -109,14 +108,16 @@ type Healer struct {
 	// degraded-read log.
 	Logf func(format string, args ...any)
 
-	// Stats accumulates across ReadStripe calls.
+	// Stats accumulates across ReadStripe and ReadSectors calls.
 	Stats HealStats
 
 	planner *repair.Planner
 	buf     []byte
 	// Per-read scratch: per-sector baseline and faulty flags, per-disk
-	// read and need flags, and the faulty and wanted lists handed to
-	// the planner, built in index order so they are sorted and unique.
+	// read and need flags, and the faulty list handed to the planner.
+	// wanted is ReadStripe's wanted list, every sector outside the
+	// baseline. Both lists are built in index order, so they are sorted
+	// and unique.
 	base, faulty []bool
 	read, need   []bool
 	nBase        int
@@ -149,7 +150,12 @@ func (h *Healer) init() error {
 	h.base, h.nBase = base, nBase
 	h.faulty = make([]bool, total)
 	h.read, h.need = make([]bool, n), make([]bool, n)
-	h.list, h.wanted = make([]int, 0, total), make([]int, 0, total)
+	h.list, h.wanted = make([]int, 0, total), make([]int, 0, total-nBase)
+	for s, b := range base {
+		if !b {
+			h.wanted = append(h.wanted, s)
+		}
+	}
 	h.buf = make([]byte, h.Store.StripBytes())
 	h.readOp = h.readScratch
 	h.planner = repair.NewPlanner(h.Code)
@@ -241,73 +247,25 @@ func (h *Healer) sums(idx int) []uint32 {
 }
 
 // ReadStripe fills st with stripe idx, degraded-reading around
-// transient faults, hung strips and silent corruption. On return the
-// stripe holds correct bytes everywhere except the Baseline sectors
-// (left zeroed for the downstream decode) — unless the damage exceeded
-// the code's tolerance, which is the returned error.
+// transient faults, hung strips and silent corruption: it is
+// ReadSectors wanting every sector outside the Baseline. On return
+// those sectors hold correct bytes — unless the damage exceeded the
+// code's tolerance, which is the returned error. A strip that is
+// baseline throughout is never read and is zeroed for the downstream
+// decode, but for any sector a heal's repair plan recovers in passing.
 func (h *Healer) ReadStripe(ctx context.Context, idx int, st *stripe.Stripe) error {
 	if err := h.begin(idx, st); err != nil {
 		return err
 	}
-	h.Stats.Stripes++
-	n, r := st.N(), st.R()
-
-	for j := 0; j < n; j++ {
-		baseMissing := true
-		for i := 0; i < r; i++ {
-			if !h.base[i*n+j] {
-				baseMissing = false
-				break
-			}
-		}
-		if baseMissing {
-			// The whole strip is already declared faulty; zero it for
-			// the downstream decode and skip the read.
-			for i := 0; i < r; i++ {
-				clear(st.SectorAt(i, j))
-			}
-			continue
-		}
-		if err := h.readStrip(ctx, idx, j, st); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return ctxErr
-			}
-			h.demoteStrip(idx, j, st, err)
+	// No baseline sector is wanted, so a strip that is baseline
+	// throughout is never read and keeps these zeros; a strip that is
+	// baseline only in part is read whole over them.
+	for s, b := range h.base {
+		if b {
+			clear(st.Sector(s))
 		}
 	}
-
-	// Checksum the survivors; mismatches join the demoted set.
-	if sums := h.sums(idx); sums != nil {
-		for s := range h.faulty {
-			h.verifySector(idx, s, st, sums)
-		}
-	}
-
-	// Damage beyond the baseline: repair-plan exactly the demoted
-	// sectors over the scenario baseline ∪ demoted. The plan's minimal
-	// survivor set skips whole sub-decodes an unrelated failure would
-	// have dragged in; baseline sectors stay zeroed for the downstream
-	// consumer's once-compiled decode (its plan recovers them anyway).
-	h.wanted = h.wanted[:0]
-	for s, f := range h.faulty {
-		if f && !h.base[s] {
-			h.wanted = append(h.wanted, s)
-		}
-	}
-	if len(h.wanted) == 0 {
-		return nil
-	}
-	plan, err := h.plan(idx, h.wanted)
-	if err != nil {
-		return err
-	}
-	if err := plan.Execute(st, nil); err != nil {
-		return fmt.Errorf("fault: stripe %d: healing repair: %w", idx, err)
-	}
-	h.Stats.Healed++
-	h.logf("stripe %d: healed %d demoted sector(s) via repair plan (%d survivors)",
-		idx, len(h.wanted), len(plan.ReadCols))
-	return nil
+	return h.ReadSectors(ctx, idx, st, h.wanted)
 }
 
 // readStrip fetches strip j of stripe idx into st under the retry
@@ -372,14 +330,15 @@ func (h *Healer) readScratch() ([]byte, error) {
 }
 
 // ReadSectors materialises only the wanted sectors of stripe idx into
-// st — the minimal-read degraded path. It plans the smallest survivor
-// set for the baseline failures, reads only the strips holding it
-// (plus the wanted live sectors), checksum-verifies what it read, and
-// on any unreadable or corrupt strip demotes the damage to erasures
-// and replans over a wider survivor set, until the wanted sectors are
-// recovered or the damage exceeds the code's tolerance. Sectors
-// outside the plan are left untouched — the caller must only consume
-// the wanted ones. A wanted index outside the stripe is an error.
+// st — the minimal-read degraded path, and the healer's one read loop
+// (ReadStripe runs it too). It plans the smallest survivor set for the
+// baseline failures, reads only the strips holding it (plus the wanted
+// live sectors), checksum-verifies what it read, and on any unreadable
+// or corrupt strip demotes the damage to erasures and replans over a
+// wider survivor set, until the wanted sectors are recovered or the
+// damage exceeds the code's tolerance. Sectors outside the plan are
+// left untouched — the caller must only consume the wanted ones. A
+// wanted index outside the stripe is an error.
 func (h *Healer) ReadSectors(ctx context.Context, idx int, st *stripe.Stripe, wanted []int) error {
 	if err := h.begin(idx, st); err != nil {
 		return err
@@ -446,8 +405,10 @@ func (h *Healer) ReadSectors(ctx context.Context, idx int, st *stripe.Stripe, wa
 		if err := plan.Execute(st, nil); err != nil {
 			return fmt.Errorf("fault: stripe %d: repair execute: %w", idx, err)
 		}
-		if len(h.list) > h.nBase {
+		if demoted := len(h.list) - h.nBase; demoted > 0 {
 			h.Stats.Healed++
+			h.logf("stripe %d: healed %d demoted sector(s) via repair plan (%d survivors)",
+				idx, demoted, len(plan.ReadCols))
 		}
 		return nil
 	}

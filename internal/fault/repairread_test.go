@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ppm/internal/codes"
+	"ppm/internal/core"
 	"ppm/internal/stripe"
 )
 
@@ -281,5 +282,97 @@ func TestOneRowStripReadInPlace(t *testing.T) {
 				t.Fatal("a one-row strip went through the strip buffer")
 			}
 		})
+	}
+}
+
+// countingStore counts strip reads per disk.
+type countingStore struct {
+	Store
+	reads []int
+}
+
+func (c *countingStore) ReadStrip(idx, disk int, dst []byte) error {
+	c.reads[disk]++
+	return c.Store.ReadStrip(idx, disk, dst)
+}
+
+// TestReadStripeSharedLoop: ReadStripe is the read loop wanting every
+// sector outside the baseline. A strip that is baseline throughout is
+// never read and comes back zeroed, but for sectors a heal's plan
+// recovers in passing; a strip that is baseline only in part is read,
+// and a flipped sector in it heals byte-identically; and StripsRead and
+// Replans count ReadStripe's work.
+func TestReadStripeSharedLoop(t *testing.T) {
+	sd, err := codes.NewSD(8, 4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sector, lost, partDisk = 64, 3, 5
+	ms, origs, sums := encodeToStore(t, sd, 2, sector, 79)
+	ms.Lose(lost)
+	n, r := sd.NumStrips(), sd.NumRows()
+	// Disk 3 is baseline throughout; disk 5 only in row 1. Stripe 1
+	// holds a flipped byte in row 2 of disk 5.
+	faulty := []int{1*n + partDisk}
+	for i := 0; i < r; i++ {
+		faulty = append(faulty, i*n+lost)
+	}
+	baseline, err := codes.NewScenario(sd, faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strip := make([]byte, ms.StripBytes())
+	if err := ms.ReadStrip(1, partDisk, strip); err != nil {
+		t.Fatal(err)
+	}
+	strip[2*sector] ^= 0x40
+	if err := ms.WriteStrip(1, partDisk, strip); err != nil {
+		t.Fatal(err)
+	}
+
+	cs := &countingStore{Store: ms, reads: make([]int, n)}
+	h := &Healer{Code: sd, Store: cs, Sums: sums, Baseline: baseline}
+	st, err := stripe.New(n, r, sector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, st.TotalSectors())
+	for s := range all {
+		all[s] = s
+	}
+	base := baseline.FaultySet()
+	dec := core.NewDecoder(sd)
+	for idx, want := range []HealStats{
+		{Stripes: 1, StripsRead: 7},
+		{Stripes: 2, StripsRead: 14, CorruptSectors: 1, Healed: 1, Replans: 1},
+	} {
+		st.Scribble(int64(idx), all)
+		if err := h.ReadStripe(context.Background(), idx, st); err != nil {
+			t.Fatalf("stripe %d: %v", idx, err)
+		}
+		for i := 0; i < r; i++ {
+			s := st.SectorAt(i, lost)
+			healed := idx == 1 && bytes.Equal(s, origs[idx].SectorAt(i, lost))
+			if !healed && !bytes.Equal(s, make([]byte, sector)) {
+				t.Fatalf("stripe %d: row %d of the baseline strip is neither zeroed nor healed", idx, i)
+			}
+		}
+		for s := range all {
+			if !base[s] && !bytes.Equal(st.Sector(s), origs[idx].Sector(s)) {
+				t.Fatalf("stripe %d: sector %d differs from the encoded stripe", idx, s)
+			}
+		}
+		if err := dec.Decode(st, baseline); err != nil {
+			t.Fatalf("stripe %d baseline decode: %v", idx, err)
+		}
+		if !origs[idx].Equal(st) {
+			t.Fatalf("stripe %d not byte-identical after the baseline decode", idx)
+		}
+		if h.Stats != want {
+			t.Fatalf("stripe %d: stats %+v, want %+v", idx, h.Stats, want)
+		}
+	}
+	if cs.reads[lost] != 0 {
+		t.Fatalf("the baseline strip was read %d times", cs.reads[lost])
 	}
 }

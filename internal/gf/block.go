@@ -306,7 +306,8 @@ func (b *RowBlock) AffineImage(r, k int, img *[AffineImageWords]uint32) bool {
 // basis word: the kernel planarizes the chunk, applies matrix vector s
 // to plane rotation s with each byte transformed by the matrix of its
 // own qword lane, sums, and un-planarizes. At w=8 the single qword is
-// broadcast.
+// broadcast, so every word position of an image is the same word: the
+// model evaluates the first and copies it.
 //
 // GF2P8AFFINEQB with a zero immediate is linear over GF(2): a matrix
 // qword maps a byte to the XOR of the column images of its set bits.
@@ -321,9 +322,14 @@ func affineEval(wb int, m []uint64, img *[AffineImageWords]uint32) {
 		}
 	}
 	plane := 64 / wb
+	positions := plane
+	if wb == 1 {
+		positions = 1
+	}
 	for t := 0; t < 8*wb; t++ {
 		jx, c := t/8, t%8 // x^t is bit c of word byte jx
-		for p := 0; p < plane; p++ {
+		row := img[t*plane : (t+1)*plane]
+		for p := 0; p < positions; p++ {
 			var word uint32
 			for j := 0; j < wb; j++ {
 				// Output byte j of word p is chunk byte plane*j+p.
@@ -335,7 +341,10 @@ func affineEval(wb int, m []uint64, img *[AffineImageWords]uint32) {
 				}
 				word |= uint32(cols[q][c]) << uint(8*j)
 			}
-			img[t*plane+p] = word
+			row[p] = word
+		}
+		for p := positions; p < plane; p++ {
+			row[p] = row[0]
 		}
 	}
 }

@@ -79,7 +79,7 @@ func Registry() []Experiment {
 		{ID: "headline", Title: "Aggregate improvements (max/avg, 2-thread)", Run: runHeadline},
 		{ID: "encode", Title: "Encoding speed, traditional vs PPM (extension)", Run: runEncodeExp},
 		{ID: "ablation", Title: "Mechanism ablation: trad / block-par / ppm-T1 / ppm (extension)", Run: runAblation},
-		{ID: "degraded", Title: "Degraded-read latency under load: LRC vs RS vs SD (extension)", Run: runDegraded},
+		{ID: "degraded", Title: "Degraded-read repair width: LRC vs RS vs SD (extension)", Run: runDegraded},
 		{ID: "chaos", Title: "Chaos storm: checksummed degraded reads under injected faults (extension)", Run: runChaos},
 	}
 }

@@ -31,47 +31,21 @@ import (
 type CompiledMatrix struct {
 	rows, cols int
 	blocks     []*gf.RowBlock
-	// mults holds the per-row (column, multiplier) pairs of the same
-	// lowering, used by term-at-a-time consumers (the small-write path)
-	// and by tests asserting multiplier sharing.
-	mults [][]CompiledTerm
-	nnz   int
+	nnz        int
 	// prog, when non-nil, is the compiled XOR program (internal/xorplan)
 	// backing the region-application paths instead of the row blocks —
 	// attached by Compile when XorplanActive (GFNI absent, or forced).
 	prog *xorplan.Program
 }
 
-// CompiledTerm is one nonzero coefficient of a compiled row.
-type CompiledTerm struct {
-	Col  int
-	Mult gf.Multiplier
-}
-
-// Compile lowers m over the field. Multipliers are shared between
-// equal coefficients (SD's all-ones disk-parity rows compile to one
-// XOR multiplier), and the rows are grouped into row blocks.
+// Compile lowers m over the field: its rows are grouped into row
+// blocks, each coefficient bound to its tables and affine matrices.
 func Compile(f gf.Field, m *matrix.Matrix) *CompiledMatrix {
 	cm := &CompiledMatrix{
 		rows:   m.Rows(),
 		cols:   m.Cols(),
 		blocks: compileBlocks(f, m),
-		mults:  make([][]CompiledTerm, m.Rows()),
-	}
-	cache := make(map[uint32]gf.Multiplier)
-	for i := 0; i < m.Rows(); i++ {
-		for j, a := range m.Row(i) {
-			if a == 0 {
-				continue
-			}
-			mult, ok := cache[a]
-			if !ok {
-				mult = gf.MultiplierFor(f, a)
-				cache[a] = mult
-			}
-			cm.mults[i] = append(cm.mults[i], CompiledTerm{Col: j, Mult: mult})
-			cm.nnz++
-		}
+		nnz:    m.NNZ(),
 	}
 	if XorplanActive() {
 		// Compiled programs are memoized process-wide, so recompiling the
@@ -137,9 +111,6 @@ func (cm *CompiledMatrix) Cols() int { return cm.cols }
 
 // NNZ returns the nonzero count, i.e. the mult_XORs cost of one Apply.
 func (cm *CompiledMatrix) NNZ() int { return cm.nnz }
-
-// RowTerms returns row i's nonzero terms in column order.
-func (cm *CompiledMatrix) RowTerms(i int) []CompiledTerm { return cm.mults[i] }
 
 // checkShape panics unless the in/out counts match the matrix.
 func (cm *CompiledMatrix) checkShape(in, out [][]byte) {

@@ -91,33 +91,6 @@ func TestCompiledApplyShapePanics(t *testing.T) {
 	cm.Apply(AllocRegions(2, 8), AllocRegions(2, 8), nil)
 }
 
-// TestCompileSharesMultipliers: equal coefficients compile to one
-// multiplier (pointer-shared), keeping table memory proportional to the
-// number of distinct coefficients.
-func TestCompileSharesMultipliers(t *testing.T) {
-	f := gf.GF16
-	m := randMatrix(rand.New(rand.NewSource(154)), f, 1, 1)
-	m.Set(0, 0, 0x55)
-	big := Compile(f, m)
-	_ = big
-	// Build a 3x3 all-0x55 matrix; all 9 entries must share a multiplier.
-	mm := randMatrix(rand.New(rand.NewSource(155)), f, 3, 3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			mm.Set(i, j, 0x55)
-		}
-	}
-	cm := Compile(f, mm)
-	first := cm.RowTerms(0)[0].Mult
-	for i := 0; i < cm.Rows(); i++ {
-		for _, term := range cm.RowTerms(i) {
-			if term.Mult != first {
-				t.Fatal("equal coefficients got distinct multipliers")
-			}
-		}
-	}
-}
-
 func BenchmarkCompiledVsPlainApply(b *testing.B) {
 	rng := rand.New(rand.NewSource(156))
 	f := gf.GF16

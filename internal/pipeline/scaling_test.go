@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,13 +18,21 @@ import (
 // must never make the aggregate slower. The 25% tolerance absorbs
 // scheduler jitter — the defect this pins (workers silently capped by
 // depth, pools serialising on one engine) loses far more than 25%.
+// The levels alternate round by round (1, 2, 1, 2, …), so load from
+// packages tested in parallel lands on every level alike rather than
+// on one level's rounds.
 func TestPoolScalingAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling matrix is wall-clock bound")
 	}
 	sd := testSD(t)
 
-	levels := []int{1, 2, runtime.NumCPU()}
+	var levels []int
+	for _, procs := range []int{1, 2, runtime.NumCPU()} {
+		if procs >= 1 && !slices.Contains(levels, procs) {
+			levels = append(levels, procs)
+		}
+	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
@@ -37,22 +46,15 @@ func TestPoolScalingAcrossGOMAXPROCS(t *testing.T) {
 		levelIters = 3    // best-of to shed scheduler noise
 	)
 
-	seen := map[int]bool{}
-	var lastProcs int
-	var lastThr float64
-	for _, procs := range levels {
-		if procs < 1 || seen[procs] {
-			continue
-		}
-		seen[procs] = true
-		runtime.GOMAXPROCS(procs)
-
-		p, err := NewPool(sd, codes.EncodingScenario(sd), 512, poolSize, Config{Depth: 4, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var best time.Duration
-		for iter := 0; iter < levelIters; iter++ {
+	p, err := NewPool(sd, codes.EncodingScenario(sd), 512, poolSize, Config{Depth: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	best := make([]time.Duration, len(levels))
+	for iter := 0; iter < levelIters; iter++ {
+		for li, procs := range levels {
+			runtime.GOMAXPROCS(procs)
 			start := time.Now()
 			var wg sync.WaitGroup
 			for s := 0; s < streams; s++ {
@@ -66,16 +68,19 @@ func TestPoolScalingAcrossGOMAXPROCS(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
+			if d := time.Since(start); best[li] == 0 || d < best[li] {
+				best[li] = d
 			}
 		}
-		p.Close()
-		if t.Failed() {
-			t.Fatal("stream errors above")
-		}
+	}
+	if t.Failed() {
+		t.Fatal("stream errors above")
+	}
 
-		thr := float64(streams*perStream) / best.Seconds()
+	var lastProcs int
+	var lastThr float64
+	for li, procs := range levels {
+		thr := float64(streams*perStream) / best[li].Seconds()
 		t.Logf("GOMAXPROCS=%d: %.0f stripes/s (best of %d, serial store floor %.0f)",
 			procs, thr, levelIters, float64(streams*perStream)/(float64(streams)*float64(iowait)/1e9))
 		if lastThr > 0 && thr < lastThr*tolerance {
@@ -90,9 +95,10 @@ func TestPoolScalingAcrossGOMAXPROCS(t *testing.T) {
 // hiding store latency behind compute and behind the other edge. With
 // a 1 ms sleep on both the fill and the drain edge, the Serial loop
 // pays both per stripe; an Engine at Depth 4 overlaps them, so it must
-// finish at least 1.3x faster. Both sides are best of 3. The sleeps
-// bound the timing, not the host's speed, so the ratio sits near 2
-// with or without -race.
+// finish at least 1.3x faster. Both sides are best of 3, run
+// alternately (serial, engine, serial, …) so that load from packages
+// tested in parallel lands on both alike. The sleeps bound the timing,
+// not the host's speed, so the ratio sits near 2 with or without -race.
 func TestEngineOverlapsStoreLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overlap check is wall-clock bound")
@@ -112,30 +118,29 @@ func TestEngineOverlapsStoreLatency(t *testing.T) {
 	}
 	defer e.Close()
 
-	best := func(run func() (int, error)) time.Duration {
-		var b time.Duration
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			n, err := run()
-			d := time.Since(start)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != stripes {
-				t.Fatalf("ran %d stripes, want %d", n, stripes)
-			}
-			if b == 0 || d < b {
-				b = d
-			}
+	round := func(best *time.Duration, run func() (int, error)) {
+		start := time.Now()
+		n, err := run()
+		d := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return b
+		if n != stripes {
+			t.Fatalf("ran %d stripes, want %d", n, stripes)
+		}
+		if *best == 0 || d < *best {
+			*best = d
+		}
 	}
-	serial := best(func() (int, error) {
-		return Serial(sd, sc, sector, Config{}, &sleepSource{count: stripes, d: lat}, &sleepSink{d: lat})
-	})
-	engine := best(func() (int, error) {
-		return e.Run(&sleepSource{count: stripes, d: lat}, &sleepSink{d: lat})
-	})
+	var serial, engine time.Duration
+	for i := 0; i < iters; i++ {
+		round(&serial, func() (int, error) {
+			return Serial(sd, sc, sector, Config{}, &sleepSource{count: stripes, d: lat}, &sleepSink{d: lat})
+		})
+		round(&engine, func() (int, error) {
+			return e.Run(&sleepSource{count: stripes, d: lat}, &sleepSink{d: lat})
+		})
+	}
 	ratio := serial.Seconds() / engine.Seconds()
 	t.Logf("serial %v, engine %v: %.2fx", serial, engine, ratio)
 	if ratio < floor {

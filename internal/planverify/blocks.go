@@ -94,11 +94,19 @@ func checkTermMatrix(f gf.Field, b *gf.RowBlock, r, k int, coef uint32, img *[gf
 	if !b.AffineImage(r, k, img) {
 		return ""
 	}
+	// At w = 8 the kernel broadcasts the row's one matrix qword, and
+	// AffineImage copies the first word position to the rest: one
+	// position per basis word is the whole check. At w = 16 and 32 each
+	// position reads its own qword lane.
 	plane := gf.AffineImageWords / f.W()
+	positions := plane
+	if f.W() == 8 {
+		positions = 1
+	}
 	for bit := 0; bit < f.W(); bit++ {
 		x := uint32(1) << uint(bit)
 		want := f.Mul(coef, x)
-		for p, got := range img[bit*plane : (bit+1)*plane] {
+		for p, got := range img[bit*plane : bit*plane+positions] {
 			if got != want {
 				return fmt.Sprintf("stored matrix maps %#x to %#x at word %d, want %#x", x, got, p, want)
 			}

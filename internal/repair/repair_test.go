@@ -115,6 +115,67 @@ func TestRSSingleFailureMinimizedRow(t *testing.T) {
 	}
 }
 
+// TestDegradedReadWidths pins the one-sector degraded reads that
+// ppmbench's degraded experiment tabulates. With disk 2 lost, a read of
+// any of its sectors reads a local group on LRC, k blocks on RS and a
+// stripe row on SD, at one mult_XOR per survivor, and recovers the
+// sector at exactly the predicted cost.
+func TestDegradedReadWidths(t *testing.T) {
+	lrc, err := codes.NewLRC(12, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := codes.NewRS(17, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := codes.NewSD(8, 16, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lost = 2
+	for _, tc := range []struct {
+		name             string
+		code             codes.Code
+		read, full, xors int
+	}{
+		{"LRC(12,3,2)", lrc, 4, 16, 4},
+		{"RS(17,12)", rs, 12, 16, 12},
+		{"SD(8,16,2,2)", sd, 7, 112, 7},
+	} {
+		n := tc.code.NumStrips()
+		var faulty []int
+		for i := 0; i < tc.code.NumRows(); i++ {
+			faulty = append(faulty, i*n+lost)
+		}
+		sc := scenario(t, tc.code, faulty)
+		pl := NewPlanner(tc.code)
+		want := encoded(t, tc.code, 64, 5)
+		for _, s := range faulty {
+			plan, err := pl.Plan(sc, []int{s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := plan.Cost; c.ReadSectors != tc.read || c.FullReadSectors != tc.full || c.MultXORs != int64(tc.xors) {
+				t.Fatalf("%s sector %d: reads %d of %d at %d mult_XORs, want %d of %d at %d",
+					tc.name, s, c.ReadSectors, c.FullReadSectors, c.MultXORs, tc.read, tc.full, tc.xors)
+			}
+			st := want.Clone()
+			st.Scribble(int64(s), sc.Faulty)
+			var stats kernel.Stats
+			if err := plan.Execute(st, &stats); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(st.Sector(s), want.Sector(s)) {
+				t.Fatalf("%s sector %d: repaired sector differs from original", tc.name, s)
+			}
+			if stats.MultXORs() != plan.Cost.MultXORs {
+				t.Fatalf("%s sector %d: measured %d ops, plan predicted %d", tc.name, s, stats.MultXORs(), plan.Cost.MultXORs)
+			}
+		}
+	}
+}
+
 // TestDifferentialAgainstFullDecode: across SD/LRC/RS and random
 // decodable failure sets, repair-plan outputs are byte-identical to a
 // full-stripe decode on every wanted sector.
