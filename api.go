@@ -370,8 +370,9 @@ func FieldFor(sectors int) (int, error) {
 
 // RepairPlanner plans minimal-read repairs for one code instance:
 // which survivors to read and which sub-decodes of the scenario's PPM
-// plan recover a wanted sector set, LRU-cached per (scenario, wanted)
-// pair as the caller lists them.
+// plan recover a wanted sector set. Plans are LRU-cached by the faulty
+// list as given and which of its sectors are wanted, so reordered,
+// repeated or live-padded wanted lists share one plan.
 type RepairPlanner = repair.Planner
 
 // RepairPlan is a minimal-read repair: the scenario's PPM plan cut

@@ -1,9 +1,9 @@
 package core_test
 
-// External-package hook running the symbolic plan verifier over the
-// core planner's output (planverify imports core, so this lives in
-// core_test): every strategy's plan for a spread of scenarios on each
-// code family must prove out, and so must every delta-parity updater.
+// The symbolic plan verifier imports core, so its proofs of the core
+// planner's output live in core_test: every strategy's plan for a
+// spread of scenarios on each code family must prove out, and so must
+// every delta-parity updater.
 
 import (
 	"testing"

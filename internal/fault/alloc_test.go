@@ -100,3 +100,49 @@ func TestDegradedIOAllocFree(t *testing.T) {
 		})
 	})
 }
+
+// TestReadStripeAllocFree: a warm ReadStripe, which wants every sector
+// outside the baseline, allocates nothing either. SD(8,16,2,2) with
+// 4 KiB sectors and disk 3 lost.
+func TestReadStripeAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool deliberately drops items; alloc counts are meaningless")
+	}
+	sd, err := codes.NewSD(8, 16, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sector, lost = 4 << 10, 3
+	ms, origs, sums := encodeToStore(t, sd, 2, sector, 67)
+	ms.Lose(lost)
+	var faulty []int
+	for i := 0; i < sd.NumRows(); i++ {
+		faulty = append(faulty, i*sd.NumStrips()+lost)
+	}
+	baseline, err := codes.NewScenario(sd, faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Healer{Code: sd, Store: ms, Sums: sums, Baseline: baseline}
+	st, err := stripe.New(sd.NumStrips(), sd.NumRows(), sector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := h.ReadStripe(ctx, 1, st); err != nil { // warm the plan cache
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := h.ReadStripe(ctx, 1, st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadStripe allocates %.1f per call, want 0", allocs)
+	}
+	for _, s := range h.wanted {
+		if string(st.Sector(s)) != string(origs[1].Sector(s)) {
+			t.Fatalf("ReadStripe returned wrong bytes in sector %d", s)
+		}
+	}
+}

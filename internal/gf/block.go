@@ -89,7 +89,8 @@ type RowBlock struct {
 // one RowBlock. len(rows) must be in [1, BlockRows], and every consts[r]
 // must have the same length. The block's support is the union of the
 // rows' nonzero columns; the kernel (internal/kernel) groups rows with
-// identical support, so a union adds no zero terms there.
+// identical support, so a union adds no zero terms there. f must be one
+// of this package's fields; any other Field implementation panics.
 func CompileBlock(f Field, rows []int, consts [][]uint32) *RowBlock {
 	if len(rows) == 0 || len(rows) > BlockRows || len(rows) != len(consts) {
 		panic(fmt.Sprintf("gf: block of %d rows with %d coefficient rows (max %d)", len(rows), len(consts), BlockRows))
@@ -114,12 +115,7 @@ func CompileBlock(f Field, rows []int, consts [][]uint32) *RowBlock {
 			b.cols = append(b.cols, j)
 		}
 	}
-	switch f.(type) {
-	case *field8, *field16, field32:
-		b.w = f.W()
-	default:
-		return b // unknown Field implementation: table path only
-	}
+	b.w = f.W()
 	qw := affineQwords(b.w)
 	per := len(rows) * qw
 	backing := alignedQwords(len(b.cols) * per)
@@ -196,7 +192,7 @@ func (b *RowBlock) Apply(out, in [][]byte, overwrite bool) {
 	n := len(out[b.rows[0]])
 	b.check(out, in, n)
 	lo := 0
-	if useAffine && b.w != 0 && n >= 64 && len(b.cols) > 0 {
+	if useAffine && n >= 64 && len(b.cols) > 0 {
 		lo = n &^ 63
 		var a blockArgs
 		for r, i := range b.rows {
@@ -217,10 +213,7 @@ func (b *RowBlock) Apply(out, in [][]byte, overwrite bool) {
 
 // check validates region lengths against the block's rows and columns.
 func (b *RowBlock) check(out, in [][]byte, n int) {
-	wb := 1
-	if b.w != 0 {
-		wb = b.w / 8
-	}
+	wb := b.w / 8
 	if n%wb != 0 {
 		panic(fmt.Sprintf("gf: region length %d is not a multiple of the %d-byte word", n, wb))
 	}
@@ -289,17 +282,11 @@ const AffineImageWords = 512
 // Cols()[k]) the way the kernel does, on each of the field's w basis
 // words x^t: for a 64-byte chunk holding x^t at every word position, it
 // stores the product word at position p in img[t*(512/w)+p]. For a
-// correct block each equals M[r][col]·x^t. The table path (and unknown
-// fields) has no matrices: AffineImage reports false and leaves img
-// alone.
-func (b *RowBlock) AffineImage(r, k int, img *[AffineImageWords]uint32) bool {
-	if b.w == 0 {
-		return false
-	}
+// correct block each equals M[r][col]·x^t.
+func (b *RowBlock) AffineImage(r, k int, img *[AffineImageWords]uint32) {
 	qw := affineQwords(b.w)
 	m := unsafe.Slice(b.mats[k], len(b.rows)*qw)[r*qw : (r+1)*qw]
 	affineEval(b.w/8, m, img)
-	return true
 }
 
 // affineEval is a scalar model of one kernel step on a chunk of each

@@ -109,9 +109,7 @@ func TestBlockAffineImage(t *testing.T) {
 		plane := AffineImageWords / f.W()
 		for r := range consts {
 			for k, j := range b.Cols() {
-				if !b.AffineImage(r, k, &img) {
-					t.Fatalf("GF%d: block has no matrices", f.W())
-				}
+				b.AffineImage(r, k, &img)
 				for bit := 0; bit < f.W(); bit++ {
 					x := uint32(1) << uint(bit)
 					want := f.Mul(consts[r][j], x)
@@ -126,13 +124,16 @@ func TestBlockAffineImage(t *testing.T) {
 	}
 }
 
-// TestCompileBlockShapePanics: row counts outside [1, BlockRows] and
-// ragged rows are programming errors.
+// TestCompileBlockShapePanics: row counts outside [1, BlockRows],
+// ragged rows and a Field implementation from outside this package are
+// programming errors.
 func TestCompileBlockShapePanics(t *testing.T) {
+	type otherField struct{ Field }
 	for name, fn := range map[string]func(){
-		"empty":  func() { CompileBlock(GF8, nil, nil) },
-		"large":  func() { CompileBlock(GF8, make([]int, BlockRows+1), make([][]uint32, BlockRows+1)) },
-		"ragged": func() { CompileBlock(GF8, []int{0, 1}, [][]uint32{{1, 2}, {1}}) },
+		"empty":   func() { CompileBlock(GF8, nil, nil) },
+		"large":   func() { CompileBlock(GF8, make([]int, BlockRows+1), make([][]uint32, BlockRows+1)) },
+		"ragged":  func() { CompileBlock(GF8, []int{0, 1}, [][]uint32{{1, 2}, {1}}) },
+		"foreign": func() { CompileBlock(otherField{GF8}, []int{0}, [][]uint32{{1, 2}}) },
 	} {
 		func() {
 			defer func() {

@@ -90,14 +90,8 @@ func compileTableRow(f Field, consts []uint32) tableRow {
 			r.tabs = append(r.tabs, t)
 		}
 		return r
-	default:
-		// Unknown Field implementation: term-at-a-time fallback.
-		r := &tableRowGeneric{f: f, cols: cols}
-		for _, j := range cols {
-			r.consts = append(r.consts, consts[j])
-		}
-		return r
 	}
+	panic(fmt.Sprintf("gf: unknown field %T", f))
 }
 
 // checkFused validates the srcs/consts pairing of MultXORsMulti.
@@ -444,22 +438,5 @@ func fuse32Tables(dst []byte, xs, ts [][]byte, tabs []*[4][256]uint32) {
 			w ^= t[0][v&0xFF] ^ t[1][(v>>8)&0xFF] ^ t[2][(v>>16)&0xFF] ^ t[3][v>>24]
 		}
 		binary.LittleEndian.PutUint32(dst[i:], w)
-	}
-}
-
-// --- generic fallback ---
-
-// tableRowGeneric serves Field implementations outside this package:
-// one MultXORs call per term.
-type tableRowGeneric struct {
-	f      Field
-	cols   []int
-	consts []uint32
-}
-
-//ppm:hotpath
-func (r *tableRowGeneric) tableXOR(dst []byte, srcs [][]byte, lo int) {
-	for k, j := range r.cols {
-		r.f.MultXORs(dst[lo:], srcs[j][lo:], r.consts[k])
 	}
 }

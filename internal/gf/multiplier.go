@@ -1,6 +1,9 @@
 package gf
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Multiplier is a constant bound to its lookup tables: repeated region
 // operations with the same coefficient skip the per-call table build
@@ -34,7 +37,8 @@ var trivialMults = [3][2]Multiplier{
 // MultiplierFor returns a Multiplier bound to the constant a in the
 // given field. Equal (field, constant) pairs share one multiplier
 // while the per-field memo has capacity, so pointer comparison can be
-// used to confirm sharing in tests.
+// used to confirm sharing in tests. f must be one of this package's
+// fields; any other Field implementation panics.
 func MultiplierFor(f Field, a uint32) Multiplier {
 	switch ff := f.(type) {
 	case *field8:
@@ -54,10 +58,8 @@ func MultiplierFor(f Field, a uint32) Multiplier {
 			return trivialMults[2][a]
 		}
 		return ff.multiplier(a)
-	default:
-		// Unknown Field implementation: fall back to the generic call.
-		return genericMultiplier{f: f, a: a}
 	}
+	panic(fmt.Sprintf("gf: unknown field %T", f))
 }
 
 // trivialMultiplier handles a == 0 (no-op) and a == 1 (plain XOR).
@@ -179,11 +181,3 @@ func (m *multiplier32) MultXOR(dst, src []byte) {
 		binary.LittleEndian.PutUint32(dst[i:], binary.LittleEndian.Uint32(dst[i:])^p)
 	}
 }
-
-type genericMultiplier struct {
-	f Field
-	a uint32
-}
-
-func (m genericMultiplier) Coefficient() uint32     { return m.a }
-func (m genericMultiplier) MultXOR(dst, src []byte) { m.f.MultXORs(dst, src, m.a) }

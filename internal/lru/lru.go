@@ -1,7 +1,8 @@
 // Package lru is the bounded, mutex-guarded least-recently-used cache
-// behind the decode plan cache (core.Decoder) and the repair plan
-// cache (repair.Planner). Keys are byte slices, so a caller renders its
-// key into a stack buffer and a hit allocates nothing.
+// behind the decode plan cache (core.Decoder), the repair plan cache
+// (repair.Planner) and the compiled-program cache
+// (xorplan.CompileCached). Keys are byte slices, so a caller can render
+// its key into a stack buffer and a hit allocates nothing.
 package lru
 
 import (

@@ -20,7 +20,7 @@ func BenchmarkVerifyRepairPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := repair.NewPlanner(c, repair.WithCacheSize(0)).Plan(sc, []int{3})
+	p, err := repair.NewPlanner(c).Plan(sc, []int{3})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -87,13 +87,9 @@ func VerifyBlocks(f gf.Field, m *matrix.Matrix, cm *kernel.CompiledMatrix) []Fin
 
 // checkTermMatrix evaluates one stored term on the field's basis words
 // (into img, the caller's scratch) and describes the first mismatch (""
-// when the matrices are exact). Blocks of a Field implementation
-// without matrices run on the table path only and have nothing to
-// check.
+// when the matrices are exact).
 func checkTermMatrix(f gf.Field, b *gf.RowBlock, r, k int, coef uint32, img *[gf.AffineImageWords]uint32) string {
-	if !b.AffineImage(r, k, img) {
-		return ""
-	}
+	b.AffineImage(r, k, img)
 	// At w = 8 the kernel broadcasts the row's one matrix qword, and
 	// AffineImage copies the first word position to the rest: one
 	// position per basis word is the whole check. At w = 16 and 32 each

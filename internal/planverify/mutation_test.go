@@ -182,7 +182,10 @@ func mutationMatrices(t *testing.T) []*matrix.Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := sweepMatrices(plan)
+	var ms []*matrix.Matrix
+	for _, h := range planMatrices(plan) {
+		ms = append(ms, h.m)
+	}
 	rng := rand.New(rand.NewSource(7))
 	for _, w := range []int{8, 16} {
 		f, err := gf.ForWord(w)

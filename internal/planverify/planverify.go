@@ -44,13 +44,13 @@
 //   - VerifyUpdater: every delta-update column keeps the stripe a
 //     codeword.
 //
-// Verification is wired in four places: an opt-in compile-time gate
-// (PPM_VERIFY_PLANS=1 proves each program on cache miss before it is
-// admitted to an LRU — see xorplan.RegisterVerifier and
-// repair.RegisterVerifier, both installed by this package's init), the
-// ppmverify CLI sweeping the standard code zoo, test-time hooks in the
-// xorplan/repair/core suites, and a mutation harness that measures the
-// verifier's own detection power against single-op program corruptions.
+// Verification runs in three places, never on a production path: the
+// ppmverify CLI sweeping the standard code zoo (make verify-plans),
+// direct Verify* calls in the xorplan, repair and core test suites and
+// the fuzzers, and a mutation harness that measures the verifier's own
+// detection power against single-op program corruptions. A proof costs
+// far more than the plan build it would guard, so nothing verifies a
+// plan as it is built.
 package planverify
 
 import "fmt"
@@ -93,17 +93,4 @@ func stamp(fs []Finding, detail string) []Finding {
 		fs[i].Detail = detail
 	}
 	return fs
-}
-
-// Error folds findings into a single error, nil when there are none —
-// the shape the compile-time verification hooks need.
-func Error(fs []Finding) error {
-	switch len(fs) {
-	case 0:
-		return nil
-	case 1:
-		return fmt.Errorf("%s", fs[0])
-	default:
-		return fmt.Errorf("%s (and %d more findings)", fs[0], len(fs)-1)
-	}
 }

@@ -96,38 +96,49 @@ type SweepStats struct {
 	Updaters  int `json:"updaters"`
 }
 
-// sweepMatrices collects the distinct coefficient matrices one core
-// plan applies, so the sweep can prove their xorplan and row-block
-// lowerings too.
-func sweepMatrices(p *core.Plan) []*matrix.Matrix {
-	var ms []*matrix.Matrix
-	addSub := func(sd *core.SubDecode) {
+// heldMatrix is one coefficient matrix a plan stage holds, with the
+// stage's compiled copy of it.
+type heldMatrix struct {
+	m  *matrix.Matrix
+	cm *kernel.CompiledMatrix // nil: the stage's sequence never applies m
+}
+
+// planMatrices lists every coefficient matrix one core plan holds. A
+// stage compiles only the matrices its sequence applies, so a
+// MatrixFirst stage's Finv and S and a Normal stage's G come without a
+// compiled copy.
+func planMatrices(p *core.Plan) []heldMatrix {
+	var out []heldMatrix
+	add := func(sd *core.SubDecode) {
 		if sd == nil {
 			return
 		}
-		if sd.G != nil {
-			ms = append(ms, sd.G)
-		}
-		if sd.Finv != nil && sd.S != nil {
-			ms = append(ms, sd.Finv, sd.S)
+		cFinv, cS, cG := sd.Compiled()
+		for _, h := range []heldMatrix{{sd.G, cG}, {sd.Finv, cFinv}, {sd.S, cS}} {
+			if h.m != nil {
+				out = append(out, h)
+			}
 		}
 	}
 	for i := range p.Groups {
-		addSub(&p.Groups[i])
+		add(&p.Groups[i])
 	}
-	addSub(p.Rest)
+	add(p.Rest)
 	if p.Whole != nil {
-		addSub(&p.Whole.SubDecode)
+		add(&p.Whole.SubDecode)
 	}
-	return ms
+	return out
 }
 
 // Sweep proves every compiled artifact of the zoo: core decode plans
 // (the PPM partition and, for the encoding scenario, the auto-resolved
 // strategy), repair plans (full and single-sector wanted sets), the
-// xorplan program and row-block lowering of every plan matrix, and
-// each code's delta-parity updater. seed feeds the random
-// max-tolerance scenarios.
+// xorplan program and row-block lowering of every matrix a plan holds,
+// and each code's delta-parity updater. seed feeds the random
+// max-tolerance scenarios. Stats count each proof once: Blocks counts
+// the row-block sets of matrices a plan holds but never compiles, and
+// Programs the XOR programs the stage walk did not prove; the walk's
+// own proofs count under Plans.
 func Sweep(zoo []ZooCode, seed int64, extra int) ([]Finding, SweepStats) {
 	var fs []Finding
 	var stats SweepStats
@@ -163,17 +174,25 @@ func Sweep(zoo []ZooCode, seed int64, extra int) ([]Finding, SweepStats) {
 				fs = append(fs, stamp(VerifyDecodePlan(c, plan), detail)...)
 				stats.Plans++
 
-				for _, m := range sweepMatrices(plan) {
-					prog, err := xorplan.CompileCached(f, m)
+				// The walk proved the plan's compiled copies, and the
+				// XOR program attached to one on the xorplan backend.
+				// Prove the rest: the row blocks of each matrix the plan
+				// never compiles, and every program the walk did not.
+				for _, h := range planMatrices(plan) {
+					if h.cm == nil {
+						fs = append(fs, stamp(VerifyBlocks(f, h.m, kernel.Compile(f, h.m)), detail)...)
+						stats.Blocks++
+					} else if h.cm.XORProgram() != nil {
+						continue
+					}
+					prog, err := xorplan.CompileCached(f, h.m)
 					if err != nil {
 						fs = append(fs, Finding{Object: objXorProgram, Detail: detail, Pass: "structure", OpIndex: -1,
-							Message: fmt.Sprintf("compiling %s program: %v", m.Dims(), err)})
-					} else {
-						fs = append(fs, stamp(VerifyProgram(f, m, prog), detail)...)
-						stats.Programs++
+							Message: fmt.Sprintf("compiling %s program: %v", h.m.Dims(), err)})
+						continue
 					}
-					fs = append(fs, stamp(VerifyBlocks(f, m, kernel.Compile(f, m)), detail)...)
-					stats.Blocks++
+					fs = append(fs, stamp(VerifyProgram(f, h.m, prog), detail)...)
+					stats.Programs++
 				}
 			}
 

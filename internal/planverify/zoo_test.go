@@ -122,10 +122,9 @@ func TestVerifyRepairPlanCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner := repair.NewPlanner(c, repair.WithCacheSize(0))
 	build := func(t *testing.T) *repair.Plan {
 		t.Helper()
-		p, err := planner.Plan(sc, []int{3})
+		p, err := repair.NewPlanner(c).Plan(sc, []int{3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,67 +1,14 @@
 package repair
 
 import (
-	"fmt"
-	"os"
-	"strconv"
+	"encoding/binary"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"ppm/internal/codes"
 	"ppm/internal/core"
 	"ppm/internal/lru"
 )
-
-// ErrVerify wraps a plan-verification rejection: a freshly built repair
-// plan failed the registered symbolic verifier and was not admitted to
-// the planner cache.
-var ErrVerify = fmt.Errorf("repair: compiled plan failed plan verification")
-
-// verifier holds the registered plan verifier (func(codes.Code, *Plan)
-// error), installed by internal/planverify's init. The registration
-// indirection keeps the dependency one-way: planverify imports repair
-// to walk plans, never the reverse.
-var verifier atomic.Value
-
-type verifierFn func(codes.Code, *Plan) error
-
-// RegisterVerifier installs the symbolic repair-plan verifier consulted
-// when plan verification is enabled. fn must be safe for concurrent use.
-func RegisterVerifier(fn func(codes.Code, *Plan) error) {
-	verifier.Store(verifierFn(fn))
-}
-
-// verifyPlans mirrors the xorplan gate: compile-time verification is
-// off by default and enabled by PPM_VERIFY_PLANS=1 or SetVerifyPlans.
-// Cache hits never re-verify; only freshly built plans pay the walk.
-var verifyPlans atomic.Bool
-
-func init() {
-	if os.Getenv("PPM_VERIFY_PLANS") == "1" {
-		verifyPlans.Store(true)
-	}
-}
-
-// SetVerifyPlans enables or disables build-time plan verification and
-// returns the previous setting (restore idiom for tests).
-func SetVerifyPlans(on bool) (prev bool) { return verifyPlans.Swap(on) }
-
-// buildVerified builds a plan and, when the gate is on, refuses to
-// return one the registered verifier rejects.
-func buildVerified(c codes.Code, sc codes.Scenario, wanted []int) (*Plan, error) {
-	plan, err := buildPlan(c, sc, wanted)
-	if err != nil {
-		return nil, err
-	}
-	if verifyPlans.Load() {
-		if fn, _ := verifier.Load().(verifierFn); fn != nil {
-			if err := fn(c, plan); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrVerify, err)
-			}
-		}
-	}
-	return plan, nil
-}
 
 // DefaultCacheSize bounds a Planner's plan cache. A rebuild or
 // degraded-read workload sees a handful of distinct (failure pattern,
@@ -72,9 +19,8 @@ const DefaultCacheSize = 64
 // Safe for concurrent use: the cache is mutex-guarded and cached plans
 // are immutable.
 type Planner struct {
-	code     codes.Code
-	capacity int
-	cache    *lru.Cache[*Plan]
+	code  codes.Code
+	cache *lru.Cache[*Plan]
 
 	mu         sync.Mutex // guards the memoized updater
 	updater    *core.Updater
@@ -82,68 +28,63 @@ type Planner struct {
 	updaterSet bool
 }
 
-// PlannerOption configures a Planner.
-type PlannerOption func(*Planner)
-
-// WithCacheSize bounds the plan cache; capacity <= 0 disables caching.
-func WithCacheSize(capacity int) PlannerOption {
-	return func(p *Planner) { p.capacity = capacity }
-}
-
 // NewPlanner builds a repair planner for the code.
-func NewPlanner(c codes.Code, opts ...PlannerOption) *Planner {
-	p := &Planner{code: c, capacity: DefaultCacheSize}
-	for _, o := range opts {
-		o(p)
-	}
-	p.cache = lru.New[*Plan](p.capacity)
-	return p
+func NewPlanner(c codes.Code) *Planner {
+	return &Planner{code: c, cache: lru.New[*Plan](DefaultCacheSize)}
 }
 
 // Code returns the bound code instance.
 func (p *Planner) Code() codes.Code { return p.code }
 
-// planKey renders (failure pattern, wanted set) as a cache key, each
-// list in the order the caller gave it. The builder canonicalises
-// wanted, but the key does not: wanted {2,8}, {8,2} and {2,8,8} are
-// three keys, so three misses and three entries of equal plans. Callers
-// that replan one wanted set keep it in one order (fault.Healer builds
-// its lists in index order).
+// planKey renders what determines a plan as its cache key: the faulty
+// list as given, and which of its sectors are wanted. buildPlan keeps
+// only the wanted sectors that are faulty, sorted and without repeats
+// (canonicalWanted), so the key marks each faulty position wanted or
+// not: wanted {2,8}, {8,2}, {2,8,8} and, with 9 live, {2,8,9} share one
+// key, and two different plans never do. The faulty list stays in its
+// given order, repeats and all: the plan copies it, and an invalid list
+// fails on its miss and is never cached. A nil wanted has a key of its
+// own, since it takes the faulty list's order as the plan's Wanted.
+// The key grows with the faulty list only, so a long wanted list (a
+// whole stripe) still fits a small stack buffer.
 func planKey(buf []byte, sc codes.Scenario, wanted []int) []byte {
-	for _, f := range sc.Faulty {
-		buf = strconv.AppendInt(buf, int64(f), 10)
-		buf = append(buf, ',')
+	faulty := sc.Faulty
+	buf = binary.AppendUvarint(buf, uint64(len(faulty)))
+	for _, f := range faulty {
+		buf = binary.AppendVarint(buf, int64(f))
 	}
-	buf = append(buf, '|')
 	if wanted == nil {
-		buf = append(buf, '*')
-		return buf
+		return append(buf, 0)
 	}
+	buf = append(buf, 1)
+	mask := len(buf)
+	buf = append(buf, make([]byte, (len(faulty)+7)/8)...)
 	for _, w := range wanted {
-		buf = strconv.AppendInt(buf, int64(w), 10)
-		buf = append(buf, ',')
+		if i := slices.Index(faulty, w); i >= 0 {
+			buf[mask+i/8] |= 1 << (i % 8)
+		}
 	}
 	return buf
 }
 
 // Plan returns the minimal-read repair plan recovering the wanted
 // faulty sectors of the scenario (nil wanted = every faulty sector),
-// consulting the LRU cache first. The cache keys the scenario and the
-// wanted list exactly as given (see planKey); the plan's Wanted is
-// canonical either way. Wanted sectors that are not faulty are ignored
-// — they are readable as-is. A faulty list with an index outside the
-// stripe or a repeat fails with that index (codes.CheckFaulty); an
-// undecodable scenario fails with an error wrapping
-// core.ErrUnrecoverable. Both are checked on a miss only and never
-// cached, so a plan from the cache stands for decodability. The plan
-// copies sc, so the caller may reuse its slices.
+// consulting the LRU cache first. The plan's Wanted is canonical, and
+// the cache keys only what it depends on (see planKey). Wanted sectors
+// that are not faulty are ignored — they are readable as-is. A faulty
+// list with an index outside the stripe or a repeat fails with that
+// index (codes.CheckFaulty); an undecodable scenario fails with an
+// error wrapping core.ErrUnrecoverable. Both are checked on a miss
+// only and never cached, so a plan from the cache stands for
+// decodability. The plan copies sc, so the caller may reuse its
+// slices.
 func (p *Planner) Plan(sc codes.Scenario, wanted []int) (*Plan, error) {
 	var arr [128]byte
 	key := planKey(arr[:0], sc, wanted)
 	if plan, ok := p.cache.Get(key); ok {
 		return plan, nil
 	}
-	plan, err := buildVerified(p.code, sc, wanted)
+	plan, err := buildPlan(p.code, sc, wanted)
 	if err != nil {
 		return nil, err
 	}
@@ -151,8 +92,8 @@ func (p *Planner) Plan(sc codes.Scenario, wanted []int) (*Plan, error) {
 	return plan, nil
 }
 
-// CacheStats reports the plan cache's hit and miss counters (both zero
-// when the cache is disabled). Misses equal the number of plans built.
+// CacheStats reports the plan cache's hit and miss counters. Misses
+// equal the number of plans built.
 func (p *Planner) CacheStats() (hits, misses int64) { return p.cache.Stats() }
 
 // Updater returns the planner's memoized delta-parity updater — the

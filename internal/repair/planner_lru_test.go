@@ -1,10 +1,13 @@
 package repair
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"ppm/internal/codes"
+	"ppm/internal/lru"
 )
 
 // lruScenario builds a decodable scenario or fails the test.
@@ -20,8 +23,8 @@ func lruScenario(t *testing.T, c codes.Code, faulty []int) codes.Scenario {
 	return sc
 }
 
-// TestPlannerCacheEviction pins the LRU discipline of a capacity-2
-// planner cache: the least recently used plan is evicted, a recently
+// TestPlannerCacheEviction pins the LRU discipline of a planner cache
+// cut to two entries: the least recently used plan is evicted, a recently
 // touched one survives, and every Plan call is accounted as exactly one
 // hit or one miss.
 func TestPlannerCacheEviction(t *testing.T) {
@@ -29,7 +32,8 @@ func TestPlannerCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := NewPlanner(c, WithCacheSize(2))
+	pl := NewPlanner(c)
+	pl.cache = lru.New[*Plan](2)
 	sc1 := lruScenario(t, c, []int{1})
 	sc2 := lruScenario(t, c, []int{7})
 	sc3 := lruScenario(t, c, []int{13})
@@ -92,6 +96,71 @@ func TestPlannerCacheWantedKeying(t *testing.T) {
 	if hits, misses := pl.CacheStats(); hits != 2 || misses != 2 {
 		t.Fatalf("hits=%d misses=%d, want 2/2", hits, misses)
 	}
+
+	// The key holds only the wanted sectors that are faulty, as a set:
+	// reordered, repeated and live-padded lists of one request hit.
+	both, err := pl.Plan(sc, []int{2, 8}) // miss: nil keeps its own key
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wanted := range [][]int{{8, 2}, {2, 8, 8}, {2, 8, 9}, {9, 8, 0, 2}} {
+		if p, err := pl.Plan(sc, wanted); err != nil || p != both { // hit
+			t.Fatalf("wanted %v rebuilt the plan of {2,8} (err=%v)", wanted, err)
+		}
+	}
+	if p, err := pl.Plan(sc, []int{9, 2}); err != nil || p != partial { // hit
+		t.Fatalf("wanted {9,2} rebuilt the plan of {2} (err=%v)", err)
+	}
+	if hits, misses := pl.CacheStats(); hits != 7 || misses != 3 {
+		t.Fatalf("hits=%d misses=%d, want 7/3", hits, misses)
+	}
+}
+
+// TestPlannerCacheKeysPlansExactly: a plan from one warm planner equals
+// a fresh build of the same request, over faulty lists in both orders
+// and random wanted sets with live and repeated sectors, so no two
+// different plans share a cache key.
+func TestPlannerCacheKeysPlansExactly(t *testing.T) {
+	c, err := codes.NewPublishedSD(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(c)
+	total := codes.TotalSectors(c)
+	faultyLists := [][]int{{2, 8}, {8, 2}, {0, 7, 13}, {13, 0, 7}, {5}}
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 300; round++ {
+		faulty := faultyLists[rng.Intn(len(faultyLists))]
+		var wanted []int
+		if rng.Intn(5) > 0 {
+			wanted = []int{}
+			for n := rng.Intn(6); n > 0; n-- {
+				if rng.Intn(2) == 0 {
+					wanted = append(wanted, faulty[rng.Intn(len(faulty))])
+				} else {
+					wanted = append(wanted, rng.Intn(total))
+				}
+			}
+		}
+		sc := codes.Scenario{Faulty: faulty}
+		got, err := pl.Plan(sc, wanted)
+		if err != nil {
+			t.Fatalf("faulty=%v wanted=%v: %v", faulty, wanted, err)
+		}
+		want, err := buildPlan(c, sc, wanted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Scenario.Faulty, want.Scenario.Faulty) ||
+			!slices.Equal(got.Wanted, want.Wanted) || !slices.Equal(got.ReadCols, want.ReadCols) {
+			t.Fatalf("faulty=%v wanted=%v: cached plan (faulty %v, wanted %v, reads %v) differs from a fresh build (faulty %v, wanted %v, reads %v)",
+				faulty, wanted, got.Scenario.Faulty, got.Wanted, got.ReadCols,
+				want.Scenario.Faulty, want.Wanted, want.ReadCols)
+		}
+	}
+	if hits, _ := pl.CacheStats(); hits == 0 {
+		t.Fatal("no request hit the cache")
+	}
 }
 
 // TestPlannerCacheConcurrent hammers one planner from many goroutines
@@ -145,30 +214,5 @@ func TestPlannerCacheConcurrent(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("no hits across repeated rounds: the cache is not retaining plans")
-	}
-}
-
-// TestPlannerCacheDisabled pins WithCacheSize(0): plans always rebuild
-// and the counters stay zero.
-func TestPlannerCacheDisabled(t *testing.T) {
-	c, err := codes.NewPublishedSD(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := NewPlanner(c, WithCacheSize(0))
-	sc := lruScenario(t, c, []int{4})
-	a, err := pl.Plan(sc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pl.Plan(sc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatal("cache-disabled planner returned a cached plan")
-	}
-	if hits, misses := pl.CacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("disabled cache counted hits=%d misses=%d", hits, misses)
 	}
 }

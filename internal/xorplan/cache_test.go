@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ppm/internal/gf"
+	"ppm/internal/lru"
 	"ppm/internal/matrix"
 )
 
@@ -26,40 +27,13 @@ func cacheTestMatrix(f gf.Field, tag, rows, cols int) *matrix.Matrix {
 	return m
 }
 
-// setCacheCapacity bounds the compiled-program LRU to n entries,
-// evicting the least recently used programs if the cache already holds
-// more, and returns the previous capacity; n <= 0 restores the default.
-// It creates eviction pressure without hundreds of compiles.
-func setCacheCapacity(n int) (prev int) {
-	if n <= 0 {
-		n = DefaultCacheSize
-	}
-	c := &progCache
-	c.mu.Lock()
-	prev = c.cap
-	c.cap = n
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-	}
-	c.mu.Unlock()
-	return prev
-}
-
-// cacheLen reports the number of programs currently resident.
-func cacheLen() int {
-	c := &progCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// resetCacheStats zeroes the hit/miss counters; the cached programs
-// themselves stay resident.
-func resetCacheStats() {
-	progCache.hits.Store(0)
-	progCache.misses.Store(0)
+// freshCache swaps in an empty compiled-program cache of the given
+// capacity, counters at zero, for the rest of the test. A small
+// capacity creates eviction pressure without hundreds of compiles.
+func freshCache(t *testing.T, capacity int) {
+	prev := progCache
+	progCache = lru.New[*Program](capacity)
+	t.Cleanup(func() { progCache = prev })
 }
 
 // TestCacheEviction pins the LRU discipline under capacity pressure:
@@ -72,8 +46,7 @@ func TestCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer setCacheCapacity(setCacheCapacity(3))
-	resetCacheStats()
+	freshCache(t, 3)
 
 	ms := make([]*matrix.Matrix, 5)
 	progs := make([]*Program, 5)
@@ -89,8 +62,8 @@ func TestCacheEviction(t *testing.T) {
 		}
 		progs[i] = p
 	}
-	if cacheLen() != 3 {
-		t.Fatalf("cache holds %d entries after 3 inserts at capacity 3", cacheLen())
+	if progCache.Len() != 3 {
+		t.Fatalf("cache holds %d entries after 3 inserts at capacity 3", progCache.Len())
 	}
 
 	// Touch 0 so 1 becomes the LRU victim, then insert 3 to evict it.
@@ -100,8 +73,8 @@ func TestCacheEviction(t *testing.T) {
 	if _, err := CompileCached(f, ms[3]); err != nil {
 		t.Fatal(err)
 	}
-	if cacheLen() != 3 {
-		t.Fatalf("cache holds %d entries after eviction at capacity 3", cacheLen())
+	if progCache.Len() != 3 {
+		t.Fatalf("cache holds %d entries after eviction at capacity 3", progCache.Len())
 	}
 
 	// 0 and 2 must still be resident (hits), 1 must have been evicted
@@ -137,38 +110,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCacheCapacityShrinkEvicts pins setCacheCapacity's down-sizing:
-// shrinking below the resident count evicts oldest-first immediately.
-func TestCacheCapacityShrinkEvicts(t *testing.T) {
-	f, err := gf.ForWord(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer setCacheCapacity(setCacheCapacity(4))
-	for i := 0; i < 4; i++ {
-		if _, err := CompileCached(f, cacheTestMatrix(f, 9100+i, 2, 2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cacheLen() != 4 {
-		t.Fatalf("cache holds %d entries, want 4", cacheLen())
-	}
-	setCacheCapacity(2)
-	if cacheLen() != 2 {
-		t.Fatalf("cache holds %d entries after shrink to 2", cacheLen())
-	}
-	resetCacheStats()
-	// The two most recent keys survived the shrink.
-	for i := 2; i < 4; i++ {
-		if _, err := CompileCached(f, cacheTestMatrix(f, 9100+i, 2, 2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits, misses := CacheStats(); hits != 2 || misses != 0 {
-		t.Fatalf("post-shrink residents: hits=%d misses=%d, want 2/0", hits, misses)
-	}
-}
-
 // TestCacheConcurrentCounters hammers one cold key plus per-goroutine
 // keys from many goroutines (run with -race): afterwards every call is
 // accounted exactly once and the shared key is resident exactly once.
@@ -177,8 +118,7 @@ func TestCacheConcurrentCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer setCacheCapacity(setCacheCapacity(64))
-	resetCacheStats()
+	freshCache(t, 64)
 
 	shared := cacheTestMatrix(f, 9200, 3, 4)
 	const workers = 8
@@ -209,9 +149,9 @@ func TestCacheConcurrentCounters(t *testing.T) {
 	if hits+misses != calls {
 		t.Fatalf("hits(%d)+misses(%d) = %d, want %d calls", hits, misses, hits+misses, calls)
 	}
-	// Racing compiles of the shared key may each count a miss (the
-	// losers drop their program), but the private keys are all distinct
-	// misses, and the shared key contributes at least one.
+	// Racing misses on the shared key may each count, each caller
+	// keeping its own equivalent program, but the private keys are all
+	// distinct misses, and the shared key contributes at least one.
 	if misses < workers*perWorker+1 {
 		t.Fatalf("misses=%d below the %d distinct keys", misses, workers*perWorker+1)
 	}

@@ -360,7 +360,7 @@ func TestCompileCachedCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	f := gf.GF8
 	m := randMatrix(rng, f, 4, 4)
-	resetCacheStats()
+	freshCache(t, DefaultCacheSize)
 	p1, err := CompileCached(f, m)
 	if err != nil {
 		t.Fatal(err)
