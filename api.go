@@ -3,7 +3,6 @@ package ppm
 import (
 	"io"
 
-	"ppm/internal/array"
 	"ppm/internal/codes"
 	"ppm/internal/core"
 	"ppm/internal/cost"
@@ -184,7 +183,10 @@ func BuildPlan(c Code, sc Scenario, strategy Strategy) (*Plan, error) {
 }
 
 // TraditionalDecode runs the serial whole-matrix baseline (Normal
-// sequence, cost C1) — the method PPM is benchmarked against.
+// sequence, cost C1) — the method PPM is benchmarked against. Every
+// call builds the whole-matrix plan afresh (Steps 1-3, no cache) and
+// runs it through the PPM executor at T = 1, on the same compiled
+// kernels as PPM.
 func TraditionalDecode(c Code, st *Stripe, sc Scenario, stats *Stats) error {
 	return decode.Decode(c, st, sc, decode.Options{Stats: stats})
 }
@@ -222,19 +224,6 @@ type Updater = core.Updater
 // NewUpdater derives and compiles the code's generator for in-place
 // parity patching.
 func NewUpdater(c Code) (*Updater, error) { return core.NewUpdater(c) }
-
-// Array is a multi-stripe erasure-coded disk array with failure
-// injection and PPM-driven whole-array reconstruction.
-type Array = array.Array
-
-// RepairStats summarises a whole-array reconstruction.
-type RepairStats = array.RepairStats
-
-// NewArray builds an encoded array of numStripes stripes with
-// deterministic random data.
-func NewArray(c Code, numStripes, sectorSize int, seed int64) (*Array, error) {
-	return array.New(c, numStripes, sectorSize, seed)
-}
 
 // StreamConfig tunes the streaming multi-stripe pipeline: Depth bounds
 // the stripes in flight (backpressure; Depth 1 runs each stream on the

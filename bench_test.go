@@ -277,32 +277,6 @@ func BenchmarkRepeatedDecodeAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkArrayRepair measures whole-array reconstruction (2 dead
-// disks across many stripes) with plan reuse — the deployment-shaped
-// workload built on top of the library.
-func BenchmarkArrayRepair(b *testing.B) {
-	code, err := NewSD(8, 16, 2, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		arr, err := NewArray(code, 8, 2048, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := arr.FailDisks(1, 6); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		stats, err := arr.Repair(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(stats.BytesRepaired)
-	}
-}
-
 // BenchmarkDegradedRead contrasts the LRC local-group repair with the
 // RS-wide repair for a single unavailable block (the paper's cloud
 // motivation, §I).

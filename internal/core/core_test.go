@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ppm/internal/codes"
-	"ppm/internal/decode"
 	"ppm/internal/gf"
 	"ppm/internal/kernel"
 	"ppm/internal/matrix"
@@ -40,9 +39,7 @@ func encodedStripe(t *testing.T, c codes.Code, sectorSize int, seed int64) *stri
 		t.Fatal(err)
 	}
 	st.FillDataRandom(seed, codes.DataPositions(c))
-	if err := decode.Encode(c, st, decode.Options{}); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	scalarEncode(t, c, st)
 	return st
 }
 
@@ -159,7 +156,8 @@ func TestExecuteMatchesChosenCost(t *testing.T) {
 }
 
 // TestPPMEqualsTraditional: for random worst-case scenarios across code
-// families, PPM recovers exactly what the traditional decoder recovers.
+// families, PPM recovers exactly what the traditional algebra recovers,
+// solved word by word by the scalar oracle.
 func TestPPMEqualsTraditional(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 
@@ -203,8 +201,8 @@ func TestPPMEqualsTraditional(t *testing.T) {
 				}
 				tradSt := st.Clone()
 				tradSt.Scribble(int64(trial), sc.Faulty)
-				if err := decode.Decode(cse.code, tradSt, sc, decode.Options{}); err != nil {
-					t.Fatalf("traditional: %v", err)
+				if err := scalarDecode(cse.code, tradSt, sc); err != nil {
+					t.Fatalf("scalar: %v", err)
 				}
 				if !ppmSt.Equal(want) || !tradSt.Equal(want) {
 					t.Fatalf("trial %d: recovery mismatch", trial)
@@ -273,21 +271,18 @@ func TestEncoderRoundTrip(t *testing.T) {
 	if err := dec.Encode(st); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := decode.Verify(sd, st)
-	if err != nil || !ok {
-		t.Fatalf("PPM-encoded stripe fails parity check: ok=%v err=%v", ok, err)
+	if !scalarCodeword(sd, st) {
+		t.Fatal("PPM-encoded stripe fails parity check")
 	}
-	// And PPM encode must agree byte-for-byte with traditional encode.
+	// And PPM encode must agree byte-for-byte with the scalar encode.
 	st2, err := stripe.New(6, 6, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st2.FillDataRandom(301, codes.DataPositions(sd))
-	if err := decode.Encode(sd, st2, decode.Options{}); err != nil {
-		t.Fatal(err)
-	}
+	scalarEncode(t, sd, st2)
 	if !st.Equal(st2) {
-		t.Fatal("PPM and traditional encodes differ")
+		t.Fatal("PPM and scalar encodes differ")
 	}
 }
 
@@ -430,9 +425,7 @@ func TestGroupDemotionOnSingularF(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.FillDataRandom(99, []int{0})
-	if err := decode.Encode(c, st, decode.Options{}); err != nil {
-		t.Fatal(err)
-	}
+	scalarEncode(t, c, st)
 	want := st.Clone()
 	st.Scribble(5, sc.Faulty)
 	if err := Execute(plan, st, c.Field(), 2, nil); err != nil {

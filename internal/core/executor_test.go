@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"ppm/internal/codes"
-	"ppm/internal/decode"
 	"ppm/internal/kernel"
 )
 
 // TestExecuteSpanMatchesTraditional runs every plan shape through the
 // executor at T = 1, 2 and 4. Every faulty sector must equal the
-// traditional decoder's, and the measured mult_XORs must equal the
-// plan's predicted cost.
+// scalar oracle's traditional decode, and the measured mult_XORs must
+// equal the plan's predicted cost.
 func TestExecuteSpanMatchesTraditional(t *testing.T) {
 	sd, err := codes.NewSD(8, 8, 2, 2)
 	if err != nil {
@@ -81,7 +80,7 @@ func TestExecuteSpanMatchesTraditional(t *testing.T) {
 			damaged := encodedStripe(t, shape.code, 256, 802)
 			damaged.Scribble(3, sc.Faulty)
 			trad := damaged.Clone()
-			if err := decode.Decode(shape.code, trad, sc, decode.Options{}); err != nil {
+			if err := scalarDecode(shape.code, trad, sc); err != nil {
 				t.Fatal(err)
 			}
 			for _, threads := range []int{1, 2, 4} {
@@ -92,7 +91,7 @@ func TestExecuteSpanMatchesTraditional(t *testing.T) {
 				}
 				for _, c := range sc.Faulty {
 					if !bytes.Equal(st.Sector(c), trad.Sector(c)) {
-						t.Fatalf("T=%d: sector %d differs from the traditional decoder", threads, c)
+						t.Fatalf("T=%d: sector %d differs from the scalar decode", threads, c)
 					}
 				}
 				if stats.MultXORs() != plan.Costs.Chosen {

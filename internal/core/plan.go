@@ -69,7 +69,8 @@ type Costs struct {
 
 // SubDecode is one matrix-decoding operation of a plan: recover the
 // FaultyCols blocks from the SurvivorCols blocks. Depending on Seq the
-// executor applies G (MatrixFirst) or S then Finv (Normal).
+// executor applies G (MatrixFirst) or S then Finv (Normal). A
+// whole-normal plan's G is nil: nothing would apply it.
 type SubDecode struct {
 	FaultyCols   []int
 	SurvivorCols []int
@@ -163,13 +164,17 @@ func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error
 	needWhole := strategy == StrategyAuto || strategy == StrategyWholeNormal || strategy == StrategyWholeMatrixFirst
 	var whole *SubDecode
 	if needWhole {
+		// The Normal sequence never applies G = F^-1 * S, so a
+		// whole-normal plan skips the product and leaves C2 unknown.
 		var err error
-		whole, err = buildWholeSubDecode(c, sc)
+		whole, err = buildWholeSubDecode(c, sc, strategy != StrategyWholeNormal)
 		if err != nil {
 			return nil, err
 		}
 		plan.Costs.C1 = int64(whole.Finv.NNZ() + whole.S.NNZ())
-		plan.Costs.C2 = int64(whole.G.NNZ())
+		if whole.G != nil {
+			plan.Costs.C2 = int64(whole.G.NNZ())
+		}
 	}
 
 	needPPM := strategy != StrategyWholeNormal && strategy != StrategyWholeMatrixFirst
@@ -240,8 +245,9 @@ func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error
 	return plan, nil
 }
 
-// buildWholeSubDecode prepares the traditional Steps 2-3 on the full H.
-func buildWholeSubDecode(c codes.Code, sc codes.Scenario) (*SubDecode, error) {
+// buildWholeSubDecode prepares the traditional Steps 2-3 on the full H,
+// and the MatrixFirst product G when withG is set.
+func buildWholeSubDecode(c codes.Code, sc codes.Scenario, withG bool) (*SubDecode, error) {
 	h := c.ParityCheck()
 	faulty := sc.FaultySet()
 	fM, sM, fCols, sCols := h.SplitColumns(func(col int) bool { return faulty[col] })
@@ -257,13 +263,11 @@ func buildWholeSubDecode(c codes.Code, sc codes.Scenario) (*SubDecode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
 	}
-	return &SubDecode{
-		FaultyCols:   fCols,
-		SurvivorCols: sCols,
-		Finv:         finv,
-		S:            sM,
-		G:            finv.Mul(sM),
-	}, nil
+	sub := &SubDecode{FaultyCols: fCols, SurvivorCols: sCols, Finv: finv, S: sM}
+	if withG {
+		sub.G = finv.Mul(sM)
+	}
+	return sub, nil
 }
 
 // buildPPMSubDecodes performs Steps 1-2 (log table, partition) and

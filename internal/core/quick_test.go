@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"ppm/internal/codes"
-	"ppm/internal/decode"
 	"ppm/internal/gf"
 	"ppm/internal/kernel"
 	"ppm/internal/matrix"
@@ -25,9 +24,9 @@ func faultySetFromMask(mask uint16) []int {
 }
 
 // TestQuickPPMMatchesTraditional: for arbitrary decodable failure sets
-// on the worked-example instance, PPM and the traditional decoder
-// recover identical bytes, and PPM's measured operation count equals
-// the plan's predicted cost.
+// on the worked-example instance, PPM and the scalar oracle's
+// traditional decode recover identical bytes, and PPM's measured
+// operation count equals the plan's predicted cost.
 func TestQuickPPMMatchesTraditional(t *testing.T) {
 	sd := paperSD(t)
 	base := encodedStripe(t, sd, 32, 501)
@@ -44,7 +43,7 @@ func TestQuickPPMMatchesTraditional(t *testing.T) {
 		if !codes.Decodable(sd, sc) {
 			// Both pipelines must refuse.
 			_, errP := BuildPlan(sd, sc, StrategyPPM)
-			errT := decode.Decode(sd, base.Clone(), sc, decode.Options{})
+			errT := scalarDecode(sd, base.Clone(), sc)
 			return errP != nil && errT != nil
 		}
 
@@ -58,7 +57,7 @@ func TestQuickPPMMatchesTraditional(t *testing.T) {
 
 		tradSt := base.Clone()
 		tradSt.Scribble(scribbleSeed, sc.Faulty)
-		if err := decode.Decode(sd, tradSt, sc, decode.Options{}); err != nil {
+		if err := scalarDecode(sd, tradSt, sc); err != nil {
 			return false
 		}
 

@@ -40,7 +40,7 @@ type updateTerm struct {
 
 // NewUpdater derives and compiles the generator for the code.
 func NewUpdater(c codes.Code) (*Updater, error) {
-	sub, err := buildWholeSubDecode(c, codes.EncodingScenario(c))
+	sub, err := buildWholeSubDecode(c, codes.EncodingScenario(c), true)
 	if err != nil {
 		return nil, fmt.Errorf("core: deriving generator: %w", err)
 	}

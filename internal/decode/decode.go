@@ -10,13 +10,20 @@
 // Both calculation sequences are supported: Normal (cost C1) and
 // MatrixFirst (cost C2). Encoding is performed as the special decode
 // whose erasures are the parity positions.
+//
+// Every call redoes Steps 1-3, as the paper's baseline does: it builds
+// an uncached whole-matrix core plan. Step 4 runs that plan through
+// core's executor at T = 1, on the compiled kernels PPM runs on, so a
+// comparison with PPM measures the decode algorithms and not two region
+// back ends.
 package decode
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ppm/internal/codes"
-	"ppm/internal/gf"
+	"ppm/internal/core"
 	"ppm/internal/kernel"
 	"ppm/internal/stripe"
 )
@@ -35,44 +42,13 @@ type Options struct {
 // overwritten. Returns codes/matrix errors for unrecoverable patterns
 // and for faulty lists codes.CheckFaulty rejects.
 func Decode(c codes.Code, st *stripe.Stripe, sc codes.Scenario, opts Options) error {
-	if err := checkGeometry(c, st); err != nil {
+	p, err := wholePlan(c, st, sc, opts.Sequence)
+	if err != nil || p == nil {
 		return err
 	}
-	if err := codes.CheckFaulty(c, sc.Faulty); err != nil {
-		return err
+	if err := core.Execute(p, st, c.Field(), 1, opts.Stats); err != nil {
+		return fmt.Errorf("decode: %w", err)
 	}
-	if len(sc.Faulty) == 0 {
-		return nil
-	}
-	h := c.ParityCheck()
-	faulty := sc.FaultySet()
-
-	// Step 2: F from faulty columns, S from surviving columns.
-	fM, sM, fCols, sCols := h.SplitColumns(func(col int) bool { return faulty[col] })
-	if fM.Rows() < fM.Cols() {
-		return fmt.Errorf("decode: %d erasures exceed %d parity-check rows of %s", fM.Cols(), fM.Rows(), c.Name())
-	}
-	if fM.Rows() > fM.Cols() {
-		// Over-determined (fewer erasures than equations): keep a square
-		// invertible subset of equations.
-		rows, err := fM.PivotRows()
-		if err != nil {
-			return fmt.Errorf("decode: %s cannot recover pattern %v: %w", c.Name(), sc.Faulty, err)
-		}
-		fM = fM.SelectRows(rows)
-		sM = sM.SelectRows(rows)
-	}
-
-	// Step 3: invert F.
-	finv, err := fM.Invert()
-	if err != nil {
-		return fmt.Errorf("decode: %s cannot recover pattern %v: %w", c.Name(), sc.Faulty, err)
-	}
-
-	// Step 4: BF = F^-1 * S * BS into the faulty sectors.
-	in := st.Sectors(sCols)
-	out := st.Sectors(fCols)
-	kernel.Product(c.Field(), finv, sM, in, out, nil, opts.Sequence, opts.Stats)
 	return nil
 }
 
@@ -83,44 +59,66 @@ func Encode(c codes.Code, st *stripe.Stripe, opts Options) error {
 	return Decode(c, st, codes.EncodingScenario(c), opts)
 }
 
+// wholePlan performs Steps 1-3 for one call: a fresh whole-matrix plan
+// for the sequence (the generator product G only under MatrixFirst).
+// It returns a nil plan for an empty scenario.
+func wholePlan(c codes.Code, st *stripe.Stripe, sc codes.Scenario, seq kernel.Sequence) (*core.Plan, error) {
+	if err := checkGeometry(c, st); err != nil {
+		return nil, err
+	}
+	if err := codes.CheckFaulty(c, sc.Faulty); err != nil {
+		return nil, err
+	}
+	if len(sc.Faulty) == 0 {
+		return nil, nil
+	}
+	var strategy core.Strategy
+	switch seq {
+	case kernel.Normal:
+		strategy = core.StrategyWholeNormal
+	case kernel.MatrixFirst:
+		strategy = core.StrategyWholeMatrixFirst
+	default:
+		return nil, fmt.Errorf("decode: unknown sequence %v", seq)
+	}
+	p, err := core.BuildPlan(c, sc, strategy)
+	if err != nil {
+		return nil, fmt.Errorf("decode: %s cannot recover pattern %v: %w", c.Name(), sc.Faulty, err)
+	}
+	return p, nil
+}
+
 // Verify checks H * B == 0 over the stripe contents, region-wise: the
 // stripe holds a codeword iff every parity-check row XOR-sums to zero.
-//
-//ppm:counted verification is outside the paper's encode/decode cost model; no figure consumes its counts
 func Verify(c codes.Code, st *stripe.Stripe) (bool, error) {
-	if err := checkGeometry(c, st); err != nil {
+	scratch, err := computeSyndromes(c, st)
+	if err != nil {
 		return false, err
 	}
-	h := c.ParityCheck()
-	f := c.Field()
-	acc := make([]byte, st.SectorSize())
-	// One multiplier per distinct coefficient across the whole check —
-	// H's coefficients repeat heavily (all-ones rows, shared powers), so
-	// this keeps a many-stripe verify at compiled-table speed.
-	mults := make(map[uint32]gf.Multiplier)
-	for i := 0; i < h.Rows(); i++ {
-		for j := range acc {
-			acc[j] = 0
-		}
-		row := h.Row(i)
-		for col, a := range row {
-			if a == 0 {
-				continue
-			}
-			mult, ok := mults[a]
-			if !ok {
-				mult = gf.MultiplierFor(f, a)
-				mults[a] = mult
-			}
-			mult.MultXOR(acc, st.Sector(col))
-		}
-		for _, b := range acc {
-			if b != 0 {
-				return false, nil
-			}
+	defer scratch.Release()
+	for _, s := range scratch.Regions() {
+		if !isZero(s) {
+			return false, nil
 		}
 	}
 	return true, nil
+}
+
+// computeSyndromes computes s_i = Σ_col H[i][col] * b_col for every
+// parity-check row in one pass of the compiled H, into pooled scratch
+// that the caller releases.
+func computeSyndromes(c codes.Code, st *stripe.Stripe) (*kernel.Scratch, error) {
+	if err := checkGeometry(c, st); err != nil {
+		return nil, err
+	}
+	h := c.ParityCheck()
+	in := make([][]byte, h.Cols())
+	for col := range in {
+		in[col] = st.Sector(col)
+	}
+	syn := kernel.GetScratch(h.Rows(), st.SectorSize())
+	kernel.Compile(c.Field(), h).ApplyOverwrite(in, syn.Regions(), nil)
+	return syn, nil
 }
 
 func checkGeometry(c codes.Code, st *stripe.Stripe) error {
@@ -133,4 +131,17 @@ func checkGeometry(c codes.Code, st *stripe.Stripe) error {
 			st.SectorSize(), c.Field().W())
 	}
 	return nil
+}
+
+// isZero reports whether every byte of b is zero, eight bytes a step.
+func isZero(b []byte) bool {
+	var acc uint64
+	n := len(b) &^ 7
+	for i := 0; i < n; i += 8 {
+		acc |= binary.LittleEndian.Uint64(b[i:])
+	}
+	for _, v := range b[n:] {
+		acc |= uint64(v)
+	}
+	return acc == 0
 }

@@ -19,7 +19,9 @@ func paperSD(t *testing.T) *codes.SD {
 	return sd
 }
 
-// encodedStripe builds a random-data, traditionally encoded stripe.
+// encodedStripe builds a random-data, traditionally encoded stripe,
+// checked by the scalar oracle, so the tests that compare a decode with
+// it compare against a codeword.
 func encodedStripe(t *testing.T, c codes.Code, sectorSize int, seed int64) *stripe.Stripe {
 	t.Helper()
 	st, err := stripe.New(c.NumStrips(), c.NumRows(), sectorSize)
@@ -29,6 +31,9 @@ func encodedStripe(t *testing.T, c codes.Code, sectorSize int, seed int64) *stri
 	st.FillDataRandom(seed, codes.DataPositions(c))
 	if err := Encode(c, st, Options{}); err != nil {
 		t.Fatalf("encode: %v", err)
+	}
+	if !scalarCodeword(c, st) {
+		t.Fatalf("%s: encoded stripe fails the scalar H*B = 0 check", c.Name())
 	}
 	return st
 }
@@ -62,7 +67,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if ok || scalarCodeword(sd, st) {
 		t.Fatal("corrupted stripe passed Verify")
 	}
 }
@@ -247,7 +252,7 @@ func TestSectorAlignmentForWideFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok, err := Verify(sd, st)
-	if err != nil || !ok {
+	if err != nil || !ok || !scalarCodeword(sd, st) {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 }

@@ -37,32 +37,25 @@ type ScrubResult struct {
 //
 //ppm:counted scrubbing is outside the paper's encode/decode cost model; no figure consumes its counts
 func Scrub(c codes.Code, st *stripe.Stripe) (ScrubResult, error) {
-	if err := checkGeometry(c, st); err != nil {
+	scratch, err := computeSyndromes(c, st)
+	if err != nil {
 		return ScrubResult{}, err
 	}
-	h := c.ParityCheck()
-	f := c.Field()
-	size := st.SectorSize()
-
-	// Syndrome regions: s_i = Σ_col H[i][col] * b_col.
-	syndromes := make([][]byte, h.Rows())
+	defer scratch.Release()
+	syndromes := scratch.Regions()
 	anyNonzero := false
-	for i := 0; i < h.Rows(); i++ {
-		acc := make([]byte, size)
-		row := h.Row(i)
-		for col, a := range row {
-			if a != 0 {
-				f.MultXORs(acc, st.Sector(col), a)
-			}
-		}
-		syndromes[i] = acc
-		if !isZero(acc) {
+	for _, s := range syndromes {
+		if !isZero(s) {
 			anyNonzero = true
+			break
 		}
 	}
 	if !anyNonzero {
 		return ScrubResult{Clean: true}, nil
 	}
+	h := c.ParityCheck()
+	f := c.Field()
+	size := st.SectorSize()
 
 	// A column "explains" the syndrome when some delta reproduces every
 	// row. Localisation needs a *unique* explanation: codes whose H
@@ -126,13 +119,4 @@ func ScrubAndRepair(c codes.Code, st *stripe.Stripe, opts Options) (ScrubResult,
 		return res, fmt.Errorf("decode: repairing located sector %d: %w", res.Sector, err)
 	}
 	return res, nil
-}
-
-func isZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }

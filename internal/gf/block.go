@@ -2,6 +2,8 @@ package gf
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 	"unsafe"
 )
 
@@ -10,10 +12,9 @@ import (
 // Row-block dot-product kernels: apply several coefficient rows in one
 // pass over each source.
 //
-// A fused row kernel (fused.go) reads dst once per row, but every row
-// still streams all of its sources: applying an R-row matrix costs R
-// sweeps of every source it touches. At w=16/32 each sweep also
-// re-planarizes every source vector. A RowBlock holds up to BlockRows
+// Applying an R-row matrix one row at a time costs R sweeps of every
+// source it touches, and at w=16/32 each sweep also re-planarizes every
+// source vector. A RowBlock holds up to BlockRows
 // rows that share one column support and runs them together, one
 // 64-byte chunk at a time: it loads (and at w=16/32 planarizes) each
 // source vector once, updates all R row accumulators from it in
@@ -30,9 +31,12 @@ import (
 //
 // The assembly (block_amd64.s, written by gen_block.go) covers the
 // 64-byte-aligned prefix of the regions. The table-driven row kernels
-// handle the tail, and the whole region when the affine kernels are off
-// (no GFNI, PPM_NO_GFNI=1 or SetAffineKernels(false)). The choice is
-// made on every call, never at compile time.
+// (fused.go) handle the tail, and the whole region when the affine
+// kernels are off (no GFNI, PPM_NO_GFNI=1 or SetAffineKernels(false)).
+// The choice is made on every call, never at compile time, so the
+// table rows are lowered on the first call that needs them: on a GFNI
+// host a block whose regions are whole 64-byte chunks never builds
+// them.
 
 // BlockRows is the most rows one RowBlock applies together. Every row
 // needs an accumulator register for the whole source batch; four leaves
@@ -75,60 +79,125 @@ var (
 
 // RowBlock is up to BlockRows coefficient rows compiled for the
 // row-block kernel over the union of their column supports. It is
-// immutable and safe for concurrent use.
+// immutable to its callers and safe for concurrent use.
 type RowBlock struct {
-	w     int
-	rows  []int      // output regions, indices into Apply's out
-	cols  []int      // source regions, indices into Apply's in
-	mats  []*uint64  // per column: its rows' matrices, contiguous
-	kerns []tableRow // per row: the table path over the same terms
-	terms int
+	f      Field
+	w      int
+	rows   []int      // output regions, indices into Apply's out
+	cols   []int      // source regions, indices into Apply's in
+	consts [][]uint32 // per row: the caller's coefficient row
+	mats   []uint64   // per column: its rows' matrices, contiguous
+	terms  int
+
+	// The table path over the same terms, one tableRow per row, built
+	// from consts by the first Apply that runs it.
+	tablesOnce sync.Once
+	tables     []tableRow
 }
 
-// CompileBlock lowers rows[r] = consts[r] (each a full matrix row) into
-// one RowBlock. len(rows) must be in [1, BlockRows], and every consts[r]
-// must have the same length. The block's support is the union of the
-// rows' nonzero columns; the kernel (internal/kernel) groups rows with
-// identical support, so a union adds no zero terms there. f must be one
-// of this package's fields; any other Field implementation panics.
-func CompileBlock(f Field, rows []int, consts [][]uint32) *RowBlock {
-	if len(rows) == 0 || len(rows) > BlockRows || len(rows) != len(consts) {
-		panic(fmt.Sprintf("gf: block of %d rows with %d coefficient rows (max %d)", len(rows), len(consts), BlockRows))
+// CompileBlock lowers consecutive groups of coefficient rows into row
+// blocks, one block per group: block g writes the output regions
+// rows[ends[g-1]:ends[g]] (ends[-1] = 0) from the full matrix rows
+// consts[ends[g-1]:ends[g]]. A group holds 1 to BlockRows rows, every
+// row has the same length, and ends must end at len(rows). A block's
+// support is the union of its rows' nonzero columns; the kernel
+// (internal/kernel) groups rows with identical support, so a union adds
+// no zero terms there. f must be one of this package's fields; any
+// other Field implementation panics. The blocks share one allocation
+// each for their headers, their column lists and their matrices, and
+// they keep rows and consts (consts for their table path, which each
+// lowers on first use), so the caller must not modify either
+// afterwards.
+func CompileBlock(f Field, rows []int, consts [][]uint32, ends []int) []*RowBlock {
+	switch f.(type) {
+	case *field8, *field16, field32:
+	default:
+		panic(fmt.Sprintf("gf: unknown field %T", f))
 	}
-	b := &RowBlock{rows: append([]int(nil), rows...), kerns: make([]tableRow, len(rows))}
+	if len(rows) == 0 || len(rows) != len(consts) || len(ends) == 0 || ends[len(ends)-1] != len(rows) {
+		panic(fmt.Sprintf("gf: %d rows with %d coefficient rows in blocks ending at %v", len(rows), len(consts), ends))
+	}
 	mask := uint32(f.Order() - 1)
-	for r, row := range consts {
-		if len(row) != len(consts[0]) {
-			panic(fmt.Sprintf("gf: block rows of %d and %d columns", len(consts[0]), len(row)))
+	width := len(consts[0])
+	support := make([]uint64, (width+63)/64) // one block's support as a bitmap
+	blocks := make([]RowBlock, len(ends))
+	var cols []int                     // every block's support, block after block
+	bounds := make([]int, len(ends)+1) // block g's support is cols[bounds[g]:bounds[g+1]]
+	lo := 0
+	for g, hi := range ends {
+		if hi-lo < 1 || hi-lo > BlockRows {
+			panic(fmt.Sprintf("gf: block of %d rows (max %d)", hi-lo, BlockRows))
 		}
-		b.kerns[r] = compileTableRow(f, row)
-	}
-	for j := range consts[0] {
-		in := false
-		for _, row := range consts {
-			if row[j]&mask != 0 {
-				b.terms++
-				in = true
+		b := &blocks[g]
+		b.rows, b.consts = rows[lo:hi:hi], consts[lo:hi:hi]
+		clear(support)
+		terms := 0
+		for _, row := range b.consts {
+			if len(row) != width {
+				panic(fmt.Sprintf("gf: block rows of %d and %d columns", width, len(row)))
+			}
+			for j, a := range row {
+				if a&mask != 0 {
+					support[j/64] |= 1 << uint(j%64)
+					terms++
+				}
 			}
 		}
-		if in {
-			b.cols = append(b.cols, j)
-		}
-	}
-	b.w = f.W()
-	qw := affineQwords(b.w)
-	per := len(rows) * qw
-	backing := alignedQwords(len(b.cols) * per)
-	b.mats = make([]*uint64, len(b.cols))
-	for k, j := range b.cols {
-		b.mats[k] = &backing[k*per]
-		for r, row := range consts {
-			if m := affineMatrix(f, row[j]); m != nil {
-				copy(backing[k*per+r*qw:k*per+(r+1)*qw], unsafe.Slice(m, qw))
+		b.terms = terms
+		for w, word := range support {
+			for ; word != 0; word &= word - 1 {
+				cols = append(cols, w*64+bits.TrailingZeros64(word))
 			}
 		}
+		bounds[g+1] = len(cols)
+		lo = hi
 	}
-	return b
+	// Column k of a block holds its rows' matrices at mats[k*per:], per
+	// = rows × qwords per term; at w = 16 and 32 that keeps every block
+	// 64-byte aligned.
+	qw := affineQwords(f.W())
+	qwords := 0
+	for g := range blocks {
+		qwords += (bounds[g+1] - bounds[g]) * len(blocks[g].rows) * qw
+	}
+	mats := alignedQwords(qwords)
+	out := make([]*RowBlock, len(blocks))
+	for g := range blocks {
+		b := &blocks[g]
+		b.f, b.w = f, f.W()
+		b.cols = cols[bounds[g]:bounds[g+1]:bounds[g+1]]
+		per := len(b.rows) * qw
+		b.mats, mats = mats[:len(b.cols)*per:len(b.cols)*per], mats[len(b.cols)*per:]
+		for k, j := range b.cols {
+			for r, row := range b.consts {
+				m := affineMatrix(f, row[j])
+				switch {
+				case m == nil:
+				case qw == 1:
+					b.mats[k*per+r] = *m
+				default:
+					copy(b.mats[k*per+r*qw:k*per+(r+1)*qw], unsafe.Slice(m, qw))
+				}
+			}
+		}
+		out[g] = b
+	}
+	return out
+}
+
+// tableRows returns the block's table path, lowering it on first use.
+// Concurrent first calls build it once; every caller sees the result.
+func (b *RowBlock) tableRows() []tableRow {
+	b.tablesOnce.Do(b.lowerTables)
+	return b.tables
+}
+
+func (b *RowBlock) lowerTables() {
+	tables := make([]tableRow, len(b.consts))
+	for r, row := range b.consts {
+		tables[r] = compileTableRow(b.f, row)
+	}
+	b.tables = tables
 }
 
 // affineMatrix returns the matrices of multiplication by a (nil for 0):
@@ -203,11 +272,12 @@ func (b *RowBlock) Apply(out, in [][]byte, overwrite bool) {
 	if lo == n {
 		return
 	}
-	for r, i := range b.rows {
+	for r, t := range b.tableRows() {
+		i := b.rows[r]
 		if overwrite {
 			zeroRegion(out[i][lo:])
 		}
-		b.kerns[r].tableXOR(out[i], in, lo)
+		t.tableXOR(out[i], in, lo)
 	}
 }
 
@@ -231,11 +301,13 @@ func (b *RowBlock) check(out, in [][]byte, n int) {
 
 // runBlock streams the sources srcs[cols[k]] through the kernel of width
 // w in batches of blockBatch, over the first n bytes (n a positive
-// multiple of 64) of the rows a.dst[:rows]. acc selects accumulate mode
-// for the first batch; later batches always accumulate.
+// multiple of 64) of the rows a.dst[:rows]. Column k's matrices start
+// at mats[k*per]. acc selects accumulate mode for the first batch;
+// later batches always accumulate.
 //
 //ppm:hotpath
-func runBlock(w int, a *blockArgs, rows int, srcs [][]byte, cols []int, mats []*uint64, n int, acc bool) {
+func runBlock(w int, a *blockArgs, rows int, srcs [][]byte, cols []int, mats []uint64, n int, acc bool) {
+	per := len(mats) / len(cols)
 	for k0 := 0; k0 < len(cols); k0 += blockBatch {
 		nb := len(cols) - k0
 		if nb > blockBatch {
@@ -243,7 +315,7 @@ func runBlock(w int, a *blockArgs, rows int, srcs [][]byte, cols []int, mats []*
 		}
 		for k := 0; k < nb; k++ {
 			a.src[k] = &srcs[cols[k0+k]][0]
-			a.mat[k] = mats[k0+k]
+			a.mat[k] = &mats[(k0+k)*per]
 		}
 		blockKernel(w, a, nb, rows, n, acc)
 		acc = true
@@ -285,8 +357,8 @@ const AffineImageWords = 512
 // correct block each equals M[r][col]·x^t.
 func (b *RowBlock) AffineImage(r, k int, img *[AffineImageWords]uint32) {
 	qw := affineQwords(b.w)
-	m := unsafe.Slice(b.mats[k], len(b.rows)*qw)[r*qw : (r+1)*qw]
-	affineEval(b.w/8, m, img)
+	per := len(b.rows) * qw
+	affineEval(b.w/8, b.mats[k*per+r*qw:k*per+(r+1)*qw], img)
 }
 
 // affineEval is a scalar model of one kernel step on a chunk of each

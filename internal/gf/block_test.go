@@ -38,13 +38,18 @@ func randBlockRows(rng *rand.Rand, f Field, rows, cols int) [][]uint32 {
 	return consts
 }
 
+// compileOne compiles rows[r] = consts[r] as one block.
+func compileOne(f Field, rows []int, consts [][]uint32) *RowBlock {
+	return CompileBlock(f, rows, consts, []int{len(rows)})[0]
+}
+
 // checkBlock compiles consts as one block writing out rows rows of a
 // len(rows)+2-region output, applies it in both modes and compares with
 // the reference; regions outside the block must stay untouched.
 func checkBlock(t *testing.T, f Field, rows []int, consts [][]uint32, srcs [][]byte, size int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	b := CompileBlock(f, rows, consts)
+	b := compileOne(f, rows, consts)
 	for _, overwrite := range []bool{false, true} {
 		out := randSrcs(rng, len(rows)+2, size)
 		want := make([][]byte, len(out))
@@ -63,9 +68,9 @@ func checkBlock(t *testing.T, f Field, rows []int, consts [][]uint32, srcs [][]b
 }
 
 // TestBlockMatchesScalar: every row count up to BlockRows, source
-// counts below, at and past the batch width, and lengths below one
-// chunk, on chunk boundaries and with word-sized tails, on both kernel
-// paths and in both modes.
+// counts below, at and past the batch width, and lengths from empty
+// through below one chunk, on chunk boundaries and with word-sized and
+// 8-byte-loop tails, on both kernel paths and in both modes.
 func TestBlockMatchesScalar(t *testing.T) {
 	forBothKernelPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(410))
@@ -73,7 +78,7 @@ func TestBlockMatchesScalar(t *testing.T) {
 			wb := f.WordBytes()
 			for nr := 1; nr <= BlockRows; nr++ {
 				for _, ns := range []int{1, 3, blockBatch, blockBatch + 1, 2*blockBatch + 5} {
-					for _, size := range []int{wb, 40, 64, 64 + wb, 192 + 8, 1024} {
+					for _, size := range []int{0, wb, 8 + wb, 40, 56 + wb, 64, 64 + wb, 192 + 8, 248 + wb, 1024, 4096 + 8} {
 						size -= size % wb
 						consts := randBlockRows(rng, f, nr, ns)
 						rows := rng.Perm(nr + 2)[:nr]
@@ -87,12 +92,15 @@ func TestBlockMatchesScalar(t *testing.T) {
 }
 
 // TestBlockEmptySupport: a block of all-zero rows overwrites its rows
-// with zeros and leaves them alone when accumulating.
+// with zeros and leaves them alone when accumulating, over whole chunks
+// and with a tail.
 func TestBlockEmptySupport(t *testing.T) {
 	forBothKernelPaths(t, func(t *testing.T) {
 		for _, f := range []Field{GF8, GF16, GF32} {
-			srcs := randSrcs(rand.New(rand.NewSource(411)), 3, 128)
-			checkBlock(t, f, []int{0, 2}, [][]uint32{{0, 0, 0}, {0, 0, 0}}, srcs, 128, 412)
+			for _, size := range []int{128, 128 + 8} {
+				srcs := randSrcs(rand.New(rand.NewSource(411)), 3, size)
+				checkBlock(t, f, []int{0, 2}, [][]uint32{{0, 0, 0}, {0, 0, 0}}, srcs, size, 412)
+			}
 		}
 	})
 }
@@ -105,7 +113,7 @@ func TestBlockAffineImage(t *testing.T) {
 	var img [AffineImageWords]uint32
 	for _, f := range []Field{GF8, GF16, GF32} {
 		consts := randBlockRows(rng, f, BlockRows, 9)
-		b := CompileBlock(f, []int{0, 1, 2, 3}, consts)
+		b := compileOne(f, []int{0, 1, 2, 3}, consts)
 		plane := AffineImageWords / f.W()
 		for r := range consts {
 			for k, j := range b.Cols() {
@@ -124,16 +132,19 @@ func TestBlockAffineImage(t *testing.T) {
 	}
 }
 
-// TestCompileBlockShapePanics: row counts outside [1, BlockRows],
-// ragged rows and a Field implementation from outside this package are
-// programming errors.
+// TestCompileBlockShapePanics: block row counts outside [1, BlockRows],
+// group ends that do not cover the rows, ragged rows and a Field
+// implementation from outside this package are programming errors.
 func TestCompileBlockShapePanics(t *testing.T) {
 	type otherField struct{ Field }
+	many := BlockRows + 1
 	for name, fn := range map[string]func(){
-		"empty":   func() { CompileBlock(GF8, nil, nil) },
-		"large":   func() { CompileBlock(GF8, make([]int, BlockRows+1), make([][]uint32, BlockRows+1)) },
-		"ragged":  func() { CompileBlock(GF8, []int{0, 1}, [][]uint32{{1, 2}, {1}}) },
-		"foreign": func() { CompileBlock(otherField{GF8}, []int{0}, [][]uint32{{1, 2}}) },
+		"empty":   func() { CompileBlock(GF8, nil, nil, []int{0}) },
+		"large":   func() { CompileBlock(GF8, make([]int, many), make([][]uint32, many), []int{many}) },
+		"gap":     func() { CompileBlock(GF8, []int{0, 1, 2}, [][]uint32{{1}, {1}, {1}}, []int{1, 1, 3}) },
+		"short":   func() { CompileBlock(GF8, []int{0, 1}, [][]uint32{{1}, {1}}, []int{1}) },
+		"ragged":  func() { CompileBlock(GF8, []int{0, 1}, [][]uint32{{1, 2}, {1}}, []int{2}) },
+		"foreign": func() { CompileBlock(otherField{GF8}, []int{0}, [][]uint32{{1, 2}}, []int{1}) },
 	} {
 		func() {
 			defer func() {
@@ -164,7 +175,7 @@ func BenchmarkBlock(b *testing.B) {
 			out := randSrcs(rng, BlockRows, size)
 			rows := []int{0, 1, 2, 3}
 			b.Run(fmt.Sprintf("GF%d/srcs=%d/block", f.W(), ns), func(b *testing.B) {
-				blk := CompileBlock(f, rows, consts)
+				blk := compileOne(f, rows, consts)
 				b.SetBytes(int64(BlockRows * ns * size))
 				for i := 0; i < b.N; i++ {
 					blk.Apply(out, srcs, true)
@@ -173,7 +184,7 @@ func BenchmarkBlock(b *testing.B) {
 			b.Run(fmt.Sprintf("GF%d/srcs=%d/rows", f.W(), ns), func(b *testing.B) {
 				blks := make([]*RowBlock, BlockRows)
 				for r := range blks {
-					blks[r] = CompileBlock(f, rows[r:r+1], consts[r:r+1])
+					blks[r] = compileOne(f, rows[r:r+1], consts[r:r+1])
 				}
 				b.SetBytes(int64(BlockRows * ns * size))
 				for i := 0; i < b.N; i++ {

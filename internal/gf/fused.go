@@ -5,40 +5,23 @@ import (
 	"fmt"
 )
 
-// Fused region kernels: apply a whole row of coefficients in one pass.
+// Table-driven row kernels: the portable half of a RowBlock (block.go).
 //
-// The paper's cost unit is the single-term region operation
-// mult_XORs(dst, src, a), and every figure counts those. But executing a
-// row of r nonzero coefficients as r independent MultXORs calls loads
-// and stores the destination region r times — at multi-megabyte region
-// sizes the destination traffic dominates. The fused form takes the
-// row's terms in batches of blockBatch and streams each destination
-// word through a whole batch before storing it, so dst is read and
-// written once per batch instead of once per term:
+// A block's affine kernels cover the 64-byte-aligned prefix of its
+// regions. Each of its rows also compiles to a tableRow, which covers
+// the tail and, with the affine kernels off, the whole region. A
+// tableRow streams each destination word through a batch of up to
+// blockBatch terms before storing it, so dst is read and written once
+// per batch instead of once per term:
 //
 //	dst traffic:  2*r region passes  ->  2*ceil(r/blockBatch) passes
 //	src traffic:  r passes (unchanged)
-//
-// With the affine kernels active a batch is a 1-row call of the
-// row-block kernel (block.go) over the 64-byte-aligned prefix, with
-// coefficient-1 terms as identity matrices; the table-driven cores below
-// handle the tail, and the whole region otherwise. Applying several rows
-// that share sources in one pass is the RowBlock's job.
 //
 // This is the operation-fusion idea of Uezato ("Accelerating XOR-based
 // Erasure Coding using Program Optimization Techniques", SC'21) applied
 // to the GF kernels. The logical mult_XORs count is unchanged: one fused
 // row pass performs exactly the same r region operations, and the
 // kernel's Stats still count r.
-//
-// Field.MultXORsMulti(dst, srcs, consts) resolves each constant's
-// tables and matrices on the fly (memoized per field, so resolution is a
-// cache hit after first use) and skips zero constants. It keeps a
-// batch's per-term pointers in fixed-size stack arrays — no per-call
-// allocation. Rows applied thousands of times are compiled instead, as
-// RowBlocks (block.go); a block runs each row's compiled table path
-// (tableRow below) over its tail and, with the affine kernels off, over
-// the whole region.
 
 // tableRow is one coefficient row compiled against its lookup tables:
 // tableXOR computes dst[i] ^= Σ_k consts[k] * srcs[k][i] over bytes
@@ -52,8 +35,14 @@ type tableRow interface {
 // compileTableRow lowers one coefficient row over the field. Zero
 // constants are skipped at compile time.
 func compileTableRow(f Field, consts []uint32) tableRow {
-	var cols []int
 	mask := uint32(f.Order() - 1)
+	nz := 0
+	for _, a := range consts {
+		if a&mask != 0 {
+			nz++
+		}
+	}
+	cols := make([]int, 0, nz)
 	for j, a := range consts {
 		if a&mask != 0 {
 			cols = append(cols, j)
@@ -61,66 +50,31 @@ func compileTableRow(f Field, consts []uint32) tableRow {
 	}
 	switch ff := f.(type) {
 	case *field8:
-		r := &tableRow8{cols: cols}
-		for _, j := range cols {
-			var row []uint8 // nil: coefficient 1
+		r := &tableRow8{cols: cols, rows: make([][]uint8, nz)}
+		for k, j := range cols {
 			if a := consts[j] & 0xFF; a > 1 {
-				row = ff.muls[a].row
+				r.rows[k] = ff.muls[a].row
 			}
-			r.rows = append(r.rows, row)
 		}
 		return r
 	case *field16:
-		r := &tableRow16{cols: cols}
-		for _, j := range cols {
-			var t *[2][256]uint16
+		r := &tableRow16{cols: cols, tabs: make([]*[2][256]uint16, nz)}
+		for k, j := range cols {
 			if a := consts[j] & 0xFFFF; a > 1 {
-				t = ff.multiplier(a).t
+				r.tabs[k] = ff.multiplier(a).t
 			}
-			r.tabs = append(r.tabs, t)
 		}
 		return r
 	case field32:
-		r := &tableRow32{cols: cols}
-		for _, j := range cols {
-			var t *[4][256]uint32
+		r := &tableRow32{cols: cols, tabs: make([]*[4][256]uint32, nz)}
+		for k, j := range cols {
 			if a := consts[j]; a > 1 {
-				t = ff.multiplier(a).t
+				r.tabs[k] = ff.multiplier(a).t
 			}
-			r.tabs = append(r.tabs, t)
 		}
 		return r
 	}
 	panic(fmt.Sprintf("gf: unknown field %T", f))
-}
-
-// checkFused validates the srcs/consts pairing of MultXORsMulti.
-func checkFused(nsrcs, nconsts int) {
-	if nsrcs != nconsts {
-		panic(fmt.Sprintf("gf: fused row has %d sources for %d coefficients", nsrcs, nconsts))
-	}
-}
-
-// multiAffine is MultXORsMulti's 1-row kernel call:
-// dst[:n] ^= Σ_k M_k * srcs[cols[k]][:n], n a multiple of 64 (0 skips).
-//
-//ppm:hotpath
-func multiAffine(w int, dst []byte, srcs [][]byte, cols []int, mats []*uint64, n int) {
-	if n == 0 || len(cols) == 0 {
-		return
-	}
-	var a blockArgs
-	a.dst[0] = &dst[0]
-	runBlock(w, &a, 1, srcs, cols, mats, n, true)
-}
-
-// affinePrefix is the length the affine kernels cover for a region of
-// n bytes: the 64-byte-aligned prefix, or 0 when they are off.
-func affinePrefix(n int) int {
-	if !useAffine {
-		return 0
-	}
-	return n &^ 63
 }
 
 // --- GF(2^8) ---
@@ -150,42 +104,6 @@ func (r *tableRow8) tableXOR(dst []byte, srcs [][]byte, lo int) {
 				nt++
 			}
 		}
-		fuse8Tables(dst[lo:], xs[:nx], ts[:nt], rows[:nt])
-	}
-}
-
-//ppm:hotpath
-func (f *field8) MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32) {
-	checkFused(len(srcs), len(consts))
-	lo := affinePrefix(len(dst))
-	var cols [blockBatch]int
-	var mats [blockBatch]*uint64
-	var xs, ts [blockBatch][]byte
-	var rows [blockBatch][]uint8
-	for j := 0; j < len(consts); {
-		nb, nx, nt := 0, 0, 0
-		for ; j < len(consts) && nb < blockBatch; j++ {
-			a := consts[j] & 0xFF
-			if a == 0 {
-				continue
-			}
-			s := srcs[j]
-			checkRegions(dst, s, 1)
-			cols[nb] = j
-			if a == 1 {
-				mats[nb] = &ident8
-				xs[nx] = s[lo:]
-				nx++
-			} else {
-				m := &f.muls[a]
-				mats[nb] = &m.aff
-				ts[nt] = s[lo:]
-				rows[nt] = m.row
-				nt++
-			}
-			nb++
-		}
-		multiAffine(8, dst, srcs, cols[:nb], mats[:nb], lo)
 		fuse8Tables(dst[lo:], xs[:nx], ts[:nt], rows[:nt])
 	}
 }
@@ -262,42 +180,6 @@ func (r *tableRow16) tableXOR(dst []byte, srcs [][]byte, lo int) {
 	}
 }
 
-//ppm:hotpath
-func (f *field16) MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32) {
-	checkFused(len(srcs), len(consts))
-	lo := affinePrefix(len(dst))
-	var cols [blockBatch]int
-	var mats [blockBatch]*uint64
-	var xs, ts [blockBatch][]byte
-	var tabs [blockBatch]*[2][256]uint16
-	for j := 0; j < len(consts); {
-		nb, nx, nt := 0, 0, 0
-		for ; j < len(consts) && nb < blockBatch; j++ {
-			a := consts[j] & 0xFFFF
-			if a == 0 {
-				continue
-			}
-			s := srcs[j]
-			checkRegions(dst, s, 2)
-			cols[nb] = j
-			if a == 1 {
-				mats[nb] = &ident16[0][0]
-				xs[nx] = s[lo:]
-				nx++
-			} else {
-				m := f.multiplier(a)
-				mats[nb] = &m.aff[0][0]
-				ts[nt] = s[lo:]
-				tabs[nt] = m.t
-				nt++
-			}
-			nb++
-		}
-		multiAffine(16, dst, srcs, cols[:nb], mats[:nb], lo)
-		fuse16Tables(dst[lo:], xs[:nx], ts[:nt], tabs[:nt])
-	}
-}
-
 // fuse16Tables is the portable GF(2^16) fused core: four 16-bit
 // symbols per destination load/store, scalar 2-byte-word tail for
 // region lengths that are not a multiple of 8.
@@ -364,42 +246,6 @@ func (r *tableRow32) tableXOR(dst []byte, srcs [][]byte, lo int) {
 				nt++
 			}
 		}
-		fuse32Tables(dst[lo:], xs[:nx], ts[:nt], tabs[:nt])
-	}
-}
-
-//ppm:hotpath
-func (f field32) MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32) {
-	checkFused(len(srcs), len(consts))
-	lo := affinePrefix(len(dst))
-	var cols [blockBatch]int
-	var mats [blockBatch]*uint64
-	var xs, ts [blockBatch][]byte
-	var tabs [blockBatch]*[4][256]uint32
-	for j := 0; j < len(consts); {
-		nb, nx, nt := 0, 0, 0
-		for ; j < len(consts) && nb < blockBatch; j++ {
-			a := consts[j]
-			if a == 0 {
-				continue
-			}
-			s := srcs[j]
-			checkRegions(dst, s, 4)
-			cols[nb] = j
-			if a == 1 {
-				mats[nb] = &ident32[0][0]
-				xs[nx] = s[lo:]
-				nx++
-			} else {
-				m := f.multiplier(a)
-				mats[nb] = &m.aff[0][0]
-				ts[nt] = s[lo:]
-				tabs[nt] = m.t
-				nt++
-			}
-			nb++
-		}
-		multiAffine(32, dst, srcs, cols[:nb], mats[:nb], lo)
 		fuse32Tables(dst[lo:], xs[:nx], ts[:nt], tabs[:nt])
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// refMultiXOR is the scalar reference for the fused path: one
+// refMultiXOR is the scalar reference for one coefficient row: one
 // word-at-a-time Field.Mul accumulation per nonzero constant, the
-// definition MultXORsMulti must match bit for bit.
+// definition every row of a RowBlock must match bit for bit.
 func refMultiXOR(f Field, dst []byte, srcs [][]byte, consts []uint32) {
 	wb := f.WordBytes()
 	for k, a := range consts {
@@ -70,43 +70,8 @@ func randSrcs(rng *rand.Rand, n, size int) [][]byte {
 	return srcs
 }
 
-// TestMultXORsMultiMatchesScalar: the fused pass equals the scalar
-// per-term reference for every field, across term counts that exercise
-// batching (beyond blockBatch) and region lengths that exercise the
-// scalar tails (0, a single word, 8-byte-loop remainders, and the
-// 64-byte affine prefix plus its tail). Runs on both kernel paths.
-func TestMultXORsMultiMatchesScalar(t *testing.T) {
-	forBothKernelPaths(t, testMultXORsMultiMatchesScalar)
-}
-
-func testMultXORsMultiMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(401))
-	for _, f := range []Field{GF8, GF16, GF32} {
-		wb := f.WordBytes()
-		sizes := []int{0, wb, 8, 8 + wb, 24, 56 + wb, 256, 248 + wb}
-		for _, terms := range []int{1, 2, 3, blockBatch, blockBatch + 1, 2*blockBatch + 3} {
-			for _, size := range sizes {
-				consts := randConsts(rng, f, terms)
-				srcs := randSrcs(rng, terms, size)
-				dst := make([]byte, size)
-				rng.Read(dst)
-				want := append([]byte(nil), dst...)
-
-				f.MultXORsMulti(dst, srcs, consts)
-				refMultiXOR(f, want, srcs, consts)
-				for i := range dst {
-					if dst[i] != want[i] {
-						t.Fatalf("GF%d terms=%d size=%d: byte %d = %#x want %#x",
-							f.W(), terms, size, i, dst[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestCompileRowMatchesMulti: a compiled row — a 1-row RowBlock —
-// computes the same result as the on-the-fly fused call, skips zero
+// computes the same result as one MultXORs per term, skips zero
 // coefficients (tolerating nil sources in those lanes), and reports the
 // nonzero term count. Runs on both kernel paths.
 func TestCompileRowMatchesMulti(t *testing.T) {
@@ -122,7 +87,7 @@ func testCompileRowMatchesMulti(t *testing.T) {
 		srcs := randSrcs(rng, 9, size)
 		srcs[0], srcs[4], srcs[8] = nil, nil, nil // zero lanes must never be touched
 
-		blk := CompileBlock(f, []int{0}, [][]uint32{consts})
+		blk := compileOne(f, []int{0}, [][]uint32{consts})
 		nz := 0
 		for _, a := range consts {
 			if a != 0 {
@@ -152,48 +117,18 @@ func testCompileRowMatchesMulti(t *testing.T) {
 	}
 }
 
-// TestMultXORsMultiAccumulates: two fused calls accumulate like four
-// single-term calls — the ^= contract.
-func TestMultXORsMultiAccumulates(t *testing.T) {
-	rng := rand.New(rand.NewSource(403))
-	f := GF16
-	srcs := randSrcs(rng, 2, 32)
-	consts := []uint32{0x1234, 0x00FF}
-	fused := make([]byte, 32)
-	f.MultXORsMulti(fused, srcs, consts)
-	f.MultXORsMulti(fused, srcs, consts)
-	for i, b := range fused {
-		if b != 0 {
-			t.Fatalf("double apply did not cancel at byte %d: %#x", i, b)
-		}
-	}
-}
-
-// TestMultXORsMultiMismatchPanics: srcs/consts length disagreement is a
-// programming error and must panic, for every field.
-func TestMultXORsMultiMismatchPanics(t *testing.T) {
-	for _, f := range []Field{GF8, GF16, GF32} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("GF%d: mismatched srcs/consts did not panic", f.W())
-				}
-			}()
-			f.MultXORsMulti(make([]byte, 8), make([][]byte, 2), []uint32{1})
-		}()
-	}
-}
-
-// FuzzFusedAgainstScalar drives the fused row path and the row-block
-// kernel with arbitrary constants, block shapes and buffer contents and
-// cross-checks the scalar reference on all three fields, on both the
-// affine and the portable table kernels. The buffer is truncated to
-// each field's word multiple, so the input's length supplies regions
-// shorter than one 64-byte chunk and regions with a table-path tail.
-// shape selects the block: bits 0-1 the row count less one (up to
-// BlockRows), bit 2 overwrite instead of accumulate, bits 3-7 the
-// source count less one (up to two batches); it also seeds which of
-// 0, 1, a, b and c each term gets.
+// FuzzFusedAgainstScalar drives compiled row blocks with arbitrary
+// constants, block shapes and buffer contents and cross-checks the
+// scalar Field.Mul reference on all three fields, on both the affine
+// and the portable table kernels, in overwrite and accumulate mode.
+// The buffer is truncated to each field's word multiple, so the
+// input's length supplies regions shorter than one 64-byte chunk and
+// regions with a table-path tail. shape selects the block: bits 0-1
+// the row count less one (up to BlockRows), bit 2 overwrite instead of
+// accumulate, bits 3-7 the source count less one (up to two batches);
+// it also seeds which of 0, 1, a, b and c each term gets. Every block
+// is compiled afresh, so each run also lowers its table path on first
+// use.
 func FuzzFusedAgainstScalar(f *testing.F) {
 	f.Add(uint32(2), uint32(3), uint32(0x1001), uint32(0x1B), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(uint32(0), uint32(1), uint32(0xFFFFFFFF), uint32(0x07), make([]byte, 40))
@@ -223,7 +158,8 @@ func FuzzFusedAgainstScalar(f *testing.F) {
 	})
 }
 
-// fuzzRow checks MultXORsMulti with the three fuzzed constants.
+// fuzzRow checks a 1-row block over three sources, with the three
+// fuzzed constants, in both modes.
 func fuzzRow(t *testing.T, field Field, consts []uint32, data []byte, affine bool) {
 	n := len(data)
 	srcs := [][]byte{data, make([]byte, n), make([]byte, n)}
@@ -231,12 +167,17 @@ func fuzzRow(t *testing.T, field Field, consts []uint32, data []byte, affine boo
 		srcs[1][i] = byte(i * 7)
 		srcs[2][i] = data[n-1-i]
 	}
-	dst := append([]byte(nil), data...)
-	want := append([]byte(nil), dst...)
-	field.MultXORsMulti(dst, srcs, consts)
-	refMultiXOR(field, want, srcs, consts)
-	if !bytes.Equal(dst, want) {
-		t.Fatalf("GF%d affine=%v: MultXORsMulti differs from the scalar reference", field.W(), affine)
+	for _, overwrite := range []bool{false, true} {
+		dst := append([]byte(nil), data...)
+		want := append([]byte(nil), dst...)
+		compileOne(field, []int{0}, [][]uint32{consts}).Apply([][]byte{dst}, srcs, overwrite)
+		if overwrite {
+			zeroRegion(want)
+		}
+		refMultiXOR(field, want, srcs, consts)
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("GF%d affine=%v overwrite=%v len=%d: row block differs from the scalar reference", field.W(), affine, overwrite, n)
+		}
 	}
 }
 
@@ -272,7 +213,7 @@ func fuzzBlock(t *testing.T, field Field, pool []uint32, shape uint32, nrows, ns
 	for r := range rows {
 		rows[r] = nrows - r // reversed, and output 0 stays untouched
 	}
-	CompileBlock(field, rows, consts).Apply(out, srcs, overwrite)
+	compileOne(field, rows, consts).Apply(out, srcs, overwrite)
 	refBlock(field, want, srcs, rows, consts, overwrite)
 	for i := range out {
 		if !bytes.Equal(out[i], want[i]) {

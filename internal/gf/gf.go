@@ -59,14 +59,6 @@ type Field interface {
 	// coefficients; the kernel's operation counter only counts nonzero
 	// ones).
 	MultXORs(dst, src []byte, a uint32)
-	// MultXORsMulti is the fused form of a whole coefficient row:
-	// dst[i] ^= Σ_k consts[k] * srcs[k][i], with dst loaded and stored
-	// once per batch of terms instead of once per term (see fused.go).
-	// len(srcs) must equal len(consts); zero constants are skipped and
-	// their source slots ignored. Semantically identical to calling
-	// MultXORs once per nonzero constant — and it counts as that many
-	// mult_XORs operations.
-	MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32)
 	// MulRegion computes dst[i] = a * src[i] (overwrite, no XOR).
 	MulRegion(dst, src []byte, a uint32)
 }

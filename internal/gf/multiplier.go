@@ -181,3 +181,12 @@ func (m *multiplier32) MultXOR(dst, src []byte) {
 		binary.LittleEndian.PutUint32(dst[i:], binary.LittleEndian.Uint32(dst[i:])^p)
 	}
 }
+
+// affinePrefix is the length the affine kernels cover for a region of
+// n bytes: the 64-byte-aligned prefix, or 0 when they are off.
+func affinePrefix(n int) int {
+	if !useAffine {
+		return 0
+	}
+	return n &^ 63
+}

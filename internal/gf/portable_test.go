@@ -40,8 +40,9 @@ func TestPortablePathParity(t *testing.T) {
 				out[key+"/mulregion"] = dst
 
 				dst = make([]byte, n)
-				field.MultXORsMulti(dst, [][]byte{src, src2}, []uint32{c, (c * 3) & mask})
-				out[key+"/multi"] = dst
+				row := compileOne(field, []int{0}, [][]uint32{{c, (c * 3) & mask}})
+				row.Apply([][]byte{dst}, [][]byte{src, src2}, false)
+				out[key+"/row"] = dst
 			}
 		}
 		return out

@@ -11,12 +11,12 @@ import (
 // CompiledMatrix is a matrix pre-lowered for the region kernels: its
 // rows are grouped into row blocks (gf.RowBlock) of at most
 // gf.BlockRows rows with identical column support, and every
-// coefficient is bound to its lookup tables and affine matrices at
-// compile time (gf.CompileBlock). Applying the matrix pays no
-// zero-coefficient scan and no per-call table construction; with the
-// affine kernels active each block loads every source chunk once for
-// all of its rows, and a block's destination chunks are read and
-// written once per batch of sources instead of once per term.
+// coefficient is bound to its affine matrices at compile time and to
+// its lookup tables on the first application that needs them
+// (gf.CompileBlock). Applying the matrix pays no zero-coefficient
+// scan; with the affine kernels active each block loads every source
+// chunk once for all of its rows, and a block's destination chunks are
+// read and written once per batch of sources instead of once per term.
 //
 // Application is cache-blocked: the tiled driver applies the whole
 // matrix to one tile of the byte range before the next (see tile.go),
@@ -38,13 +38,13 @@ type CompiledMatrix struct {
 }
 
 // Compile lowers m over the field: its rows are grouped into row
-// blocks, each coefficient bound to its tables and affine matrices.
+// blocks, each coefficient bound to its affine matrices. m must not
+// change afterwards: the blocks read its rows when they lower their
+// table path.
 func Compile(f gf.Field, m *matrix.Matrix) *CompiledMatrix {
-	cm := &CompiledMatrix{
-		rows:   m.Rows(),
-		cols:   m.Cols(),
-		blocks: compileBlocks(f, m),
-		nnz:    m.NNZ(),
+	cm := &CompiledMatrix{rows: m.Rows(), cols: m.Cols(), blocks: compileBlocks(f, m)}
+	for _, b := range cm.blocks {
+		cm.nnz += b.Terms()
 	}
 	if XorplanActive() {
 		// Compiled programs are memoized process-wide, so recompiling the
@@ -61,36 +61,53 @@ func Compile(f gf.Field, m *matrix.Matrix) *CompiledMatrix {
 // first appearance, into blocks of at most gf.BlockRows rows. Rows with
 // identical support share every source, so a block adds no zero terms;
 // all-zero rows form blocks of their own, which overwrite mode clears.
+// The rows are laid out block after block for one gf.CompileBlock call.
 func compileBlocks(f gf.Field, m *matrix.Matrix) []*gf.RowBlock {
-	open := make(map[string]int) // support -> index of its open group
-	var groups [][]int
-	key := make([]byte, (m.Cols()+7)/8)
-	for i := 0; i < m.Rows(); i++ {
-		for b := range key {
-			key[b] = 0
-		}
+	n, kl := m.Rows(), (m.Cols()+7)/8
+	if n == 0 {
+		return nil
+	}
+	bitmap := make([]byte, n*kl)
+	for i := 0; i < n; i++ {
 		for j, a := range m.Row(i) {
 			if a != 0 {
-				key[j/8] |= 1 << uint(j%8)
+				bitmap[i*kl+j/8] |= 1 << uint(j%8)
 			}
 		}
-		g, ok := open[string(key)]
-		if !ok || len(groups[g]) == gf.BlockRows {
-			g = len(groups)
-			groups = append(groups, nil)
-			open[string(key)] = g
-		}
-		groups[g] = append(groups[g], i)
 	}
-	blocks := make([]*gf.RowBlock, len(groups))
-	for g, rows := range groups {
-		consts := make([][]uint32, len(rows))
-		for r, i := range rows {
-			consts[r] = m.Row(i)
+	supports := string(bitmap)      // row i's support is supports[i*kl:(i+1)*kl]
+	open := make(map[string]int, n) // support -> index of its open block
+	block := make([]int, n)         // row -> its block
+	sizes := make([]int, 0, n)
+	for i := range block {
+		key := supports[i*kl : (i+1)*kl]
+		g, ok := open[key]
+		if !ok || sizes[g] == gf.BlockRows {
+			g = len(sizes)
+			sizes = append(sizes, 0)
+			open[key] = g
 		}
-		blocks[g] = gf.CompileBlock(f, rows, consts)
+		block[i] = g
+		sizes[g]++
 	}
-	return blocks
+	ends := make([]int, len(sizes)) // block g's rows end at ends[g]
+	for g, size := range sizes {
+		ends[g] = size
+		if g > 0 {
+			ends[g] += ends[g-1]
+		}
+	}
+	next := sizes // reused as each block's fill cursor
+	for g := range next {
+		next[g] = ends[g] - next[g]
+	}
+	rows := make([]int, n)
+	consts := make([][]uint32, n)
+	for i, g := range block {
+		rows[next[g]], consts[next[g]] = i, m.Row(i)
+		next[g]++
+	}
+	return gf.CompileBlock(f, rows, consts, ends)
 }
 
 // Blocks returns the row blocks the matrix compiled to: every row of
@@ -113,9 +130,10 @@ func (cm *CompiledMatrix) checkShape(in, out [][]byte) {
 	}
 }
 
-// Apply computes out[i] ^= Σ_j M[i][j] * in[j], like kernel.Apply but
-// on the pre-lowered form: tiled, blocked, and — for regions of
-// fanoutMinBytes() and up — fanned out across the worker pool.
+// Apply computes out[i] ^= Σ_j M[i][j] * in[j] over block regions:
+// tiled, blocked, and — for regions of fanoutMinBytes() and up — fanned
+// out across the worker pool. Each nonzero coefficient counts as one
+// region operation.
 func (cm *CompiledMatrix) Apply(in, out [][]byte, stats *Stats) {
 	cm.apply(in, out, false, stats)
 }
@@ -267,9 +285,9 @@ func chainSpan(finv, s *CompiledMatrix, in, out, scratch [][]byte, lo, hi int) {
 	arena.release()
 }
 
-// CompiledProduct mirrors Product for compiled matrices: out =
-// F^-1 * S * BS under the given sequence, where g is the compiled
-// MatrixFirst product and finv/s the compiled Normal-sequence pair.
+// CompiledProduct computes out = F^-1 * S * BS under the given
+// sequence, where g is the compiled MatrixFirst product and finv/s the
+// compiled Normal-sequence pair.
 // Only the matrices the sequence needs may be non-nil. The Normal
 // sequence chains both applications tile-by-tile, so the intermediate
 // S * BS stays cache-resident; large regions fan tile spans across the

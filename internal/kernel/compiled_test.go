@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ppm/internal/gf"
 	"ppm/internal/matrix"
 )
 
-// TestCompiledApplyMatchesApply: the lowered form computes exactly what
-// the matrix form computes, with the same operation count.
+// TestCompiledApplyMatchesApply: the lowered form computes exactly
+// what applying the matrix word by word computes (refProduct, over
+// matrix.MulVec), with one operation counted per nonzero coefficient.
 func TestCompiledApplyMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
@@ -22,10 +24,7 @@ func TestCompiledApplyMatchesApply(t *testing.T) {
 			m.Set(3, 6, 0)
 			n := 32 * f.WordBytes()
 			in := randRegions(rng, 7, n)
-
-			plain := AllocRegions(4, n)
-			var plainStats Stats
-			Apply(f, m, in, plain, &plainStats)
+			want := refProduct(f, m, in)
 
 			cm := Compile(f, m)
 			if cm.Rows() != 4 || cm.Cols() != 7 {
@@ -38,13 +37,13 @@ func TestCompiledApplyMatchesApply(t *testing.T) {
 			var compiledStats Stats
 			cm.Apply(in, compiled, &compiledStats)
 
-			for i := range plain {
-				if !bytes.Equal(plain[i], compiled[i]) {
+			for i := range want {
+				if !bytes.Equal(want[i], compiled[i]) {
 					t.Fatalf("row %d differs", i)
 				}
 			}
-			if plainStats.MultXORs() != compiledStats.MultXORs() {
-				t.Fatalf("op counts differ: %d vs %d", plainStats.MultXORs(), compiledStats.MultXORs())
+			if compiledStats.MultXORs() != int64(m.NNZ()) {
+				t.Fatalf("op count %d, want %d", compiledStats.MultXORs(), m.NNZ())
 			}
 		})
 	}
@@ -58,8 +57,7 @@ func TestCompiledProductBothSequences(t *testing.T) {
 	n := 64
 	in := randRegions(rng, 6, n)
 
-	ref := AllocRegions(3, n)
-	Product(f, finv, s, in, ref, nil, Normal, nil)
+	ref := refProduct(f, finv, refProduct(f, s, in))
 
 	cFinv, cS, cG := Compile(f, finv), Compile(f, s), Compile(f, finv.Mul(s))
 	for _, seq := range []Sequence{Normal, MatrixFirst} {
@@ -89,28 +87,6 @@ func TestCompiledApplyShapePanics(t *testing.T) {
 		}
 	}()
 	cm.Apply(AllocRegions(2, 8), AllocRegions(2, 8), nil)
-}
-
-func BenchmarkCompiledVsPlainApply(b *testing.B) {
-	rng := rand.New(rand.NewSource(156))
-	f := gf.GF16
-	m := randMatrix(rng, f, 8, 16)
-	in := randRegions(rng, 16, 4096)
-	out := AllocRegions(8, 4096)
-	b.Run("plain", func(b *testing.B) {
-		b.SetBytes(int64(16 * 4096))
-		for i := 0; i < b.N; i++ {
-			Apply(f, m, in, out, nil)
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		cm := Compile(f, m)
-		b.SetBytes(int64(16 * 4096))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cm.Apply(in, out, nil)
-		}
-	})
 }
 
 // blockTestMatrix builds a rows x cols matrix whose rows group into
@@ -251,4 +227,49 @@ func splice(base, over []byte, lo, hi int) []byte {
 	out := append([]byte(nil), base...)
 	copy(out[lo:hi], over[lo:hi])
 	return out
+}
+
+// TestCompiledFirstUseConcurrent: a freshly compiled matrix lowers its
+// row blocks' table path on first use. Several goroutines applying the
+// same fresh matrix at once, over regions with a sub-64-byte tail and
+// with the affine kernels on and off, must all get the scalar product;
+// under -race this also proves the lazy lowering is race-free.
+func TestCompiledFirstUseConcurrent(t *testing.T) {
+	const workers = 4
+	rng := rand.New(rand.NewSource(159))
+	for _, affine := range []bool{true, false} {
+		prev := gf.SetAffineKernels(affine)
+		for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
+			m := blockTestMatrix(rng, f)
+			for _, size := range []int{40, 4<<10 + 8} {
+				in := randRegions(rng, m.Cols(), size)
+				want := refProduct(f, m, in)
+				cm := Compile(f, m)
+				outs := make([][][]byte, workers)
+				for w := range outs {
+					outs[w] = randRegions(rng, m.Rows(), size)
+				}
+				var start, done sync.WaitGroup
+				start.Add(1)
+				for w := 0; w < workers; w++ {
+					done.Add(1)
+					go func(out [][]byte) {
+						defer done.Done()
+						start.Wait()
+						cm.ApplyOverwrite(in, out, nil)
+					}(outs[w])
+				}
+				start.Done()
+				done.Wait()
+				for w, out := range outs {
+					for i := range want {
+						if !bytes.Equal(out[i], want[i]) {
+							t.Fatalf("affine=%v GF%d size=%d: worker %d row %d differs from the scalar product", affine, f.W(), size, w, i)
+						}
+					}
+				}
+			}
+		}
+		gf.SetAffineKernels(prev)
+	}
 }

@@ -1,6 +1,8 @@
-// Package kernel implements the matrix-times-block-regions engine shared
-// by the traditional decoder and PPM: computing products like
-// F^-1 * S * BS where the vector entries are whole sector buffers.
+// Package kernel implements the matrix-times-block-regions engine that
+// every decode runs on — PPM's plans and the traditional baseline
+// alike: computing products like F^-1 * S * BS where the vector entries
+// are whole sector buffers, on matrices compiled once into row blocks
+// (compiled.go).
 //
 // Every nonzero matrix coefficient costs exactly one mult_XORs() region
 // operation, the paper's unit of computational cost. The kernel counts
@@ -14,9 +16,6 @@ package kernel
 import (
 	"fmt"
 	"sync/atomic"
-
-	"ppm/internal/gf"
-	"ppm/internal/matrix"
 )
 
 // Stats accumulates operation counts across one encode/decode. Safe for
@@ -72,148 +71,6 @@ func (s Sequence) String() string {
 	default:
 		return fmt.Sprintf("Sequence(%d)", int(s))
 	}
-}
-
-// Apply computes out[i] ^= Σ_j M[i][j] * in[j] over block regions.
-// Callers that need out = M * in must clear out first (Zero). Each
-// nonzero coefficient counts as one region operation.
-//
-// The sweep is cache-blocked and fused: the whole matrix is applied to
-// one tile of the byte range at a time (tile.go), and within a tile
-// each row's terms are streamed through the destination in a single
-// fused pass (gf.MultXORsMulti), so a tile's sources stay cache-hot
-// across rows and each destination word is loaded and stored once per
-// row instead of once per term. Lookup tables come from the per-field
-// multiplier memos, so the traditional baseline and the compiled PPM
-// path share identical region-op arithmetic — the paper's comparisons
-// assume a common back end. Apply itself stays serial (and, with the
-// memos warm, allocation-free); callers own any block-level
-// parallelism.
-func Apply(f gf.Field, m *matrix.Matrix, in, out [][]byte, stats *Stats) {
-	if m.Rows() != len(out) || m.Cols() != len(in) {
-		panic(fmt.Sprintf("kernel: matrix %s against %d inputs, %d outputs", m.Dims(), len(in), len(out)))
-	}
-	applyTiled(f, m, in, out, 0, regionLen(out))
-	stats.AddMultXORs(int64(m.NNZ()))
-}
-
-// applyTiled is Apply's tiled inner driver over the [lo, hi) byte range.
-//
-//ppm:hotpath
-//ppm:counted Apply accounts the full NNZ once per logical application
-func applyTiled(f gf.Field, m *matrix.Matrix, in, out [][]byte, lo, hi int) {
-	if lo >= hi || m.Rows() == 0 {
-		return
-	}
-	arena := getViewArena(len(in))
-	views := arena.take(len(in))
-	tile := tileSize()
-	for t := lo; t < hi; t += tile {
-		te := t + tile
-		if te > hi {
-			te = hi
-		}
-		for j := range in {
-			views[j] = in[j][t:te]
-		}
-		for i := 0; i < m.Rows(); i++ {
-			f.MultXORsMulti(out[i][t:te], views, m.Row(i))
-		}
-	}
-	arena.release()
-}
-
-// Zero clears the given regions.
-func Zero(regions [][]byte) {
-	for _, r := range regions {
-		for i := range r {
-			r[i] = 0
-		}
-	}
-}
-
-// Product computes out = F^-1 * S * BS into the out regions using the
-// requested sequence, where finv is f x f, s is f x q, in holds the q
-// surviving regions and out the f faulty regions. The scratch slice, if
-// non-nil, must hold f regions of the same size and is used by the
-// Normal sequence to hold the intermediate S * BS; pass nil to chain
-// the two applications through pooled tile-sized scratch, which keeps
-// the intermediate product cache-resident and never materialises it at
-// full size.
-func Product(f gf.Field, finv, s *matrix.Matrix, in, out, scratch [][]byte, seq Sequence, stats *Stats) {
-	if finv.Rows() != finv.Cols() || finv.Cols() != s.Rows() {
-		panic(fmt.Sprintf("kernel: shape mismatch F^-1 %s vs S %s", finv.Dims(), s.Dims()))
-	}
-	switch seq {
-	case MatrixFirst:
-		g := finv.Mul(s) // scalar-level product; cost ignored per §II-B
-		Zero(out)
-		Apply(f, g, in, out, stats)
-	case Normal:
-		if s.Cols() != len(in) || finv.Rows() != len(out) {
-			panic(fmt.Sprintf("kernel: matrices %s,%s against %d inputs, %d outputs", finv.Dims(), s.Dims(), len(in), len(out)))
-		}
-		matChainSpan(f, finv, s, in, out, scratch, 0, regionLen(out))
-		stats.AddMultXORs(int64(s.NNZ() + finv.NNZ()))
-	default:
-		panic(fmt.Sprintf("kernel: unknown sequence %d", int(seq)))
-	}
-}
-
-// matChainSpan runs the Normal sequence over [lo, hi) tile by tile:
-// per tile, S * BS lands in scratch and F^-1 consumes it immediately,
-// so the intermediate stays cache-resident (word positions are
-// independent, making per-tile chaining exact). With nil scratch the
-// intermediate lives in pooled tile-sized buffers.
-//
-//ppm:hotpath
-//ppm:counted Product accounts u(S)+u(F^-1) once per logical product
-func matChainSpan(f gf.Field, finv, s *matrix.Matrix, in, out, scratch [][]byte, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	tile := tileSize()
-	arena := getViewArena(len(in) + 2*len(out))
-	views := arena.take(len(in))
-	mid := arena.take(len(out))
-	outs := arena.take(len(out))
-	var sb *Scratch
-	if scratch == nil {
-		span := hi - lo
-		if span > tile {
-			span = tile
-		}
-		sb = GetScratch(len(out), span)
-		scratch = sb.Regions()
-	}
-	for t := lo; t < hi; t += tile {
-		te := t + tile
-		if te > hi {
-			te = hi
-		}
-		n := te - t
-		for j := range in {
-			views[j] = in[j][t:te]
-		}
-		for i := range out {
-			if sb != nil {
-				mid[i] = scratch[i][:n]
-			} else {
-				mid[i] = scratch[i][t:te]
-			}
-			outs[i] = out[i][t:te]
-		}
-		Zero(mid)
-		for i := 0; i < s.Rows(); i++ {
-			f.MultXORsMulti(mid[i], views, s.Row(i))
-		}
-		Zero(outs)
-		for i := 0; i < finv.Rows(); i++ {
-			f.MultXORsMulti(outs[i], mid, finv.Row(i))
-		}
-	}
-	sb.Release()
-	arena.release()
 }
 
 // AllocRegions allocates count regions of size bytes backed by one

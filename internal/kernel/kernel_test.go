@@ -39,17 +39,21 @@ func randInvertible(rng *rand.Rand, f gf.Field, n int) *matrix.Matrix {
 	}
 }
 
-// TestApplyMatchesScalar checks the region-level product against the
-// scalar MulVec word by word.
+// TestApplyMatchesScalar checks the compiled region-level product
+// against the scalar MulVec word by word, accumulated onto zeroed
+// outputs and overwriting dirty ones, over regions shorter than one
+// 64-byte chunk (the table path).
 func TestApplyMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	f := gf.GF8
 	m := randMatrix(rng, f, 3, 5)
 	in := randRegions(rng, 5, 16)
-	out := AllocRegions(3, 16)
+	cm := Compile(f, m)
 
-	var stats Stats
-	Apply(f, m, in, out, &stats)
+	acc := AllocRegions(3, 16)
+	cm.Apply(in, acc, nil)
+	over := randRegions(rng, 3, 16)
+	cm.ApplyOverwrite(in, over, nil)
 
 	for byteIdx := 0; byteIdx < 16; byteIdx++ {
 		vec := make([]uint32, 5)
@@ -57,9 +61,9 @@ func TestApplyMatchesScalar(t *testing.T) {
 			vec[j] = uint32(in[j][byteIdx])
 		}
 		want := m.MulVec(vec)
-		for i := range out {
-			if uint32(out[i][byteIdx]) != want[i] {
-				t.Fatalf("byte %d row %d: got %d want %d", byteIdx, i, out[i][byteIdx], want[i])
+		for i := range want {
+			if uint32(acc[i][byteIdx]) != want[i] || uint32(over[i][byteIdx]) != want[i] {
+				t.Fatalf("byte %d row %d: got %d (overwrite %d) want %d", byteIdx, i, acc[i][byteIdx], over[i][byteIdx], want[i])
 			}
 		}
 	}
@@ -75,7 +79,7 @@ func TestApplyCountsNonzeros(t *testing.T) {
 	in := randRegions(rng, 6, 8)
 	out := AllocRegions(4, 8)
 	var stats Stats
-	Apply(f, m, in, out, &stats)
+	Compile(f, m).Apply(in, out, &stats)
 	if got := stats.MultXORs(); got != int64(m.NNZ()) {
 		t.Fatalf("stats = %d, u(M) = %d", got, m.NNZ())
 	}
@@ -87,30 +91,32 @@ func TestApplyAccumulates(t *testing.T) {
 	m := randMatrix(rng, f, 2, 2)
 	in := randRegions(rng, 2, 8)
 	out := AllocRegions(2, 8)
-	Apply(f, m, in, out, nil)
-	snapshot := append([]byte(nil), out[0]...)
+	cm := Compile(f, m)
+	cm.Apply(in, out, nil)
 	// Applying again XORs on top: doubles cancel in characteristic 2.
-	Apply(f, m, in, out, nil)
+	cm.Apply(in, out, nil)
 	if !bytes.Equal(out[0], make([]byte, 8)) {
 		t.Fatal("second Apply did not cancel the first")
 	}
-	_ = snapshot
 }
 
+// TestApplyShapeMismatchPanics: an output count that does not match
+// the matrix's rows is a programming error in the overwrite path too.
 func TestApplyShapeMismatchPanics(t *testing.T) {
 	f := gf.GF8
-	m := matrix.New(f, 2, 3)
+	cm := Compile(f, matrix.New(f, 2, 3))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("shape mismatch did not panic")
 		}
 	}()
-	Apply(f, m, AllocRegions(2, 8), AllocRegions(2, 8), nil)
+	cm.ApplyOverwrite(AllocRegions(3, 8), AllocRegions(3, 8), nil)
 }
 
 // TestProductSequencesAgree: Normal and MatrixFirst produce identical
 // recovered blocks — the paper's two calculation orders differ only in
-// cost, never in result.
+// cost, never in result — and both equal the scalar product
+// F^-1 * (S * BS).
 func TestProductSequencesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
@@ -119,16 +125,17 @@ func TestProductSequencesAgree(t *testing.T) {
 			finv := randInvertible(rng, f, 3)
 			s := randMatrix(rng, f, 3, 7)
 			in := randRegions(rng, 7, 32)
+			want := refProduct(f, finv, refProduct(f, s, in))
 
 			outNormal := AllocRegions(3, 32)
 			outMF := AllocRegions(3, 32)
 			var statsN, statsMF Stats
-			Product(f, finv, s, in, outNormal, nil, Normal, &statsN)
-			Product(f, finv, s, in, outMF, nil, MatrixFirst, &statsMF)
+			CompiledProduct(Compile(f, finv), Compile(f, s), nil, in, outNormal, nil, Normal, &statsN)
+			CompiledProduct(nil, nil, Compile(f, finv.Mul(s)), in, outMF, nil, MatrixFirst, &statsMF)
 
-			for i := range outNormal {
-				if !bytes.Equal(outNormal[i], outMF[i]) {
-					t.Fatalf("sequences disagree on block %d", i)
+			for i := range want {
+				if !bytes.Equal(outNormal[i], want[i]) || !bytes.Equal(outMF[i], want[i]) {
+					t.Fatalf("block %d differs from the scalar product", i)
 				}
 			}
 			if statsN.MultXORs() != int64(finv.NNZ()+s.NNZ()) {
@@ -143,18 +150,23 @@ func TestProductSequencesAgree(t *testing.T) {
 	}
 }
 
+// TestProductWithScratch: the range form chaining through dirty
+// caller-owned scratch, over uneven word-aligned chunks, gives the
+// whole-region product through pooled scratch.
 func TestProductWithScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	f := gf.GF16
 	finv := randInvertible(rng, f, 2)
 	s := randMatrix(rng, f, 2, 4)
 	in := randRegions(rng, 4, 16)
+	cFinv, cS := Compile(f, finv), Compile(f, s)
 	out1 := AllocRegions(2, 16)
+	scratch := randRegions(rng, 2, 16) // dirty scratch must not leak into the result
+	for _, ch := range ChunkRanges(16, 3, 2) {
+		CompiledProductRange(cFinv, cS, nil, in, out1, scratch, Normal, ch[0], ch[1], nil)
+	}
 	out2 := AllocRegions(2, 16)
-	scratch := AllocRegions(2, 16)
-	rng.Read(scratch[0]) // dirty scratch must not leak into the result
-	Product(f, finv, s, in, out1, scratch, Normal, nil)
-	Product(f, finv, s, in, out2, nil, Normal, nil)
+	CompiledProduct(cFinv, cS, nil, in, out2, nil, Normal, nil)
 	for i := range out1 {
 		if !bytes.Equal(out1[i], out2[i]) {
 			t.Fatal("scratch reuse changed the result")
@@ -162,19 +174,23 @@ func TestProductWithScratch(t *testing.T) {
 	}
 }
 
+// TestProductOverwritesOutput: stale output contents never leak into a
+// product, under either sequence.
 func TestProductOverwritesOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	f := gf.GF8
 	finv := randInvertible(rng, f, 2)
 	s := randMatrix(rng, f, 2, 3)
 	in := randRegions(rng, 3, 8)
-	clean := AllocRegions(2, 8)
-	dirty := randRegions(rng, 2, 8)
-	Product(f, finv, s, in, clean, nil, MatrixFirst, nil)
-	Product(f, finv, s, in, dirty, nil, MatrixFirst, nil)
-	for i := range clean {
-		if !bytes.Equal(clean[i], dirty[i]) {
-			t.Fatal("stale output contents leaked into the product")
+	want := refProduct(f, finv, refProduct(f, s, in))
+	cFinv, cS, cG := Compile(f, finv), Compile(f, s), Compile(f, finv.Mul(s))
+	for _, seq := range []Sequence{Normal, MatrixFirst} {
+		dirty := randRegions(rng, 2, 8)
+		CompiledProduct(cFinv, cS, cG, in, dirty, nil, seq, nil)
+		for i := range want {
+			if !bytes.Equal(want[i], dirty[i]) {
+				t.Fatalf("%v: stale output contents leaked into the product", seq)
+			}
 		}
 	}
 }
@@ -233,17 +249,18 @@ func TestAllocRegions(t *testing.T) {
 	}
 }
 
+// TestProductUnknownSequencePanics: the range form rejects an unknown
+// sequence like the whole-region form does.
 func TestProductUnknownSequencePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	f := gf.GF8
-	finv := randInvertible(rng, f, 2)
-	s := randMatrix(rng, f, 2, 3)
+	cm := Compile(f, randMatrix(rng, f, 2, 3))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unknown sequence did not panic")
 		}
 	}()
-	Product(f, finv, s, randRegions(rng, 3, 8), AllocRegions(2, 8), nil, Sequence(99), nil)
+	CompiledProductRange(cm, cm, cm, randRegions(rng, 3, 8), AllocRegions(2, 8), nil, Sequence(99), 0, 8, nil)
 }
 
 func TestProductShapeMismatchPanics(t *testing.T) {
@@ -256,7 +273,7 @@ func TestProductShapeMismatchPanics(t *testing.T) {
 			t.Fatal("F/S shape mismatch did not panic")
 		}
 	}()
-	Product(f, finv, s, randRegions(rng, 3, 8), AllocRegions(2, 8), nil, Normal, nil)
+	CompiledProduct(Compile(f, finv), Compile(f, s), nil, randRegions(rng, 3, 8), AllocRegions(2, 8), nil, Normal, nil)
 }
 
 func TestCompiledProductUnknownSequencePanics(t *testing.T) {

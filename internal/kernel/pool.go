@@ -4,14 +4,14 @@ import "sync"
 
 // Scratch is a pooled set of equally-sized regions backed by one
 // contiguous buffer, used for the Normal sequence's intermediate
-// S * BS product. Getting scratch from the pool instead of calling
+// S * BS product and for the traditional decoder's syndromes. Getting scratch from the pool instead of calling
 // AllocRegions per product is what makes the repeated-decode path
 // (one plan, thousands of stripes) allocation-free: after warm-up the
 // same backing buffers circulate through sync.Pool.
 //
 // A Scratch is owned exclusively by its getter until Release; the
-// contents are NOT zeroed on Get (Product and CompiledProduct always
-// Zero their scratch before accumulating into it).
+// contents are NOT zeroed on Get (CompiledProduct's first stage and
+// ApplyOverwrite overwrite their destinations).
 //
 //ppm:nocopy
 type Scratch struct {

@@ -102,7 +102,7 @@ func TestChunkRangesAligned(t *testing.T) {
 // TestTiledApplyMatchesReference: with the tile shrunk to the minimum,
 // region sizes straddling tile boundaries (±1 word) run through many
 // tiles and must equal the term-at-a-time reference exactly — for the
-// matrix path, the compiled path, and a range-split compiled product.
+// compiled path and a range-split compiled product.
 func TestTiledApplyMatchesReference(t *testing.T) {
 	defer setTileSize(0)
 	setTileSize(minTileBytes)
@@ -120,25 +120,17 @@ func TestTiledApplyMatchesReference(t *testing.T) {
 			want := AllocRegions(4, size)
 			refApply(f, m, in, want)
 
-			got := AllocRegions(4, size)
-			var stats Stats
-			Apply(f, m, in, got, &stats)
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Fatalf("GF%d size=%d: Apply row %d differs", f.W(), size, i)
-				}
-			}
-			if stats.MultXORs() != int64(m.NNZ()) {
-				t.Fatalf("GF%d size=%d: Apply counted %d ops, want %d", f.W(), size, stats.MultXORs(), m.NNZ())
-			}
-
 			cm := Compile(f, m)
 			cgot := AllocRegions(4, size)
-			cm.Apply(in, cgot, nil)
+			var stats Stats
+			cm.Apply(in, cgot, &stats)
 			for i := range want {
 				if !bytes.Equal(want[i], cgot[i]) {
 					t.Fatalf("GF%d size=%d: compiled Apply row %d differs", f.W(), size, i)
 				}
+			}
+			if stats.MultXORs() != int64(m.NNZ()) {
+				t.Fatalf("GF%d size=%d: Apply counted %d ops, want %d", f.W(), size, stats.MultXORs(), m.NNZ())
 			}
 
 			// Range-split product over uneven word-aligned cuts.
@@ -186,8 +178,8 @@ func TestTiledApplyPortableKernels(t *testing.T) {
 }
 
 // TestTiledProductMatchesReference: the tile-chained Normal sequence
-// (matrix and compiled forms, pooled and caller scratch, range-split
-// form) equals the two-pass reference.
+// (pooled and caller scratch, range-split form) equals the two-pass
+// reference.
 func TestTiledProductMatchesReference(t *testing.T) {
 	defer setTileSize(0)
 	setTileSize(minTileBytes)
@@ -214,18 +206,14 @@ func TestTiledProductMatchesReference(t *testing.T) {
 			}
 		}
 
+		cFinv, cS := Compile(f, finv), Compile(f, s)
 		out := AllocRegions(3, size)
-		Product(f, finv, s, in, out, nil, Normal, nil)
-		check("Product pooled scratch", out)
+		CompiledProduct(cFinv, cS, nil, in, out, nil, Normal, nil)
+		check("CompiledProduct pooled scratch", out)
 
 		out2 := AllocRegions(3, size)
-		Product(f, finv, s, in, out2, AllocRegions(3, size), Normal, nil)
-		check("Product caller scratch", out2)
-
-		cFinv, cS := Compile(f, finv), Compile(f, s)
-		out3 := AllocRegions(3, size)
-		CompiledProduct(cFinv, cS, nil, in, out3, nil, Normal, nil)
-		check("CompiledProduct", out3)
+		CompiledProduct(cFinv, cS, nil, in, out2, AllocRegions(3, size), Normal, nil)
+		check("CompiledProduct caller scratch", out2)
 
 		out4 := AllocRegions(3, size)
 		for _, ch := range ChunkRanges(size, 3, 2) {
@@ -333,11 +321,4 @@ func TestCompiledApplyAllocationFree(t *testing.T) {
 		}
 	}
 
-	// The uncompiled sweep must also be allocation-free once the
-	// field's multiplier memo is warm (it is, after the calls above).
-	if avg := testing.AllocsPerRun(10, func() {
-		Apply(f, m, in, out, &stats)
-	}); avg != 0 {
-		t.Fatalf("plain Apply allocates %.1f/op with warm multiplier memo", avg)
-	}
 }

@@ -1,8 +1,8 @@
 // errflow: the concurrency layer's error contract. Every goroutine
-// launched in internal/kernel, internal/decode, internal/pipeline and
-// internal/array must route failures back to a joiner — the worker
-// pool's lowest-index error slot, a buffered error channel, or an error
-// slice indexed by task. The analyzer rejects the ways that contract
+// launched in internal/kernel, internal/decode and internal/pipeline
+// must route failures back to a joiner — the worker pool's lowest-index
+// error slot, a buffered error channel, or an error slice indexed by
+// task. The analyzer rejects the ways that contract
 // has historically been broken: `go f()` where f returns an error
 // nobody can see, `_ =` discards and bare call statements that drop an
 // error inside a goroutine, and naked panics in goroutine bodies that
@@ -25,7 +25,7 @@ var ErrFlow = &Analyzer{
 
 // errFlowScope is the set of packages (by final path element) whose
 // goroutines carry the pool's error contract.
-var errFlowScope = map[string]bool{"kernel": true, "decode": true, "pipeline": true, "array": true}
+var errFlowScope = map[string]bool{"kernel": true, "decode": true, "pipeline": true}
 
 func errFlowMatch(pkgPath string) bool { return errFlowScope[pathBase(pkgPath)] }
 

@@ -85,7 +85,6 @@ func TestErrFlowScope(t *testing.T) {
 		"ppm/internal/kernel":   true,
 		"ppm/internal/decode":   true,
 		"ppm/internal/pipeline": true,
-		"ppm/internal/array":    true,
 		"ppm/internal/gf":       false,
 		"ppm/internal/harness":  false,
 	} {

@@ -26,19 +26,17 @@ var RegionArgs = &Analyzer{
 }
 
 // regionOps maps gf method names to the indices of their dst and src
-// arguments (src < 0: the sources are a [][]byte whose elements are
-// checked individually when the argument is a slice literal). lists
-// marks ops whose dst and src are both region lists: their lengths are
-// region counts, so only aliasing between the two lists is checkable.
+// arguments. lists marks ops whose dst and src are both region lists:
+// their lengths are region counts, so only aliasing between the two
+// lists is checkable.
 var regionOps = map[string]struct {
 	dst, src int
 	lists    bool
 }{
-	"MultXORs":      {dst: 0, src: 1},
-	"MulRegion":     {dst: 0, src: 1},
-	"MultXORsMulti": {dst: 0, src: -1},
-	"MultXOR":       {dst: 0, src: 1},              // gf.Multiplier
-	"Apply":         {dst: 0, src: 1, lists: true}, // gf.RowBlock: out, in
+	"MultXORs":  {dst: 0, src: 1},
+	"MulRegion": {dst: 0, src: 1},
+	"MultXOR":   {dst: 0, src: 1},              // gf.Multiplier
+	"Apply":     {dst: 0, src: 1, lists: true}, // gf.RowBlock: out, in
 }
 
 // wordBytesOf maps a concrete gf field implementation (by type name)
@@ -82,36 +80,21 @@ func checkRegionCall(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	op := regionOps[name]
-	if op.dst >= len(call.Args) {
+	if op.dst >= len(call.Args) || op.src >= len(call.Args) {
 		return
 	}
-	dst := call.Args[op.dst]
+	dst, src := call.Args[op.dst], call.Args[op.src]
 	if op.lists {
-		if op.src < len(call.Args) && exprEqual(dst, call.Args[op.src]) {
-			pass.Reportf(call.Args[op.src].Pos(), "%s output and source region lists alias (%s); no output row may alias a source", name, exprString(pass, dst))
+		if exprEqual(dst, src) {
+			pass.Reportf(src.Pos(), "%s output and source region lists alias (%s); no output row may alias a source", name, exprString(pass, dst))
 		}
 		return
 	}
 
-	var srcs []ast.Expr
-	if op.src >= 0 {
-		if op.src < len(call.Args) {
-			srcs = append(srcs, call.Args[op.src])
-		}
-	} else if len(call.Args) > 1 {
-		// The sources argument is a [][]byte; its elements are only
-		// checkable when spelled as a slice literal at the call site.
-		if lit, ok := ast.Unparen(call.Args[1]).(*ast.CompositeLit); ok {
-			srcs = append(srcs, lit.Elts...)
-		}
-	}
-
-	for _, src := range srcs {
-		checkAliasing(pass, name, dst, src)
-		checkConstLengths(pass, name, dst, src)
-	}
+	checkAliasing(pass, name, dst, src)
+	checkConstLengths(pass, name, dst, src)
 	if wb, ok := receiverWordBytes(pass, sel); ok {
-		for _, arg := range append([]ast.Expr{dst}, srcs...) {
+		for _, arg := range []ast.Expr{dst, src} {
 			if n, known := constSliceLen(pass, arg); known && n%int64(wb) != 0 {
 				pass.Reportf(arg.Pos(), "%s region length %d is not a multiple of the field word size (%d bytes); derive lengths from Field.WordBytes", name, n, wb)
 			}

@@ -8,16 +8,14 @@ package gf
 type Field interface {
 	WordBytes() int
 	MultXORs(dst, src []byte, a uint32)
-	MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32)
 	MulRegion(dst, src []byte, a uint32)
 }
 
 type field16 struct{}
 
-func (field16) WordBytes() int                                           { return 2 }
-func (field16) MultXORs(dst, src []byte, a uint32)                       {}
-func (field16) MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32) {}
-func (field16) MulRegion(dst, src []byte, a uint32)                      {}
+func (field16) WordBytes() int                      { return 2 }
+func (field16) MultXORs(dst, src []byte, a uint32)  {}
+func (field16) MulRegion(dst, src []byte, a uint32) {}
 
 // New16 exposes the concrete 16-bit stub field.
 func New16() *field16 { return &field16{} }

@@ -7,12 +7,11 @@ import "gf"
 var f16 = gf.New16()
 
 func aliasing(buf, other []byte, f gf.Field) {
-	f.MultXORs(buf, buf, 3)                                    // want "dst and src alias"
-	f.MulRegion(buf, buf, 3)                                   // want "dst and src alias"
-	f.MultXORs(buf[0:64], buf[32:96], 3)                       // want "dst and src may alias"
-	f.MultXORs(buf[0:64], buf[64:128], 3)                      // disjoint constant ranges: clean
-	f.MultXORs(buf, other, 3)                                  // distinct identifiers: clean
-	f.MultXORsMulti(buf, [][]byte{other, buf}, []uint32{1, 2}) // want "dst and src alias"
+	f.MultXORs(buf, buf, 3)               // want "dst and src alias"
+	f.MulRegion(buf, buf, 3)              // want "dst and src alias"
+	f.MultXORs(buf[0:64], buf[32:96], 3)  // want "dst and src may alias"
+	f.MultXORs(buf[0:64], buf[64:128], 3) // disjoint constant ranges: clean
+	f.MultXORs(buf, other, 3)             // distinct identifiers: clean
 }
 
 func lengths(buf, other []byte, f gf.Field) {

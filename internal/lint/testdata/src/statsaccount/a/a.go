@@ -25,7 +25,9 @@ func unaccounted(f gf.Field, dst, src []byte) {
 //
 //ppm:counted accounted-by-caller: the driver adds the full row NNZ once
 func counted(f gf.Field, dst []byte, srcs [][]byte, consts []uint32) {
-	f.MultXORsMulti(dst, srcs, consts)
+	for k, src := range srcs {
+		f.MultXORs(dst, src, consts[k])
+	}
 }
 
 // noOps never touches a region primitive: out of scope.

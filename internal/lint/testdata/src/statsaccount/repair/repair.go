@@ -32,7 +32,9 @@ func substituteRow(f gf.Field, out []byte, in [][]byte, coeffs []uint32) {
 //
 //ppm:counted accounted-by-kernel: CompiledProductRange ticks the step NNZ internally
 func applyStep(f gf.Field, out []byte, in [][]byte, coeffs []uint32) {
-	f.MultXORsMulti(out, in, coeffs)
+	for i := range in {
+		f.MultXORs(out, in[i], coeffs[i])
+	}
 }
 
 // planOnly scores candidate rows without touching a region: out of

@@ -65,8 +65,8 @@ func (p *Plan) ReadDisks() []int { return p.readDisks }
 // sorts; a nil wanted selects every faulty sector (full repair).
 func canonicalWanted(sc codes.Scenario, wanted []int) []int {
 	if wanted == nil {
-		out := make([]int, len(sc.Faulty))
-		copy(out, sc.Faulty)
+		out := slices.Clone(sc.Faulty)
+		sort.Ints(out)
 		return out
 	}
 	faulty := sc.FaultySet()

@@ -41,26 +41,22 @@ func (p *Planner) Code() codes.Code { return p.code }
 // only the wanted sectors that are faulty, sorted and without repeats
 // (canonicalWanted), so the key marks each faulty position wanted or
 // not: wanted {2,8}, {8,2}, {2,8,8} and, with 9 live, {2,8,9} share one
-// key, and two different plans never do. The faulty list stays in its
-// given order, repeats and all: the plan copies it, and an invalid list
-// fails on its miss and is never cached. A nil wanted has a key of its
-// own, since it takes the faulty list's order as the plan's Wanted.
-// The key grows with the faulty list only, so a long wanted list (a
-// whole stripe) still fits a small stack buffer.
+// key, and two different plans never do. A nil wanted wants every
+// faulty sector, so it shares the key of the wanted list that names
+// them all. The faulty list stays in its given order, repeats and all:
+// the plan copies it, and an invalid list fails on its miss and is
+// never cached. The key grows with the faulty list only, so a long
+// wanted list (a whole stripe) still fits a small stack buffer.
 func planKey(buf []byte, sc codes.Scenario, wanted []int) []byte {
 	faulty := sc.Faulty
 	buf = binary.AppendUvarint(buf, uint64(len(faulty)))
 	for _, f := range faulty {
 		buf = binary.AppendVarint(buf, int64(f))
 	}
-	if wanted == nil {
-		return append(buf, 0)
-	}
-	buf = append(buf, 1)
 	mask := len(buf)
 	buf = append(buf, make([]byte, (len(faulty)+7)/8)...)
-	for _, w := range wanted {
-		if i := slices.Index(faulty, w); i >= 0 {
+	for i, f := range faulty {
+		if wanted == nil || slices.Contains(wanted, f) {
 			buf[mask+i/8] |= 1 << (i % 8)
 		}
 	}

@@ -98,21 +98,18 @@ func TestPlannerCacheWantedKeying(t *testing.T) {
 	}
 
 	// The key holds only the wanted sectors that are faulty, as a set:
-	// reordered, repeated and live-padded lists of one request hit.
-	both, err := pl.Plan(sc, []int{2, 8}) // miss: nil keeps its own key
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wanted := range [][]int{{8, 2}, {2, 8, 8}, {2, 8, 9}, {9, 8, 0, 2}} {
-		if p, err := pl.Plan(sc, wanted); err != nil || p != both { // hit
-			t.Fatalf("wanted %v rebuilt the plan of {2,8} (err=%v)", wanted, err)
+	// reordered, repeated and live-padded lists of one request hit, and
+	// naming every faulty sector is the nil request.
+	for _, wanted := range [][]int{{2, 8}, {8, 2}, {2, 8, 8}, {2, 8, 9}, {9, 8, 0, 2}} {
+		if p, err := pl.Plan(sc, wanted); err != nil || p != full { // hit
+			t.Fatalf("wanted %v rebuilt the full plan (err=%v)", wanted, err)
 		}
 	}
 	if p, err := pl.Plan(sc, []int{9, 2}); err != nil || p != partial { // hit
 		t.Fatalf("wanted {9,2} rebuilt the plan of {2} (err=%v)", err)
 	}
-	if hits, misses := pl.CacheStats(); hits != 7 || misses != 3 {
-		t.Fatalf("hits=%d misses=%d, want 7/3", hits, misses)
+	if hits, misses := pl.CacheStats(); hits != 8 || misses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 8/2", hits, misses)
 	}
 }
 
@@ -214,5 +211,33 @@ func TestPlannerCacheConcurrent(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("no hits across repeated rounds: the cache is not retaining plans")
+	}
+}
+
+// TestPlannerNilWantedSorted: a nil wanted is every faulty sector, in
+// Plan.Wanted's sorted order whatever the faulty list's order, and it
+// shares its cache entry with the explicit list of them all.
+func TestPlannerNilWantedSorted(t *testing.T) {
+	c, err := codes.NewPublishedSD(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(c)
+	sc := codes.Scenario{Faulty: []int{8, 2}}
+	all, err := pl.Plan(sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := pl.Plan(sc, []int{8, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*Plan{"nil": all, "explicit": explicit} {
+		if !slices.Equal(p.Wanted, []int{2, 8}) {
+			t.Fatalf("%s wanted: Plan.Wanted = %v, want [2 8]", name, p.Wanted)
+		}
+	}
+	if hits, misses := pl.CacheStats(); hits != 1 || misses != 1 {
+		t.Fatalf("cache: %d hits, %d misses, want 1 and 1", hits, misses)
 	}
 }
