@@ -70,6 +70,43 @@ func randSrcs(rng *rand.Rand, n, size int) [][]byte {
 	return srcs
 }
 
+// TestMultXORsMultiMatchesScalar: the multi-term multiply-XOR
+// dst ^= Σ consts[k]·srcs[k], run as a 1-row RowBlock in accumulate
+// mode, equals the scalar per-term reference for every field, across
+// term counts that exercise batching (beyond blockBatch) and region
+// lengths that exercise the scalar tails (0, a single word, 8-byte-loop
+// remainders, and the 64-byte affine prefix plus its tail). Runs on
+// both kernel paths.
+func TestMultXORsMultiMatchesScalar(t *testing.T) {
+	forBothKernelPaths(t, testMultXORsMultiMatchesScalar)
+}
+
+func testMultXORsMultiMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(401))
+	for _, f := range []Field{GF8, GF16, GF32} {
+		wb := f.WordBytes()
+		sizes := []int{0, wb, 8, 8 + wb, 24, 56 + wb, 256, 248 + wb}
+		for _, terms := range []int{1, 2, 3, blockBatch, blockBatch + 1, 2*blockBatch + 3} {
+			for _, size := range sizes {
+				consts := randConsts(rng, f, terms)
+				srcs := randSrcs(rng, terms, size)
+				dst := make([]byte, size)
+				rng.Read(dst)
+				want := append([]byte(nil), dst...)
+
+				compileOne(f, []int{0}, [][]uint32{consts}).Apply([][]byte{dst}, srcs, false)
+				refMultiXOR(f, want, srcs, consts)
+				for i := range dst {
+					if dst[i] != want[i] {
+						t.Fatalf("GF%d terms=%d size=%d: byte %d = %#x want %#x",
+							f.W(), terms, size, i, dst[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCompileRowMatchesMulti: a compiled row — a 1-row RowBlock —
 // computes the same result as one MultXORs per term, skips zero
 // coefficients (tolerating nil sources in those lanes), and reports the
