@@ -98,12 +98,14 @@ checkptr:
 
 # Fault storm: the end-to-end ppmfile chaos tests (missing disk +
 # silent flip + transient errors + a permanently hung strip, recovered
-# byte-identical) plus the harness chaos experiment over SD/LRC/RS.
+# byte-identical; torn decode-repair and scrub write-backs, flagged by
+# verify and healed by scrub) plus the harness chaos experiment over
+# SD/LRC/RS.
 # Every schedule spec is printed, so a failing run replays from the
 # log; CHAOS_SEED varies the storm deterministically.
 CHAOS_SEED ?= 1
 chaos:
-	$(GO) test ./cmd/ppmfile -run 'TestChaosDecodeStorm|TestScrubRebuildsMissingDisk|TestDecodeTornWriteCaught' -v
+	$(GO) test ./cmd/ppmfile -run 'TestChaosDecodeStorm|TestScrubRebuildsMissingDisk|TestDecodeTornWriteCaught|TestDecodeRepairWritesThroughFaults|TestScrubRepairWritesThroughFaults' -v
 	$(GO) run ./cmd/ppmbench -exp chaos -seed $(CHAOS_SEED)
 
 check: build fmt-check vet lint test race verify-plans

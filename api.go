@@ -228,10 +228,9 @@ func NewUpdater(c Code) (*Updater, error) { return core.NewUpdater(c) }
 // StreamConfig tunes the streaming multi-stripe pipeline: Depth bounds
 // the stripes in flight (backpressure; Depth 1 runs each stream on the
 // caller's goroutine with no stage goroutines), Workers the compute
-// shard goroutines (default: the core count), Threads the per-stripe
-// parallel phase (default 1 — the pipeline parallelises across
-// stripes). NewStreamPool picks Depth 1 when its engines cover the
-// cores.
+// shard goroutines (default: the core count). Each stripe decodes at
+// T = 1: the pipeline parallelises across stripes, not within them.
+// NewStreamPool picks Depth 1 when its engines cover the cores.
 type StreamConfig = pipeline.Config
 
 // StreamResult reports a stream run: stripes drained and payload bytes

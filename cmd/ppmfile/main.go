@@ -21,7 +21,8 @@
 // unreadable or corrupt strips to erasures — and scrub is the
 // rate-limitable background version of the same loop, rebuilding
 // damage (missing disks included) in place with -repair. The -faults
-// flag injects a deterministic fault schedule for testing.
+// flag injects a deterministic fault schedule for testing into every
+// strip read and write, rebuilt strips and write-backs included.
 package main
 
 import (
@@ -55,15 +56,17 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   ppmfile encode -in FILE -dir DIR [-n 8 -r 16 -m 2 -s 2 -sector 4096 -depth 4]
-  ppmfile decode -dir DIR -out FILE [-depth 4 -threads 1 -retries 3 -op-timeout 0]
+  ppmfile decode -dir DIR -out FILE [-depth 4 -repair=true -retries 3 -op-timeout 0]
   ppmfile verify -dir DIR
   ppmfile scrub  -dir DIR [-repair -rate MiB/s -retries 3 -op-timeout 0]
 
 decode and scrub retry transient strip faults (-retries attempts, each
 bounded by -op-timeout), verify the manifest's CRC-32C sector checksums,
 and demote unreadable or corrupt strips to erasures for re-decode;
-scrub -repair additionally rebuilds damaged or missing strip files in
-place. The -faults flag (all commands but verify) injects a
-deterministic fault schedule for chaos testing.`)
+decode -repair (the default) rewrites missing strip files, and
+scrub -repair rebuilds damaged or missing strip files in place. verify,
+and decode and scrub without -repair, never write a strip file. The
+-faults flag (all commands but verify) injects a deterministic fault
+schedule for chaos testing into every strip read and write.`)
 	os.Exit(2)
 }

@@ -49,7 +49,6 @@ func runEncode(args []string) error {
 	m := fs.Int("m", 2, "coding disks")
 	s := fs.Int("s", 2, "coding sectors")
 	sector := fs.Int("sector", 4096, "sector size in bytes")
-	threads := fs.Int("threads", 0, "per-stripe PPM workers (0 = 1; the pipeline parallelises across stripes)")
 	depth := fs.Int("depth", pipeline.DefaultDepth, "stripes in flight (pipeline depth)")
 	faults := fs.String("faults", "", "fault-injection spec (testing; see internal/fault.ParseSpec)")
 	if err := fs.Parse(args); err != nil {
@@ -111,14 +110,13 @@ func runEncode(args []string) error {
 	// Stream the file through the pipeline: the encode plan is compiled
 	// once, file reads for stripe i+1 overlap the encode of stripe i,
 	// and -depth stripes are in flight against the strip store.
-	eng, err := pipeline.New(sd, codes.EncodingScenario(sd), *sector,
-		pipeline.Config{Depth: *depth, Threads: *threads})
+	eng, err := pipeline.New(sd, codes.EncodingScenario(sd), *sector, pipeline.Config{Depth: *depth})
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
 	src := &payloadSource{r: inFile, dataPos: dataPositions, stripes: stripes}
-	sink := &storeSink{store: store, mf: mf}
+	sink := &storeSink{store: store, buf: make([]byte, ds.StripBytes())}
 	if _, err := eng.Run(src, sink); err != nil {
 		return err
 	}
@@ -152,7 +150,6 @@ func runDecode(args []string) error {
 	fs := flag.NewFlagSet("decode", flag.ExitOnError)
 	dir := fs.String("dir", "", "shard directory")
 	out := fs.String("out", "", "output file (default: the original name in the current directory)")
-	threads := fs.Int("threads", 0, "per-stripe PPM workers (0 = 1; the pipeline parallelises across stripes)")
 	depth := fs.Int("depth", pipeline.DefaultDepth, "stripes in flight (pipeline depth)")
 	repair := fs.Bool("repair", true, "rewrite missing strip files after recovery")
 	retries := fs.Int("retries", 3, "max read attempts per strip before demoting it to an erasure")
@@ -207,46 +204,36 @@ func runDecode(args []string) error {
 	}
 	defer outFile.Close()
 
-	// Re-create missing strip files when repairing.
-	var repairFiles map[int]*os.File
-	if *repair && len(missing) > 0 {
-		repairFiles = make(map[int]*os.File, len(missing))
-		for _, j := range missing {
-			f, err := os.Create(filepath.Join(*dir, diskFileName(j)))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			repairFiles[j] = f
-		}
-	}
-
 	// All stripes fail identically (whole disks), so the pipeline's
 	// once-compiled plan serves every stripe; strip reads for stripe i+1
 	// overlap the recovery of stripe i. An empty scenario (nothing
 	// missing) runs the same pipeline as a pure extract pass.
-	eng, err := pipeline.New(sd, sc, mf.SectorSize,
-		pipeline.Config{Depth: *depth, Threads: *threads})
+	eng, err := pipeline.New(sd, sc, mf.SectorSize, pipeline.Config{Depth: *depth})
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
+	store, _, err := wrapFaults(ds, *faults)
+	if err != nil {
+		return err
+	}
+	// The sink writes the missing disks' rebuilt strips through the
+	// store, which creates their files on the first write.
 	sink := &restoreSink{
 		out:       outFile,
 		dataPos:   codes.DataPositions(sd),
 		remaining: mf.FileSize,
-		repair:    repairFiles,
-		mf:        mf,
+		store:     store,
+		buf:       make([]byte, ds.StripBytes()),
+	}
+	if *repair {
+		sink.repair = missing
 	}
 	// The fill stage reads through a Healer: bounded retries around
 	// transient strip faults, per-sector checksum verification, and
 	// demotion to erasure (plus an inline re-decode) for anything that
 	// cannot be read clean — the baseline missing disks stay with the
 	// engine's once-compiled plan.
-	store, _, err := wrapFaults(ds, *faults)
-	if err != nil {
-		return err
-	}
 	healer := &fault.Healer{
 		Code:     sd,
 		Store:    store,
@@ -267,22 +254,16 @@ func runDecode(args []string) error {
 	// Close what was written before reporting it: a file that fails to
 	// close may not hold its bytes. The deferred Closes, there for the
 	// error paths, then fail harmlessly.
-	closeErr := outFile.Close()
-	for _, j := range missing {
-		if f := repairFiles[j]; f != nil {
-			closeErr = errors.Join(closeErr, f.Close())
-		}
-	}
-	if closeErr != nil {
-		return closeErr
+	if err := errors.Join(outFile.Close(), ds.Close()); err != nil {
+		return err
 	}
 	fmt.Printf("restored %q (%d bytes)\n", *out, mf.FileSize)
 	if hs := healer.Stats; hs.Retries+hs.DemotedStrips+hs.CorruptSectors > 0 {
 		fmt.Printf("degraded read summary: %d retries, %d strips demoted, %d corrupt sectors, %d stripes healed\n",
 			hs.Retries, hs.DemotedStrips, hs.CorruptSectors, hs.Healed)
 	}
-	if len(repairFiles) > 0 {
-		fmt.Printf("repaired %d strip file(s)\n", len(repairFiles))
+	if len(sink.repair) > 0 {
+		fmt.Printf("repaired %d strip file(s)\n", len(sink.repair))
 	}
 	return nil
 }
@@ -317,9 +298,10 @@ func runVerify(args []string) error {
 	if err != nil {
 		return err
 	}
+	buf := make([]byte, ds.StripBytes())
 	checksummed := 0
 	for idx := 0; idx < mf.Stripes; idx++ {
-		if err := ds.readStripe(idx, st); err != nil {
+		if err := fault.LoadStripe(ds, idx, st, buf); err != nil {
 			return err
 		}
 		// Checksummed archives verify on CRC-32C alone: the sums were
@@ -393,25 +375,35 @@ func runScrub(args []string) error {
 	if err != nil {
 		return err
 	}
+	missing := ds.missingDisks()
+	store, _, err := wrapFaults(ds, *faults)
+	if err != nil {
+		return err
+	}
 	if len(mf.Checksums) == 0 {
 		// Pre-checksum archive: parity-syndrome scrub only.
-		if missing := ds.missingDisks(); len(missing) > 0 {
+		if len(missing) > 0 {
 			return fmt.Errorf("disks %v missing; this archive has no checksums, so scrub cannot rebuild them — run decode", missing)
 		}
-		return scrubSyndrome(*dir, mf, sd, ds, *repair)
+		err = scrubSyndrome(mf, sd, store, *repair)
+	} else {
+		err = scrubChecksummed(mf, sd, missing, store, scrubConfig{
+			repair: *repair, rateMiB: *rate,
+			policy: retryPolicy(*retries, *opTimeout),
+		})
 	}
-	return scrubChecksummed(*dir, mf, sd, ds, scrubConfig{
-		repair: *repair, rateMiB: *rate,
-		policy: retryPolicy(*retries, *opTimeout),
-		faults: *faults,
-	})
+	if err != nil {
+		return err
+	}
+	// A strip written back through a handle that fails to close may not
+	// hold its bytes.
+	return ds.Close()
 }
 
 type scrubConfig struct {
 	repair  bool
 	rateMiB float64
 	policy  fault.Policy
-	faults  string
 }
 
 // rateLimiter paces a scan to a byte rate with simple catch-up sleeps.
@@ -435,9 +427,9 @@ func (l *rateLimiter) pace(n int) {
 	}
 }
 
-// scrubChecksummed is the checksum-era scrub+rebuild loop.
-func scrubChecksummed(dir string, mf manifest, sd *codes.SD, ds *diskStore, cfg scrubConfig) error {
-	missing := ds.missingDisks()
+// scrubChecksummed is the checksum-era scrub+rebuild loop. missing
+// lists the disks whose strip files were absent.
+func scrubChecksummed(mf manifest, sd *codes.SD, missing []int, store fault.Store, cfg scrubConfig) error {
 	if len(missing) > mf.M {
 		return fmt.Errorf("%d disks missing (%v); %s tolerates only %d", len(missing), missing, sd.Name(), mf.M)
 	}
@@ -447,10 +439,6 @@ func scrubChecksummed(dir string, mf manifest, sd *codes.SD, ds *diskStore, cfg 
 			fmt.Printf("; rebuilding")
 		}
 		fmt.Println()
-	}
-	store, _, err := wrapFaults(ds, cfg.faults)
-	if err != nil {
-		return err
 	}
 	// An empty baseline makes the healer treat *every* unreadable strip
 	// (missing disks included) as damage to demote and re-decode — the
@@ -470,7 +458,8 @@ func scrubChecksummed(dir string, mf manifest, sd *codes.SD, ds *diskStore, cfg 
 		return err
 	}
 	limiter := &rateLimiter{bytesPerSec: cfg.rateMiB * (1 << 20)}
-	stripeBytes := mf.N * ds.stripBytes()
+	buf := make([]byte, store.StripBytes())
+	stripeBytes := mf.N * len(buf)
 	repaired := 0
 	ctx := context.Background()
 	for idx := 0; idx < mf.Stripes; idx++ {
@@ -481,7 +470,7 @@ func scrubChecksummed(dir string, mf manifest, sd *codes.SD, ds *diskStore, cfg 
 		damaged := healer.Stats.DemotedStrips > before.DemotedStrips ||
 			healer.Stats.CorruptSectors > before.CorruptSectors
 		if damaged && cfg.repair {
-			if err := writeBackStripe(dir, ds, idx, st); err != nil {
+			if err := storeStripe(store, idx, st, buf); err != nil {
 				return fmt.Errorf("scrub: writing healed stripe %d back: %w", idx, err)
 			}
 			repaired++
@@ -503,14 +492,15 @@ func scrubChecksummed(dir string, mf manifest, sd *codes.SD, ds *diskStore, cfg 
 
 // scrubSyndrome is the legacy parity-syndrome scrub for archives
 // encoded before per-sector checksums existed.
-func scrubSyndrome(dir string, mf manifest, sd *codes.SD, ds *diskStore, repair bool) error {
+func scrubSyndrome(mf manifest, sd *codes.SD, store fault.Store, repair bool) error {
 	st, err := stripe.New(mf.N, mf.R, mf.SectorSize)
 	if err != nil {
 		return err
 	}
+	buf := make([]byte, store.StripBytes())
 	clean, located, ambiguous := 0, 0, 0
 	for idx := 0; idx < mf.Stripes; idx++ {
-		if err := ds.readStripe(idx, st); err != nil {
+		if err := fault.LoadStripe(store, idx, st, buf); err != nil {
 			return err
 		}
 		res, err := decode.Scrub(sd, st)
@@ -528,7 +518,7 @@ func scrubSyndrome(dir string, mf manifest, sd *codes.SD, ds *diskStore, repair 
 				if _, err := decode.ScrubAndRepair(sd, st, decode.Options{}); err != nil {
 					return err
 				}
-				if err := writeBackStripe(dir, ds, idx, st); err != nil {
+				if err := storeStripe(store, idx, st, buf); err != nil {
 					return err
 				}
 				fmt.Printf("stripe %d: repaired and written back\n", idx)
@@ -542,26 +532,6 @@ func scrubSyndrome(dir string, mf manifest, sd *codes.SD, ds *diskStore, repair 
 		clean, located, ambiguous, mf.Stripes)
 	if ambiguous > 0 {
 		return fmt.Errorf("%d stripe(s) need manual attention", ambiguous)
-	}
-	return nil
-}
-
-// writeBackStripe rewrites one stripe's sectors into the strip files,
-// creating any missing strip file (a rebuilt disk) on the way.
-func writeBackStripe(dir string, ds *diskStore, idx int, st *stripe.Stripe) error {
-	buf := make([]byte, ds.stripBytes())
-	for j := 0; j < ds.mf.N; j++ {
-		f, err := os.OpenFile(filepath.Join(dir, diskFileName(j)), os.O_WRONLY|os.O_CREATE, 0o644)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < ds.mf.R; i++ {
-			copy(buf[i*ds.mf.SectorSize:(i+1)*ds.mf.SectorSize], st.SectorAt(i, j))
-		}
-		_, werr := f.WriteAt(buf, int64(idx)*int64(ds.stripBytes()))
-		if err := errors.Join(werr, f.Close()); err != nil {
-			return err
-		}
 	}
 	return nil
 }

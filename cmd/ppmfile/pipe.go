@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"os"
 
 	"ppm/internal/fault"
 	"ppm/internal/stripe"
@@ -12,11 +10,13 @@ import (
 
 // The ppmfile commands drive the streaming pipeline with these adapters:
 // a payload source that lays file bytes into stripe data sectors, a
-// strip-store sink over the per-disk files, a healing source that reads
-// them back, and a restore sink that writes the recovered payload plus
-// any repaired strips.
-// Source methods run on the pipeline's fill goroutine and sink methods
-// on the drain goroutine, so each adapter owns its own scratch buffer.
+// strip-store sink that writes encoded strips, a healing source that
+// reads them back, and a restore sink that writes the recovered payload
+// plus any rebuilt strips. Every strip goes through the command's
+// fault.Store. At Depth > 1, Next runs on the engine's fill goroutine
+// and Drain on the goroutine that called Run (at Depth 1 both run on
+// that one), so each adapter owns its own scratch buffer, and decode's
+// healSource reads the store while its restoreSink writes it.
 
 // payloadSource produces exactly `stripes` stripes, laying the reader's
 // bytes into the data sectors in index order and zero-padding the tail
@@ -51,31 +51,32 @@ func (s *payloadSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, erro
 	return slab, nil
 }
 
-// storeSink writes encoded stripes strip by strip through a fault.Store
-// (the raw diskStore, or a fault-injecting wrapper around it), recording
+// storeSink writes encoded stripes through a fault.Store, recording
 // each stripe's per-sector checksum row for the manifest as it goes.
 // Drain runs strictly in stripe order, so sums[idx] lines up by append.
 type storeSink struct {
 	store fault.Store
-	mf    manifest
-	buf   []byte
+	buf   []byte // one strip of scratch
 	sums  [][]uint32
 }
 
 func (k *storeSink) Drain(idx int, st *stripe.Stripe) error {
-	if k.buf == nil {
-		k.buf = make([]byte, k.store.StripBytes())
+	if err := storeStripe(k.store, idx, st, k.buf); err != nil {
+		return err
 	}
-	sector := k.mf.SectorSize
-	for j := 0; j < k.mf.N; j++ {
-		for i := 0; i < k.mf.R; i++ {
-			copy(k.buf[i*sector:(i+1)*sector], st.SectorAt(i, j))
-		}
-		if err := k.store.WriteStrip(idx, j, k.buf); err != nil {
+	k.sums = append(k.sums, fault.SectorChecksums(st))
+	return nil
+}
+
+// storeStripe writes every strip of stripe idx through s, gathering
+// each into buf, one strip of scratch: encode's sink and scrub's
+// write-back.
+func storeStripe(s fault.Store, idx int, st *stripe.Stripe, buf []byte) error {
+	for j := 0; j < st.N(); j++ {
+		if err := s.WriteStrip(idx, j, fault.GatherStrip(buf, st, j)); err != nil {
 			return err
 		}
 	}
-	k.sums = append(k.sums, fault.SectorChecksums(st))
 	return nil
 }
 
@@ -100,27 +101,21 @@ func (s *healSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) 
 }
 
 // restoreSink writes the recovered payload to the output file, trimmed
-// to the original size, and rebuilds missing strip files in place.
+// to the original size, and writes the rebuilt strips of the repair
+// disks through the store.
 type restoreSink struct {
 	out       io.Writer
 	dataPos   []int
 	remaining int64
-	repair    map[int]*os.File // disk -> replacement strip file
-	mf        manifest
-	buf       []byte // one strip of scratch for repair writes
+	store     fault.Store
+	repair    []int  // disks whose strips are rebuilt
+	buf       []byte // one strip of scratch for them
 }
 
 func (k *restoreSink) Drain(idx int, st *stripe.Stripe) error {
-	stripBytes := k.mf.R * k.mf.SectorSize
-	for j, f := range k.repair {
-		if k.buf == nil {
-			k.buf = make([]byte, stripBytes)
-		}
-		for i := 0; i < k.mf.R; i++ {
-			copy(k.buf[i*k.mf.SectorSize:(i+1)*k.mf.SectorSize], st.SectorAt(i, j))
-		}
-		if _, err := f.WriteAt(k.buf, int64(idx)*int64(stripBytes)); err != nil {
-			return fmt.Errorf("rebuilding disk %d: %w", j, err)
+	for _, j := range k.repair {
+		if err := k.store.WriteStrip(idx, j, fault.GatherStrip(k.buf, st, j)); err != nil {
+			return err
 		}
 	}
 	for _, pos := range k.dataPos {

@@ -540,7 +540,7 @@ func TestEncodeCloseErrorKeepsManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.fh[2].Close(); err != nil {
+	if err := ds.wr[2].Close(); err != nil {
 		t.Fatal(err)
 	}
 	final := mf
@@ -704,4 +704,89 @@ func TestDecodeTornWriteCaught(t *testing.T) {
 	if !bytes.Equal(restored, data) {
 		t.Fatal("payload not byte-identical after torn write")
 	}
+}
+
+// restoreMatches decodes shards, with any extra decode flags, and
+// requires the payload byte-identical to data.
+func restoreMatches(t *testing.T, shards string, data []byte, flags ...string) {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "restored.bin")
+	if err := runDecode(append([]string{"-dir", shards, "-out", out}, flags...)); err != nil {
+		t.Fatalf("decode %v: %v", flags, err)
+	}
+	restored, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(restored, data) {
+		t.Fatalf("decode %v: payload not byte-identical", flags)
+	}
+}
+
+// encodeSmall encodes 40,000 bytes as SD(6,4,2,1) with 512-byte
+// sectors: six stripes of 2 KiB strips.
+func encodeSmall(t *testing.T) (shards string, data []byte) {
+	t.Helper()
+	work := t.TempDir()
+	in, data := writeInput(t, work, 40_000)
+	shards = filepath.Join(work, "shards")
+	if err := runEncode([]string{"-in", in, "-dir", shards,
+		"-n", "6", "-r", "4", "-m", "2", "-s", "1", "-sector", "512"}); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return shards, data
+}
+
+// TestDecodeRepairWritesThroughFaults: decode and scrub without -repair
+// leave a deleted disk's strip file absent; decode -repair writes its
+// rebuilt strips through the -faults seam, so a torn write scheduled on
+// one of them lands on disk. The payload still restores
+// byte-identically, verify flags the torn strip, and scrub -repair
+// heals it.
+func TestDecodeRepairWritesThroughFaults(t *testing.T) {
+	shards, data := encodeSmall(t)
+	deleted := filepath.Join(shards, diskFileName(2))
+	if err := os.Remove(deleted); err != nil {
+		t.Fatal(err)
+	}
+	restoreMatches(t, shards, data, "-repair=false")
+	if err := runScrub([]string{"-dir", shards}); err != nil {
+		t.Fatalf("scrub: %v", err)
+	}
+	if _, err := os.Stat(deleted); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("decode -repair=false or scrub wrote the deleted strip file: %v", err)
+	}
+	restoreMatches(t, shards, data, "-faults", "seed=5,torn@3.2")
+	if err := runVerify([]string{"-dir", shards}); err == nil || !strings.Contains(err.Error(), "stripe 3 ") {
+		t.Fatalf("verify after a torn rebuild write of stripe 3: got %v, want stripe 3 flagged", err)
+	}
+	if err := runScrub([]string{"-dir", shards, "-repair"}); err != nil {
+		t.Fatalf("scrub -repair: %v", err)
+	}
+	if err := runVerify([]string{"-dir", shards}); err != nil {
+		t.Fatalf("verify after scrub -repair: %v", err)
+	}
+	restoreMatches(t, shards, data)
+}
+
+// TestScrubRepairWritesThroughFaults: scrub -repair writes a healed
+// stripe back through the -faults seam, so a torn write scheduled on
+// one of its strips lands on disk. verify flags it, and a second
+// scrub -repair heals it.
+func TestScrubRepairWritesThroughFaults(t *testing.T) {
+	shards, data := encodeSmall(t)
+	flipDiskByte(t, shards, 0, 2*4*512+700) // stripe 2, row 1
+	if err := runScrub([]string{"-dir", shards, "-repair", "-faults", "seed=5,torn@2.4"}); err != nil {
+		t.Fatalf("scrub -repair with a torn write-back: %v", err)
+	}
+	if err := runVerify([]string{"-dir", shards}); err == nil || !strings.Contains(err.Error(), "stripe 2 ") {
+		t.Fatalf("verify after a torn write-back of stripe 2: got %v, want stripe 2 flagged", err)
+	}
+	if err := runScrub([]string{"-dir", shards, "-repair"}); err != nil {
+		t.Fatalf("second scrub -repair: %v", err)
+	}
+	if err := runVerify([]string{"-dir", shards}); err != nil {
+		t.Fatalf("verify after the second scrub -repair: %v", err)
+	}
+	restoreMatches(t, shards, data)
 }

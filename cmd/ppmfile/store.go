@@ -11,7 +11,6 @@ import (
 	"ppm/internal/codes"
 	"ppm/internal/fault"
 	"ppm/internal/gf"
-	"ppm/internal/stripe"
 )
 
 // checksumAlgo is the only checksum algorithm ppmfile writes; the
@@ -161,24 +160,25 @@ func codeFromManifest(mf manifest) (*codes.SD, error) {
 	return sd, nil
 }
 
-// diskStore reads and writes the per-disk strip files for one stripe at
-// a time. Strip file layout: stripe 0's r sectors, then stripe 1's, ...
+// diskStore is the one owner of a command's strip files: it alone
+// opens, creates, reads, writes and closes them, and every command
+// reads and writes strips through it as a fault.Store. Strip file
+// layout: stripe 0's strip, then stripe 1's, ... (fault.GatherStrip).
+// Reads and writes use separate handles, so decode's fill goroutine
+// (reads) and drain goroutine (rebuilt strips) share nothing mutable,
+// and a disk missing at open stays missing for reads all command long.
 type diskStore struct {
-	dir string
-	mf  manifest
-	fh  []*os.File // index by disk; nil when missing/unreadable
-	buf []byte     // one strip of scratch, reused across stripes
+	dir    string
+	mf     manifest
+	rd, wr []*os.File // by disk; rd nil when missing at open, wr until the first write
 }
 
 // errManifestExceedsStrips rejects a manifest that claims more disks
 // or more bytes per strip file than the strip files present hold.
 var errManifestExceedsStrips = errors.New("claims more than its strip files hold")
 
-// openStore opens every strip file and allocates the store's single
-// strip-sized scratch buffer. readStripe and writeStripe share it, so a
-// store must not serve reads and writes from different goroutines at
-// once — the ppmfile commands either only read (decode fill stage,
-// verify, scrub) or only write (encode drain stage) through it.
+// openStore creates every strip file for writing (encode), or opens
+// the ones present for reading.
 //
 // In read mode the manifest is checked against the strip files before
 // anything is sized from it: at most m+s of the n strip files may be
@@ -187,9 +187,9 @@ var errManifestExceedsStrips = errors.New("claims more than its strip files hold
 // strip file present. So n is bounded by the manifest's own coefficient
 // list and r by real bytes. A truncated or missing strip within those
 // bounds is left to the repair paths.
-func openStore(dir string, mf manifest, write bool) (*diskStore, error) {
+func openStore(dir string, mf manifest, create bool) (*diskStore, error) {
 	mfPath := filepath.Join(dir, manifestName)
-	if !write {
+	if !create {
 		present, err := countStrips(dir, mf.N)
 		if err != nil {
 			return nil, err
@@ -199,43 +199,36 @@ func openStore(dir string, mf manifest, write bool) (*diskStore, error) {
 				mfPath, errManifestExceedsStrips, mf.N, present, mf.M+mf.S)
 		}
 	}
-	ds := &diskStore{
-		dir: dir, mf: mf,
-		fh: make([]*os.File, mf.N),
-	}
+	ds := &diskStore{dir: dir, mf: mf, rd: make([]*os.File, mf.N), wr: make([]*os.File, mf.N)}
 	largest := int64(0)
 	for j := 0; j < mf.N; j++ {
 		path := filepath.Join(dir, diskFileName(j))
-		var f *os.File
-		var err error
-		if write {
-			f, err = os.Create(path)
-		} else {
-			f, err = os.Open(path)
-		}
-		if err != nil {
-			if write {
-				ds.Close()
-				return nil, err
-			}
-			continue // missing disk: recoverable at decode time
-		}
-		ds.fh[j] = f
-		if !write {
-			fi, err := f.Stat()
+		if create {
+			f, err := os.Create(path)
 			if err != nil {
 				ds.Close()
 				return nil, err
 			}
-			largest = max(largest, fi.Size())
+			ds.wr[j] = f
+			continue
 		}
+		f, err := os.Open(path)
+		if err != nil {
+			continue // missing disk: recoverable at decode time
+		}
+		ds.rd[j] = f
+		fi, err := f.Stat()
+		if err != nil {
+			ds.Close()
+			return nil, err
+		}
+		largest = max(largest, fi.Size())
 	}
-	if claim := int64(mf.Stripes) * int64(ds.stripBytes()); !write && claim > largest {
+	if claim := int64(mf.Stripes) * int64(ds.StripBytes()); !create && claim > largest {
 		ds.Close()
 		return nil, fmt.Errorf("%s %w: %d stripes × r=%d × sector_size=%d = %d bytes per strip file, largest present %d",
 			mfPath, errManifestExceedsStrips, mf.Stripes, mf.R, mf.SectorSize, claim, largest)
 	}
-	ds.buf = make([]byte, ds.stripBytes())
 	return ds, nil
 }
 
@@ -259,7 +252,7 @@ func countStrips(dir string, n int) (int, error) {
 // missingDisks lists disks whose strip file could not be opened.
 func (ds *diskStore) missingDisks() []int {
 	var missing []int
-	for j, f := range ds.fh {
+	for j, f := range ds.rd {
 		if f == nil {
 			missing = append(missing, j)
 		}
@@ -289,12 +282,9 @@ func (e *StripError) Unwrap() error { return e.Err }
 // Transient reports whether the underlying failure is worth retrying.
 func (e *StripError) Transient() bool { return fault.IsTransient(e.Err) }
 
-// errDiskMissing is the permanent failure a read against an unopened
-// disk surfaces: retrying cannot help, only erasure demotion can.
+// errDiskMissing is the permanent failure a read against a disk missing
+// at open surfaces: retrying cannot help, only erasure demotion can.
 var errDiskMissing = fmt.Errorf("disk missing")
-
-// stripBytes is the per-stripe byte count of one disk's strip.
-func (ds *diskStore) stripBytes() int { return ds.mf.R * ds.mf.SectorSize }
 
 // Disks, StripBytes, ReadStrip and WriteStrip implement fault.Store, so
 // a diskStore plugs straight into the fault layer: fault.NewFaultyStore
@@ -304,67 +294,39 @@ func (ds *diskStore) stripBytes() int { return ds.mf.R * ds.mf.SectorSize }
 func (ds *diskStore) Disks() int { return ds.mf.N }
 
 // StripBytes returns the per-stripe strip size in bytes.
-func (ds *diskStore) StripBytes() int { return ds.stripBytes() }
+func (ds *diskStore) StripBytes() int { return ds.mf.R * ds.mf.SectorSize }
 
 // ReadStrip reads stripe idx's strip on one disk into dst.
 func (ds *diskStore) ReadStrip(idx, disk int, dst []byte) error {
-	if disk < 0 || disk >= len(ds.fh) {
+	if disk < 0 || disk >= len(ds.rd) {
 		return &StripError{Disk: disk, Stripe: idx, Op: "read", Err: fmt.Errorf("disk out of range")}
 	}
-	f := ds.fh[disk]
+	f := ds.rd[disk]
 	if f == nil {
 		return &StripError{Disk: disk, Stripe: idx, Op: "read", Err: errDiskMissing}
 	}
-	if _, err := f.ReadAt(dst[:ds.stripBytes()], int64(idx)*int64(ds.stripBytes())); err != nil {
+	if _, err := f.ReadAt(dst[:ds.StripBytes()], int64(idx)*int64(ds.StripBytes())); err != nil {
 		return &StripError{Disk: disk, Stripe: idx, Op: "read", Err: err}
 	}
 	return nil
 }
 
-// WriteStrip writes stripe idx's strip on one disk from src.
+// WriteStrip writes stripe idx's strip on one disk from src. A disk's
+// file is opened for writing on its first write, and created if the
+// disk was missing; encode's store created them all.
 func (ds *diskStore) WriteStrip(idx, disk int, src []byte) error {
-	if disk < 0 || disk >= len(ds.fh) {
+	if disk < 0 || disk >= len(ds.wr) {
 		return &StripError{Disk: disk, Stripe: idx, Op: "write", Err: fmt.Errorf("disk out of range")}
 	}
-	f := ds.fh[disk]
-	if f == nil {
-		return &StripError{Disk: disk, Stripe: idx, Op: "write", Err: errDiskMissing}
+	var err error
+	if ds.wr[disk] == nil {
+		ds.wr[disk], err = os.OpenFile(filepath.Join(ds.dir, diskFileName(disk)), os.O_WRONLY|os.O_CREATE, 0o644)
 	}
-	if _, err := f.WriteAt(src[:ds.stripBytes()], int64(idx)*int64(ds.stripBytes())); err != nil {
+	if err == nil {
+		_, err = ds.wr[disk].WriteAt(src[:ds.StripBytes()], int64(idx)*int64(ds.StripBytes()))
+	}
+	if err != nil {
 		return &StripError{Disk: disk, Stripe: idx, Op: "write", Err: err}
-	}
-	return nil
-}
-
-// readStripe loads stripe number idx into st. A missing disk's sectors
-// keep whatever st held, so callers reject missing disks first.
-func (ds *diskStore) readStripe(idx int, st *stripe.Stripe) error {
-	for j, f := range ds.fh {
-		if f == nil {
-			continue
-		}
-		if err := ds.ReadStrip(idx, j, ds.buf); err != nil {
-			return err
-		}
-		for i := 0; i < ds.mf.R; i++ {
-			copy(st.SectorAt(i, j), ds.buf[i*ds.mf.SectorSize:(i+1)*ds.mf.SectorSize])
-		}
-	}
-	return nil
-}
-
-// writeStripe writes stripe idx from st to every open strip file.
-func (ds *diskStore) writeStripe(idx int, st *stripe.Stripe) error {
-	for j, f := range ds.fh {
-		if f == nil {
-			continue
-		}
-		for i := 0; i < ds.mf.R; i++ {
-			copy(ds.buf[i*ds.mf.SectorSize:(i+1)*ds.mf.SectorSize], st.SectorAt(i, j))
-		}
-		if err := ds.WriteStrip(idx, j, ds.buf); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -375,10 +337,12 @@ func (ds *diskStore) writeStripe(idx int, st *stripe.Stripe) error {
 // (the deferred one on a path that already closed) is a no-op.
 func (ds *diskStore) Close() error {
 	var errs []error
-	for j, f := range ds.fh {
-		if f != nil {
-			errs = append(errs, f.Close())
-			ds.fh[j] = nil
+	for _, fh := range [][]*os.File{ds.rd, ds.wr} {
+		for j, f := range fh {
+			if f != nil {
+				errs = append(errs, f.Close())
+				fh[j] = nil
+			}
 		}
 	}
 	return errors.Join(errs...)

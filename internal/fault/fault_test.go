@@ -12,6 +12,7 @@ import (
 	"ppm/internal/codes"
 	"ppm/internal/core"
 	"ppm/internal/decode"
+	"ppm/internal/gf"
 	"ppm/internal/stripe"
 )
 
@@ -199,7 +200,7 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	}
 	got := st.Clone()
 	got.FillRandom(99)
-	if err := LoadStripe(ms, 0, got); err != nil {
+	if err := LoadStripe(ms, 0, got, make([]byte, ms.StripBytes())); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Equal(got) {
@@ -208,6 +209,56 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	ms.Lose(2)
 	if err := ms.ReadStrip(0, 2, make([]byte, ms.StripBytes())); err == nil {
 		t.Fatal("lost disk still readable")
+	}
+}
+
+// TestStripLayoutPair: GatherStrip lays disk j's sectors out as
+// SectorAt reads them, row i at byte i·sectorSize, and writes exactly
+// r·sectorSize bytes of its buffer; ScatterStrip writes disk j's
+// sectors alone, and scatter then gather returns the input. One-row
+// (LRC over GF(2^32)) and four-row (SD) strips.
+func TestStripLayoutPair(t *testing.T) {
+	lrc, err := codes.NewLRCInField(6, 2, 2, gf.GF32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := codes.NewSD(6, 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []codes.Code{lrc, sd} {
+		orig, err := stripe.New(c.NumStrips(), c.NumRows(), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig.FillRandom(5)
+		stripBytes := orig.R() * 64
+		for j := 0; j < orig.N(); j++ {
+			buf := bytes.Repeat([]byte{0xA5}, stripBytes+64)
+			strip := GatherStrip(buf, orig, j)
+			for i := 0; i < orig.R(); i++ {
+				if !bytes.Equal(strip[i*64:(i+1)*64], orig.SectorAt(i, j)) {
+					t.Fatalf("%s disk %d: row %d is not at byte %d of the strip", c.Name(), j, i, i*64)
+				}
+			}
+			if len(strip) != stripBytes || !bytes.Equal(buf[stripBytes:], bytes.Repeat([]byte{0xA5}, 64)) {
+				t.Fatalf("%s disk %d: gather returned %d bytes or wrote past r·sectorSize = %d", c.Name(), j, len(strip), stripBytes)
+			}
+
+			in := bytes.Repeat([]byte{byte(j + 1), 0x3C, 0x81}, stripBytes)[:stripBytes]
+			st := orig.Clone()
+			ScatterStrip(st, j, in)
+			if !bytes.Equal(GatherStrip(buf, st, j), in) {
+				t.Fatalf("%s disk %d: scatter then gather did not return the input", c.Name(), j)
+			}
+			for d := 0; d < st.N(); d++ {
+				for i := 0; i < st.R() && d != j; i++ {
+					if !bytes.Equal(st.SectorAt(i, d), orig.SectorAt(i, d)) {
+						t.Fatalf("%s: scatter to disk %d changed sector (row %d, disk %d)", c.Name(), j, i, d)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -310,12 +310,8 @@ func (h *Healer) readStrip(ctx context.Context, idx, j int, st *stripe.Stripe) e
 		}
 		return err
 	}
-	if inPlace {
-		return nil
-	}
-	sector := st.SectorSize()
-	for i := 0; i < st.R(); i++ {
-		copy(st.SectorAt(i, j), buf[i*sector:(i+1)*sector])
+	if !inPlace {
+		ScatterStrip(st, j, buf)
 	}
 	return nil
 }

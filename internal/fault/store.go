@@ -98,8 +98,9 @@ func (m *MemStore) WriteStrip(idx, disk int, src []byte) error {
 // prefix of the strip plus garbage and report success — the write
 // *looks* clean and only a checksummed read or scrub catches it.
 //
-// A FaultyStore is not safe for concurrent use (the schedule counts
-// firings); give each goroutine its own Clone of the schedule.
+// The schedule and the rng are locked, so reads and writes may run on
+// different goroutines, as ppmfile decode's fill and drain do; firings
+// stay replayable while no two goroutines visit one (stripe, disk).
 type FaultyStore struct {
 	inner Store
 	sched *Schedule
@@ -183,36 +184,50 @@ func (fs *FaultyStore) WriteStrip(idx, disk int, src []byte) error {
 	return fs.inner.WriteStrip(idx, disk, src)
 }
 
+// GatherStrip copies disk j's sectors of the row-major stripe st into
+// dst in strip layout, row i at byte i·sectorSize, and returns the
+// r·sectorSize bytes it wrote. It and ScatterStrip are the one place
+// that layout is written.
+func GatherStrip(dst []byte, st *stripe.Stripe, j int) []byte {
+	sector := st.SectorSize()
+	dst = dst[:st.R()*sector]
+	for i := 0; i < st.R(); i++ {
+		copy(dst[i*sector:], st.SectorAt(i, j))
+	}
+	return dst
+}
+
+// ScatterStrip copies the strip src into disk j's sectors of st.
+func ScatterStrip(st *stripe.Stripe, j int, src []byte) {
+	sector := st.SectorSize()
+	for i := 0; i < st.R(); i++ {
+		copy(st.SectorAt(i, j), src[i*sector:(i+1)*sector])
+	}
+}
+
 // StoreStripe writes every strip of stripe idx from st into s — the
 // plain (non-pipelined) encode-side helper tests and the chaos harness
 // use to populate a store.
 func StoreStripe(s Store, idx int, st *stripe.Stripe) error {
 	buf := make([]byte, s.StripBytes())
-	sector := st.SectorSize()
 	for j := 0; j < st.N(); j++ {
-		for i := 0; i < st.R(); i++ {
-			copy(buf[i*sector:(i+1)*sector], st.SectorAt(i, j))
-		}
-		if err := s.WriteStrip(idx, j, buf); err != nil {
+		if err := s.WriteStrip(idx, j, GatherStrip(buf, st, j)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// LoadStripe reads every strip of stripe idx into st, with no retries
-// and no checksum verification — the raw counterpart of
-// Healer.ReadStripe.
-func LoadStripe(s Store, idx int, st *stripe.Stripe) error {
-	buf := make([]byte, s.StripBytes())
-	sector := st.SectorSize()
+// LoadStripe reads every strip of stripe idx into st through buf, one
+// strip of scratch, with no retries and no checksum verification — the
+// raw counterpart of Healer.ReadStripe. A loop that passes the same buf
+// for every stripe allocates nothing.
+func LoadStripe(s Store, idx int, st *stripe.Stripe, buf []byte) error {
 	for j := 0; j < st.N(); j++ {
 		if err := s.ReadStrip(idx, j, buf); err != nil {
 			return err
 		}
-		for i := 0; i < st.R(); i++ {
-			copy(st.SectorAt(i, j), buf[i*sector:(i+1)*sector])
-		}
+		ScatterStrip(st, j, buf)
 	}
 	return nil
 }

@@ -41,7 +41,8 @@ import (
 // (the batch path; slab is nil when the engine was built without
 // slabs). Returning (nil, nil) ends the stream. Next runs on the
 // engine's fill goroutine (at Depth 1, the goroutine that called Run),
-// never concurrently with itself.
+// never concurrently with itself. A panic in Next fails the run at that
+// stripe, as an error would.
 //
 // A slab is never zeroed: it holds the bytes of an earlier stripe of
 // this run, or of another engine's run. Next must write every sector
@@ -55,7 +56,8 @@ type Source interface {
 // successful stripe, in strictly increasing index order, from the
 // goroutine that called Run — never concurrently with itself. Drain
 // must not keep st after it returns: a slab goes back to the fill
-// stage at once, and to another engine once this one is closed.
+// stage at once, and to another engine once this one is closed. A
+// panic in Drain fails the run at that stripe, as an error would.
 type Sink interface {
 	Drain(idx int, st *stripe.Stripe) error
 }
@@ -87,12 +89,9 @@ type Config struct {
 	// Workers is the number of compute shards pulling stripes off the
 	// fill stage, each on its own goroutine for the engine's lifetime;
 	// <= 0 selects NumCPU. A Depth-1 engine has no shards and resolves
-	// Workers to 1.
+	// Workers to 1. Each stripe's plan runs at T = 1: the pipeline
+	// parallelises across stripes, not within them.
 	Workers int
-	// Threads is the per-stripe worker count for the plan's parallel
-	// phase; <= 0 selects 1 (the pipeline parallelises across stripes,
-	// not within them).
-	Threads int
 	// Stats, when non-nil, accumulates mult_XORs across the stream.
 	Stats *kernel.Stats
 }
@@ -190,9 +189,6 @@ func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, 
 			cfg.Depth = cfg.Workers
 		}
 	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = 1
-	}
 	if sectorSize > 0 && sectorSize%c.Field().WordBytes() != 0 {
 		return nil, fmt.Errorf("pipeline: sector size %d not a multiple of GF(2^%d) words",
 			sectorSize, c.Field().W())
@@ -204,7 +200,7 @@ func New(c codes.Code, sc codes.Scenario, sectorSize int, cfg Config) (*Engine, 
 		free: make(chan *job, cfg.Depth),
 	}
 	e.dec = core.NewDecoder(c,
-		core.WithThreads(cfg.Threads),
+		core.WithThreads(1),
 		core.WithStats(cfg.Stats))
 	if len(sc.Faulty) > 0 {
 		plan, err := core.BuildPlan(c, sc, core.StrategyAuto)
@@ -385,7 +381,7 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 			}
 		}
 		if firstErr == nil && !stopped {
-			switch derr := dst.Drain(j.idx, j.st); {
+			switch derr := drainSafe(dst, j.idx, j.st); {
 			case derr == nil:
 				drained++
 				e.stripes.Add(1)
@@ -418,9 +414,9 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 
 // runInline is a Depth-1 engine's run: each stripe is filled, computed
 // and drained in turn on the Run goroutine, through the same
-// Next/computeSafe/Drain calls as the staged path, so output order, the
-// lowest-index error, Stop and cancellation at stripe boundaries all
-// behave as they do there. Nothing waits on another stage, so no stall
+// nextSafe/computeSafe/drainSafe calls as the staged path, so output
+// order, the lowest-index error, Stop and cancellation at stripe
+// boundaries all behave as they do there. Nothing waits on another stage, so no stall
 // is counted.
 //
 //ppm:hotpath
@@ -432,7 +428,7 @@ func (e *Engine) runInline(slab *stripe.Stripe, dst Sink) (int, error) {
 			return idx, e.ctx.Err()
 		default:
 		}
-		st, err := e.src.Next(idx, slab)
+		st, err := e.nextSafe(idx, slab)
 		if err == nil && st == nil {
 			return idx, nil
 		}
@@ -440,7 +436,7 @@ func (e *Engine) runInline(slab *stripe.Stripe, dst Sink) (int, error) {
 			err = e.computeSafe(idx, st)
 		}
 		if err == nil {
-			switch err = dst.Drain(idx, st); {
+			switch err = drainSafe(dst, idx, st); {
 			case err == nil:
 				e.stripes.Add(1)
 				continue
@@ -495,7 +491,7 @@ func (e *Engine) fillOne() {
 		if j == nil {
 			break
 		}
-		st, err := e.src.Next(idx, j.slab)
+		st, err := e.nextSafe(idx, j.slab)
 		if err != nil {
 			// A fill failure takes the job's error slot straight to the
 			// drain stage; compute never sees it.
@@ -555,16 +551,32 @@ func (e *Engine) computeLoop() {
 	}
 }
 
-// computeSafe converts a compute panic into the stripe's error, so the
-// drain stage always receives an outcome for every in-flight stripe —
-// a panicking stripe can fail its Run but never wedge it.
+// nextSafe, computeSafe and drainSafe run one stage's call for stripe
+// idx and turn a panic in it into that stripe's error, so the drain
+// stage receives an outcome for every in-flight stripe and every job
+// returns to the free list: a panicking Source, plan or Sink can fail
+// its Run but never wedge the engine or kill the process.
+func (e *Engine) nextSafe(idx int, slab *stripe.Stripe) (st *stripe.Stripe, err error) {
+	defer recoverStripe("source", idx, &err)
+	return e.src.Next(idx, slab)
+}
+
 func (e *Engine) computeSafe(idx int, st *stripe.Stripe) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("compute stripe %d panicked: %v", idx, r)
-		}
-	}()
+	defer recoverStripe("compute", idx, &err)
 	return e.compute(idx, st)
+}
+
+func drainSafe(dst Sink, idx int, st *stripe.Stripe) (err error) {
+	defer recoverStripe("sink", idx, &err)
+	return dst.Drain(idx, st)
+}
+
+// recoverStripe, deferred by a stage call, sets *err to the panic the
+// call raised for stripe idx, if any.
+func recoverStripe(stage string, idx int, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("%s stripe %d panicked: %v", stage, idx, r)
+	}
 }
 
 func (e *Engine) compute(idx int, st *stripe.Stripe) error {

@@ -435,6 +435,89 @@ func testEngineReuseAfterError(t *testing.T, depth int) {
 	}
 }
 
+// panicSource panics at a chosen index and ends the stream at count.
+type panicSource struct{ at, count int }
+
+func (s *panicSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) {
+	if idx == s.at {
+		panic("source failed")
+	}
+	if idx >= s.count {
+		return nil, nil
+	}
+	return slab, nil
+}
+
+// panicSink panics at a chosen index.
+type panicSink struct{ at int }
+
+func (s panicSink) Drain(idx int, _ *stripe.Stripe) error {
+	if idx == s.at {
+		panic("sink failed")
+	}
+	return nil
+}
+
+// TestStagePanicFailsStripe: a panic in Source.Next or Sink.Drain fails
+// the run at that stripe, with an error naming it, after draining the
+// stripes before it; every job returns to the free list, and the same
+// engine then runs a clean stream to the end.
+func TestStagePanicFailsStripe(t *testing.T) {
+	atDepths(t, 4, testStagePanicFailsStripe)
+}
+
+func testStagePanicFailsStripe(t *testing.T, depth int) {
+	sd := testSD(t)
+	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	runs := []struct {
+		stage string
+		src   Source
+		dst   Sink
+	}{
+		{"source", &panicSource{at: 3, count: 8}, &recordSink{}},
+		{"sink", &constSource{count: 8}, panicSink{at: 3}},
+	}
+	for _, r := range runs {
+		n, err := e.Run(r.src, r.dst)
+		if err == nil || !strings.Contains(err.Error(), r.stage+" stripe 3 panicked") {
+			t.Fatalf("%s panic at stripe 3: got %v, want that stripe's error", r.stage, err)
+		}
+		if n != 3 {
+			t.Fatalf("%s panic at stripe 3: drained %d stripes, want 3", r.stage, n)
+		}
+		if got := len(e.free); got != e.cfg.Depth || !e.Healthy() {
+			t.Fatalf("after a %s panic: %d of %d jobs free, healthy %v", r.stage, got, e.cfg.Depth, e.Healthy())
+		}
+		sink := &recordSink{}
+		done := make(chan error, 1)
+		go func() {
+			n, err := e.Run(&constSource{count: 6}, sink)
+			if err == nil && n != 6 {
+				err = fmt.Errorf("drained %d stripes, want 6", n)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run after a %s panic: %v", r.stage, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run after a %s panic still blocked after 10s", r.stage)
+		}
+		for i, idx := range sink.idxs {
+			if idx != i {
+				t.Fatalf("run after a %s panic drained %v, want 0..5 in order", r.stage, sink.idxs)
+			}
+		}
+	}
+}
+
 // TestClosedEngineRejectsRun: Run after Close errors instead of
 // deadlocking or panicking.
 func TestClosedEngineRejectsRun(t *testing.T) {
