@@ -78,7 +78,9 @@ verify-plans:
 
 # Short differential-fuzz burst over every fuzz target. Each target
 # needs its own `go test -fuzz` invocation (the tool refuses multiple
-# matches), so the list is explicit.
+# matches), so the list is explicit. FuzzStreamRoundTrip runs a second
+# time under -race: its bytes.Reader inputs are filled by several
+# compute shards at once.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/gf -run=^$$ -fuzz=FuzzMulAgainstReference -fuzztime=$(FUZZTIME)
@@ -90,6 +92,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fault -run=^$$ -fuzz=FuzzChecksumSector -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/repair -run=^$$ -fuzz=FuzzDecodeScenario -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pipeline -run=^$$ -fuzz=FuzzStreamRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test -race ./internal/pipeline -run=^$$ -fuzz=FuzzStreamRoundTrip -fuzztime=$(FUZZTIME)
 
 # Pointer-safety instrumentation over the packages that sit on the
 # Go/assembly boundary.

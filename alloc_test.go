@@ -59,4 +59,22 @@ func TestRepeatedDecodeAllocationFree(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("cached Decode allocates %.1f/op, want 0", avg)
 	}
+	// The folded plan's syndrome scratch comes from the same pools.
+	folded, err := BuildPlan(sd, sc, StrategyPPMFolded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folded.Folded() == nil {
+		t.Fatal("the worst case has no H_rest to fold")
+	}
+	if err := dec.DecodeWithPlan(folded, st); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := dec.DecodeWithPlan(folded, st); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("DecodeWithPlan of a folded plan allocates %.1f/op, want 0", avg)
+	}
 }

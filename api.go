@@ -40,13 +40,17 @@ type Plan = core.Plan
 type Strategy = core.Strategy
 
 // Planning strategies. StrategyAuto performs the paper's full cost
-// optimisation (falling back to the whole-matrix MatrixFirst decode in
-// the rare configurations where C2 < C4); StrategyPPM is the production
-// fast path; the whole-matrix strategies are the traditional baselines.
+// optimisation plus the fold: it picks the strictly cheapest of the
+// whole-matrix MatrixFirst decode (C2, in the rare configurations where
+// the partition does not pay off), the folded PPM plan (C5) and PPM
+// (C4). StrategyPPM is the paper's C4 plan and the Decoder default;
+// StrategyPPMFolded always folds H_rest's syndrome into the groups; the
+// whole-matrix strategies are the traditional baselines.
 const (
 	StrategyAuto             = core.StrategyAuto
 	StrategyPPM              = core.StrategyPPM
 	StrategyPPMC3            = core.StrategyPPMMatrixFirstRest
+	StrategyPPMFolded        = core.StrategyPPMFolded
 	StrategyWholeNormal      = core.StrategyWholeNormal
 	StrategyWholeMatrixFirst = core.StrategyWholeMatrixFirst
 )
@@ -244,7 +248,10 @@ type StreamResult = pipeline.Result
 // DecodeStream helpers cover the common one-shot reader/writer case.
 type StreamEngine = pipeline.Engine
 
-// StreamSource feeds stripes into a StreamEngine in index order.
+// StreamSource feeds stripes into a StreamEngine in index order. A
+// source that also has a ConcurrentNext() bool method returning true
+// declares Next safe on distinct indices at once, and a staged engine
+// then fills each stripe on the shard that computes it.
 type StreamSource = pipeline.Source
 
 // StreamSink receives processed stripes in strict stripe order.

@@ -462,16 +462,19 @@ func scrubChecksummed(mf manifest, sd *codes.SD, missing []int, store fault.Stor
 	stripeBytes := mf.N * len(buf)
 	repaired := 0
 	ctx := context.Background()
+	var damaged []int
 	for idx := 0; idx < mf.Stripes; idx++ {
-		before := healer.Stats
 		if err := healer.ReadStripe(ctx, idx, st); err != nil {
 			return fmt.Errorf("scrub: stripe %d is unrecoverable: %w", idx, err)
 		}
-		damaged := healer.Stats.DemotedStrips > before.DemotedStrips ||
-			healer.Stats.CorruptSectors > before.CorruptSectors
-		if damaged && cfg.repair {
-			if err := storeStripe(store, idx, st, buf); err != nil {
-				return fmt.Errorf("scrub: writing healed stripe %d back: %w", idx, err)
+		// Only the damaged strips are written back: rewriting a clean
+		// strip could only damage it.
+		damaged = healer.DamagedDisks(damaged[:0])
+		if len(damaged) > 0 && cfg.repair {
+			for _, j := range damaged {
+				if err := store.WriteStrip(idx, j, fault.GatherStrip(buf, st, j)); err != nil {
+					return fmt.Errorf("scrub: writing healed stripe %d disk %d back: %w", idx, j, err)
+				}
 			}
 			repaired++
 		}
@@ -518,7 +521,9 @@ func scrubSyndrome(mf manifest, sd *codes.SD, store fault.Store, repair bool) er
 				if _, err := decode.ScrubAndRepair(sd, st, decode.Options{}); err != nil {
 					return err
 				}
-				if err := storeStripe(store, idx, st, buf); err != nil {
+				// Only the located sector's strip changed.
+				disk := res.Sector % mf.N
+				if err := store.WriteStrip(idx, disk, fault.GatherStrip(buf, st, disk)); err != nil {
 					return err
 				}
 				fmt.Printf("stripe %d: repaired and written back\n", idx)

@@ -61,22 +61,12 @@ type storeSink struct {
 }
 
 func (k *storeSink) Drain(idx int, st *stripe.Stripe) error {
-	if err := storeStripe(k.store, idx, st, k.buf); err != nil {
-		return err
-	}
-	k.sums = append(k.sums, fault.SectorChecksums(st))
-	return nil
-}
-
-// storeStripe writes every strip of stripe idx through s, gathering
-// each into buf, one strip of scratch: encode's sink and scrub's
-// write-back.
-func storeStripe(s fault.Store, idx int, st *stripe.Stripe, buf []byte) error {
 	for j := 0; j < st.N(); j++ {
-		if err := s.WriteStrip(idx, j, fault.GatherStrip(buf, st, j)); err != nil {
+		if err := k.store.WriteStrip(idx, j, fault.GatherStrip(k.buf, st, j)); err != nil {
 			return err
 		}
 	}
+	k.sums = append(k.sums, fault.SectorChecksums(st))
 	return nil
 }
 

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ppm/internal/fault"
 )
 
 func writeInput(t *testing.T, dir string, size int) (string, []byte) {
@@ -770,14 +772,24 @@ func TestDecodeRepairWritesThroughFaults(t *testing.T) {
 }
 
 // TestScrubRepairWritesThroughFaults: scrub -repair writes a healed
-// stripe back through the -faults seam, so a torn write scheduled on
-// one of its strips lands on disk. verify flags it, and a second
-// scrub -repair heals it.
+// stripe's damaged strip back through the -faults seam, so a torn write
+// scheduled on it lands on disk. verify flags it, and a second scrub
+// -repair heals it. The clean strips are not written at all: the torn
+// write scheduled on disk 4 never happens, and its bytes stay as they
+// were.
 func TestScrubRepairWritesThroughFaults(t *testing.T) {
 	shards, data := encodeSmall(t)
 	flipDiskByte(t, shards, 0, 2*4*512+700) // stripe 2, row 1
-	if err := runScrub([]string{"-dir", shards, "-repair", "-faults", "seed=5,torn@2.4"}); err != nil {
+	disk4 := filepath.Join(shards, diskFileName(4))
+	before, err := os.ReadFile(disk4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runScrub([]string{"-dir", shards, "-repair", "-faults", "seed=5,torn@2.0,torn@2.4"}); err != nil {
 		t.Fatalf("scrub -repair with a torn write-back: %v", err)
+	}
+	if after, err := os.ReadFile(disk4); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("scrub -repair rewrote clean disk 4 (read error %v)", err)
 	}
 	if err := runVerify([]string{"-dir", shards}); err == nil || !strings.Contains(err.Error(), "stripe 2 ") {
 		t.Fatalf("verify after a torn write-back of stripe 2: got %v, want stripe 2 flagged", err)
@@ -789,4 +801,54 @@ func TestScrubRepairWritesThroughFaults(t *testing.T) {
 		t.Fatalf("verify after the second scrub -repair: %v", err)
 	}
 	restoreMatches(t, shards, data)
+}
+
+// recordingStore records the strips written through it.
+type recordingStore struct {
+	fault.Store
+	writes [][2]int // (stripe, disk)
+}
+
+func (r *recordingStore) WriteStrip(idx, disk int, src []byte) error {
+	r.writes = append(r.writes, [2]int{idx, disk})
+	return r.Store.WriteStrip(idx, disk, src)
+}
+
+// TestScrubRepairWritesOnlyDamagedStrips: both scrubs write back
+// exactly the one strip a flipped byte damaged, not the whole stripe.
+func TestScrubRepairWritesOnlyDamagedStrips(t *testing.T) {
+	for _, checksummed := range []bool{true, false} {
+		shards, _ := encodeSmall(t)
+		flipDiskByte(t, shards, 3, 2*4*512+700) // stripe 2, row 1, disk 3
+		mf, err := readManifest(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := openStore(shards, mf, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd, err := codeFromManifest(mf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingStore{Store: ds}
+		if checksummed {
+			err = scrubChecksummed(mf, sd, nil, rec, scrubConfig{repair: true, policy: retryPolicy(1, 0)})
+		} else {
+			err = scrubSyndrome(mf, sd, rec, true)
+		}
+		if cerr := ds.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("checksummed %v: %v", checksummed, err)
+		}
+		if len(rec.writes) != 1 || rec.writes[0] != [2]int{2, 3} {
+			t.Fatalf("checksummed %v: scrub -repair wrote strips %v, want only stripe 2 disk 3", checksummed, rec.writes)
+		}
+		if err := runVerify([]string{"-dir", shards}); err != nil {
+			t.Fatalf("checksummed %v: verify after the repair: %v", checksummed, err)
+		}
+	}
 }

@@ -42,7 +42,7 @@ func main() {
 		z      = flag.Int("z", 1, "rows holding the extra sector failures (sd/pmds)")
 		seed   = flag.Int64("seed", 1, "scenario RNG seed")
 		enc    = flag.Bool("encode", false, "inspect the encoding plan instead")
-		strat  = flag.String("strategy", "auto", "auto, ppm, ppm-c3, whole-normal, whole-matrix-first")
+		strat  = flag.String("strategy", "auto", "auto, ppm, ppm-c3, ppm-folded, whole-normal, whole-matrix-first")
 		v      = flag.Bool("v", false, "print the sub-matrices")
 		showH  = flag.Bool("H", false, "print the full parity-check matrix")
 		audit  = flag.Int("audit", 0, "run a fault-tolerance census up to this many simultaneous failures")
@@ -157,6 +157,8 @@ func parseStrategy(s string) (core.Strategy, error) {
 		return core.StrategyPPM, nil
 	case "ppm-c3":
 		return core.StrategyPPMMatrixFirstRest, nil
+	case "ppm-folded":
+		return core.StrategyPPMFolded, nil
 	case "whole-normal":
 		return core.StrategyWholeNormal, nil
 	case "whole-matrix-first":

@@ -94,6 +94,7 @@ func TestParseStrategy(t *testing.T) {
 		"auto":               core.StrategyAuto,
 		"ppm":                core.StrategyPPM,
 		"ppm-c3":             core.StrategyPPMMatrixFirstRest,
+		"ppm-folded":         core.StrategyPPMFolded,
 		"whole-normal":       core.StrategyWholeNormal,
 		"whole-matrix-first": core.StrategyWholeMatrixFirst,
 	}

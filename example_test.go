@@ -38,8 +38,9 @@ func ExampleNewSD() {
 	// Output: recovered: true
 }
 
-// ExampleBuildPlan inspects the paper's worked example: the partition
-// and the four calculation-sequence costs of §III-B.
+// ExampleBuildPlan inspects the paper's worked example: the partition,
+// the four calculation-sequence costs of §III-B, and the folded plan's
+// C5, which Auto picks.
 func ExampleBuildPlan() {
 	code, err := ppm.NewSD(4, 4, 1, 1)
 	if err != nil {
@@ -53,9 +54,10 @@ func ExampleBuildPlan() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("p=%d C1=%d C2=%d C3=%d C4=%d chosen=%d\n",
-		plan.Partition.P(), plan.Costs.C1, plan.Costs.C2, plan.Costs.C3, plan.Costs.C4, plan.Costs.Chosen)
-	// Output: p=3 C1=35 C2=31 C3=37 C4=29 chosen=29
+	fmt.Printf("p=%d C1=%d C2=%d C3=%d C4=%d C5=%d chosen=%d (%v)\n",
+		plan.Partition.P(), plan.Costs.C1, plan.Costs.C2, plan.Costs.C3, plan.Costs.C4, plan.Costs.C5,
+		plan.Costs.Chosen, plan.Costs.Strategy)
+	// Output: p=3 C1=35 C2=31 C3=37 C4=29 C5=26 chosen=26 (ppm-folded)
 }
 
 // ExampleCensus reproduces the Azure LRC fault-tolerance profile.

@@ -105,7 +105,8 @@ func TestPartitionPaperExample(t *testing.T) {
 }
 
 // TestCostsPaperExample pins all four §III-B costs of the worked
-// example: C1 = 35, C2 = 31, C3 = 37, C4 = 29, reduction 17.14%.
+// example: C1 = 35, C2 = 31, C3 = 37, C4 = 29, reduction 17.14%; and
+// the folded plan's C5 = 26, which Auto picks.
 func TestCostsPaperExample(t *testing.T) {
 	sd := paperSD(t)
 	sc := paperScenario(t, sd)
@@ -117,9 +118,9 @@ func TestCostsPaperExample(t *testing.T) {
 	if c.C1 != 35 || c.C2 != 31 || c.C3 != 37 || c.C4 != 29 {
 		t.Fatalf("C1..C4 = %d %d %d %d, paper says 35 31 37 29", c.C1, c.C2, c.C3, c.C4)
 	}
-	// C4 < C2 here, so Auto resolves to PPM and the chosen cost is C4.
-	if c.Strategy != StrategyPPM || c.Chosen != 29 {
-		t.Fatalf("chosen = %d via %v, want 29 via ppm", c.Chosen, c.Strategy)
+	// C5 < C4 < C2 here, so Auto resolves to the folded plan.
+	if c.C5 != 26 || c.Strategy != StrategyPPMFolded || c.Chosen != 26 {
+		t.Fatalf("C5 = %d, chosen = %d via %v, want 26 via ppm-folded", c.C5, c.Chosen, c.Strategy)
 	}
 	// Reduction (C1-C4)/C1 = 6/35 = 17.14%.
 	if reduction := float64(c.C1-c.C4) / float64(c.C1); reduction < 0.171 || reduction > 0.172 {
@@ -558,10 +559,11 @@ func TestPartitionCases(t *testing.T) {
 // TestAutoFallsBackToWholeMatrixFirst: the paper observes that in ~5%
 // of configurations (small n, large m) C2 < C4 and the optimiser should
 // keep the whole matrix with the MatrixFirst sequence. The Figure 4
-// grid puts SD n=6, m=3, s=3 in that region (C2/C1 = 0.57 < C4/C1 =
-// 0.62); Auto must resolve to the C2 plan there.
+// grid puts SD n=6, m=3, s=3 in that region. At r = 16 the folded plan
+// undercuts C2 there, so the test takes r = 4, where C2 = 81 beats both
+// C4 = 117 and C5 = 90; Auto must resolve to the C2 plan.
 func TestAutoFallsBackToWholeMatrixFirst(t *testing.T) {
-	sd, err := codes.NewSD(6, 16, 3, 3)
+	sd, err := codes.NewSD(6, 4, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,8 +576,9 @@ func TestAutoFallsBackToWholeMatrixFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Costs.C2 >= plan.Costs.C4 {
-		t.Fatalf("expected C2 < C4 at n=6 m=3 s=3, got C2=%d C4=%d", plan.Costs.C2, plan.Costs.C4)
+	if plan.Costs.C2 >= plan.Costs.C4 || plan.Costs.C2 >= plan.Costs.C5 {
+		t.Fatalf("expected C2 < C4, C5 at n=6 r=4 m=3 s=3, got C2=%d C4=%d C5=%d",
+			plan.Costs.C2, plan.Costs.C4, plan.Costs.C5)
 	}
 	if plan.Costs.Strategy != StrategyWholeMatrixFirst {
 		t.Fatalf("Auto resolved to %v, want whole-matrix-first", plan.Costs.Strategy)

@@ -41,6 +41,7 @@ func (p *Plan) Describe(verbose bool) string {
 	costLine("C2 (whole, matrix-first)", c.C2, c.Strategy == StrategyWholeMatrixFirst)
 	costLine("C3 (ppm, matrix-first rest)", c.C3, c.Strategy == StrategyPPMMatrixFirstRest)
 	costLine("C4 (ppm, normal rest)", c.C4, c.Strategy == StrategyPPM)
+	costLine("C5 (ppm, rest syndrome folded into the groups)", c.C5, c.Strategy == StrategyPPMFolded)
 	if c.C1 != CostUnknown && c.C4 != CostUnknown && c.C1 > 0 {
 		fmt.Fprintf(&b, "  reduction (C1-C4)/C1 = %.2f%%\n", 100*float64(c.C1-c.C4)/float64(c.C1))
 	}
@@ -56,6 +57,14 @@ func (p *Plan) Describe(verbose bool) string {
 			fmt.Fprintf(&b, "\nHrest (%v): recover %v from %v\n", p.Rest.Seq, p.Rest.FaultyCols, p.Rest.SurvivorCols)
 			fmt.Fprintf(&b, "Frest^-1:\n%s", p.Rest.Finv.String())
 			fmt.Fprintf(&b, "Srest:\n%s", p.Rest.S.String())
+		}
+		if fd := p.fold; fd != nil {
+			for i := range fd.Groups {
+				if fg := &fd.Groups[i]; fg.Syn != nil {
+					fmt.Fprintf(&b, "\nH%d folds Srest rows %v:\n%s", i, fg.Rows, fg.Syn.String())
+				}
+			}
+			fmt.Fprintf(&b, "\nHrest keeps Srest columns %v:\n%s", fd.OwnCols, fd.Own.String())
 		}
 		if p.Whole != nil {
 			fmt.Fprintf(&b, "\nwhole-matrix decode (%v): recover %v\n", p.Whole.Seq, p.Whole.FaultyCols)

@@ -46,7 +46,7 @@ func ExecuteRange(p *Plan, st *stripe.Stripe, lo, hi int, stats *kernel.Stats) e
 // executeSpan is the one executor body: Algorithm 1 over the [lo, hi)
 // byte range of every sector. Thread (g mod T) takes group g, then the
 // serial tail runs: H_rest, or the single sub-decode of a whole-matrix
-// plan.
+// plan. A folded plan runs its own sequence instead (fold.go).
 func executeSpan(p *Plan, st *stripe.Stripe, threads, lo, hi int, stats *kernel.Stats) (err error) {
 	// View preparation indexes the stripe with the plan's column lists;
 	// a malformed plan surfaces as an error, like every other failure.
@@ -60,6 +60,10 @@ func executeSpan(p *Plan, st *stripe.Stripe, threads, lo, hi int, stats *kernel.
 
 	for i := range p.Groups {
 		s.add(&p.Groups[i], st)
+	}
+	if p.fold != nil {
+		own, out := s.sectorViews(st, p.fold.OwnCols), s.sectorViews(st, p.Rest.FaultyCols)
+		return s.fold(p, st.SectorSize(), own, out, threads)
 	}
 	tail := p.Rest
 	if p.Whole != nil {

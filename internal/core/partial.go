@@ -19,7 +19,7 @@ import (
 // Groups are copies of the selected groups, in plan order, and its Rest
 // is the plan's own H_rest when selected, so it shares their compiled
 // matrices, recompiles nothing and runs through the same executor. Its
-// Costs.Chosen is the selected sub-decodes' mult_XORs; C1..C4 are
+// Costs.Chosen is the selected sub-decodes' mult_XORs; C1..C5 are
 // CostUnknown. Wanted sectors that are not faulty are ignored (they are
 // readable as-is). A wanted faulty sector that no sub-decode recovers —
 // every sector of a whole-matrix plan — is an error.
@@ -31,9 +31,15 @@ func (p *Plan) Select(wanted []int) (*Plan, error) {
 	if p.Whole != nil && recoversAny(&p.Whole.SubDecode, want) {
 		return nil, fmt.Errorf("core: wanted sectors %v are faulty but belong to no sub-decode of the partition", wanted)
 	}
+	// The selection runs the C4 sub-decodes: a fold belongs to the
+	// whole plan.
+	strategy := p.Costs.Strategy
+	if strategy == StrategyPPMFolded {
+		strategy = StrategyPPM
+	}
 	sel := &Plan{
 		Scenario: p.Scenario,
-		Costs:    Costs{C1: CostUnknown, C2: CostUnknown, C3: CostUnknown, C4: CostUnknown, Strategy: p.Costs.Strategy},
+		Costs:    Costs{C1: CostUnknown, C2: CostUnknown, C3: CostUnknown, C4: CostUnknown, C5: CostUnknown, Strategy: strategy},
 	}
 	// H_rest consumes recovered group outputs as survivors: selecting it
 	// pulls in every group whose faulty columns feed it.

@@ -14,10 +14,11 @@ import (
 type Strategy int
 
 const (
-	// StrategyAuto performs the paper's full §III-B optimisation: it
-	// evaluates the exact costs C1..C4 and picks whole-matrix
-	// MatrixFirst when C2 < C4 (the ~5% of configurations where the
-	// partition does not pay off) and PPM otherwise.
+	// StrategyAuto performs the paper's full §III-B optimisation plus
+	// the fold: it evaluates the exact costs C1..C5 and picks the
+	// strictly cheapest of whole-matrix MatrixFirst (C2, the ~5% of
+	// configurations where the partition does not pay off), the folded
+	// PPM plan (C5) and PPM (C4); a tie keeps C4.
 	StrategyAuto Strategy = iota
 	// StrategyPPM always partitions: independent groups with the
 	// MatrixFirst sequence, H_rest with Normal — the C4 plan. This is
@@ -33,6 +34,11 @@ const (
 	// StrategyWholeMatrixFirst is the traditional decode with the
 	// MatrixFirst sequence — the C2 generator-matrix method.
 	StrategyWholeMatrixFirst
+	// StrategyPPMFolded is the C5 plan: PPM's groups each also add their
+	// rows of H_rest's syndrome over their own survivors, so H_rest
+	// keeps only the columns no group reads and F_rest⁻¹ (fold.go).
+	// Without an H_rest it is the C4 plan.
+	StrategyPPMFolded
 )
 
 // String names the strategy.
@@ -48,6 +54,8 @@ func (s Strategy) String() string {
 		return "whole-normal"
 	case StrategyWholeMatrixFirst:
 		return "whole-matrix-first"
+	case StrategyPPMFolded:
+		return "ppm-folded"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -59,12 +67,13 @@ func (s Strategy) String() string {
 const CostUnknown = -1
 
 // Costs is the §III-B cost model for one scenario, in mult_XORs per
-// stripe. Chosen is the predicted cost of the plan actually built; the
-// executor's measured operation count must equal it (tested).
+// stripe, plus C5, the folded plan's cost. Chosen is the predicted cost
+// of the plan actually built; the executor's measured operation count
+// must equal it (tested).
 type Costs struct {
-	C1, C2, C3, C4 int64
-	Chosen         int64
-	Strategy       Strategy
+	C1, C2, C3, C4, C5 int64
+	Chosen             int64
+	Strategy           Strategy
 }
 
 // SubDecode is one matrix-decoding operation of a plan: recover the
@@ -130,6 +139,8 @@ type Plan struct {
 	// nil for PPM strategies.
 	Whole *WholePlan
 	Costs Costs
+
+	fold *Fold // the C5 lowering, when the plan runs it (fold.go)
 }
 
 // WholePlan wraps the whole-matrix sub-decode so that a nil check
@@ -150,7 +161,7 @@ func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error
 	}
 	h := c.ParityCheck()
 	plan := &Plan{Scenario: sc}
-	plan.Costs = Costs{C1: CostUnknown, C2: CostUnknown, C3: CostUnknown, C4: CostUnknown}
+	plan.Costs = Costs{C1: CostUnknown, C2: CostUnknown, C3: CostUnknown, C4: CostUnknown, C5: CostUnknown}
 
 	if len(sc.Faulty) == 0 {
 		plan.Costs.Strategy = strategy
@@ -195,13 +206,25 @@ func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error
 		plan.Costs.C4 = groupOps + restC4
 	}
 
+	var fold *Fold
+	if strategy == StrategyAuto || strategy == StrategyPPMFolded {
+		plan.Costs.C5 = plan.Costs.C4
+		if plan.Rest != nil {
+			fold = buildFold(plan, codes.TotalSectors(c))
+			plan.Costs.C5 = plan.Costs.C4 - int64(plan.Rest.S.NNZ()) + fold.ops
+		}
+	}
+
 	// Resolve the strategy.
 	resolved := strategy
 	if strategy == StrategyAuto {
-		if plan.Costs.C2 < plan.Costs.C4 {
+		resolved = StrategyPPM
+		best := plan.Costs.C4
+		if plan.Costs.C5 < best {
+			resolved, best = StrategyPPMFolded, plan.Costs.C5
+		}
+		if plan.Costs.C2 < best {
 			resolved = StrategyWholeMatrixFirst
-		} else {
-			resolved = StrategyPPM
 		}
 	}
 	plan.Costs.Strategy = resolved
@@ -212,6 +235,12 @@ func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error
 			plan.Rest.Seq = kernel.Normal
 		}
 		plan.Costs.Chosen = plan.Costs.C4
+	case StrategyPPMFolded:
+		if plan.Rest != nil {
+			plan.Rest.Seq = kernel.Normal
+		}
+		plan.fold = fold
+		plan.Costs.Chosen = plan.Costs.C5
 	case StrategyPPMMatrixFirstRest:
 		if plan.Rest != nil {
 			plan.Rest.Seq = kernel.MatrixFirst
@@ -238,6 +267,9 @@ func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error
 	}
 	if plan.Rest != nil {
 		plan.Rest.compile(f)
+	}
+	if plan.fold != nil {
+		plan.fold.compile(f)
 	}
 	if plan.Whole != nil {
 		plan.Whole.compile(f)

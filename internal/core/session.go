@@ -34,10 +34,11 @@ type execSession struct {
 }
 
 // subJob is one sub-decode with its survivor (in) and faulty (out)
-// sector views.
+// sector views; in a folded plan, syn views the syndrome rows the
+// group adds to.
 type subJob struct {
-	sd      *SubDecode
-	in, out [][]byte
+	sd           *SubDecode
+	in, out, syn [][]byte
 }
 
 var sessionPool = sync.Pool{New: func() interface{} { return new(execSession) }}
@@ -66,6 +67,16 @@ func (s *execSession) sectorViews(st *stripe.Stripe, cols []int) [][]byte {
 	start := len(s.views)
 	for _, c := range cols {
 		s.views = append(s.views, st.Sector(c))
+	}
+	return s.views[start:len(s.views):len(s.views)]
+}
+
+// rowViews appends the regions of the listed rows to the view arena
+// and returns them as one capacity-capped slice.
+func (s *execSession) rowViews(regions [][]byte, rows []int) [][]byte {
+	start := len(s.views)
+	for _, r := range rows {
+		s.views = append(s.views, regions[r])
 	}
 	return s.views[start:len(s.views):len(s.views)]
 }

@@ -38,7 +38,7 @@ func verifyCodes(t *testing.T) []codes.Code {
 // the encoding scenario and a two-erasure scenario on each code.
 func TestBuiltPlansVerifySymbolically(t *testing.T) {
 	strategies := []core.Strategy{
-		core.StrategyAuto, core.StrategyPPM, core.StrategyPPMMatrixFirstRest,
+		core.StrategyAuto, core.StrategyPPM, core.StrategyPPMMatrixFirstRest, core.StrategyPPMFolded,
 		core.StrategyWholeNormal, core.StrategyWholeMatrixFirst,
 	}
 	for _, c := range verifyCodes(t) {

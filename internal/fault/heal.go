@@ -238,6 +238,24 @@ func (h *Healer) verifySector(idx, s int, st *stripe.Stripe, sums []uint32) bool
 	return true
 }
 
+// DamagedDisks appends to dst the disks on which the last read found
+// damage beyond the Baseline — a strip demoted after failed reads, or a
+// sector whose checksum failed — and returns the extended slice. After
+// a ReadStripe that returned nil these are the strips a repair must
+// write back; every other strip read back clean.
+func (h *Healer) DamagedDisks(dst []int) []int {
+	n := h.Code.NumStrips()
+	for j := 0; j < n; j++ {
+		for s := j; s < len(h.faulty); s += n {
+			if h.faulty[s] && !h.base[s] {
+				dst = append(dst, j)
+				break
+			}
+		}
+	}
+	return dst
+}
+
 // sums returns stripe idx's checksum row, nil when none was recorded.
 func (h *Healer) sums(idx int) []uint32 {
 	if idx < len(h.Sums) {

@@ -148,6 +148,18 @@ func (cm *CompiledMatrix) ApplyOverwrite(in, out [][]byte, stats *Stats) {
 	cm.apply(in, out, true, stats)
 }
 
+// ApplyRange is Apply, or ApplyOverwrite when overwrite is set,
+// restricted to the [lo, hi) byte range of every region and always
+// serial: for executors that split one product across byte ranges
+// themselves. It touches no byte outside the range and counts the full
+// NNZ; callers splitting one logical product pass nil stats and account
+// once.
+func (cm *CompiledMatrix) ApplyRange(in, out [][]byte, lo, hi int, overwrite bool, stats *Stats) {
+	cm.checkShape(in, out)
+	cm.applySpan(in, out, lo, hi, overwrite)
+	stats.AddMultXORs(int64(cm.nnz))
+}
+
 func (cm *CompiledMatrix) apply(in, out [][]byte, overwrite bool, stats *Stats) {
 	cm.checkShape(in, out)
 	size := regionLen(out)
@@ -179,7 +191,7 @@ func fanoutSpans(size int) [][2]int {
 // to the row blocks. overwrite selects out = M * in over out ^= M * in.
 //
 //ppm:hotpath
-//ppm:counted apply/CompiledProductRange account the full NNZ once per logical application
+//ppm:counted apply, ApplyRange and CompiledProductRange account the full NNZ once per logical application
 func (cm *CompiledMatrix) applySpan(in, out [][]byte, lo, hi int, overwrite bool) {
 	if lo >= hi {
 		return

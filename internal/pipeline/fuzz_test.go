@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 // in turn in one process, so each call's engine takes the slabs the
 // call before it gave back; that is what catches one call's bytes
 // leaking into the next. The input picks a code from a small zoo (an
-// SD, an LRC and an RS), a sector size, the depth (1–6), a seed and the
-// payload lengths. An invalid sector size — not positive, not a
+// SD, an LRC and an RS), the readers (a bytes.Reader, which the shards
+// fill from concurrently, or a Read-only wrapper, filled sequentially),
+// a sector size, the depth (1–6), a seed and the payload lengths. An invalid sector size — not positive, not a
 // multiple of 4, or so large that the stripe overflows int (every code
 // in the zoo has n·r = 32, so 1<<58 does) — must return an error from
 // both calls and never panic. A valid one must reproduce
@@ -53,9 +55,21 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add(uint8(2), uint8(9), uint8(1), int64(6), []byte{0x40, 0x01})
 	f.Add(uint8(0), uint8(10), uint8(0), int64(7), []byte{0x40, 0x01, 0x00, 0x00})
 	f.Add(uint8(2), uint8(10), uint8(4), int64(8), []byte{0x40, 0x01})
+	// The same shapes through Read-only readers.
+	f.Add(uint8(3), uint8(4), uint8(3), int64(1), []byte{0xFF, 0x1F, 0x31, 0x02, 0, 0})
+	f.Add(uint8(4), uint8(1), uint8(0), int64(2), []byte{0x00, 0x10, 0x05, 0x00})
+	f.Add(uint8(5), uint8(3), uint8(5), int64(3), []byte{0x80, 0x07, 0x80, 0x07, 0x81, 0x07})
 
 	f.Fuzz(func(t *testing.T, sel, sizeSel, depth uint8, seed int64, lens []byte) {
 		c := zoo[int(sel)%len(zoo)]
+		// A Read-only wrapper hides bytes.Reader's ReadAt and Seek.
+		readOnly := int(sel)/len(zoo)%2 == 1
+		reader := func(b []byte) io.Reader {
+			if readOnly {
+				return struct{ io.Reader }{bytes.NewReader(b)}
+			}
+			return bytes.NewReader(b)
+		}
 		size := sizes[int(sizeSel)%len(sizes)]
 		sector := size.bytes
 		cfg := Config{Depth: 1 + int(depth)%6}
@@ -78,12 +92,12 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			rng.Read(payload)
 
 			var enc bytes.Buffer
-			res, err := EncodeStream(c, &enc, bytes.NewReader(payload), sector, cfg)
+			res, err := EncodeStream(c, &enc, reader(payload), sector, cfg)
 			if !size.valid {
 				if err == nil {
 					t.Fatalf("%s: EncodeStream accepted sector size %d", c.Name(), sector)
 				}
-				if _, err := DecodeStream(c, &enc, bytes.NewReader(payload), codes.EncodingScenario(c), int64(n), sector, cfg); err == nil {
+				if _, err := DecodeStream(c, &enc, reader(payload), codes.EncodingScenario(c), int64(n), sector, cfg); err == nil {
 					t.Fatalf("%s: DecodeStream accepted sector size %d", c.Name(), sector)
 				}
 				continue
@@ -117,7 +131,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 				}
 			}
 			var dec bytes.Buffer
-			if _, err := DecodeStream(c, &dec, bytes.NewReader(images), sc, int64(n), sector, cfg); err != nil {
+			if _, err := DecodeStream(c, &dec, reader(images), sc, int64(n), sector, cfg); err != nil {
 				t.Fatalf("%s, sector %d, depth %d, %d bytes, faulty %v: DecodeStream: %v",
 					c.Name(), sector, cfg.Depth, n, sc.Faulty, err)
 			}

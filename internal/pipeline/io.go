@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"ppm/internal/codes"
 	"ppm/internal/stripe"
@@ -62,6 +63,81 @@ func (s *readerSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error
 		return nil, nil // the stream ended exactly on a stripe boundary
 	}
 	return slab, nil
+}
+
+// atReader is a stream reader that is also an io.ReaderAt and an
+// io.Seeker, with the offset it stood at when the run began. Its
+// sources read stripe idx from its own section at a fixed offset from
+// there, through the sequential sources' fill code, so they are
+// ConcurrentSources and the shards fill the stripes they compute. They
+// count the bytes they consume once per stripe, and finish then moves
+// the reader past them, where a sequential read would have left it.
+type atReader struct {
+	r    io.ReaderAt
+	seek io.Seeker
+	base int64
+	n    atomic.Int64
+}
+
+// newAtReader returns r's positioned ReaderAt form, or nil when r is
+// not an io.ReaderAt and an io.Seeker or cannot report its offset: such
+// a stream fills sequentially.
+func newAtReader(r io.Reader) *atReader {
+	ra, ok := r.(io.ReaderAt)
+	seek, ok2 := r.(io.Seeker)
+	if !ok || !ok2 {
+		return nil
+	}
+	base, err := seek.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return nil
+	}
+	return &atReader{r: ra, seek: seek, base: base}
+}
+
+// ConcurrentNext implements ConcurrentSource for the sources built on
+// an atReader.
+func (a *atReader) ConcurrentNext() bool { return true }
+
+// section returns the part of the stream stripe idx occupies, when
+// every stripe occupies size bytes.
+func (a *atReader) section(idx int, size int64) *io.SectionReader {
+	return io.NewSectionReader(a.r, a.base+int64(idx)*size, size)
+}
+
+// finish moves the reader past the bytes the run consumed. The run's
+// own error, if any, takes precedence.
+func (a *atReader) finish(runErr error) error {
+	if _, err := a.seek.Seek(a.base+a.n.Load(), io.SeekStart); err != nil && runErr == nil {
+		return fmt.Errorf("pipeline: positioning the reader after the stream: %w", err)
+	}
+	return runErr
+}
+
+// payloadAtSource is readerSource over an atReader's stripe sections.
+type payloadAtSource struct {
+	*atReader
+	data []int
+}
+
+func (s *payloadAtSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) {
+	rs := readerSource{r: s.section(idx, int64(len(s.data)*slab.SectorSize())), data: s.data}
+	st, err := rs.Next(idx, slab)
+	s.n.Add(rs.n)
+	return st, err
+}
+
+// imageAtSource is imageSource over an atReader's stripe sections.
+type imageAtSource struct {
+	*atReader
+}
+
+func (s *imageAtSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) {
+	sec := s.section(idx, int64(slab.TotalBytes()))
+	st, err := (&imageSource{r: sec}).Next(idx, slab)
+	read, _ := sec.Seek(0, io.SeekCurrent) // a SectionReader's Seek cannot fail here
+	s.n.Add(read)
+	return st, err
 }
 
 // imageSink writes full stripe images.
@@ -149,7 +225,11 @@ func checkStreamSector(sectorSize int) error {
 // stripe through the pipeline (plan compiled once, Depth stripes in
 // flight), and writes full stripe images to dst. The final stripe is
 // zero-padded; Result.Bytes reports the payload consumed, which the
-// caller needs to trim the padding after a later DecodeStream.
+// caller needs to trim the padding after a later DecodeStream. When
+// src is also an io.ReaderAt and an io.Seeker (a bytes.Reader, an
+// os.File), the compute shards read their own stripes' payload at its
+// offset from src's current position, and the run leaves src positioned
+// after the bytes it consumed.
 func EncodeStream(c codes.Code, dst io.Writer, src io.Reader, sectorSize int, cfg Config) (Result, error) {
 	if err := checkStreamSector(sectorSize); err != nil {
 		return Result{}, err
@@ -159,8 +239,14 @@ func EncodeStream(c codes.Code, dst io.Writer, src io.Reader, sectorSize int, cf
 		return Result{}, err
 	}
 	defer e.Close()
-	rs := &readerSource{r: src, data: codes.DataPositions(c)}
-	n, err := e.Run(rs, &imageSink{w: dst})
+	data := codes.DataPositions(c)
+	sink := &imageSink{w: dst}
+	if ar := newAtReader(src); ar != nil {
+		n, err := e.Run(&payloadAtSource{atReader: ar, data: data}, sink)
+		return Result{Stripes: n, Bytes: ar.n.Load()}, ar.finish(err)
+	}
+	rs := &readerSource{r: src, data: data}
+	n, err := e.Run(rs, sink)
 	return Result{Stripes: n, Bytes: rs.n}, err
 }
 
@@ -173,7 +259,8 @@ func EncodeStream(c codes.Code, dst io.Writer, src io.Reader, sectorSize int, cf
 // stops once the payload is satisfied: a short payload over a long
 // stream reads and decodes only ⌈payload/stripe payload⌉ stripes. An
 // empty scenario turns DecodeStream into an overlapped extract of an
-// intact stream.
+// intact stream. A src that is also an io.ReaderAt and an io.Seeker is
+// read by the compute shards, as EncodeStream reads one.
 func DecodeStream(c codes.Code, dst io.Writer, src io.Reader, sc codes.Scenario, payload int64, sectorSize int, cfg Config) (Result, error) {
 	if err := checkStreamSector(sectorSize); err != nil {
 		return Result{}, err
@@ -184,7 +271,13 @@ func DecodeStream(c codes.Code, dst io.Writer, src io.Reader, sc codes.Scenario,
 	}
 	defer e.Close()
 	ds := &dataSink{w: dst, data: codes.DataPositions(c), remaining: payload}
-	n, err := e.Run(&imageSource{r: src}, ds)
+	var n int
+	if ar := newAtReader(src); ar != nil {
+		n, err = e.Run(&imageAtSource{atReader: ar}, ds)
+		err = ar.finish(err)
+	} else {
+		n, err = e.Run(&imageSource{r: src}, ds)
+	}
 	if err == nil && payload > 0 && ds.remaining > 0 {
 		return Result{Stripes: n, Bytes: ds.n},
 			fmt.Errorf("pipeline: stream ended %d bytes short of the %d-byte payload", ds.remaining, payload)

@@ -10,7 +10,8 @@
 // engine exerts backpressure instead of queueing without bound and the
 // steady state performs zero heap allocations per stripe. Compute is
 // sharded stripe-by-stripe across the engine's shard goroutines;
-// per-stripe scratch comes from the core executor's pools. An engine
+// per-stripe scratch comes from the core executor's pools. The shards
+// also fill the stripes of a ConcurrentSource themselves. An engine
 // of Depth 1 has no stage goroutines: it fills, computes and drains
 // each stripe in turn on the goroutine that called Run.
 //
@@ -41,8 +42,9 @@ import (
 // (the batch path; slab is nil when the engine was built without
 // slabs). Returning (nil, nil) ends the stream. Next runs on the
 // engine's fill goroutine (at Depth 1, the goroutine that called Run),
-// never concurrently with itself. A panic in Next fails the run at that
-// stripe, as an error would.
+// never concurrently with itself, unless the source is a
+// ConcurrentSource. A panic in Next fails the run at that stripe, as an
+// error would.
 //
 // A slab is never zeroed: it holds the bytes of an earlier stripe of
 // this run, or of another engine's run. Next must write every sector
@@ -51,6 +53,28 @@ import (
 type Source interface {
 	Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error)
 }
+
+// ConcurrentSource is a Source that can declare Next safe to call on
+// distinct indices at the same time, each with its own slab. An engine
+// of Depth > 1 then fills each stripe on the compute shard that
+// computes it: the fill goroutine only hands out indices in order, and
+// the shard calls Next before computing, so fills run on every shard
+// and each stripe is computed while it is still in that core's cache.
+// A declaring source must return (nil, nil) for every index past the
+// end of its stream, since Next may be called on a few of them before
+// the engine learns where the stream ended. Output order and the error
+// contract are unchanged; a source that returns false, and every
+// source of a Depth-1 engine, fills sequentially.
+type ConcurrentSource interface {
+	Source
+	// ConcurrentNext reports whether Next is safe on distinct indices at
+	// the same time.
+	ConcurrentNext() bool
+}
+
+// errStreamEnd is a shard's outcome for an index past the end of a
+// concurrent source's stream.
+var errStreamEnd = errors.New("pipeline: end of stream")
 
 // Sink consumes processed stripes. Drain is called exactly once per
 // successful stripe, in strictly increasing index order, from the
@@ -126,11 +150,13 @@ type Engine struct {
 	sentinel *job // end-of-stream marker on order
 
 	// Per-run state, published to the fill goroutine via the start
-	// channel send (happens-before its receive). A Depth-1 engine reads
-	// it on the Run goroutine.
-	src  Source
-	ctx  context.Context
-	stop atomic.Bool
+	// channel send (happens-before its receive), and to the shards via
+	// the work channel. A Depth-1 engine reads it on the Run goroutine.
+	// shardFill marks a concurrent source: the shards fill the stripes.
+	src       Source
+	ctx       context.Context
+	shardFill bool
+	stop      atomic.Bool
 
 	// shardErr records a compute-shard failure that escaped the per-job
 	// path (a panic outside computeSafe). It poisons the engine: the
@@ -338,6 +364,8 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 		e.free <- j
 		return n, err
 	}
+	cs, ok := src.(ConcurrentSource)
+	e.shardFill = ok && cs.ConcurrentNext()
 	e.stop.Store(false)
 	e.runStart.Store(time.Now().UnixNano())
 	e.running.Store(true)
@@ -347,7 +375,9 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 	var firstErr error
 	done := ctx.Done()
 	drained := 0
-	stopped := false // a Sink returned Stop: finish draining, no error
+	// stopped: a Sink returned Stop, or a shard met a concurrent
+	// source's end. Finish recycling the jobs in flight, no error.
+	stopped := false
 	for {
 		var j *job
 		select {
@@ -368,7 +398,13 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 			err = <-j.done
 			e.drainStall.Add(int64(time.Since(t0)))
 		}
-		if firstErr == nil && !stopped && err != nil {
+		switch {
+		case firstErr != nil || stopped:
+		case err == errStreamEnd:
+			// Every later index is past the end too: drain none of them.
+			stopped = true
+			e.stop.Store(true)
+		case err != nil:
 			firstErr = fmt.Errorf("pipeline: stripe %d: %w", j.idx, err)
 			e.stop.Store(true)
 		}
@@ -459,9 +495,11 @@ func (e *Engine) fillLoop() {
 }
 
 // fillOne pulls free jobs, asks the Source for stripes in index order,
-// and hands them to compute and (in order) to the drain stage. It stops
-// on end-of-stream, source error, context cancellation, or the stop
-// flag (set by the drain stage on failure), then posts the sentinel.
+// and hands them to compute and (in order) to the drain stage. For a
+// concurrent source it hands out the indices alone, and the shards
+// fill. It stops on end-of-stream, source error, context cancellation,
+// or the stop flag (set by the drain stage on failure, Stop or a
+// concurrent source's end), then posts the sentinel.
 //
 //ppm:hotpath
 func (e *Engine) fillOne() {
@@ -491,6 +529,13 @@ func (e *Engine) fillOne() {
 		if j == nil {
 			break
 		}
+		if e.shardFill {
+			// A job without a stripe: the shard fills it (computeLoop).
+			j.idx, j.st = idx, nil
+			e.work <- j
+			e.order <- j
+			continue
+		}
 		st, err := e.nextSafe(idx, j.slab)
 		if err != nil {
 			// A fill failure takes the job's error slot straight to the
@@ -512,9 +557,11 @@ func (e *Engine) fillOne() {
 }
 
 // computeLoop is one compute shard: it applies the compiled plan to
-// stripes until Close. Once a run is stopping (error or cancellation),
-// remaining stripes pass through unprocessed — the drain stage discards
-// their results anyway.
+// stripes until Close, first filling the ones a concurrent source
+// leaves to it. Once a run is stopping (error, Stop, cancellation or
+// the end of a concurrent source), remaining stripes pass through
+// unfilled and unprocessed — the drain stage discards their results
+// anyway.
 //
 //ppm:hotpath
 func (e *Engine) computeLoop() {
@@ -546,6 +593,17 @@ func (e *Engine) computeLoop() {
 		if e.stop.Load() {
 			j.done <- nil
 			continue
+		}
+		if j.st == nil {
+			st, err := e.nextSafe(j.idx, j.slab)
+			if err == nil && st == nil {
+				err = errStreamEnd
+			}
+			if err != nil {
+				j.done <- err
+				continue
+			}
+			j.st = st
 		}
 		j.done <- e.computeSafe(j.idx, j.st)
 	}

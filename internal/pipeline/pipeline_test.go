@@ -36,6 +36,26 @@ func atDepths(t *testing.T, staged int, fn func(t *testing.T, depth int)) {
 	}
 }
 
+// declared declares a test source concurrent, so a staged engine's
+// shards fill it. Every stateless test source is safe for that, and
+// those that end return (nil, nil) for every index past the end.
+type declared struct{ Source }
+
+func (declared) ConcurrentNext() bool { return true }
+
+// atFills runs fn as atDepths does, with the test's sources as they
+// are (fill is the identity), and once more at the staged depth with
+// them declared concurrent.
+func atFills(t *testing.T, staged int, fn func(t *testing.T, depth int, fill func(Source) Source)) {
+	t.Helper()
+	atDepths(t, staged, func(t *testing.T, depth int) {
+		fn(t, depth, func(s Source) Source { return s })
+	})
+	t.Run(fmt.Sprintf("concurrent-depth=%d", staged), func(t *testing.T) {
+		fn(t, staged, func(s Source) Source { return declared{s} })
+	})
+}
+
 // payload returns size deterministic pseudo-random bytes.
 func payload(size int) []byte {
 	data := make([]byte, size)
@@ -213,10 +233,10 @@ func TestInOrderUnderOutOfOrderCompletion(t *testing.T) {
 // reported error must carry stripe 2, and only stripes 0 and 1 may
 // drain.
 func TestLowestIndexComputeErrorWins(t *testing.T) {
-	atDepths(t, 8, testLowestIndexComputeErrorWins)
+	atFills(t, 8, testLowestIndexComputeErrorWins)
 }
 
-func testLowestIndexComputeErrorWins(t *testing.T, depth int) {
+func testLowestIndexComputeErrorWins(t *testing.T, depth int, fill func(Source) Source) {
 	sd := testSD(t)
 	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth, Workers: 4})
 	if err != nil {
@@ -241,7 +261,7 @@ func testLowestIndexComputeErrorWins(t *testing.T, depth int) {
 	}
 
 	sink := &recordSink{}
-	n, err := e.Run(&constSource{count: 10}, sink)
+	n, err := e.Run(fill(&constSource{count: 10}), sink)
 	if err == nil {
 		t.Fatal("injected failures, Run returned nil")
 	}
@@ -272,10 +292,10 @@ func (s *failSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) 
 // TestFillErrorPropagates: a source failure carries its stripe index
 // and stops intake after draining the preceding stripes.
 func TestFillErrorPropagates(t *testing.T) {
-	atDepths(t, 4, testFillErrorPropagates)
+	atFills(t, 4, testFillErrorPropagates)
 }
 
-func testFillErrorPropagates(t *testing.T, depth int) {
+func testFillErrorPropagates(t *testing.T, depth int, fill func(Source) Source) {
 	sd := testSD(t)
 	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth})
 	if err != nil {
@@ -285,7 +305,7 @@ func testFillErrorPropagates(t *testing.T, depth int) {
 
 	boom := errors.New("read failed")
 	sink := &recordSink{}
-	n, err := e.Run(&failSource{at: 3, err: boom}, sink)
+	n, err := e.Run(fill(&failSource{at: 3, err: boom}), sink)
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the injected read error", err)
 	}
@@ -314,10 +334,10 @@ func (s *errSink) Drain(idx int, _ *stripe.Stripe) error {
 
 // TestDrainErrorStops: a sink failure carries its stripe index too.
 func TestDrainErrorStops(t *testing.T) {
-	atDepths(t, 4, testDrainErrorStops)
+	atFills(t, 4, testDrainErrorStops)
 }
 
-func testDrainErrorStops(t *testing.T, depth int) {
+func testDrainErrorStops(t *testing.T, depth int, fill func(Source) Source) {
 	sd := testSD(t)
 	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth})
 	if err != nil {
@@ -327,7 +347,7 @@ func testDrainErrorStops(t *testing.T, depth int) {
 
 	boom := errors.New("write failed")
 	sink := &errSink{at: 2, err: boom}
-	n, err := e.Run(&constSource{count: 8}, sink)
+	n, err := e.Run(fill(&constSource{count: 8}), sink)
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "stripe 2") {
 		t.Fatalf("got %v, want the stripe-2 write error", err)
 	}
@@ -355,10 +375,10 @@ func (s *slowSink) Drain(idx int, _ *stripe.Stripe) error {
 // stops with ctx.Err(), every job returns to the free list, and the
 // engine stays usable.
 func TestCancellationDrainsCleanly(t *testing.T) {
-	atDepths(t, 4, testCancellationDrainsCleanly)
+	atFills(t, 4, testCancellationDrainsCleanly)
 }
 
-func testCancellationDrainsCleanly(t *testing.T, depth int) {
+func testCancellationDrainsCleanly(t *testing.T, depth int, fill func(Source) Source) {
 	sd := testSD(t)
 	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth, Workers: 2})
 	if err != nil {
@@ -369,7 +389,7 @@ func testCancellationDrainsCleanly(t *testing.T, depth int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sink := &slowSink{after: 5, cancel: cancel}
-	n, err := e.RunContext(ctx, &constSource{count: 1 << 30}, sink) // effectively unbounded
+	n, err := e.RunContext(ctx, fill(&constSource{count: 1 << 30}), sink) // effectively unbounded
 	_ = n
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
@@ -380,7 +400,7 @@ func testCancellationDrainsCleanly(t *testing.T, depth int) {
 
 	// The engine is reusable after cancellation.
 	sink2 := &recordSink{}
-	n, err = e.Run(&constSource{count: 6}, sink2)
+	n, err = e.Run(fill(&constSource{count: 6}), sink2)
 	if err != nil || n != 6 {
 		t.Fatalf("post-cancel run: n=%d err=%v, want 6 stripes clean", n, err)
 	}
@@ -463,10 +483,10 @@ func (s panicSink) Drain(idx int, _ *stripe.Stripe) error {
 // stripes before it; every job returns to the free list, and the same
 // engine then runs a clean stream to the end.
 func TestStagePanicFailsStripe(t *testing.T) {
-	atDepths(t, 4, testStagePanicFailsStripe)
+	atFills(t, 4, testStagePanicFailsStripe)
 }
 
-func testStagePanicFailsStripe(t *testing.T, depth int) {
+func testStagePanicFailsStripe(t *testing.T, depth int, fill func(Source) Source) {
 	sd := testSD(t)
 	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth})
 	if err != nil {
@@ -479,8 +499,8 @@ func testStagePanicFailsStripe(t *testing.T, depth int) {
 		src   Source
 		dst   Sink
 	}{
-		{"source", &panicSource{at: 3, count: 8}, &recordSink{}},
-		{"sink", &constSource{count: 8}, panicSink{at: 3}},
+		{"source", fill(&panicSource{at: 3, count: 8}), &recordSink{}},
+		{"sink", fill(&constSource{count: 8}), panicSink{at: 3}},
 	}
 	for _, r := range runs {
 		n, err := e.Run(r.src, r.dst)
@@ -496,7 +516,7 @@ func testStagePanicFailsStripe(t *testing.T, depth int) {
 		sink := &recordSink{}
 		done := make(chan error, 1)
 		go func() {
-			n, err := e.Run(&constSource{count: 6}, sink)
+			n, err := e.Run(fill(&constSource{count: 6}), sink)
 			if err == nil && n != 6 {
 				err = fmt.Errorf("drained %d stripes, want 6", n)
 			}

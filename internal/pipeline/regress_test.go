@@ -299,10 +299,10 @@ func TestDecodeStreamEarlyStopWithRepair(t *testing.T) {
 // contract, not a dataSink private: any sink can end a stream early
 // without an error, and the stopping stripe counts as drained.
 func TestStopFromCustomSink(t *testing.T) {
-	atDepths(t, 4, testStopFromCustomSink)
+	atFills(t, 4, testStopFromCustomSink)
 }
 
-func testStopFromCustomSink(t *testing.T, depth int) {
+func testStopFromCustomSink(t *testing.T, depth int, fill func(Source) Source) {
 	sd := testSD(t)
 	e, err := New(sd, codes.EncodingScenario(sd), 64, Config{Depth: depth, Workers: 2})
 	if err != nil {
@@ -311,7 +311,7 @@ func testStopFromCustomSink(t *testing.T, depth int) {
 	defer e.Close()
 	stopAt := 5
 	sink := &stopSink{at: stopAt}
-	n, err := e.Run(&constSource{count: 1 << 30}, sink)
+	n, err := e.Run(fill(&constSource{count: 1 << 30}), sink)
 	if err != nil {
 		t.Fatalf("Stop surfaced as an error: %v", err)
 	}
@@ -320,7 +320,7 @@ func testStopFromCustomSink(t *testing.T, depth int) {
 	}
 	// The engine is reusable after an early stop.
 	rec := &recordSink{}
-	n, err = e.Run(&constSource{count: 4}, rec)
+	n, err = e.Run(fill(&constSource{count: 4}), rec)
 	if err != nil || n != 4 {
 		t.Fatalf("post-stop run: n=%d err=%v", n, err)
 	}

@@ -13,6 +13,10 @@ package pipeline
 //   - drain stall: the Run goroutine waiting for the next in-order
 //     stripe's completion — head-of-line compute (or fill) latency.
 //
+// With a ConcurrentSource the shards fill the stripes themselves: its
+// fills count as shard busy time, and the fill goroutine, which only
+// hands out indices, stalls only on the free list.
+//
 // The counters are sampled only when a stage would actually block
 // (channel fast paths add nothing), accumulate across runs, and cost
 // two time.Now calls per blocking event. They answer the capacity

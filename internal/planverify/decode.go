@@ -66,9 +66,10 @@ func (st *decodeState) reportf(pass string, op int, format string, args ...inter
 // walk is the one stage walk behind VerifyDecodePlan and
 // VerifyRepairPlan. It proves p's stages in the order the executor runs
 // them against scenario sc: the groups, which run concurrently and may
-// not read each other's outputs, then H_rest, which may; or the single
-// stage of a whole-matrix plan. Findings are labelled object, and each
-// OpIndex is a stage index (groups in order, then rest or whole).
+// not read each other's outputs, then H_rest, which may; the folded
+// sequence of a folded plan (folded); or the single stage of a
+// whole-matrix plan. Findings are labelled object, and each OpIndex is
+// a stage index (groups in order, then rest or whole).
 func walk(c codes.Code, sc codes.Scenario, p *core.Plan, object string) *decodeState {
 	st := &decodeState{
 		object: object,
@@ -84,6 +85,10 @@ func walk(c codes.Code, sc codes.Scenario, p *core.Plan, object string) *decodeS
 			st.reportf("structure", -1, "plan mixes a whole-matrix stage with PPM stages")
 		}
 		st.subDecode(&p.Whole.SubDecode, 0, false)
+		return st
+	}
+	if fd := p.Folded(); fd != nil {
+		st.folded(p, fd)
 		return st
 	}
 	for i := range p.Groups {
@@ -164,35 +169,120 @@ func (st *decodeState) subDecode(sd *core.SubDecode, op int, allowRecovered bool
 		exprs[j] = st.available(s, op, allowRecovered)
 	}
 	for i, c := range sd.FaultyCols {
-		if c < 0 || c >= st.total {
-			st.reportf("bounds", op, "faulty column %d outside the %d-sector stripe", c, st.total)
-			continue
-		}
-		if !st.faulty[c] {
-			st.reportf("structure", op, "stage recovers sector %d, which is not faulty", c)
-			continue
-		}
-		if st.expr[c] != nil {
-			st.reportf("structure", op, "sector %d is recovered twice", c)
-			continue
-		}
 		vec := make([]uint32, st.total)
 		for j := range sd.SurvivorCols {
-			if a := r.At(i, j); a != 0 {
-				for t, e := range exprs[j] {
-					if e != 0 {
-						vec[t] ^= st.f.Mul(a, e)
-					}
+			st.addScaled(vec, r.At(i, j), exprs[j])
+		}
+		st.recover(c, vec, op)
+	}
+}
+
+// addScaled adds a·e to the coefficient vector vec.
+func (st *decodeState) addScaled(vec []uint32, a uint32, e []uint32) {
+	if a == 0 {
+		return
+	}
+	for t, v := range e {
+		if v != 0 {
+			vec[t] ^= st.f.Mul(a, v)
+		}
+	}
+}
+
+// recover records vec as stage op's recovery expression of sector c and
+// proves it: c must be a faulty sector no earlier stage recovered, and
+// vec must decode it on every codeword.
+func (st *decodeState) recover(c int, vec []uint32, op int) {
+	switch {
+	case c < 0 || c >= st.total:
+		st.reportf("bounds", op, "faulty column %d outside the %d-sector stripe", c, st.total)
+		return
+	case !st.faulty[c]:
+		st.reportf("structure", op, "stage recovers sector %d, which is not faulty", c)
+		return
+	case st.expr[c] != nil:
+		st.reportf("structure", op, "sector %d is recovered twice", c)
+		return
+	}
+	st.expr[c] = vec
+	residual := append([]uint32(nil), vec...)
+	residual[c] ^= 1
+	if !inRowSpace(st.h, residual) {
+		st.reportf("symbolic", op,
+			"sector %d's recovery expression does not lie in H's row space: it decodes wrongly on some codeword", c)
+	}
+}
+
+// folded walks a folded plan in the order the executor runs it, with
+// H_rest's syndrome rows as symbolic accumulators: the own columns
+// start them before any group runs, each group (stage g) recovers its
+// sectors and adds its syndrome rows from its own survivors, never
+// reading another stage's output, and F_rest⁻¹ (stage p, after the
+// groups) recovers H_rest's sectors from the finished syndrome. Besides
+// every compiled matrix those stages apply, it proves H_rest's compiled
+// C4 sub-decode, which selections of the plan run.
+func (st *decodeState) folded(p *core.Plan, fd *core.Fold) {
+	rest := len(p.Groups)
+	if p.Rest == nil || len(fd.Groups) != len(p.Groups) {
+		st.reportf("structure", rest, "fold has %d group shares for %d groups and H_rest %v",
+			len(fd.Groups), len(p.Groups), p.Rest != nil)
+		return
+	}
+	rows := p.Rest.S.Rows()
+	acc := make([][]uint32, rows)
+	for r := range acc {
+		acc[r] = make([]uint32, st.total)
+	}
+	// accumulate adds m·(the expressions of cols) into the syndrome rows
+	// listed in into, after proving m's compiled copy.
+	accumulate := func(name string, m *matrix.Matrix, cm *kernel.CompiledMatrix, cols, into []int, op int) {
+		if m.Rows() != len(into) || m.Cols() != len(cols) {
+			st.reportf("structure", op, "%s is %s for %d syndrome rows and %d columns", name, m.Dims(), len(into), len(cols))
+			return
+		}
+		st.proveCompiled(name, m, cm, op)
+		st.cost += int64(m.NNZ())
+		for j, c := range cols {
+			e := st.available(c, op, false)
+			for i, r := range into {
+				if r < 0 || r >= rows {
+					st.reportf("bounds", op, "%s adds to syndrome row %d of %d", name, r, rows)
+					return
 				}
+				st.addScaled(acc[r], m.At(i, j), e)
 			}
 		}
-		st.expr[c] = vec
-		residual := append([]uint32(nil), vec...)
-		residual[c] ^= 1
-		if !inRowSpace(st.h, residual) {
-			st.reportf("symbolic", op,
-				"sector %d's recovery expression does not lie in H's row space: it decodes wrongly on some codeword", c)
+	}
+	all := make([]int, rows)
+	for r := range all {
+		all[r] = r
+	}
+	if len(fd.OwnCols) > 0 {
+		accumulate("S_own", fd.Own, fd.CompiledOwn(), fd.OwnCols, all, rest)
+	}
+	for g := range p.Groups {
+		sd, fg := &p.Groups[g], &fd.Groups[g]
+		st.subDecode(sd, g, false)
+		if fg.Syn != nil {
+			accumulate("syndrome rows", fg.Syn, fg.Compiled(), sd.SurvivorCols, fg.Rows, g)
+		} else if len(fg.Rows) > 0 {
+			st.reportf("structure", g, "group lists syndrome rows %v but no matrix", fg.Rows)
 		}
+	}
+	st.lowering(p.Rest, rest)
+	finv := p.Rest.Finv
+	if finv.Rows() != len(p.Rest.FaultyCols) || finv.Cols() != rows {
+		st.reportf("structure", rest, "F_rest^-1 is %s for %d faulty sectors and %d syndrome rows",
+			finv.Dims(), len(p.Rest.FaultyCols), rows)
+		return
+	}
+	st.cost += int64(finv.NNZ())
+	for i, c := range p.Rest.FaultyCols {
+		vec := make([]uint32, st.total)
+		for r := range acc {
+			st.addScaled(vec, finv.At(i, r), acc[r])
+		}
+		st.recover(c, vec, rest)
 	}
 }
 
@@ -217,13 +307,23 @@ func (st *decodeState) lowering(sd *core.SubDecode, op int) {
 			st.reportf("structure", op, "stage has no compiled %s for the %v sequence", pr.name, sd.Seq)
 			continue
 		}
-		fs := VerifyBlocks(st.f, pr.m, pr.cm)
-		if prog := pr.cm.XORProgram(); prog != nil {
-			fs = append(fs, VerifyProgram(st.f, pr.m, prog)...)
-		}
-		for _, f := range fs {
-			st.reportf(f.Pass, op, "compiled %s: %s", pr.name, f)
-		}
+		st.proveCompiled(pr.name, pr.m, pr.cm, op)
+	}
+}
+
+// proveCompiled proves a compiled matrix equal to m: its row blocks,
+// and its XOR program when one is attached.
+func (st *decodeState) proveCompiled(name string, m *matrix.Matrix, cm *kernel.CompiledMatrix, op int) {
+	if cm == nil {
+		st.reportf("structure", op, "stage has no compiled %s", name)
+		return
+	}
+	fs := VerifyBlocks(st.f, m, cm)
+	if prog := cm.XORProgram(); prog != nil {
+		fs = append(fs, VerifyProgram(st.f, m, prog)...)
+	}
+	for _, f := range fs {
+		st.reportf(f.Pass, op, "compiled %s: %s", name, f)
 	}
 }
 

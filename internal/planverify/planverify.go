@@ -37,7 +37,8 @@
 //     stage's compiled lowering (VerifyBlocks, plus VerifyProgram when
 //     an XOR program is attached) and each recovery expression's
 //     row-space membership, and bars parallel groups from reading each
-//     other's outputs. VerifyDecodePlan then requires every faulty
+//     other's outputs. A folded plan's H_rest syndrome rows run as
+//     symbolic accumulators through the groups that add to them. VerifyDecodePlan then requires every faulty
 //     sector recovered and Costs.Chosen exact; VerifyRepairPlan requires
 //     every wanted sector recovered, ReadCols exactly the survivors the
 //     stages read, and the Cost counters exact;

@@ -127,12 +127,23 @@ func planMatrices(p *core.Plan) []heldMatrix {
 	if p.Whole != nil {
 		add(&p.Whole.SubDecode)
 	}
+	if fd := p.Folded(); fd != nil {
+		for i := range fd.Groups {
+			if fg := &fd.Groups[i]; fg.Syn != nil {
+				out = append(out, heldMatrix{fg.Syn, fg.Compiled()})
+			}
+		}
+		if len(fd.OwnCols) > 0 {
+			out = append(out, heldMatrix{fd.Own, fd.CompiledOwn()})
+		}
+	}
 	return out
 }
 
 // Sweep proves every compiled artifact of the zoo: core decode plans
-// (the PPM partition and, for the encoding scenario, the auto-resolved
-// strategy), repair plans (full and single-sector wanted sets), the
+// (the PPM partition, its folded form wherever it has an H_rest to
+// fold, and, for the encoding scenario, the auto-resolved strategy),
+// repair plans (full and single-sector wanted sets), the
 // xorplan program and row-block lowering of every matrix a plan holds,
 // and each code's delta-parity updater. seed feeds the random
 // max-tolerance scenarios. Stats count each proof once: Blocks counts
@@ -160,7 +171,7 @@ func Sweep(zoo []ZooCode, seed int64, extra int) ([]Finding, SweepStats) {
 			detail := fmt.Sprintf("%s faulty=%v", zc.Name, sc.Faulty)
 			stats.Scenarios++
 
-			strategies := []core.Strategy{core.StrategyPPM}
+			strategies := []core.Strategy{core.StrategyPPM, core.StrategyPPMFolded}
 			if len(sc.FailedDisks) == 0 && len(sc.Faulty) == len(c.ParityPositions()) {
 				strategies = append(strategies, core.StrategyAuto)
 			}
@@ -170,6 +181,9 @@ func Sweep(zoo []ZooCode, seed int64, extra int) ([]Finding, SweepStats) {
 					fs = append(fs, Finding{Object: objDecodePlan, Detail: detail, Pass: "structure", OpIndex: -1,
 						Message: fmt.Sprintf("building %v plan: %v", strat, err)})
 					continue
+				}
+				if strat == core.StrategyPPMFolded && plan.Folded() == nil {
+					continue // no H_rest to fold: the StrategyPPM plan, proven above
 				}
 				fs = append(fs, stamp(VerifyDecodePlan(c, plan), detail)...)
 				stats.Plans++

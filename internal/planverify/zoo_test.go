@@ -2,11 +2,13 @@ package planverify
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"ppm/internal/codes"
 	"ppm/internal/core"
 	"ppm/internal/kernel"
+	"ppm/internal/matrix"
 	"ppm/internal/repair"
 )
 
@@ -62,7 +64,7 @@ func TestVerifyDecodePlanAllStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strat := range []core.Strategy{
-		core.StrategyAuto, core.StrategyPPM, core.StrategyPPMMatrixFirstRest,
+		core.StrategyAuto, core.StrategyPPM, core.StrategyPPMMatrixFirstRest, core.StrategyPPMFolded,
 		core.StrategyWholeNormal, core.StrategyWholeMatrixFirst,
 	} {
 		plan, err := core.BuildPlan(c, sc, strat)
@@ -106,6 +108,70 @@ func TestVerifyDecodePlanCatchesCorruption(t *testing.T) {
 	}
 	if !symbolic {
 		t.Fatalf("corrupted plan passed verification (findings: %v)", fs)
+	}
+}
+
+// TestVerifyFoldedPlanCatchesCorruption: the folded walk runs the
+// syndrome rows as symbolic accumulators, so a wrong syndrome
+// coefficient and a dropped own-column term each leave a recovery
+// expression outside H's row space, whatever the lowering checks say.
+func TestVerifyFoldedPlanCatchesCorruption(t *testing.T) {
+	c, err := codes.NewSD(6, 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *core.Plan {
+		t.Helper()
+		plan, err := core.BuildPlan(c, codes.EncodingScenario(c), core.StrategyPPMFolded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd := plan.Folded()
+		if fd == nil || fd.Groups[0].Syn == nil || len(fd.OwnCols) == 0 {
+			t.Fatal("encode plan has no syndrome rows and own columns to corrupt")
+		}
+		if fs := VerifyDecodePlan(c, plan); len(fs) != 0 {
+			t.Fatalf("pristine folded plan rejected: %v", fs)
+		}
+		return plan
+	}
+	// firstNonzero returns the position of m's first nonzero entry.
+	firstNonzero := func(m *matrix.Matrix) (int, int) {
+		for i := 0; i < m.Rows(); i++ {
+			for j := 0; j < m.Cols(); j++ {
+				if m.At(i, j) != 0 {
+					return i, j
+				}
+			}
+		}
+		t.Fatal("matrix is all zero")
+		return 0, 0
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(fd *core.Fold)
+	}{
+		{"wrong syndrome coefficient", func(fd *core.Fold) {
+			syn := fd.Groups[0].Syn
+			i, j := firstNonzero(syn)
+			syn.Set(i, j, syn.At(i, j)^1)
+		}},
+		{"dropped own-column term", func(fd *core.Fold) {
+			i, j := firstNonzero(fd.Own)
+			fd.Own.Set(i, j, 0)
+		}},
+	} {
+		plan := build()
+		tc.mutate(plan.Folded())
+		caught := false
+		for _, f := range VerifyDecodePlan(c, plan) {
+			if f.Pass == "symbolic" && strings.Contains(f.Message, "row space") {
+				caught = true
+			}
+		}
+		if !caught {
+			t.Errorf("%s: no recovery expression left H's row space", tc.name)
+		}
 	}
 }
 
