@@ -249,9 +249,9 @@ type StreamResult = pipeline.Result
 type StreamEngine = pipeline.Engine
 
 // StreamSource feeds stripes into a StreamEngine in index order. A
-// source that also has a ConcurrentNext() bool method returning true
-// declares Next safe on distinct indices at once, and a staged engine
-// then fills each stripe on the shard that computes it.
+// source that also has a ConcurrentNext() method (no arguments, no
+// result) declares Next safe on distinct indices at once, and a staged
+// engine then fills each stripe on the shard that computes it.
 type StreamSource = pipeline.Source
 
 // StreamSink receives processed stripes in strict stripe order.
@@ -324,6 +324,14 @@ func NewStreamEngine(c Code, sc Scenario, sectorSize int, cfg StreamConfig) (*St
 // (n*r sectors, row-major) to dst. The final stripe is zero-padded;
 // StreamResult.Bytes is the payload size a later DecodeStream needs to
 // trim it. sectorSize must be positive.
+//
+// When src is also an io.ReaderAt and an io.Seeker (a *bytes.Reader,
+// an *os.File, or any type whose method set has both, embedding
+// included), src.Read is never called: the compute shards read each
+// stripe with ReadAt at its offset from src's position when the call
+// began, and the call then moves src past the bytes consumed with Seek.
+// A wrapper that overrides Read (to count, hash or throttle the bytes)
+// must hide ReadAt or Seek for its Read to see them.
 func EncodeStream(c Code, dst io.Writer, src io.Reader, sectorSize int, cfg StreamConfig) (StreamResult, error) {
 	return pipeline.EncodeStream(c, dst, src, sectorSize, cfg)
 }
@@ -333,7 +341,9 @@ func EncodeStream(c Code, dst io.Writer, src io.Reader, sectorSize int, cfg Stre
 // reconstructed), and writes the recovered payload to dst, trimmed to
 // payload bytes (negative payload emits everything, padding included).
 // An empty scenario makes it an overlapped extract of an intact stream.
-// sectorSize must be positive.
+// sectorSize must be positive. A src that is also an io.ReaderAt and an
+// io.Seeker is read with ReadAt and positioned with Seek, never through
+// Read, as EncodeStream reads one.
 func DecodeStream(c Code, dst io.Writer, src io.Reader, sc Scenario, payload int64, sectorSize int, cfg StreamConfig) (StreamResult, error) {
 	return pipeline.DecodeStream(c, dst, src, sc, payload, sectorSize, cfg)
 }

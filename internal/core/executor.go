@@ -57,13 +57,12 @@ func executeSpan(p *Plan, st *stripe.Stripe, threads, lo, hi int, stats *kernel.
 	}()
 	s := getSession(stats, lo, hi, lo == 0 && hi == st.SectorSize())
 	defer s.release()
+	if p.fold != nil {
+		return s.fold(p, st, threads)
+	}
 
 	for i := range p.Groups {
 		s.add(&p.Groups[i], st)
-	}
-	if p.fold != nil {
-		own, out := s.sectorViews(st, p.fold.OwnCols), s.sectorViews(st, p.Rest.FaultyCols)
-		return s.fold(p, st.SectorSize(), own, out, threads)
 	}
 	tail := p.Rest
 	if p.Whole != nil {

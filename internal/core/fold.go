@@ -6,6 +6,7 @@ import (
 	"ppm/internal/gf"
 	"ppm/internal/kernel"
 	"ppm/internal/matrix"
+	"ppm/internal/stripe"
 )
 
 // Folding H_rest's syndrome into the groups: the C5 plan.
@@ -27,14 +28,21 @@ import (
 //
 //	C5 = Σ nnz(G_g) + Σ nnz(syn_g) + nnz(S_own) + nnz(F_rest⁻¹).
 //
-// A syndrome row of one group is a sum of two vectors that the C4 plan
-// applies separately, so C5 <= C4 always; StrategyAuto takes it only
-// when it is strictly cheaper.
+// C5 is not always below C4. For the sectors a group recovers C4 pays
+// nnz(S_rest[:, f]), while C5 pays nnz(S_rest[:, f]·G_g), spread over
+// the group's survivors: up to |s_g| times as many. C5 <= C4 holds when
+// every syndrome row that reads a group's recovered sectors also reads
+// all of the group's survivors and no earlier group claimed any of
+// them, for the group's syndrome rows then cost no more than the S_rest
+// columns they replace. The dense global rows of the SD, PMDS and LRC
+// worst cases are such. StrategyAuto takes the fold only when C5 is
+// strictly the cheapest; StrategyPPMFolded runs it whatever it costs.
 
 // Fold is the folded lowering of a PPM plan's H_rest. The plan's Groups
-// and Rest stay the C4 sub-decodes: Select, Describe and the symbolic
+// and Rest stay the C4 sub-decodes: Describe and the symbolic
 // verifier's stage walk read them, and the folded executor reuses each
-// group's compiled G and H_rest's compiled F_rest⁻¹.
+// group's compiled G. Of H_rest it compiles only F_rest⁻¹: the own
+// columns replace S_rest.
 type Fold struct {
 	// Groups[g] is group g's share of H_rest's syndrome.
 	Groups []FoldGroup
@@ -44,8 +52,14 @@ type Fold struct {
 	OwnCols []int
 	Own     *matrix.Matrix
 
+	rows int                    // syndrome rows: S_rest's row count
 	ops  int64                  // Σ nnz(syn_g) + nnz(S_own)
 	cOwn *kernel.CompiledMatrix // nil when OwnCols is empty
+	// slots is the executor's view layout, one entry per view a tile
+	// hands the kernels: a sector index, or -1-r for syndrome row r. The
+	// syndrome rows come first, then the own columns, then H_rest's
+	// faulty sectors, then each group's views (FoldGroup.at).
+	slots []int
 }
 
 // FoldGroup is one group's rows of H_rest's syndrome.
@@ -57,6 +71,9 @@ type FoldGroup struct {
 	Syn *matrix.Matrix
 
 	cSyn *kernel.CompiledMatrix
+	// at is where the group's views start in Fold.slots: its survivors,
+	// then its faulty sectors, then its syndrome Rows.
+	at int
 }
 
 // Compiled returns the compiled Syn the executor accumulates, nil when
@@ -86,7 +103,7 @@ func buildFold(p *Plan, total int) *Fold {
 		restPos[c] = j
 	}
 	claimed := make([]bool, len(rest.SurvivorCols))
-	fd := &Fold{Groups: make([]FoldGroup, len(p.Groups))}
+	fd := &Fold{Groups: make([]FoldGroup, len(p.Groups)), rows: rows}
 	var acc []uint32 // the group's syndrome rows, rows × |s_g|, row-major
 	for g := range p.Groups {
 		sd := &p.Groups[g]
@@ -165,9 +182,10 @@ func foldGroup(f gf.Field, acc []uint32, rows, k int) FoldGroup {
 	return fg
 }
 
-// compile lowers the fold's own matrices; the groups' G and H_rest's
-// F_rest⁻¹ are the plan's compiled sub-decodes.
-func (fd *Fold) compile(f gf.Field) {
+// compile lowers the fold's own matrices and H_rest's F_rest⁻¹, the
+// one matrix of H_rest the fold applies (the groups' G are the plan's
+// compiled sub-decodes), and lays out the executor's views.
+func (fd *Fold) compile(f gf.Field, p *Plan) {
 	for g := range fd.Groups {
 		if syn := fd.Groups[g].Syn; syn != nil {
 			fd.Groups[g].cSyn = kernel.Compile(f, syn)
@@ -176,54 +194,75 @@ func (fd *Fold) compile(f gf.Field) {
 	if len(fd.OwnCols) > 0 {
 		fd.cOwn = kernel.Compile(f, fd.Own)
 	}
-}
+	p.Rest.cFinv = kernel.Compile(f, p.Rest.Finv)
 
-// fold runs a folded plan whose groups the session has prepared, over
-// the session's byte range of sectors of size bytes; own and out are
-// the views of the fold's own columns and of H_rest's faulty sectors.
-// The syndrome lives in pooled scratch, one region per row of S_rest.
-// At T = 1 the own columns overwrite it, each group applies G_g
-// (overwrite) and then its syndrome rows (accumulate) over its
-// survivors, and F_rest⁻¹ runs last. At T > 1 the range splits into
-// tile-aligned byte ranges, and each runs that whole sequence on its
-// own slices of the sectors and the scratch, so nothing needs a merge
-// and the call counts C5 once.
-func (s *execSession) fold(p *Plan, size int, own, out [][]byte, threads int) error {
-	fd := p.fold
-	for i := range s.jobs {
-		j := &s.jobs[i]
-		if err := j.sd.validate(len(j.in), len(j.out)); err != nil {
-			return err
+	syndrome := func(rows []int) {
+		for _, r := range rows {
+			fd.slots = append(fd.slots, -1-r)
 		}
 	}
-	sb := kernel.GetScratch(p.Rest.Finv.Cols(), size)
-	defer sb.Release()
-	syn := sb.Regions()
+	for r := 0; r < fd.rows; r++ {
+		fd.slots = append(fd.slots, -1-r)
+	}
+	fd.slots = append(fd.slots, fd.OwnCols...)
+	fd.slots = append(fd.slots, p.Rest.FaultyCols...)
 	for g := range fd.Groups {
-		s.jobs[g].syn = s.rowViews(syn, fd.Groups[g].Rows)
+		sd := &p.Groups[g]
+		fd.Groups[g].at = len(fd.slots)
+		fd.slots = append(fd.slots, sd.SurvivorCols...)
+		fd.slots = append(fd.slots, sd.FaultyCols...)
+		syndrome(fd.Groups[g].Rows)
 	}
-	t := effectiveThreads(threads, len(p.Groups))
-	if t <= 1 {
-		return s.foldSpan(p, own, syn, out, s.lo, s.hi, s.whole, s.stats)
+}
+
+// fold runs a folded plan over the session's byte range of st's
+// sectors. The range splits into parts: tile-aligned byte ranges, one
+// per thread at T > 1; at T = 1 the spans a whole-sector apply would
+// fan out across the worker pool, or the whole range when it stays
+// serial. Each part runs the whole folded sequence one cache tile at a
+// time (foldSpan) with its own tile-sized syndrome scratch and views,
+// so parts need no merge, the syndrome never leaves cache, and the call
+// counts C5 once.
+func (s *execSession) fold(p *Plan, st *stripe.Stripe, threads int) error {
+	fd := p.fold
+	var parts [][2]int
+	if t := effectiveThreads(threads, len(p.Groups)); t > 1 {
+		parts = kernel.ChunkRangesAligned(s.hi-s.lo, t, p.Rest.Finv.Field().WordBytes())
+	} else if s.whole {
+		parts = kernel.FanoutSpans(s.hi - s.lo)
 	}
-	chunks := kernel.ChunkRangesAligned(s.hi-s.lo, t, p.Rest.Finv.Field().WordBytes())
-	//ppm:hotpath
-	err := kernel.DefaultWorkers().Run(len(chunks), func(i int) error {
-		return s.foldSpan(p, own, syn, out, s.lo+chunks[i][0], s.lo+chunks[i][1], false, nil)
-	})
+	n := max(len(parts), 1)
+	tile := kernel.TileSize()
+	sb := kernel.GetScratch(n*fd.rows, min(s.hi-s.lo, tile))
+	defer sb.Release()
+	syn, views := sb.Regions(), s.viewSlots(n*len(fd.slots))
+	var err error
+	if parts == nil {
+		err = s.foldSpan(p, st, views, syn, s.lo, s.hi, tile)
+	} else {
+		slots, rows := len(fd.slots), fd.rows
+		//ppm:hotpath
+		err = kernel.DefaultWorkers().Run(len(parts), func(i int) error {
+			return s.foldSpan(p, st, views[i*slots:(i+1)*slots], syn[i*rows:(i+1)*rows],
+				s.lo+parts[i][0], s.lo+parts[i][1], tile)
+		})
+	}
 	if err == nil {
 		s.stats.AddMultXORs(p.Costs.Chosen)
 	}
 	return err
 }
 
-// foldSpan runs the folded sequence over [lo, hi) of every sector:
-// through the fanning-out whole-sector applies when whole is set, and
-// serially over the range otherwise. A kernel panic comes back as an
-// error.
+// foldSpan runs the folded sequence over [lo, hi) of every sector, one
+// tile at a time, with views laid out as fd.slots and syndrome rows in
+// syn, tile bytes each. Per tile, the own columns overwrite the
+// syndrome, each group applies G_g (overwrite) and then its syndrome
+// rows (accumulate) over its survivors, and F_rest⁻¹ turns the
+// syndrome into H_rest's sectors. A panic, kernel or view setup, comes
+// back as an error.
 //
 //ppm:hotpath
-func (s *execSession) foldSpan(p *Plan, own, syn, out [][]byte, lo, hi int, whole bool, stats *kernel.Stats) (err error) {
+func (s *execSession) foldSpan(p *Plan, st *stripe.Stripe, v, syn [][]byte, lo, hi, tile int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			//ppm:allow(hotalloc) panic recovery: this branch is the cold failure path
@@ -231,34 +270,37 @@ func (s *execSession) foldSpan(p *Plan, own, syn, out [][]byte, lo, hi int, whol
 		}
 	}()
 	fd := p.fold
-	if fd.cOwn != nil {
-		applyMatrix(fd.cOwn, own, syn, true, lo, hi, whole, stats)
-	} else {
-		for _, r := range syn {
-			clear(r[lo:hi])
+	own := len(fd.OwnCols)
+	for t := lo; t < hi; t += tile {
+		te := min(t+tile, hi)
+		n := te - t
+		for i, c := range fd.slots {
+			if c >= 0 {
+				v[i] = st.Sector(c)[t:te]
+			} else {
+				v[i] = syn[-1-c][:n]
+			}
 		}
-	}
-	for g := range fd.Groups {
-		j := &s.jobs[g]
-		applyMatrix(j.sd.cG, j.in, j.out, true, lo, hi, whole, stats)
-		if c := fd.Groups[g].cSyn; c != nil {
-			applyMatrix(c, j.in, j.syn, false, lo, hi, whole, stats)
+		rows := v[:fd.rows]
+		if fd.cOwn != nil {
+			fd.cOwn.ApplyRange(v[fd.rows:fd.rows+own], rows, 0, n, true, nil)
+		} else {
+			for _, r := range rows {
+				clear(r)
+			}
 		}
+		for g := range fd.Groups {
+			fg, cg := &fd.Groups[g], p.Groups[g].cG
+			in := v[fg.at : fg.at+cg.Cols()]
+			out := v[fg.at+cg.Cols() : fg.at+cg.Cols()+cg.Rows()]
+			cg.ApplyRange(in, out, 0, n, true, nil)
+			if fg.cSyn != nil {
+				at := fg.at + cg.Cols() + cg.Rows()
+				fg.cSyn.ApplyRange(in, v[at:at+len(fg.Rows)], 0, n, false, nil)
+			}
+		}
+		finv := p.Rest.cFinv
+		finv.ApplyRange(rows, v[fd.rows+own:fd.rows+own+finv.Rows()], 0, n, true, nil)
 	}
-	applyMatrix(p.Rest.cFinv, syn, out, true, lo, hi, whole, stats)
 	return nil
-}
-
-// applyMatrix applies cm over [lo, hi) of every region, overwriting or
-// accumulating: whole sectors through the compiled apply, which fans
-// large regions out across the worker pool, and a sub-range serially.
-func applyMatrix(cm *kernel.CompiledMatrix, in, out [][]byte, overwrite bool, lo, hi int, whole bool, stats *kernel.Stats) {
-	switch {
-	case !whole:
-		cm.ApplyRange(in, out, lo, hi, overwrite, stats)
-	case overwrite:
-		cm.ApplyOverwrite(in, out, stats)
-	default:
-		cm.Apply(in, out, stats)
-	}
 }

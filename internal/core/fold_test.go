@@ -17,14 +17,19 @@ import (
 // folded plan recovers byte for byte what the C4 plan and the
 // traditional decode.Decode recover, at T = 1, 2 and 4, counting
 // exactly C5. The sector sizes cover a tail shorter than one 64-byte
-// chunk and a sector several tiles long, where T > 1 splits on tile
-// boundaries.
+// chunk, a sector several tiles long, which T = 1 runs tile by tile and
+// T > 1 splits on tile boundaries, and a sector over 1 MiB, which T = 1
+// fans out across the worker pool as a whole-sector apply would.
 func TestFoldedMatchesC4AndDecode(t *testing.T) {
 	sd, err := codes.NewSD(8, 16, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	small, err := codes.NewSD(6, 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny, err := codes.NewSD(4, 3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +54,7 @@ func TestFoldedMatchesC4AndDecode(t *testing.T) {
 		{sd, 1000, func() (codes.Scenario, error) { return sd.WorstCaseScenario(rng, 1+rng.Intn(2)) }},
 		{sd, 4096, func() (codes.Scenario, error) { return codes.EncodingScenario(sd), nil }},
 		{small, 160 << 10, func() (codes.Scenario, error) { return small.WorstCaseScenario(rng, 1) }},
+		{tiny, 1<<20 + 448, func() (codes.Scenario, error) { return tiny.WorstCaseScenario(rng, 1) }},
 		{pmds, 512, func() (codes.Scenario, error) { return pmds.WorstCaseScenario(rng, 2) }},
 		{lrc, 256, func() (codes.Scenario, error) { return lrc.WorstCaseScenario(rng) }},
 		{rs, 640, func() (codes.Scenario, error) { return rs.WorstCaseScenario(rng) }},
@@ -179,9 +185,11 @@ func TestFoldedCosts(t *testing.T) {
 	}
 }
 
-// TestFoldedSelectRunsC4: a selection of a folded plan carries no fold.
-// It runs the C4 sub-decodes it selected, and says so in its strategy.
-func TestFoldedSelectRunsC4(t *testing.T) {
+// TestFoldedPlanCannotBeSelected: a folded plan compiles only F_rest⁻¹
+// of H_rest, since its own columns replace S_rest, and Select refuses
+// to cut it down. The StrategyPPM plan of the same scenario, which
+// repair plans select from, still can be.
+func TestFoldedPlanCannotBeSelected(t *testing.T) {
 	sd, err := codes.NewSD(8, 16, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -194,32 +202,66 @@ func TestFoldedSelectRunsC4(t *testing.T) {
 	if plan.Folded() == nil {
 		t.Fatal("Auto did not fold SD(8,16,2,2)'s encode")
 	}
-	sel, err := plan.Select([]int{sc.Faulty[len(sc.Faulty)-1]})
+	if finv, s, g := plan.Rest.Compiled(); finv == nil || s != nil || g != nil {
+		t.Fatalf("folded H_rest compiled F^-1 %v, S %v, G %v; want F^-1 alone", finv != nil, s != nil, g != nil)
+	}
+	wanted := []int{sc.Faulty[len(sc.Faulty)-1]}
+	if sel, err := plan.Select(wanted); err == nil {
+		t.Fatalf("Select cut a folded plan down to strategy %v", sel.Costs.Strategy)
+	}
+	c4, err := core.BuildPlan(sd, sc, core.StrategyPPM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.Folded() != nil || sel.Rest == nil || sel.Costs.Strategy != core.StrategyPPM {
-		t.Fatalf("selection: folded %v, rest %v, strategy %v", sel.Folded() != nil, sel.Rest != nil, sel.Costs.Strategy)
+	if _, err := c4.Select(wanted); err != nil {
+		t.Fatalf("Select of the C4 plan: %v", err)
 	}
-	st, err := stripe.New(sd.NumStrips(), sd.NumRows(), 256)
+}
+
+// TestFoldedExecuteRange: ExecuteRange of a folded plan recovers
+// exactly the [lo, hi) bytes of every faulty sector, tile by tile over
+// a range that starts and ends inside a tile, and leaves every other
+// byte as it was.
+func TestFoldedExecuteRange(t *testing.T) {
+	sd, err := codes.NewSD(6, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.FillDataRandom(3, codes.DataPositions(sd))
-	want := st.Clone()
-	if err := decode.Encode(sd, want, decode.Options{}); err != nil {
+	sc, err := sd.WorstCaseScenario(rand.New(rand.NewSource(5)), 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := core.BuildPlan(sd, sc, core.StrategyPPMFolded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sector = 160 << 10
+	st, err := stripe.New(sd.NumStrips(), sd.NumRows(), sector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.FillDataRandom(9, codes.DataPositions(sd))
+	if err := decode.Encode(sd, st, decode.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	work := st.Clone()
+	work.Scribble(4, sc.Faulty)
+	damaged := work.Clone()
+	lo, hi := 32<<10+64, 128<<10-64
 	var stats kernel.Stats
-	if err := core.Execute(sel, st, sd.Field(), 1, &stats); err != nil {
+	if err := core.ExecuteRange(plan, work, lo, hi, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.MultXORs() != sel.Costs.Chosen {
-		t.Fatalf("selection counted %d mult_XORs, predicts %d", stats.MultXORs(), sel.Costs.Chosen)
+	if stats.MultXORs() != plan.Costs.Chosen {
+		t.Fatalf("counted %d mult_XORs, plan predicts %d", stats.MultXORs(), plan.Costs.Chosen)
 	}
-	for _, c := range sel.Rest.FaultyCols {
-		if !bytes.Equal(st.Sector(c), want.Sector(c)) {
-			t.Fatalf("selection recovered sector %d wrongly", c)
+	for _, c := range sc.Faulty {
+		got, want, old := work.Sector(c), st.Sector(c), damaged.Sector(c)
+		if !bytes.Equal(got[lo:hi], want[lo:hi]) {
+			t.Fatalf("sector %d: [%d, %d) not recovered", c, lo, hi)
+		}
+		if !bytes.Equal(got[:lo], old[:lo]) || !bytes.Equal(got[hi:], old[hi:]) {
+			t.Fatalf("sector %d: bytes outside [%d, %d) changed", c, lo, hi)
 		}
 	}
 }

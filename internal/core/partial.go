@@ -22,8 +22,13 @@ import (
 // Costs.Chosen is the selected sub-decodes' mult_XORs; C1..C5 are
 // CostUnknown. Wanted sectors that are not faulty are ignored (they are
 // readable as-is). A wanted faulty sector that no sub-decode recovers —
-// every sector of a whole-matrix plan — is an error.
+// every sector of a whole-matrix plan — is an error, and so is a folded
+// plan, whose H_rest applies only F_rest⁻¹: select from a StrategyPPM
+// plan.
 func (p *Plan) Select(wanted []int) (*Plan, error) {
+	if p.fold != nil {
+		return nil, fmt.Errorf("core: a folded plan cannot be cut down: its H_rest reads the groups' syndrome shares")
+	}
 	want := make(map[int]bool, len(wanted))
 	for _, w := range wanted {
 		want[w] = true
@@ -31,15 +36,9 @@ func (p *Plan) Select(wanted []int) (*Plan, error) {
 	if p.Whole != nil && recoversAny(&p.Whole.SubDecode, want) {
 		return nil, fmt.Errorf("core: wanted sectors %v are faulty but belong to no sub-decode of the partition", wanted)
 	}
-	// The selection runs the C4 sub-decodes: a fold belongs to the
-	// whole plan.
-	strategy := p.Costs.Strategy
-	if strategy == StrategyPPMFolded {
-		strategy = StrategyPPM
-	}
 	sel := &Plan{
 		Scenario: p.Scenario,
-		Costs:    Costs{C1: CostUnknown, C2: CostUnknown, C3: CostUnknown, C4: CostUnknown, C5: CostUnknown, Strategy: strategy},
+		Costs:    Costs{C1: CostUnknown, C2: CostUnknown, C3: CostUnknown, C4: CostUnknown, C5: CostUnknown, Strategy: p.Costs.Strategy},
 	}
 	// H_rest consumes recovered group outputs as survivors: selecting it
 	// pulls in every group whose faulty columns feed it.

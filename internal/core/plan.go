@@ -95,8 +95,9 @@ type SubDecode struct {
 }
 
 // Compiled returns the compiled matrices the executor applies: g under
-// MatrixFirst, finv and s under Normal, nil otherwise. planverify
-// proves them against G, Finv and S.
+// MatrixFirst, finv and s under Normal, nil otherwise. A folded plan's
+// H_rest has finv alone (fold.go). planverify proves them against G,
+// Finv and S.
 func (sd *SubDecode) Compiled() (finv, s, g *kernel.CompiledMatrix) {
 	return sd.cFinv, sd.cS, sd.cG
 }
@@ -265,11 +266,10 @@ func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error
 	for i := range plan.Groups {
 		plan.Groups[i].compile(f)
 	}
-	if plan.Rest != nil {
-		plan.Rest.compile(f)
-	}
 	if plan.fold != nil {
-		plan.fold.compile(f)
+		plan.fold.compile(f, plan)
+	} else if plan.Rest != nil {
+		plan.Rest.compile(f)
 	}
 	if plan.Whole != nil {
 		plan.Whole.compile(f)

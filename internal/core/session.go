@@ -34,11 +34,10 @@ type execSession struct {
 }
 
 // subJob is one sub-decode with its survivor (in) and faulty (out)
-// sector views; in a folded plan, syn views the syndrome rows the
-// group adds to.
+// sector views.
 type subJob struct {
-	sd           *SubDecode
-	in, out, syn [][]byte
+	sd      *SubDecode
+	in, out [][]byte
 }
 
 var sessionPool = sync.Pool{New: func() interface{} { return new(execSession) }}
@@ -71,12 +70,12 @@ func (s *execSession) sectorViews(st *stripe.Stripe, cols []int) [][]byte {
 	return s.views[start:len(s.views):len(s.views)]
 }
 
-// rowViews appends the regions of the listed rows to the view arena
-// and returns them as one capacity-capped slice.
-func (s *execSession) rowViews(regions [][]byte, rows []int) [][]byte {
+// viewSlots returns n view slots from the arena, for an executor that
+// fills them itself.
+func (s *execSession) viewSlots(n int) [][]byte {
 	start := len(s.views)
-	for _, r := range rows {
-		s.views = append(s.views, regions[r])
+	for i := 0; i < n; i++ {
+		s.views = append(s.views, nil)
 	}
 	return s.views[start:len(s.views):len(s.views)]
 }

@@ -176,6 +176,12 @@ func (cm *CompiledMatrix) apply(in, out [][]byte, overwrite bool, stats *Stats) 
 	stats.AddMultXORs(int64(cm.nnz))
 }
 
+// FanoutSpans returns the tile spans a compiled apply over regions of
+// size bytes fans out across the worker pool, or nil when it stays
+// serial: for executors that fan a chain of applications out the same
+// way.
+func FanoutSpans(size int) [][2]int { return fanoutSpans(size) }
+
 // fanoutSpans splits a region of size bytes into tile spans for the
 // worker pool, or returns nil when it stays serial: below
 // fanoutMinBytes(), or too few tiles to split.

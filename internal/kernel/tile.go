@@ -51,6 +51,11 @@ func init() {
 // tileSize returns the current cache-blocking tile size in bytes.
 func tileSize() int { return int(tileBytes.Load()) }
 
+// TileSize returns the cache-blocking tile size in bytes, for executors
+// that run a chain of applications tile by tile themselves, as core's
+// folded plan does.
+func TileSize() int { return tileSize() }
+
 // setTileSize sets the cache-blocking tile size. n is rounded up to a
 // multiple of 8 bytes (an exact multiple of every supported GF word
 // size) and clamped below at 512; n <= 0 restores the 32 KiB default.

@@ -1,7 +1,10 @@
 package pipeline
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"math/rand"
 	"testing"
 
 	"ppm/internal/codes"
@@ -57,6 +60,64 @@ func TestBatchEncodeAllocationFree(t *testing.T) {
 				}
 			}); avg != 0 {
 				t.Errorf("steady-state batch encode allocates %.1f/op, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestWarmStreamAllocatesNothingPerStripe: a warm EncodeStream or
+// DecodeStream over a bytes.Reader, which the shards fill with ReadAt,
+// allocates nothing per stripe: a 16-stripe call allocates about as
+// much as a 2-stripe one. Engine and plan set-up allocate the same in
+// both; a staged engine's goroutines may add one now and then, far
+// below the 14 of one allocation per extra stripe.
+func TestWarmStreamAllocatesNothingPerStripe(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool deliberately drops items; alloc counts are meaningless")
+	}
+	sd, err := codes.NewSD(8, 8, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sector = 4096
+	stripePayload := len(codes.DataPositions(sd)) * sector
+	sc, err := sd.WorstCaseScenario(rand.New(rand.NewSource(3)), sd.S())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{Depth: 4, Workers: 2}, {Depth: 1}} {
+		t.Run(fmt.Sprintf("depth=%d", cfg.Depth), func(t *testing.T) {
+			allocs := func(stripes int) (enc, dec float64) {
+				data := payload(stripes * stripePayload)
+				var img bytes.Buffer
+				if _, err := EncodeStream(sd, &img, bytes.NewReader(data), sector, cfg); err != nil {
+					t.Fatal(err)
+				}
+				images := img.Bytes()
+				r := bytes.NewReader(nil)
+				var src io.Reader = r
+				enc = testing.AllocsPerRun(10, func() {
+					r.Reset(data)
+					if _, err := EncodeStream(sd, io.Discard, src, sector, cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
+				dec = testing.AllocsPerRun(10, func() {
+					r.Reset(images)
+					if _, err := DecodeStream(sd, io.Discard, src, sc, int64(len(data)), sector, cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return enc, dec
+			}
+			const extra = 16 - 2
+			enc2, dec2 := allocs(2)
+			enc16, dec16 := allocs(16)
+			if enc16-enc2 >= extra/2 {
+				t.Errorf("EncodeStream allocates %.1f/op over 16 stripes, %.1f over 2: it allocates per stripe", enc16, enc2)
+			}
+			if dec16-dec2 >= extra/2 {
+				t.Errorf("DecodeStream allocates %.1f/op over 16 stripes, %.1f over 2: it allocates per stripe", dec16, dec2)
 			}
 		})
 	}

@@ -22,7 +22,7 @@ type latchedSource struct {
 	started chan struct{} // closed by Next(1)
 }
 
-func (s *latchedSource) ConcurrentNext() bool { return true }
+func (s *latchedSource) ConcurrentNext() {}
 
 func (s *latchedSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) {
 	switch {
@@ -117,7 +117,7 @@ func TestSequentialSourceNeverOverlaps(t *testing.T) {
 // delay and at stripe 5 at once.
 type slowFailSource struct{ boom2, boom5 error }
 
-func (s *slowFailSource) ConcurrentNext() bool { return true }
+func (s *slowFailSource) ConcurrentNext() {}
 
 func (s *slowFailSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) {
 	switch idx {

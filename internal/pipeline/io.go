@@ -25,12 +25,39 @@ type Result struct {
 // order, zero-padded tail); decode consumes images and emits the
 // payload back.
 
-// readerSource lays payload bytes from r into the data sectors of the
+// streamReader reads a stream in order: through r, or, when r is nil,
+// through at from off on. A source over an io.ReaderAt builds one per
+// stripe on its own stack, so concurrent fills share nothing and
+// allocate nothing.
+type streamReader struct {
+	r   io.Reader
+	at  io.ReaderAt
+	off int64
+}
+
+// readFull fills p as io.ReadFull does: io.EOF when the stream had
+// nothing left, io.ErrUnexpectedEOF when it ended inside p.
+func (sr *streamReader) readFull(p []byte) (int, error) {
+	if sr.r != nil {
+		return io.ReadFull(sr.r, p)
+	}
+	n, err := sr.at.ReadAt(p, sr.off)
+	sr.off += int64(n)
+	switch {
+	case n == len(p):
+		return n, nil
+	case err == nil || (err == io.EOF && n > 0):
+		return n, io.ErrUnexpectedEOF
+	}
+	return n, err
+}
+
+// readerSource lays payload bytes from in into the data sectors of the
 // slab, zero-padding the final partial stripe itself: the slab still
 // holds an earlier stripe. The parity sectors are the encode's
 // erasures, so their old bytes are overwritten.
 type readerSource struct {
-	r    io.Reader
+	in   streamReader
 	data []int
 	eof  bool
 	n    int64
@@ -47,7 +74,7 @@ func (s *readerSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error
 			clear(sec)
 			continue
 		}
-		n, err := io.ReadFull(s.r, sec)
+		n, err := s.in.readFull(sec)
 		s.n += int64(n)
 		filled += n
 		switch err {
@@ -67,11 +94,12 @@ func (s *readerSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error
 
 // atReader is a stream reader that is also an io.ReaderAt and an
 // io.Seeker, with the offset it stood at when the run began. Its
-// sources read stripe idx from its own section at a fixed offset from
-// there, through the sequential sources' fill code, so they are
+// sources read stripe idx with ReadAt at a fixed offset from there,
+// through the sequential sources' fill code, so they are
 // ConcurrentSources and the shards fill the stripes they compute. They
-// count the bytes they consume once per stripe, and finish then moves
-// the reader past them, where a sequential read would have left it.
+// never call the reader's Read. They count the bytes they consume once
+// per stripe, and finish then moves the reader past them with Seek,
+// where a sequential read would have left it.
 type atReader struct {
 	r    io.ReaderAt
 	seek io.Seeker
@@ -95,14 +123,14 @@ func newAtReader(r io.Reader) *atReader {
 	return &atReader{r: ra, seek: seek, base: base}
 }
 
-// ConcurrentNext implements ConcurrentSource for the sources built on
-// an atReader.
-func (a *atReader) ConcurrentNext() bool { return true }
+// ConcurrentNext declares the sources built on an atReader
+// ConcurrentSources.
+func (a *atReader) ConcurrentNext() {}
 
-// section returns the part of the stream stripe idx occupies, when
-// every stripe occupies size bytes.
-func (a *atReader) section(idx int, size int64) *io.SectionReader {
-	return io.NewSectionReader(a.r, a.base+int64(idx)*size, size)
+// stripeAt returns a reader of stripe idx, when every stripe occupies
+// size bytes.
+func (a *atReader) stripeAt(idx int, size int64) streamReader {
+	return streamReader{at: a.r, off: a.base + int64(idx)*size}
 }
 
 // finish moves the reader past the bytes the run consumed. The run's
@@ -114,29 +142,29 @@ func (a *atReader) finish(runErr error) error {
 	return runErr
 }
 
-// payloadAtSource is readerSource over an atReader's stripe sections.
+// payloadAtSource is readerSource over an atReader's stripes.
 type payloadAtSource struct {
 	*atReader
 	data []int
 }
 
 func (s *payloadAtSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) {
-	rs := readerSource{r: s.section(idx, int64(len(s.data)*slab.SectorSize())), data: s.data}
+	rs := readerSource{in: s.stripeAt(idx, int64(len(s.data)*slab.SectorSize())), data: s.data}
 	st, err := rs.Next(idx, slab)
 	s.n.Add(rs.n)
 	return st, err
 }
 
-// imageAtSource is imageSource over an atReader's stripe sections.
+// imageAtSource is imageSource over an atReader's stripes.
 type imageAtSource struct {
 	*atReader
 }
 
 func (s *imageAtSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) {
-	sec := s.section(idx, int64(slab.TotalBytes()))
-	st, err := (&imageSource{r: sec}).Next(idx, slab)
-	read, _ := sec.Seek(0, io.SeekCurrent) // a SectionReader's Seek cannot fail here
-	s.n.Add(read)
+	is := imageSource{in: s.stripeAt(idx, int64(slab.TotalBytes()))}
+	start := is.in.off
+	st, err := is.Next(idx, slab)
+	s.n.Add(is.in.off - start)
 	return st, err
 }
 
@@ -157,12 +185,12 @@ func (k *imageSink) Drain(_ int, st *stripe.Stripe) error {
 // imageSource reads full stripe images; a clean EOF on an image
 // boundary ends the stream.
 type imageSource struct {
-	r io.Reader
+	in streamReader
 }
 
 func (s *imageSource) Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error) {
 	for i := 0; i < slab.TotalSectors(); i++ {
-		n, err := io.ReadFull(s.r, slab.Sector(i))
+		n, err := s.in.readFull(slab.Sector(i))
 		switch {
 		case err == nil:
 		case i == 0 && n == 0 && err == io.EOF:
@@ -227,9 +255,10 @@ func checkStreamSector(sectorSize int) error {
 // zero-padded; Result.Bytes reports the payload consumed, which the
 // caller needs to trim the padding after a later DecodeStream. When
 // src is also an io.ReaderAt and an io.Seeker (a bytes.Reader, an
-// os.File), the compute shards read their own stripes' payload at its
-// offset from src's current position, and the run leaves src positioned
-// after the bytes it consumed.
+// os.File, or any type whose method set has both), src.Read is never
+// called: the compute shards read their own stripes' payload with
+// ReadAt at its offset from src's current position, and the run moves
+// src past the bytes it consumed with Seek.
 func EncodeStream(c codes.Code, dst io.Writer, src io.Reader, sectorSize int, cfg Config) (Result, error) {
 	if err := checkStreamSector(sectorSize); err != nil {
 		return Result{}, err
@@ -245,7 +274,7 @@ func EncodeStream(c codes.Code, dst io.Writer, src io.Reader, sectorSize int, cf
 		n, err := e.Run(&payloadAtSource{atReader: ar, data: data}, sink)
 		return Result{Stripes: n, Bytes: ar.n.Load()}, ar.finish(err)
 	}
-	rs := &readerSource{r: src, data: data}
+	rs := &readerSource{in: streamReader{r: src}, data: data}
 	n, err := e.Run(rs, sink)
 	return Result{Stripes: n, Bytes: rs.n}, err
 }
@@ -260,7 +289,8 @@ func EncodeStream(c codes.Code, dst io.Writer, src io.Reader, sectorSize int, cf
 // stream reads and decodes only ⌈payload/stripe payload⌉ stripes. An
 // empty scenario turns DecodeStream into an overlapped extract of an
 // intact stream. A src that is also an io.ReaderAt and an io.Seeker is
-// read by the compute shards, as EncodeStream reads one.
+// read by the compute shards with ReadAt, never through Read, and
+// positioned with Seek, as EncodeStream reads one.
 func DecodeStream(c codes.Code, dst io.Writer, src io.Reader, sc codes.Scenario, payload int64, sectorSize int, cfg Config) (Result, error) {
 	if err := checkStreamSector(sectorSize); err != nil {
 		return Result{}, err
@@ -276,7 +306,7 @@ func DecodeStream(c codes.Code, dst io.Writer, src io.Reader, sc codes.Scenario,
 		n, err = e.Run(&imageAtSource{atReader: ar}, ds)
 		err = ar.finish(err)
 	} else {
-		n, err = e.Run(&imageSource{r: src}, ds)
+		n, err = e.Run(&imageSource{in: streamReader{r: src}}, ds)
 	}
 	if err == nil && payload > 0 && ds.remaining > 0 {
 		return Result{Stripes: n, Bytes: ds.n},

@@ -54,22 +54,23 @@ type Source interface {
 	Next(idx int, slab *stripe.Stripe) (*stripe.Stripe, error)
 }
 
-// ConcurrentSource is a Source that can declare Next safe to call on
-// distinct indices at the same time, each with its own slab. An engine
-// of Depth > 1 then fills each stripe on the compute shard that
-// computes it: the fill goroutine only hands out indices in order, and
-// the shard calls Next before computing, so fills run on every shard
-// and each stripe is computed while it is still in that core's cache.
+// ConcurrentSource is a Source whose Next is safe to call on distinct
+// indices at the same time, each with its own slab: having the
+// ConcurrentNext method is the declaration. An engine of Depth > 1 then
+// fills each stripe on the compute shard that computes it: the fill
+// goroutine only hands out indices in order, and the shard calls Next
+// before computing, so fills run on every shard and each stripe is
+// computed while it is still in that core's cache.
 // A declaring source must return (nil, nil) for every index past the
 // end of its stream, since Next may be called on a few of them before
 // the engine learns where the stream ended. Output order and the error
-// contract are unchanged; a source that returns false, and every
-// source of a Depth-1 engine, fills sequentially.
+// contract are unchanged; every other source, and every source of a
+// Depth-1 engine, fills sequentially.
 type ConcurrentSource interface {
 	Source
-	// ConcurrentNext reports whether Next is safe on distinct indices at
-	// the same time.
-	ConcurrentNext() bool
+	// ConcurrentNext marks Next as safe on distinct indices at the same
+	// time; the engine never calls it.
+	ConcurrentNext()
 }
 
 // errStreamEnd is a shard's outcome for an index past the end of a
@@ -364,8 +365,7 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 		e.free <- j
 		return n, err
 	}
-	cs, ok := src.(ConcurrentSource)
-	e.shardFill = ok && cs.ConcurrentNext()
+	_, e.shardFill = src.(ConcurrentSource)
 	e.stop.Store(false)
 	e.runStart.Store(time.Now().UnixNano())
 	e.running.Store(true)

@@ -41,7 +41,7 @@ func atDepths(t *testing.T, staged int, fn func(t *testing.T, depth int)) {
 // those that end return (nil, nil) for every index past the end.
 type declared struct{ Source }
 
-func (declared) ConcurrentNext() bool { return true }
+func (declared) ConcurrentNext() {}
 
 // atFills runs fn as atDepths does, with the test's sources as they
 // are (fill is the identity), and once more at the staged depth with
@@ -69,7 +69,7 @@ func payload(size int) []byte {
 func encodeSerialImages(t *testing.T, c codes.Code, data []byte, sectorSize int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	src := &readerSource{r: bytes.NewReader(data), data: codes.DataPositions(c)}
+	src := &readerSource{in: streamReader{r: bytes.NewReader(data)}, data: codes.DataPositions(c)}
 	if _, err := Serial(c, codes.EncodingScenario(c), sectorSize, Config{}, src, &imageSink{w: &buf}); err != nil {
 		t.Fatal(err)
 	}

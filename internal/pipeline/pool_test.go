@@ -57,7 +57,7 @@ func testPoolConcurrentStreams(t *testing.T, cfg Config) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			src := &readerSource{r: bytes.NewReader(datas[i]), data: codes.DataPositions(sd)}
+			src := &readerSource{in: streamReader{r: bytes.NewReader(datas[i])}, data: codes.DataPositions(sd)}
 			_, errs[i] = p.Run(src, &imageSink{w: &outs[i]})
 		}(i)
 	}

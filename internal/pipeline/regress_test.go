@@ -240,7 +240,7 @@ func TestDecodeStreamEarlyStop(t *testing.T) {
 	src2 := &countingReader{images: images, stripe: stripeBytes}
 	var out2 bytes.Buffer
 	ds := &dataSink{w: &out2, data: codes.DataPositions(sd), remaining: int64(want)}
-	n, err := Serial(sd, codes.Scenario{}, sector, Config{}, &imageSource{r: src2}, ds)
+	n, err := Serial(sd, codes.Scenario{}, sector, Config{}, &imageSource{in: streamReader{r: src2}}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

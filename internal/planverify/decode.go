@@ -218,9 +218,8 @@ func (st *decodeState) recover(c int, vec []uint32, op int) {
 // start them before any group runs, each group (stage g) recovers its
 // sectors and adds its syndrome rows from its own survivors, never
 // reading another stage's output, and F_rest⁻¹ (stage p, after the
-// groups) recovers H_rest's sectors from the finished syndrome. Besides
-// every compiled matrix those stages apply, it proves H_rest's compiled
-// C4 sub-decode, which selections of the plan run.
+// groups) recovers H_rest's sectors from the finished syndrome. It
+// proves every compiled matrix those stages apply.
 func (st *decodeState) folded(p *core.Plan, fd *core.Fold) {
 	rest := len(p.Groups)
 	if p.Rest == nil || len(fd.Groups) != len(p.Groups) {
@@ -269,13 +268,14 @@ func (st *decodeState) folded(p *core.Plan, fd *core.Fold) {
 			st.reportf("structure", g, "group lists syndrome rows %v but no matrix", fg.Rows)
 		}
 	}
-	st.lowering(p.Rest, rest)
 	finv := p.Rest.Finv
 	if finv.Rows() != len(p.Rest.FaultyCols) || finv.Cols() != rows {
 		st.reportf("structure", rest, "F_rest^-1 is %s for %d faulty sectors and %d syndrome rows",
 			finv.Dims(), len(p.Rest.FaultyCols), rows)
 		return
 	}
+	cFinv, _, _ := p.Rest.Compiled()
+	st.proveCompiled("F_rest^-1", finv, cFinv, rest)
 	st.cost += int64(finv.NNZ())
 	for i, c := range p.Rest.FaultyCols {
 		vec := make([]uint32, st.total)
