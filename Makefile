@@ -79,8 +79,9 @@ verify-plans:
 # Short differential-fuzz burst over every fuzz target. Each target
 # needs its own `go test -fuzz` invocation (the tool refuses multiple
 # matches), so the list is explicit. FuzzStreamRoundTrip runs a second
-# time under -race: its bytes.Reader inputs are filled by several
-# compute shards at once.
+# time under -race: the compute shards read its pushed inputs in place
+# (bytes.Reader, io.MultiReader, strings.Reader) and fill its
+# io.SectionReader inputs with ReadAt, several shards at once.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/gf -run=^$$ -fuzz=FuzzMulAgainstReference -fuzztime=$(FUZZTIME)
@@ -95,9 +96,10 @@ fuzz-smoke:
 	$(GO) test -race ./internal/pipeline -run=^$$ -fuzz=FuzzStreamRoundTrip -fuzztime=$(FUZZTIME)
 
 # Pointer-safety instrumentation over the packages that sit on the
-# Go/assembly boundary.
+# Go/assembly boundary, and over the stream code that hands caller
+# memory (a string's bytes too) to the kernels as stripe views.
 checkptr:
-	$(GO) test -gcflags=all=-d=checkptr ./internal/gf ./internal/kernel ./internal/xorplan ./internal/fault
+	$(GO) test -gcflags=all=-d=checkptr ./internal/gf ./internal/kernel ./internal/xorplan ./internal/fault ./internal/pipeline ./internal/stripe
 
 # Fault storm: the end-to-end ppmfile chaos tests (missing disk +
 # silent flip + transient errors + a permanently hung strip, recovered

@@ -325,13 +325,21 @@ func NewStreamEngine(c Code, sc Scenario, sectorSize int, cfg StreamConfig) (*St
 // StreamResult.Bytes is the payload size a later DecodeStream needs to
 // trim it. sectorSize must be positive.
 //
-// When src is also an io.ReaderAt and an io.Seeker (a *bytes.Reader,
-// an *os.File, or any type whose method set has both, embedding
-// included), src.Read is never called: the compute shards read each
-// stripe with ReadAt at its offset from src's position when the call
-// began, and the call then moves src past the bytes consumed with Seek.
-// A wrapper that overrides Read (to count, hash or throttle the bytes)
-// must hide ReadAt or Seek for its Read to see them.
+// src is read as io.Copy reads it, WriteTo first. A src with WriteTo (a
+// *bytes.Reader, *bytes.Buffer, *strings.Reader, io.MultiReader or
+// *bufio.Reader, embedding included) hands its bytes over, and the
+// stripes are computed over them where they lie: they are never copied
+// or written, and not referenced after the call, but they must not
+// change during it. A src that also reports its remaining length with
+// Len() int ends the stream once that many bytes have arrived; one
+// that then gives more fails the call. Without WriteTo, a src that is
+// an io.ReaderAt and an io.Seeker (the wrapper an *os.File's WriteTo
+// passes on is one) is read by the compute shards with ReadAt at its
+// offset from src's position when the call began, never through Read,
+// and moved past the bytes consumed with Seek; any other src is read
+// in order with Read. A wrapper that overrides Read (to count, hash or
+// throttle the bytes) must hide WriteTo as well as ReadAt or Seek for
+// its Read to see them.
 func EncodeStream(c Code, dst io.Writer, src io.Reader, sectorSize int, cfg StreamConfig) (StreamResult, error) {
 	return pipeline.EncodeStream(c, dst, src, sectorSize, cfg)
 }
@@ -340,10 +348,15 @@ func EncodeStream(c Code, dst io.Writer, src io.Reader, sectorSize int, cfg Stre
 // faulty sectors in each (their bytes in the stream are ignored and
 // reconstructed), and writes the recovered payload to dst, trimmed to
 // payload bytes (negative payload emits everything, padding included).
-// An empty scenario makes it an overlapped extract of an intact stream.
-// sectorSize must be positive. A src that is also an io.ReaderAt and an
-// io.Seeker is read with ReadAt and positioned with Seek, never through
-// Read, as EncodeStream reads one.
+// It stops once the payload is satisfied, and leaves src after the
+// images decoded, unless src is read in order with Read: the pipeline
+// reads such a src up to Depth images further. An empty scenario makes
+// it an overlapped extract of an intact stream. sectorSize must be
+// positive.
+// src is read as EncodeStream reads it: images handed over through
+// WriteTo are decoded where they lie, their faulty sectors recovered
+// into the pipeline's own buffers, so the caller's bytes are never
+// written, and must not change during the call.
 func DecodeStream(c Code, dst io.Writer, src io.Reader, sc Scenario, payload int64, sectorSize int, cfg StreamConfig) (StreamResult, error) {
 	return pipeline.DecodeStream(c, dst, src, sc, payload, sectorSize, cfg)
 }

@@ -196,3 +196,41 @@ func TestStreamsAfterHeader(t *testing.T) {
 			pos, len(header), len(header)+len(want))
 	}
 }
+
+// TestPastEndFillLeavesSlab: a fill past the end of the stream returns
+// (nil, nil) without touching the slab. The shards call Next on a few
+// indices past the end of a ReaderAt stream, and an empty stream's
+// first Next is one too; each used to clear every data sector first.
+func TestPastEndFillLeavesSlab(t *testing.T) {
+	sd := testSD(t)
+	const sector = 64
+	data := codes.DataPositions(sd)
+	slab, err := stripe.New(sd.NumStrips(), sd.NumRows(), sector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < slab.TotalSectors(); i++ {
+		for j := range slab.Sector(i) {
+			slab.Sector(i)[j] = 0xA5
+		}
+	}
+	want := slab.Clone()
+	stream := payload(2 * len(data) * sector)
+	for _, c := range []struct {
+		name string
+		in   streamReader
+	}{
+		{"empty reader", streamReader{r: bytes.NewReader(nil)}},
+		{"past a ReaderAt's end", streamReader{at: bytes.NewReader(stream), off: int64(len(stream))}},
+	} {
+		name, in := c.name, c.in
+		rs := readerSource{in: in, data: data}
+		st, err := rs.Next(2, slab)
+		if st != nil || err != nil {
+			t.Fatalf("%s: Next returned (%v, %v), want (nil, nil)", name, st, err)
+		}
+		if !slab.Equal(want) {
+			t.Fatalf("%s: Next wrote into the slab", name)
+		}
+	}
+}

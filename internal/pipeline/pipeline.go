@@ -153,9 +153,11 @@ type Engine struct {
 	// Per-run state, published to the fill goroutine via the start
 	// channel send (happens-before its receive), and to the shards via
 	// the work channel. A Depth-1 engine reads it on the Run goroutine.
-	// shardFill marks a concurrent source: the shards fill the stripes.
+	// first is the index of the run's first stripe; shardFill marks a
+	// concurrent source: the shards fill the stripes.
 	src       Source
 	ctx       context.Context
+	first     int
 	shardFill bool
 	stop      atomic.Bool
 
@@ -351,6 +353,14 @@ func (e *Engine) Run(src Source, dst Sink) (int, error) {
 // engine is reusable. A Depth-1 engine keeps the same contract with
 // every stage on the calling goroutine.
 func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, error) {
+	return e.run(ctx, 0, src, dst)
+}
+
+// run is RunContext with the stream's stripes numbered from first: the
+// indices Next and Drain receive and errors name. A stream that reaches
+// the engine in several runs (streamCoder) numbers each run's stripes
+// from where the previous run ended.
+func (e *Engine) run(ctx context.Context, first int, src Source, dst Sink) (int, error) {
 	if e.closed.Load() {
 		return 0, fmt.Errorf("pipeline: engine is closed")
 	}
@@ -359,6 +369,7 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 	}
 	e.src = src
 	e.ctx = ctx
+	e.first = first
 	if e.cfg.Depth == 1 {
 		j := <-e.free
 		n, err := e.runInline(j.slab, dst)
@@ -458,15 +469,15 @@ func (e *Engine) RunContext(ctx context.Context, src Source, dst Sink) (int, err
 //ppm:hotpath
 func (e *Engine) runInline(slab *stripe.Stripe, dst Sink) (int, error) {
 	done := e.ctx.Done()
-	for idx := 0; ; idx++ {
+	for idx := e.first; ; idx++ {
 		select {
 		case <-done:
-			return idx, e.ctx.Err()
+			return idx - e.first, e.ctx.Err()
 		default:
 		}
 		st, err := e.nextSafe(idx, slab)
 		if err == nil && st == nil {
-			return idx, nil
+			return idx - e.first, nil
 		}
 		if err == nil {
 			err = e.computeSafe(idx, st)
@@ -479,11 +490,11 @@ func (e *Engine) runInline(slab *stripe.Stripe, dst Sink) (int, error) {
 			case errors.Is(err, Stop):
 				// The sink is satisfied: this stripe still counts.
 				e.stripes.Add(1)
-				return idx + 1, nil
+				return idx + 1 - e.first, nil
 			}
 		}
 		//ppm:allow(hotalloc) failure path: the run ends here, so the wrap allocates once per failed run
-		return idx, fmt.Errorf("pipeline: stripe %d: %w", idx, err)
+		return idx - e.first, fmt.Errorf("pipeline: stripe %d: %w", idx, err)
 	}
 }
 
@@ -504,7 +515,7 @@ func (e *Engine) fillLoop() {
 //ppm:hotpath
 func (e *Engine) fillOne() {
 	done := e.ctx.Done()
-	for idx := 0; ; idx++ {
+	for idx := e.first; ; idx++ {
 		if e.stop.Load() {
 			break
 		}

@@ -240,7 +240,11 @@ func TestDecodeStreamEarlyStop(t *testing.T) {
 	src2 := &countingReader{images: images, stripe: stripeBytes}
 	var out2 bytes.Buffer
 	ds := &dataSink{w: &out2, data: codes.DataPositions(sd), remaining: int64(want)}
-	n, err := Serial(sd, codes.Scenario{}, sector, Config{}, &imageSource{in: streamReader{r: src2}}, ds)
+	all := make([]int, codes.TotalSectors(sd))
+	for i := range all {
+		all[i] = i
+	}
+	n, err := Serial(sd, codes.Scenario{}, sector, Config{}, &readerSource{in: streamReader{r: src2}, data: all, image: true}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +257,10 @@ func TestDecodeStreamEarlyStop(t *testing.T) {
 }
 
 // TestDecodeStreamEarlyStopWithRepair: early stop composes with a real
-// repair scenario — the decoded prefix is still byte-exact.
+// repair scenario — the decoded prefix is still byte-exact — and leaves
+// the reader right after the images decoded, whether it pushed them
+// (bytes.Reader) or the shards read them ahead with ReadAt
+// (io.SectionReader).
 func TestDecodeStreamEarlyStopWithRepair(t *testing.T) {
 	sd := testSD(t)
 	const sector = 128
@@ -282,16 +289,24 @@ func TestDecodeStreamEarlyStopWithRepair(t *testing.T) {
 	}
 
 	want := perStripe*3 + 17 // a ragged 4-stripe payload
-	var out bytes.Buffer
-	res, err := DecodeStream(sd, &out, bytes.NewReader(images), sc, int64(want), sector, Config{Depth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stripes != 4 {
-		t.Errorf("decoded %d stripes, want 4", res.Stripes)
-	}
-	if !bytes.Equal(out.Bytes(), data[:want]) {
-		t.Fatal("early-stopped repair decode produced the wrong payload")
+	for _, r := range []io.ReadSeeker{
+		bytes.NewReader(images),
+		io.NewSectionReader(bytes.NewReader(images), 0, int64(len(images))),
+	} {
+		var out bytes.Buffer
+		res, err := DecodeStream(sd, &out, r, sc, int64(want), sector, Config{Depth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pos, _ := r.Seek(0, io.SeekCurrent); pos != int64(4*stripeBytes) {
+			t.Errorf("%T: DecodeStream left the reader at %d, want %d: after the 4 images decoded", r, pos, 4*stripeBytes)
+		}
+		if res.Stripes != 4 {
+			t.Errorf("%T: decoded %d stripes, want 4", r, res.Stripes)
+		}
+		if !bytes.Equal(out.Bytes(), data[:want]) {
+			t.Fatalf("%T: early-stopped repair decode produced the wrong payload", r)
+		}
 	}
 }
 

@@ -26,14 +26,8 @@ type Stripe struct {
 // that regions are word-aligned for every supported field, and the
 // stripe's n·r·sectorSize bytes must fit in an int.
 func New(n, r, sectorSize int) (*Stripe, error) {
-	if n < 1 || r < 1 {
-		return nil, fmt.Errorf("stripe: invalid geometry n=%d r=%d", n, r)
-	}
-	if sectorSize < 4 || sectorSize%4 != 0 {
-		return nil, fmt.Errorf("stripe: sector size %d must be a positive multiple of 4", sectorSize)
-	}
-	if n > math.MaxInt/r || n*r > math.MaxInt/sectorSize {
-		return nil, fmt.Errorf("stripe: %d×%d sectors of %d bytes overflow int", n, r, sectorSize)
+	if err := checkGeometry(n, r, sectorSize); err != nil {
+		return nil, err
 	}
 	// One backing allocation, sliced per sector (HPC-friendly layout).
 	backing := make([]byte, n*r*sectorSize)
@@ -43,6 +37,59 @@ func New(n, r, sectorSize int) (*Stripe, error) {
 	}
 	return &Stripe{n: n, r: r, sectorSize: sectorSize, sectors: sectors}, nil
 }
+
+func checkGeometry(n, r, sectorSize int) error {
+	if n < 1 || r < 1 {
+		return fmt.Errorf("stripe: invalid geometry n=%d r=%d", n, r)
+	}
+	if sectorSize < 4 || sectorSize%4 != 0 {
+		return fmt.Errorf("stripe: sector size %d must be a positive multiple of 4", sectorSize)
+	}
+	if n > math.MaxInt/r || n*r > math.MaxInt/sectorSize {
+		return fmt.Errorf("stripe: %d×%d sectors of %d bytes overflow int", n, r, sectorSize)
+	}
+	return nil
+}
+
+// View is a stripe over memory it does not own, re-pointed sector by
+// sector, so one view serves stripe after stripe.
+type View struct {
+	st *Stripe
+}
+
+// NewView returns a view of n strips by r rows whose sector i is
+// sectors[i], aliased, not copied. Every sector must be exactly
+// sectorSize bytes; the geometry rules are New's.
+func NewView(n, r, sectorSize int, sectors [][]byte) (*View, error) {
+	if err := checkGeometry(n, r, sectorSize); err != nil {
+		return nil, err
+	}
+	if len(sectors) != n*r {
+		return nil, fmt.Errorf("stripe: view of %d×%d sectors given %d", n, r, len(sectors))
+	}
+	st := &Stripe{n: n, r: r, sectorSize: sectorSize, sectors: make([][]byte, n*r)}
+	for i, sec := range sectors {
+		if len(sec) != sectorSize {
+			return nil, fmt.Errorf("stripe: view sector %d is %d bytes, want %d", i, len(sec), sectorSize)
+		}
+		st.sectors[i] = sec[:sectorSize:sectorSize]
+	}
+	return &View{st: st}, nil
+}
+
+// Alias points sector idx of the view at b, aliased, not copied. b must
+// be exactly the sector size: Alias panics otherwise, as on a bad
+// index, since only a bug can produce either.
+func (v *View) Alias(idx int, b []byte) {
+	if len(b) != v.st.sectorSize {
+		panic(fmt.Sprintf("stripe: aliasing a %d-byte sector with %d bytes", v.st.sectorSize, len(b)))
+	}
+	v.st.sectors[idx] = b[:len(b):len(b)]
+}
+
+// Stripe returns the stripe the view presents: reading or writing it
+// reads or writes the memory its sectors alias.
+func (v *View) Stripe() *Stripe { return v.st }
 
 // ForCode allocates a stripe matching a code's geometry whose total size
 // is as close to stripeBytes as alignment allows. This mirrors the

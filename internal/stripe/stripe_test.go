@@ -238,3 +238,47 @@ func popcount(b byte) int {
 	}
 	return n
 }
+
+// TestView: a view's sectors are the caller's memory, not copies; the
+// constructor rejects a sector of the wrong length or count, and Alias
+// re-points a sector and panics on a wrong length.
+func TestView(t *testing.T) {
+	const n, r, size = 2, 2, 8
+	mem := make([]byte, n*r*size)
+	secs := make([][]byte, n*r)
+	for i := range secs {
+		secs[i] = mem[i*size : (i+1)*size]
+	}
+	v, err := NewView(n, r, size, secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Stripe().Sector(3)[0] = 7
+	if mem[3*size] != 7 {
+		t.Fatal("a write through the view did not reach the caller's memory")
+	}
+	other := make([]byte, size)
+	v.Alias(1, other)
+	v.Stripe().Sector(1)[2] = 9
+	if other[2] != 9 || mem[size+2] != 0 {
+		t.Fatal("Alias did not re-point sector 1")
+	}
+
+	short := append([][]byte(nil), secs...)
+	short[2] = short[2][:size-4]
+	if _, err := NewView(n, r, size, short); err == nil {
+		t.Error("NewView accepted a short sector")
+	}
+	if _, err := NewView(n, r, size, secs[:3]); err == nil {
+		t.Error("NewView accepted too few sectors")
+	}
+	if _, err := NewView(n, r, 6, secs); err == nil {
+		t.Error("NewView accepted a sector size that is not a multiple of 4")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Alias accepted a sector of the wrong length")
+		}
+	}()
+	v.Alias(0, make([]byte, size+4))
+}
