@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-smoke experiments paper fmt fmt-check vet lint verify-plans fuzz-smoke checkptr chaos check clean
+.PHONY: all build test test-short race cover bench bench-smoke experiments paper fmt fmt-check gen-check vet lint verify-plans fuzz-smoke checkptr chaos check clean
 
 all: check
 
@@ -57,6 +57,15 @@ fmt:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# The GFNI row-block assembly is generated: run its generator into a
+# temporary directory and fail when the output differs from the
+# committed internal/gf/block_amd64.s, so the two cannot drift apart.
+gen-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		cp internal/gf/gen_block.go "$$tmp" && (cd "$$tmp" && $(GO) run gen_block.go) && \
+		cmp internal/gf/block_amd64.s "$$tmp/block_amd64.s" || \
+		{ echo "gen-check: internal/gf/block_amd64.s is not gen_block.go's output; run go generate ./internal/gf"; exit 1; }
 
 # bench/ is a module of its own, so the root ./... never reaches it.
 vet:

@@ -330,8 +330,11 @@ func TestScrubCleanDirectory(t *testing.T) {
 }
 
 // TestManifestHardening: readManifest rejects coefficient counts that
-// disagree with m+s, field word sizes the library doesn't support, and
-// strip sizes (stripes × r × sector_size) that overflow.
+// disagree with m+s, field word sizes the library doesn't support,
+// strip sizes (stripes × r × sector_size) that overflow, a file_name
+// that is not a plain base name, and a file_size past the archive's
+// data sectors. decode without -out fails on such a name before it
+// creates any file; it used to write "../escaped.bin" one directory up.
 func TestManifestHardening(t *testing.T) {
 	base := manifest{
 		N: 8, R: 16, M: 2, S: 2, Word: 8,
@@ -349,6 +352,13 @@ func TestManifestHardening(t *testing.T) {
 		{"word 0", func(mf *manifest) { mf.Word = 0 }},
 		{"word 64", func(mf *manifest) { mf.Word = 64 }},
 		{"strip bytes overflow", func(mf *manifest) { mf.SectorSize, mf.Stripes = 1<<40, 1<<30 }},
+		{"file_name up a directory", func(mf *manifest) { mf.FileName = "../escaped.bin" }},
+		{"file_name in a directory", func(mf *manifest) { mf.FileName = "sub/x.bin" }},
+		{"file_name absolute", func(mf *manifest) { mf.FileName = "/tmp/x.bin" }},
+		{"file_name dot-dot", func(mf *manifest) { mf.FileName = ".." }},
+		// 3 stripes × ((8−2)·16 − 2) data sectors × 4096 bytes.
+		{"file_size past capacity", func(mf *manifest) { mf.FileSize = 3*94*4096 + 1 }},
+		{"file_size 10^12", func(mf *manifest) { mf.FileSize = 1e12 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -364,23 +374,55 @@ func TestManifestHardening(t *testing.T) {
 			}
 		})
 	}
-	// The unmutated manifest must still pass.
-	dir := t.TempDir()
-	if err := writeManifest(dir, base); err != nil {
+	// The unmutated manifest must still pass, and so must one whose
+	// payload fills every data sector.
+	full := base
+	full.FileSize = 3 * 94 * 4096
+	for _, mf := range []manifest{base, full} {
+		dir := t.TempDir()
+		if err := writeManifest(dir, mf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readManifest(dir); err != nil {
+			t.Fatalf("valid manifest rejected: %v", err)
+		}
+	}
+
+	work := t.TempDir()
+	in, _ := writeInput(t, work, 50_000)
+	shards := filepath.Join(work, "shards")
+	if err := runEncode([]string{"-in", in, "-dir", shards}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readManifest(dir); err != nil {
-		t.Fatalf("valid manifest rejected: %v", err)
+	mf, err := readManifest(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf.FileName = "../escaped.bin"
+	if err := writeManifest(shards, mf); err != nil {
+		t.Fatal(err)
+	}
+	sub := filepath.Join(work, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(sub)
+	if err := runDecode([]string{"-dir", shards}); err == nil || !strings.Contains(err.Error(), "file_name") {
+		t.Errorf("decode of a manifest naming %q: got %v, want the name rejected", mf.FileName, err)
+	}
+	if _, err := os.Stat(filepath.Join(work, "escaped.bin")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("decode wrote outside its working directory: %v", err)
 	}
 }
 
 // TestManifestClaimExceedsStrips: a manifest whose stripes × r ×
-// sector_size exceeds every strip file on disk, or whose n leaves more
-// than m+s strip files missing, is rejected with an error naming the
-// manifest, before any buffer or code is sized from it. A 1 TiB
-// sector_size used to kill verify and decode with a fatal out-of-memory
-// error, and n = 1<<28 over GF(2^32) killed all three commands while
-// building the code.
+// sector_size exceeds every strip file on disk, whose n leaves more
+// than m+s strip files missing, or whose file_size exceeds the data
+// sectors of its stripes, is rejected with an error naming the
+// manifest, before any buffer or code is sized from it and before
+// decode creates its output file. A 1 TiB sector_size used to kill
+// verify and decode with a fatal out-of-memory error, and n = 1<<28
+// over GF(2^32) killed all three commands while building the code.
 func TestManifestClaimExceedsStrips(t *testing.T) {
 	work := t.TempDir()
 	in, _ := writeInput(t, work, 200_000)
@@ -403,6 +445,9 @@ func TestManifestClaimExceedsStrips(t *testing.T) {
 		{"n", func(mf *manifest) {
 			mf.N, mf.R, mf.Word, mf.ChecksumAlgo, mf.Checksums = 1<<28, 1, 32, "", nil
 		}},
+		// Decode used to write the whole payload before it found the
+		// archive short.
+		{"file_size", func(mf *manifest) { mf.FileSize = 1e12 }},
 	}
 	for _, tc := range cases {
 		mf := orig
@@ -420,6 +465,9 @@ func TestManifestClaimExceedsStrips(t *testing.T) {
 			if !errors.Is(err, errManifestExceedsStrips) || !strings.Contains(err.Error(), manifestName) {
 				t.Errorf("%s with oversized %s: got %v, want the manifest's claim rejected", cmd, tc.name, err)
 			}
+		}
+		if _, err := os.Stat(filepath.Join(work, "out.bin")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("decode with oversized %s created its output file: %v", tc.name, err)
 		}
 	}
 }

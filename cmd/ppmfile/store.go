@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"os"
 	"path/filepath"
 
@@ -119,6 +120,18 @@ func readManifest(dir string) (manifest, error) {
 		return manifest{}, fmt.Errorf("manifest is inconsistent: r=%d × sector_size=%d × stripes=%d overflows",
 			mf.R, mf.SectorSize, mf.Stripes)
 	}
+	// decode without -out creates the file the manifest names, so the
+	// name may not reach outside the working directory.
+	mfPath := filepath.Join(dir, manifestName)
+	if mf.FileName != "" && (mf.FileName != filepath.Base(mf.FileName) || mf.FileName == "." || !filepath.IsLocal(mf.FileName)) {
+		return manifest{}, fmt.Errorf("%s: file_name %q is not a plain file name", mfPath, mf.FileName)
+	}
+	// The payload must fit in the archive's data sectors: decode would
+	// otherwise write every stripe before finding the archive short.
+	if capacity := dataCapacity(mf); big.NewInt(mf.FileSize).Cmp(capacity) > 0 {
+		return manifest{}, fmt.Errorf("%s %w: file_size %d bytes, %v data bytes in %d stripes",
+			mfPath, errManifestExceedsStrips, mf.FileSize, capacity, mf.Stripes)
+	}
 	if _, err := gf.ForWord(mf.Word); err != nil {
 		return manifest{}, fmt.Errorf("manifest names an unsupported field: %w", err)
 	}
@@ -142,6 +155,15 @@ func readManifest(dir string) (manifest, error) {
 		}
 	}
 	return mf, nil
+}
+
+// dataCapacity is the payload bytes an archive of mf's geometry holds:
+// stripes × ((n−m)·r − s) data sectors × sector_size. It is exact for
+// any n; readManifest has bounded sector_size × stripes.
+func dataCapacity(mf manifest) *big.Int {
+	sectors := new(big.Int).Mul(big.NewInt(int64(mf.N-mf.M)), big.NewInt(int64(mf.R)))
+	sectors.Sub(sectors, big.NewInt(int64(mf.S)))
+	return sectors.Mul(sectors, big.NewInt(int64(mf.SectorSize)*int64(mf.Stripes)))
 }
 
 // codeFromManifest rebuilds the exact SD instance used at encode time

@@ -39,10 +39,12 @@ import (
 // strictly the cheapest; StrategyPPMFolded runs it whatever it costs.
 
 // Fold is the folded lowering of a PPM plan's H_rest. The plan's Groups
-// and Rest stay the C4 sub-decodes: Describe and the symbolic
-// verifier's stage walk read them, and the folded executor reuses each
-// group's compiled G. Of H_rest it compiles only F_rest⁻¹: the own
-// columns replace S_rest.
+// and Rest stay the C4 sub-decodes, which Describe and the symbolic
+// verifier's stage walk read. The executor applies neither a group's G
+// nor S_rest: each group runs [G_g; Syn_g] compiled as one matrix, the
+// G rows overwriting the group's sectors and the syndrome rows adding
+// into the syndrome, in one pass over the group's survivors. Of H_rest
+// it compiles only F_rest⁻¹: the own columns replace S_rest.
 type Fold struct {
 	// Groups[g] is group g's share of H_rest's syndrome.
 	Groups []FoldGroup
@@ -70,15 +72,18 @@ type FoldGroup struct {
 	// SurvivorCols s_g; nil when the group adds to no syndrome row.
 	Syn *matrix.Matrix
 
-	cSyn *kernel.CompiledMatrix
+	c *kernel.CompiledMatrix
 	// at is where the group's views start in Fold.slots: its survivors,
 	// then its faulty sectors, then its syndrome Rows.
 	at int
 }
 
-// Compiled returns the compiled Syn the executor accumulates, nil when
-// the group adds nothing.
-func (fg *FoldGroup) Compiled() *kernel.CompiledMatrix { return fg.cSyn }
+// Compiled returns the one matrix the executor applies for the group:
+// [G_g; Syn] over its survivors (G_g alone when Syn is nil), compiled
+// with the len(Rows) syndrome rows accumulating, so G_g's rows
+// overwrite the group's faulty sectors and the syndrome rows add into
+// the syndrome.
+func (fg *FoldGroup) Compiled() *kernel.CompiledMatrix { return fg.c }
 
 // CompiledOwn returns the compiled Own the executor starts the syndrome
 // with, nil when no column is H_rest's own.
@@ -182,14 +187,16 @@ func foldGroup(f gf.Field, acc []uint32, rows, k int) FoldGroup {
 	return fg
 }
 
-// compile lowers the fold's own matrices and H_rest's F_rest⁻¹, the
-// one matrix of H_rest the fold applies (the groups' G are the plan's
-// compiled sub-decodes), and lays out the executor's views.
+// compile lowers each group's [G_g; Syn_g], the own columns and
+// H_rest's F_rest⁻¹, the one matrix of H_rest the fold applies, and
+// lays out the executor's views.
 func (fd *Fold) compile(f gf.Field, p *Plan) {
 	for g := range fd.Groups {
-		if syn := fd.Groups[g].Syn; syn != nil {
-			fd.Groups[g].cSyn = kernel.Compile(f, syn)
+		fg, m := &fd.Groups[g], p.Groups[g].G
+		if fg.Syn != nil {
+			m = m.Stack(fg.Syn)
 		}
+		fg.c = kernel.CompileAccumulating(f, m, len(fg.Rows))
 	}
 	if len(fd.OwnCols) > 0 {
 		fd.cOwn = kernel.Compile(f, fd.Own)
@@ -256,8 +263,8 @@ func (s *execSession) fold(p *Plan, st *stripe.Stripe, threads int) error {
 // foldSpan runs the folded sequence over [lo, hi) of every sector, one
 // tile at a time, with views laid out as fd.slots and syndrome rows in
 // syn, tile bytes each. Per tile, the own columns overwrite the
-// syndrome, each group applies G_g (overwrite) and then its syndrome
-// rows (accumulate) over its survivors, and F_rest⁻¹ turns the
+// syndrome, each group makes one pass over its survivors that writes
+// its sectors and adds its syndrome rows, and F_rest⁻¹ turns the
 // syndrome into H_rest's sectors. A panic, kernel or view setup, comes
 // back as an error.
 //
@@ -290,14 +297,9 @@ func (s *execSession) foldSpan(p *Plan, st *stripe.Stripe, v, syn [][]byte, lo, 
 			}
 		}
 		for g := range fd.Groups {
-			fg, cg := &fd.Groups[g], p.Groups[g].cG
-			in := v[fg.at : fg.at+cg.Cols()]
-			out := v[fg.at+cg.Cols() : fg.at+cg.Cols()+cg.Rows()]
-			cg.ApplyRange(in, out, 0, n, true, nil)
-			if fg.cSyn != nil {
-				at := fg.at + cg.Cols() + cg.Rows()
-				fg.cSyn.ApplyRange(in, v[at:at+len(fg.Rows)], 0, n, false, nil)
-			}
+			fg := &fd.Groups[g]
+			at := fg.at + fg.c.Cols()
+			fg.c.ApplyRange(v[fg.at:at], v[at:at+fg.c.Rows()], 0, n, true, nil)
 		}
 		finv := p.Rest.cFinv
 		finv.ApplyRange(rows, v[fd.rows+own:fd.rows+own+finv.Rows()], 0, n, true, nil)

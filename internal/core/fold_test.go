@@ -117,17 +117,25 @@ func TestFoldedMatchesC4AndDecode(t *testing.T) {
 // TestFoldedCosts pins C5 against C4 on the worst cases of SD(n,16,m,2)
 // for n in {6, 8, 16, 24} and m in {1, 2, 3}, where the fold is
 // strictly cheaper and Auto takes it, and of LRC(12,2,2), LRC(24,4,2)
-// and LRC(60,4,2), where it saves nothing and Auto keeps C4. The two
-// ledger shapes are exact: SD(8,16,2,2)'s encode 452 → 392 and
-// SD(16,16,2,2)'s worst case 964 → 904.
+// and LRC(60,4,2), where it saves nothing and Auto keeps C4. The three
+// ledger shapes are exact: SD(8,16,2,2)'s encode 452 → 392 (ingest),
+// SD(16,16,2,2)'s worst case 964 → 904 (rebuild) and SD(8,16,2,2)'s
+// worst case 452 → 392 (serve). On each, every folded group's G and
+// syndrome rows share one row block: the groups run 15 row-block
+// passes per tile, where compiling G and the syndrome rows apart takes
+// 30.
 func TestFoldedCosts(t *testing.T) {
-	auto := func(c codes.Code, sc codes.Scenario) core.Costs {
+	plan := func(c codes.Code, sc codes.Scenario) *core.Plan {
 		t.Helper()
 		p, err := core.BuildPlan(c, sc, core.StrategyAuto)
 		if err != nil {
 			t.Fatalf("%s %v: %v", c.Name(), sc.Faulty, err)
 		}
-		return p.Costs
+		return p
+	}
+	auto := func(c codes.Code, sc codes.Scenario) core.Costs {
+		t.Helper()
+		return plan(c, sc).Costs
 	}
 	for _, n := range []int{6, 8, 16, 24} {
 		for m := 1; m <= 3; m++ {
@@ -170,6 +178,10 @@ func TestFoldedCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	serve, err := ingest.WorstCaseScenario(rand.New(rand.NewSource(1)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		code   codes.Code
 		sc     codes.Scenario
@@ -177,10 +189,30 @@ func TestFoldedCosts(t *testing.T) {
 	}{
 		{ingest, codes.EncodingScenario(ingest), 452, 392},
 		{rebuild, worst, 964, 904},
+		{ingest, serve, 452, 392},
 	} {
-		if c := auto(tc.code, tc.sc); c.C4 != tc.c4 || c.C5 != tc.c5 || c.Chosen != tc.c5 {
+		p := plan(tc.code, tc.sc)
+		if c := p.Costs; c.C4 != tc.c4 || c.C5 != tc.c5 || c.Chosen != tc.c5 {
 			t.Errorf("%s: C4 %d, C5 %d, chosen %d; want %d, %d, %d",
 				tc.code.Name(), c.C4, c.C5, c.Chosen, tc.c4, tc.c5, tc.c5)
+		}
+		fd := p.Folded()
+		if fd == nil {
+			t.Errorf("%s %v: Auto did not fold", tc.code.Name(), tc.sc.Faulty)
+			continue
+		}
+		fused, apart := 0, 0
+		for g := range fd.Groups {
+			fg := &fd.Groups[g]
+			fused += len(fg.Compiled().Blocks())
+			apart += len(kernel.Compile(tc.code.Field(), p.Groups[g].G).Blocks())
+			if fg.Syn != nil {
+				apart += len(kernel.Compile(tc.code.Field(), fg.Syn).Blocks())
+			}
+		}
+		if fused != 15 || apart != 30 {
+			t.Errorf("%s %v: folded groups compile to %d row blocks, %d with G and syndrome rows apart; want 15 and 30",
+				tc.code.Name(), tc.sc.Faulty, fused, apart)
 		}
 	}
 }

@@ -96,8 +96,9 @@ type SubDecode struct {
 
 // Compiled returns the compiled matrices the executor applies: g under
 // MatrixFirst, finv and s under Normal, nil otherwise. A folded plan's
-// H_rest has finv alone (fold.go). planverify proves them against G,
-// Finv and S.
+// H_rest has finv alone, and its groups none: the fold compiles each
+// group's G with its syndrome rows (fold.go). planverify proves them
+// against G, Finv and S.
 func (sd *SubDecode) Compiled() (finv, s, g *kernel.CompiledMatrix) {
 	return sd.cFinv, sd.cS, sd.cG
 }
@@ -261,15 +262,18 @@ func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error
 		return nil, fmt.Errorf("core: unknown strategy %v", strategy)
 	}
 
-	// Lower the plan's matrices into compiled multiplier form.
+	// Lower the plan's matrices into compiled multiplier form. A folded
+	// plan compiles its groups' G into the fold's group matrices.
 	f := c.Field()
-	for i := range plan.Groups {
-		plan.Groups[i].compile(f)
-	}
 	if plan.fold != nil {
 		plan.fold.compile(f, plan)
-	} else if plan.Rest != nil {
-		plan.Rest.compile(f)
+	} else {
+		for i := range plan.Groups {
+			plan.Groups[i].compile(f)
+		}
+		if plan.Rest != nil {
+			plan.Rest.compile(f)
+		}
 	}
 	if plan.Whole != nil {
 		plan.Whole.compile(f)

@@ -8,6 +8,6 @@ const affineSupported = false
 
 var useAffine = false
 
-func gf8BlockAsm(a *blockArgs, nsrc, rows, n int, acc bool)  { panic("gf: no affine kernel") }
-func gf16BlockAsm(a *blockArgs, nsrc, rows, n int, acc bool) { panic("gf: no affine kernel") }
-func gf32BlockAsm(a *blockArgs, nsrc, rows, n int, acc bool) { panic("gf: no affine kernel") }
+func gf8BlockAsm(a *blockArgs, nsrc, rows, n int, acc uint)  { panic("gf: no affine kernel") }
+func gf16BlockAsm(a *blockArgs, nsrc, rows, n int, acc uint) { panic("gf: no affine kernel") }
+func gf32BlockAsm(a *blockArgs, nsrc, rows, n int, acc uint) { panic("gf: no affine kernel") }

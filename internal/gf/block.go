@@ -22,6 +22,13 @@ import (
 // go through in batches of blockBatch, so a block over more columns
 // reads and writes its R destination chunks once per batch.
 //
+// Every row carries a mode fixed at compile time: an overwrite row
+// stores its sum over the destination, an accumulate row adds it in.
+// Apply's overwrite flag selects the rows' own modes; without it every
+// row accumulates. So one block can write some regions and add into
+// others in a single pass over their shared sources, the way a folded
+// group recovers its sectors and adds its syndrome rows (internal/core).
+//
 // The per-(row, column) affine matrices are laid out contiguously at
 // compile time, column-major: column k's block of R row matrices is
 // one contiguous run, so the kernel reads one matrix pointer per source
@@ -52,8 +59,10 @@ const BlockRows = 4
 const blockBatch = 16
 
 // blockArgs is the argument block the assembly kernels read (field
-// offsets come from go_asm.h). It lives on the caller's stack: the
-// kernels are //go:noescape, so it never reaches the heap.
+// offsets come from go_asm.h): the batch's destinations, sources and
+// per-source matrices. The rows' modes travel beside it, as the
+// kernel's accumulate mask. It lives on the caller's stack: the kernels
+// are //go:noescape, so it never reaches the heap.
 type blockArgs struct {
 	dst [BlockRows]*byte
 	src [blockBatch]*byte
@@ -78,8 +87,9 @@ var (
 )
 
 // RowBlock is up to BlockRows coefficient rows compiled for the
-// row-block kernel over the union of their column supports. It is
-// immutable to its callers and safe for concurrent use.
+// row-block kernel over the union of their column supports, each row
+// with its own overwrite or accumulate mode. It is immutable to its
+// callers and safe for concurrent use.
 type RowBlock struct {
 	f      Field
 	w      int
@@ -88,6 +98,7 @@ type RowBlock struct {
 	consts [][]uint32 // per row: the caller's coefficient row
 	mats   []uint64   // per column: its rows' matrices, contiguous
 	terms  int
+	acc    uint // bit r set: row r accumulates under an overwrite Apply
 
 	// The table path over the same terms, one tableRow per row, built
 	// from consts by the first Apply that runs it.
@@ -99,7 +110,9 @@ type RowBlock struct {
 // blocks, one block per group: block g writes the output regions
 // rows[ends[g-1]:ends[g]] (ends[-1] = 0) from the full matrix rows
 // consts[ends[g-1]:ends[g]]. A group holds 1 to BlockRows rows, every
-// row has the same length, and ends must end at len(rows). A block's
+// row has the same length, and ends must end at len(rows). Row i
+// accumulates under an overwrite Apply when acc[i] is set; a nil acc
+// makes every row overwrite. A block's
 // support is the union of its rows' nonzero columns; the kernel
 // (internal/kernel) groups rows with identical support, so a union adds
 // no zero terms there. f must be one of this package's fields; any
@@ -108,14 +121,16 @@ type RowBlock struct {
 // they keep rows and consts (consts for their table path, which each
 // lowers on first use), so the caller must not modify either
 // afterwards.
-func CompileBlock(f Field, rows []int, consts [][]uint32, ends []int) []*RowBlock {
+func CompileBlock(f Field, rows []int, consts [][]uint32, ends []int, acc []bool) []*RowBlock {
 	switch f.(type) {
 	case *field8, *field16, field32:
 	default:
 		panic(fmt.Sprintf("gf: unknown field %T", f))
 	}
-	if len(rows) == 0 || len(rows) != len(consts) || len(ends) == 0 || ends[len(ends)-1] != len(rows) {
-		panic(fmt.Sprintf("gf: %d rows with %d coefficient rows in blocks ending at %v", len(rows), len(consts), ends))
+	if len(rows) == 0 || len(rows) != len(consts) || len(ends) == 0 || ends[len(ends)-1] != len(rows) ||
+		(acc != nil && len(acc) != len(rows)) {
+		panic(fmt.Sprintf("gf: %d rows with %d coefficient rows and %d modes in blocks ending at %v",
+			len(rows), len(consts), len(acc), ends))
 	}
 	mask := uint32(f.Order() - 1)
 	width := len(consts[0])
@@ -144,6 +159,11 @@ func CompileBlock(f Field, rows []int, consts [][]uint32, ends []int) []*RowBloc
 			}
 		}
 		b.terms = terms
+		for r := range b.rows {
+			if acc != nil && acc[lo+r] {
+				b.acc |= 1 << uint(r)
+			}
+		}
 		for w, word := range support {
 			for ; word != 0; word &= word - 1 {
 				cols = append(cols, w*64+bits.TrailingZeros64(word))
@@ -250,16 +270,26 @@ func (b *RowBlock) Cols() []int { return b.cols }
 // cost per application.
 func (b *RowBlock) Terms() int { return b.terms }
 
-// Apply computes out[rows[r]] = Σ_k M[r][cols[k]] * in[cols[k]] for
-// every row of the block when overwrite is set, and XORs the sum into
-// out[rows[r]] otherwise. Every region the block touches must have the
-// same length, a multiple of the word size, and no output may alias a
-// source.
+// Accumulates reports whether row r of the block (the output region
+// Rows()[r]) adds its sum into its destination under an overwrite
+// Apply, rather than storing it.
+func (b *RowBlock) Accumulates(r int) bool { return b.acc>>uint(r)&1 == 1 }
+
+// Apply computes S_r = Σ_k M[r][cols[k]] * in[cols[k]] for every row r
+// of the block. When overwrite is set, each row applies its own mode:
+// out[rows[r]] = S_r for an overwrite row, out[rows[r]] ^= S_r for an
+// accumulate row. Otherwise every row accumulates. Every region the
+// block touches must have the same length, a multiple of the word
+// size, and no output may alias a source.
 //
 //ppm:hotpath
 func (b *RowBlock) Apply(out, in [][]byte, overwrite bool) {
 	n := len(out[b.rows[0]])
 	b.check(out, in, n)
+	acc := b.acc
+	if !overwrite {
+		acc = 1<<uint(len(b.rows)) - 1
+	}
 	lo := 0
 	if useAffine && n >= 64 && len(b.cols) > 0 {
 		lo = n &^ 63
@@ -267,14 +297,14 @@ func (b *RowBlock) Apply(out, in [][]byte, overwrite bool) {
 		for r, i := range b.rows {
 			a.dst[r] = &out[i][0]
 		}
-		runBlock(b.w, &a, len(b.rows), in, b.cols, b.mats, lo, !overwrite)
+		runBlock(b.w, &a, len(b.rows), in, b.cols, b.mats, lo, acc)
 	}
 	if lo == n {
 		return
 	}
 	for r, t := range b.tableRows() {
 		i := b.rows[r]
-		if overwrite {
+		if acc>>uint(r)&1 == 0 {
 			zeroRegion(out[i][lo:])
 		}
 		t.tableXOR(out[i], in, lo)
@@ -302,11 +332,12 @@ func (b *RowBlock) check(out, in [][]byte, n int) {
 // runBlock streams the sources srcs[cols[k]] through the kernel of width
 // w in batches of blockBatch, over the first n bytes (n a positive
 // multiple of 64) of the rows a.dst[:rows]. Column k's matrices start
-// at mats[k*per]. acc selects accumulate mode for the first batch;
-// later batches always accumulate.
+// at mats[k*per]. acc is the first batch's accumulate mask (bit r:
+// row r adds into its destination); later batches accumulate every
+// row.
 //
 //ppm:hotpath
-func runBlock(w int, a *blockArgs, rows int, srcs [][]byte, cols []int, mats []uint64, n int, acc bool) {
+func runBlock(w int, a *blockArgs, rows int, srcs [][]byte, cols []int, mats []uint64, n int, acc uint) {
 	per := len(mats) / len(cols)
 	for k0 := 0; k0 < len(cols); k0 += blockBatch {
 		nb := len(cols) - k0
@@ -318,14 +349,14 @@ func runBlock(w int, a *blockArgs, rows int, srcs [][]byte, cols []int, mats []u
 			a.mat[k] = &mats[(k0+k)*per]
 		}
 		blockKernel(w, a, nb, rows, n, acc)
-		acc = true
+		acc = 1<<uint(rows) - 1
 	}
 }
 
 // blockKernel dispatches one kernel call to the assembly of width w.
 //
 //ppm:hotpath
-func blockKernel(w int, a *blockArgs, nsrc, rows, n int, acc bool) {
+func blockKernel(w int, a *blockArgs, nsrc, rows, n int, acc uint) {
 	switch w {
 	case 8:
 		gf8BlockAsm(a, nsrc, rows, n, acc)
@@ -343,7 +374,7 @@ func blockKernel(w int, a *blockArgs, nsrc, rows, n int, acc bool) {
 func affineOne(w int, dst, src []byte, mat *uint64, n int) {
 	var a blockArgs
 	a.dst[0], a.src[0], a.mat[0] = &dst[0], &src[0], mat
-	blockKernel(w, &a, 1, 1, n, true)
+	blockKernel(w, &a, 1, 1, n, 1)
 }
 
 // AffineImageWords is the length of a term's image under AffineImage:

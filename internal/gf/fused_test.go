@@ -163,16 +163,17 @@ func testCompileRowMatchesMulti(t *testing.T) {
 // regions with a table-path tail. shape selects the block: bits 0-1
 // the row count less one (up to BlockRows), bit 2 overwrite instead of
 // accumulate, bits 3-7 the source count less one (up to two batches);
-// it also seeds which of 0, 1, a, b and c each term gets. Every block
+// it also seeds which of 0, 1, a, b and c each term gets. Bit r of acc
+// compiles row r to accumulate under an overwrite apply. Every block
 // is compiled afresh, so each run also lowers its table path on first
 // use.
 func FuzzFusedAgainstScalar(f *testing.F) {
-	f.Add(uint32(2), uint32(3), uint32(0x1001), uint32(0x1B), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	f.Add(uint32(0), uint32(1), uint32(0xFFFFFFFF), uint32(0x07), make([]byte, 40))
-	f.Add(uint32(0x8001), uint32(0xDEAD), uint32(0xBEEF), uint32(0), []byte{0xFF})
-	f.Add(uint32(7), uint32(0x1F0F), uint32(0xA5A5A5A5), uint32(0xFF), make([]byte, 200))
+	f.Add(uint32(2), uint32(3), uint32(0x1001), uint32(0x1B), uint8(0x0A), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add(uint32(0), uint32(1), uint32(0xFFFFFFFF), uint32(0x07), uint8(0x05), make([]byte, 40))
+	f.Add(uint32(0x8001), uint32(0xDEAD), uint32(0xBEEF), uint32(0), uint8(0), []byte{0xFF})
+	f.Add(uint32(7), uint32(0x1F0F), uint32(0xA5A5A5A5), uint32(0xFF), uint8(0x09), make([]byte, 200))
 
-	f.Fuzz(func(t *testing.T, a, b, c, shape uint32, data []byte) {
+	f.Fuzz(func(t *testing.T, a, b, c, shape uint32, acc uint8, data []byte) {
 		nrows := 1 + int(shape%BlockRows)
 		overwrite := shape>>2&1 == 1
 		nsrcs := 1 + int(shape>>3&31)
@@ -187,8 +188,8 @@ func FuzzFusedAgainstScalar(f *testing.F) {
 					}
 					mask := uint32(field.Order() - 1)
 					pool := []uint32{0, 1, a & mask, b & mask, c & mask}
-					fuzzRow(t, field, pool[2:], data[:n], affine)
-					fuzzBlock(t, field, pool, shape, nrows, nsrcs, overwrite, data[:n], affine)
+					fuzzRow(t, field, pool[2:], uint(acc)&1, data[:n], affine)
+					fuzzBlock(t, field, pool, shape, nrows, nsrcs, uint(acc)%(1<<uint(nrows)), overwrite, data[:n], affine)
 				}
 			}()
 		}
@@ -196,8 +197,8 @@ func FuzzFusedAgainstScalar(f *testing.F) {
 }
 
 // fuzzRow checks a 1-row block over three sources, with the three
-// fuzzed constants, in both modes.
-func fuzzRow(t *testing.T, field Field, consts []uint32, data []byte, affine bool) {
+// fuzzed constants and the row's mode from acc, in both apply modes.
+func fuzzRow(t *testing.T, field Field, consts []uint32, acc uint, data []byte, affine bool) {
 	n := len(data)
 	srcs := [][]byte{data, make([]byte, n), make([]byte, n)}
 	for i := 0; i < n; i++ {
@@ -207,20 +208,18 @@ func fuzzRow(t *testing.T, field Field, consts []uint32, data []byte, affine boo
 	for _, overwrite := range []bool{false, true} {
 		dst := append([]byte(nil), data...)
 		want := append([]byte(nil), dst...)
-		compileOne(field, []int{0}, [][]uint32{consts}).Apply([][]byte{dst}, srcs, overwrite)
-		if overwrite {
-			zeroRegion(want)
-		}
-		refMultiXOR(field, want, srcs, consts)
+		compileMasked(field, []int{0}, [][]uint32{consts}, acc).Apply([][]byte{dst}, srcs, overwrite)
+		refBlock(field, [][]byte{want}, srcs, []int{0}, [][]uint32{consts}, acc, overwrite)
 		if !bytes.Equal(dst, want) {
-			t.Fatalf("GF%d affine=%v overwrite=%v len=%d: row block differs from the scalar reference", field.W(), affine, overwrite, n)
+			t.Fatalf("GF%d affine=%v acc=%d overwrite=%v len=%d: row block differs from the scalar reference", field.W(), affine, acc, overwrite, n)
 		}
 	}
 }
 
 // fuzzBlock checks one RowBlock of nrows rows over nsrcs sources, with
-// terms drawn from pool and regions derived from data.
-func fuzzBlock(t *testing.T, field Field, pool []uint32, shape uint32, nrows, nsrcs int, overwrite bool, data []byte, affine bool) {
+// the rows in acc's bits accumulating, terms drawn from pool and
+// regions derived from data.
+func fuzzBlock(t *testing.T, field Field, pool []uint32, shape uint32, nrows, nsrcs int, acc uint, overwrite bool, data []byte, affine bool) {
 	n := len(data)
 	rng := rand.New(rand.NewSource(int64(shape)))
 	consts := make([][]uint32, nrows)
@@ -250,12 +249,12 @@ func fuzzBlock(t *testing.T, field Field, pool []uint32, shape uint32, nrows, ns
 	for r := range rows {
 		rows[r] = nrows - r // reversed, and output 0 stays untouched
 	}
-	compileOne(field, rows, consts).Apply(out, srcs, overwrite)
-	refBlock(field, want, srcs, rows, consts, overwrite)
+	compileMasked(field, rows, consts, acc).Apply(out, srcs, overwrite)
+	refBlock(field, want, srcs, rows, consts, acc, overwrite)
 	for i := range out {
 		if !bytes.Equal(out[i], want[i]) {
-			t.Fatalf("GF%d affine=%v rows=%d srcs=%d overwrite=%v len=%d: output %d differs from the scalar reference",
-				field.W(), affine, nrows, nsrcs, overwrite, n, i)
+			t.Fatalf("GF%d affine=%v rows=%d acc=%#x srcs=%d overwrite=%v len=%d: output %d differs from the scalar reference",
+				field.W(), affine, nrows, acc, nsrcs, overwrite, n, i)
 		}
 	}
 }

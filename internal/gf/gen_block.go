@@ -25,7 +25,8 @@ const blockRows = 4
 //
 //	DI  *blockArgs          BX  sources in this batch   CX  n (bytes)
 //	DX  chunk offset        R9  source index            R10 region pointer
-//	R11 matrix pointer      R12 accumulate flag
+//	R11 matrix pointer      R12 accumulate mask: bit r set adds row r
+//	                            to its destination, clear stores it
 //	Z0..Z(R-1)  row accumulators (planar at w=16/32)
 //	Z24, Z25    affine products
 //	Z26, Z27, Z30, Z31  the source vector and its plane rotations
@@ -127,13 +128,13 @@ func emit(p func(string, ...interface{}), wd width) {
 		rowStride = 64 * wd.planes
 	}
 	p("")
-	p("// func %s(a *blockArgs, nsrc, rows, n int, acc bool)", name)
-	p("TEXT ·%s(SB), NOSPLIT, $0-33", name)
+	p("// func %s(a *blockArgs, nsrc, rows, n int, acc uint)", name)
+	p("TEXT ·%s(SB), NOSPLIT, $0-40", name)
 	p("\tMOVQ    a+0(FP), DI")
 	p("\tMOVQ    nsrc+8(FP), BX")
 	p("\tMOVQ    rows+16(FP), AX")
 	p("\tMOVQ    n+24(FP), CX")
-	p("\tMOVBQZX acc+32(FP), R12")
+	p("\tMOVQ    acc+32(FP), R12")
 	if wd.w > 8 {
 		p("\tVMOVDQU64 %s<>(SB), Z28", wd.perm)
 		p("\tVMOVDQU64 %si<>(SB), Z29", wd.perm)
@@ -190,7 +191,7 @@ func body(p func(string, ...interface{}), wd width, rows, rowStride int) {
 			p("\tVPERMB  Z%d, Z29, Z%d", r, r)
 		}
 		p("\tMOVQ    blockArgs_dst+%d(DI), R10", 8*r)
-		p("\tTESTQ   R12, R12")
+		p("\tTESTQ   $%d, R12", 1<<r)
 		p("\tJEQ     %sst%d", l, r)
 		p("\tVPXORQ  (R10)(DX*1), Z%d, Z%d", r, r)
 		p("%sst%d:", l, r)

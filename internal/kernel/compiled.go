@@ -24,17 +24,26 @@ import (
 // across the persistent worker pool, composing with the executors'
 // group-level parallelism.
 //
+// A matrix compiled with CompileAccumulating has trailing rows that
+// accumulate even under an overwrite apply: one apply then stores the
+// leading rows and adds the trailing ones into their destinations, in
+// one pass over the shared sources, and no caller passes a mode per
+// call.
+//
 // A CompiledMatrix is immutable after Compile and safe for concurrent
 // use — the PPM executor applies different compiled groups from
 // different worker goroutines.
 type CompiledMatrix struct {
 	rows, cols int
+	acc        int // trailing rows that accumulate under an overwrite apply
 	blocks     []*gf.RowBlock
 	nnz        int
 	// prog, when non-nil, is the compiled XOR program (internal/xorplan)
-	// backing the region-application paths instead of the row blocks —
-	// attached by Compile when XorplanActive (GFNI absent, or forced).
-	prog *xorplan.Program
+	// of the leading rows-acc rows, and accProg that of the trailing acc
+	// rows: they back the region-application paths instead of the row
+	// blocks, one after the other. Compile attaches them when
+	// XorplanActive (GFNI absent, or forced).
+	prog, accProg *xorplan.Program
 }
 
 // Compile lowers m over the field: its rows are grouped into row
@@ -42,27 +51,65 @@ type CompiledMatrix struct {
 // change afterwards: the blocks read its rows when they lower their
 // table path.
 func Compile(f gf.Field, m *matrix.Matrix) *CompiledMatrix {
-	cm := &CompiledMatrix{rows: m.Rows(), cols: m.Cols(), blocks: compileBlocks(f, m)}
+	return CompileAccumulating(f, m, 0)
+}
+
+// CompileAccumulating is Compile with the last acc rows of m in
+// accumulate mode: an overwrite apply computes out[i] = (M·in)[i] for
+// the leading rows and out[i] ^= (M·in)[i] for the trailing acc rows,
+// and an accumulating apply adds into every row. Rows of both modes
+// that share a column support share a row block, so a source is read
+// once for all of them. acc must lie in [0, m.Rows()].
+func CompileAccumulating(f gf.Field, m *matrix.Matrix, acc int) *CompiledMatrix {
+	if acc < 0 || acc > m.Rows() {
+		panic(fmt.Sprintf("kernel: %d accumulating rows of a %d-row matrix", acc, m.Rows()))
+	}
+	cm := &CompiledMatrix{rows: m.Rows(), cols: m.Cols(), acc: acc, blocks: compileBlocks(f, m, acc)}
 	for _, b := range cm.blocks {
 		cm.nnz += b.Terms()
 	}
 	if XorplanActive() {
-		// Compiled programs are memoized process-wide, so recompiling the
-		// same matrix (per-stripe decode plans, pooled engines) reuses one
-		// schedule. A lowering failure just leaves the row kernels serving.
-		if prog, err := xorplan.CompileCached(f, m); err == nil {
-			cm.prog = prog
-		}
+		cm.prog, cm.accProg = compilePrograms(f, m, acc)
 	}
 	return cm
 }
 
+// compilePrograms lowers the overwrite rows and the accumulate rows of
+// m into one XOR program each; accProg is nil when no row accumulates,
+// and derives no row from another, so it always accumulates. Compiled
+// programs are memoized process-wide, so recompiling the same matrix
+// (per-stripe decode plans, pooled engines) reuses one schedule. A
+// matrix without overwrite rows, or one whose lowering fails, gets no
+// program at all, and the row kernels serve it.
+func compilePrograms(f gf.Field, m *matrix.Matrix, acc int) (prog, accProg *xorplan.Program) {
+	split := m.Rows() - acc
+	if split == 0 {
+		return nil, nil
+	}
+	over := m
+	if acc > 0 {
+		var under *matrix.Matrix
+		over, under = m.SplitRows(split)
+		p, err := xorplan.CompileCachedAccumulate(f, under)
+		if err != nil {
+			return nil, nil
+		}
+		accProg = p
+	}
+	prog, err := xorplan.CompileCached(f, over)
+	if err != nil {
+		return nil, nil
+	}
+	return prog, accProg
+}
+
 // compileBlocks groups the rows of m by column support, in order of
-// first appearance, into blocks of at most gf.BlockRows rows. Rows with
-// identical support share every source, so a block adds no zero terms;
-// all-zero rows form blocks of their own, which overwrite mode clears.
-// The rows are laid out block after block for one gf.CompileBlock call.
-func compileBlocks(f gf.Field, m *matrix.Matrix) []*gf.RowBlock {
+// first appearance, into blocks of at most gf.BlockRows rows; the last
+// acc rows accumulate. Rows with identical support share every source,
+// so a block adds no zero terms; all-zero rows form blocks of their
+// own, which overwrite mode clears. The rows are laid out block after
+// block for one gf.CompileBlock call.
+func compileBlocks(f gf.Field, m *matrix.Matrix, acc int) []*gf.RowBlock {
 	n, kl := m.Rows(), (m.Cols()+7)/8
 	if n == 0 {
 		return nil
@@ -103,11 +150,18 @@ func compileBlocks(f gf.Field, m *matrix.Matrix) []*gf.RowBlock {
 	}
 	rows := make([]int, n)
 	consts := make([][]uint32, n)
+	var modes []bool
+	if acc > 0 {
+		modes = make([]bool, n)
+	}
 	for i, g := range block {
 		rows[next[g]], consts[next[g]] = i, m.Row(i)
+		if acc > 0 {
+			modes[next[g]] = i >= n-acc
+		}
 		next[g]++
 	}
-	return gf.CompileBlock(f, rows, consts, ends)
+	return gf.CompileBlock(f, rows, consts, ends, modes)
 }
 
 // Blocks returns the row blocks the matrix compiled to: every row of
@@ -119,6 +173,10 @@ func (cm *CompiledMatrix) Rows() int { return cm.rows }
 
 // Cols returns the compiled column count.
 func (cm *CompiledMatrix) Cols() int { return cm.cols }
+
+// Accumulating returns how many trailing rows accumulate under an
+// overwrite apply (CompileAccumulating); 0 for Compile.
+func (cm *CompiledMatrix) Accumulating() int { return cm.acc }
 
 // NNZ returns the nonzero count, i.e. the mult_XORs cost of one Apply.
 func (cm *CompiledMatrix) NNZ() int { return cm.nnz }
@@ -143,7 +201,7 @@ func (cm *CompiledMatrix) Apply(in, out [][]byte, stats *Stats) {
 // pass. The row blocks store their first batch instead of adding it to
 // out, and an XOR program seeds each destination with its first fused
 // XOR (derivative-scheduled rows start from a sibling row), so nothing
-// zeroes out first.
+// zeroes out first. Rows compiled to accumulate add into out instead.
 func (cm *CompiledMatrix) ApplyOverwrite(in, out [][]byte, stats *Stats) {
 	cm.apply(in, out, true, stats)
 }
@@ -202,16 +260,10 @@ func (cm *CompiledMatrix) applySpan(in, out [][]byte, lo, hi int, overwrite bool
 	if lo >= hi {
 		return
 	}
-	// The XOR program computes the same sum and does its own
+	// The XOR programs compute the same sums and do their own
 	// arena-budget tiling (capped at this driver's tile, so the two
-	// blockings compose). Derivative-scheduled programs copy between
-	// output rows and only run in overwrite mode.
-	if cm.prog != nil && overwrite {
-		cm.prog.RunOverwrite(in, out, lo, hi)
-		return
-	}
-	if cm.prog != nil && !cm.prog.HasDerivative() {
-		cm.prog.RunAccumulate(in, out, lo, hi)
+	// blockings compose).
+	if cm.runPrograms(in, out, lo, hi, overwrite) {
 		return
 	}
 	arena := getViewArena(len(in) + len(out))
@@ -236,14 +288,39 @@ func (cm *CompiledMatrix) applySpan(in, out [][]byte, lo, hi int, overwrite bool
 	arena.release()
 }
 
-// overwriteTile computes out = M * in over whole tile views: the XOR
-// program's overwrite run, or every row block in overwrite mode.
+// runPrograms runs the XOR programs over [lo, hi) in the apply's mode,
+// the overwrite rows' program and then the accumulate rows', and
+// reports whether they served it. They do not when none is attached,
+// or when an accumulating apply meets a derivative-scheduled program:
+// it copies between output rows, which is sound only in overwrite
+// mode. The row blocks then serve the whole apply.
+//
+//ppm:hotpath
+//ppm:counted applySpan's and overwriteTile's callers account the full NNZ once per logical application
+func (cm *CompiledMatrix) runPrograms(in, out [][]byte, lo, hi int, overwrite bool) bool {
+	if cm.prog == nil || (!overwrite && cm.prog.HasDerivative()) {
+		return false
+	}
+	split := cm.rows - cm.acc
+	if overwrite {
+		cm.prog.RunOverwrite(in, out[:split], lo, hi)
+	} else {
+		cm.prog.RunAccumulate(in, out[:split], lo, hi)
+	}
+	if cm.accProg != nil {
+		cm.accProg.RunAccumulate(in, out[split:], lo, hi)
+	}
+	return true
+}
+
+// overwriteTile computes out = M * in over whole tile views (the
+// trailing rows of an accumulating matrix add in): the XOR programs'
+// run, or every row block in overwrite mode.
 //
 //ppm:hotpath
 //ppm:counted chainSpan's callers account u(S)+u(F^-1) once per logical product
 func (cm *CompiledMatrix) overwriteTile(in, out [][]byte, n int) {
-	if cm.prog != nil {
-		cm.prog.RunOverwrite(in, out, 0, n)
+	if cm.runPrograms(in, out, 0, n, true) {
 		return
 	}
 	for _, b := range cm.blocks {

@@ -145,7 +145,9 @@ func refProduct(f gf.Field, m *matrix.Matrix, in [][]byte) [][]byte {
 // and CompiledProductRange give byte-identical results
 // with the affine kernels on and off — also when they are switched off
 // after Compile — and both equal the scalar product, across lengths
-// below one 64-byte chunk, with word tails, and beyond one tile.
+// below one 64-byte chunk, with word tails, and beyond one tile. A
+// compile whose last three rows accumulate keeps the same blocks, one
+// of them mixed, and its ApplyOverwrite adds those rows in.
 func TestCompiledBlocksAffineOnOff(t *testing.T) {
 	setTileSize(1 << 10)
 	defer setTileSize(0)
@@ -154,8 +156,13 @@ func TestCompiledBlocksAffineOnOff(t *testing.T) {
 		m := blockTestMatrix(rng, f)
 		finv := randInvertible(rng, f, m.Rows())
 		cm, cFinv, cG := Compile(f, m), Compile(f, finv), Compile(f, finv.Mul(m))
+		const acc = 3
+		cMixed := CompileAccumulating(f, m, acc)
 		if got := len(cm.Blocks()); got != 5 {
 			t.Fatalf("GF%d: %d blocks, want 5 (rows 0,2,3,5 | 7 | 1,6 | 4 | 8)", f.W(), got)
+		}
+		if got := len(cMixed.Blocks()); got != 5 || cMixed.Accumulating() != acc {
+			t.Fatalf("GF%d: accumulating compile has %d blocks and %d accumulating rows, want 5 and %d", f.W(), got, cMixed.Accumulating(), acc)
 		}
 		wb := f.WordBytes()
 		for _, size := range []int{40 - 40%wb, 3*64 + wb, 5<<10 + 64 + wb} {
@@ -177,6 +184,8 @@ func TestCompiledBlocksAffineOnOff(t *testing.T) {
 				cm.Apply(in, res["Apply"], nil)
 				res["ApplyOverwrite"] = fresh()
 				cm.ApplyOverwrite(in, res["ApplyOverwrite"], nil)
+				res["ApplyOverwriteMixed"] = fresh()
+				cMixed.ApplyOverwrite(in, res["ApplyOverwriteMixed"], nil)
 				res["Normal"] = fresh()
 				CompiledProduct(cFinv, cm, nil, in, res["Normal"], nil, Normal, nil)
 				res["MatrixFirst"] = fresh()
@@ -193,13 +202,18 @@ func TestCompiledBlocksAffineOnOff(t *testing.T) {
 			gf.SetAffineKernels(prev)
 
 			for i := range seed {
+				mixed := prod[i]
+				if i >= m.Rows()-acc {
+					mixed = xorBytes(seed[i], prod[i])
+				}
 				want := map[string][]byte{
-					"Apply":            xorBytes(seed[i], prod[i]),
-					"ApplyOverwrite":   prod[i],
-					"Normal":           chained[i],
-					"MatrixFirst":      chained[i],
-					"NormalRange":      splice(seed[i], chained[i], lo, hi),
-					"MatrixFirstRange": splice(seed[i], chained[i], lo, hi),
+					"Apply":               xorBytes(seed[i], prod[i]),
+					"ApplyOverwrite":      prod[i],
+					"ApplyOverwriteMixed": mixed,
+					"Normal":              chained[i],
+					"MatrixFirst":         chained[i],
+					"NormalRange":         splice(seed[i], chained[i], lo, hi),
+					"MatrixFirstRange":    splice(seed[i], chained[i], lo, hi),
 				}
 				for name, w := range want {
 					if !bytes.Equal(on[name][i], w) {

@@ -61,7 +61,13 @@ func XorplanActive() bool {
 	return !gf.AffineKernels()
 }
 
-// XORProgram returns the compiled XOR program backing this matrix, or
-// nil when the row kernels serve it. Inspection seam for tests and
-// planverify.
+// XORProgram returns the compiled XOR program backing this matrix's
+// overwrite rows (every row, unless the matrix was compiled with
+// CompileAccumulating), or nil when the row kernels serve it.
+// Inspection seam for tests and planverify.
 func (cm *CompiledMatrix) XORProgram() *xorplan.Program { return cm.prog }
+
+// AccumulateXORProgram returns the compiled XOR program of the
+// trailing rows that accumulate (CompileAccumulating), or nil when
+// there are none or the row kernels serve the matrix.
+func (cm *CompiledMatrix) AccumulateXORProgram() *xorplan.Program { return cm.accProg }

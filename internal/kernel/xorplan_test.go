@@ -13,10 +13,16 @@ import (
 // compilePair compiles m with the row-kernel backend and with the XOR
 // program forced, for differential checks.
 func compilePair(f gf.Field, m *matrix.Matrix) (off, on *CompiledMatrix) {
+	return compilePairAccumulating(f, m, 0)
+}
+
+// compilePairAccumulating is compilePair with the last acc rows of m
+// accumulating (CompileAccumulating).
+func compilePairAccumulating(f gf.Field, m *matrix.Matrix, acc int) (off, on *CompiledMatrix) {
 	defer SetXorplanMode(SetXorplanMode(XorplanOff))
-	off = Compile(f, m)
+	off = CompileAccumulating(f, m, acc)
 	SetXorplanMode(XorplanOn)
-	on = Compile(f, m)
+	on = CompileAccumulating(f, m, acc)
 	return off, on
 }
 
@@ -45,19 +51,22 @@ func TestXorplanModeSelection(t *testing.T) {
 
 // TestXorplanByteIdentity runs every compiled application path with
 // the XOR backend against the row-kernel backend (and GFNI when the
-// host has it): the bytes must be identical. Run under -race this also
-// exercises the pooled run arenas from the fanout workers.
+// host has it): the bytes must be identical, also for a matrix whose
+// last two rows accumulate, which runs one program per mode. Run under
+// -race this also exercises the pooled run arenas from the fanout
+// workers.
 func TestXorplanByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	defer setFanoutMinBytes(0)
 	setFanoutMinBytes(4 << 10) // force the fanout path at test sizes
 	for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
-		for _, size := range []int{512, 40960} {
-			name := fmt.Sprintf("gf%d_%dB", f.W(), size)
+		for _, c := range []struct{ size, acc int }{{512, 0}, {40960, 0}, {512, 2}, {40960, 2}} {
+			size := c.size
+			name := fmt.Sprintf("gf%d_%dB_acc%d", f.W(), size, c.acc)
 			m := randMatrix(rng, f, 4, 8)
-			cmOff, cmOn := compilePair(f, m)
-			if cmOn.XORProgram() == nil {
-				t.Fatalf("%s: forced compile carries no program", name)
+			cmOff, cmOn := compilePairAccumulating(f, m, c.acc)
+			if cmOn.XORProgram() == nil || (cmOn.AccumulateXORProgram() == nil) != (c.acc == 0) {
+				t.Fatalf("%s: forced compile carries programs %v and %v", name, cmOn.XORProgram(), cmOn.AccumulateXORProgram())
 			}
 			in := randRegions(rng, 8, size)
 
@@ -79,9 +88,13 @@ func TestXorplanByteIdentity(t *testing.T) {
 				t.Errorf("%s: Apply accounting diverges: %d vs %d mult_XORs", name, stA.MultXORs(), stB.MultXORs())
 			}
 
-			// Overwrite: stale garbage must be fully replaced.
+			// Overwrite: stale garbage must be fully replaced, except in
+			// the accumulating rows, which start equal.
 			ovA := randRegions(rng, 4, size)
 			ovB := randRegions(rng, 4, size)
+			for i := 4 - c.acc; i < 4; i++ {
+				copy(ovB[i], ovA[i])
+			}
 			cmOff.ApplyOverwrite(in, ovA, &stA)
 			cmOn.ApplyOverwrite(in, ovB, &stB)
 			for i := range ovA {

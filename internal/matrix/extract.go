@@ -32,6 +32,30 @@ func (m *Matrix) SelectRows(rows []int) *Matrix {
 	return s
 }
 
+// Stack returns m's rows followed by o's: the matrix [m; o]. Both must
+// have the same column count.
+func (m *Matrix) Stack(o *Matrix) *Matrix {
+	if m.cols != o.cols {
+		panic(fmt.Sprintf("matrix: stacking %s on %s", o.Dims(), m.Dims()))
+	}
+	s := New(m.field, m.rows+o.rows, m.cols)
+	copy(s.data, m.data)
+	copy(s.data[len(m.data):], o.data)
+	return s
+}
+
+// SplitRows returns m's first i rows and its remaining rows as two
+// matrices, undoing Stack.
+func (m *Matrix) SplitRows(i int) (top, bottom *Matrix) {
+	if i < 0 || i > m.rows {
+		panic(fmt.Sprintf("matrix: split at row %d of %d", i, m.rows))
+	}
+	top, bottom = New(m.field, i, m.cols), New(m.field, m.rows-i, m.cols)
+	copy(top.data, m.data)
+	copy(bottom.data, m.data[len(top.data):])
+	return top, bottom
+}
+
 // NonzeroColumns returns the indices of columns that contain at least
 // one nonzero entry. The paper notes that partitioning creates all-zero
 // columns in sub-matrices and that those are dropped ("all sub-matrices

@@ -49,6 +49,14 @@ func TestSelectRows(t *testing.T) {
 	if !s.Equal(want) {
 		t.Fatalf("got\n%vwant\n%v", s, want)
 	}
+	// SplitRows and Stack undo each other.
+	top, bottom := m.SplitRows(1)
+	if !top.Equal(m.SelectRows([]int{0})) || !bottom.Equal(m.SelectRows([]int{1, 2})) {
+		t.Fatalf("split at row 1 gave\n%vand\n%v", top, bottom)
+	}
+	if got := top.Stack(bottom); !got.Equal(m) {
+		t.Fatalf("stacked\n%vwant\n%v", got, m)
+	}
 }
 
 func TestSelectRowsOutOfRangePanics(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"ppm/internal/codes"
 	"ppm/internal/decode"
@@ -64,6 +65,9 @@ func encodeImages(t testing.TB, c codes.Code, data []byte, sectorSize int) []byt
 
 // TestSlabsRecycled: Close gives a healthy engine's slabs to the next
 // engine of the same geometry, and keeps every slab of a poisoned one.
+// Slabs given back on one goroutine are all taken on another, even
+// while the giver keeps its P busy, and slabs left idle return to the
+// GC.
 func TestSlabsRecycled(t *testing.T) {
 	sd := testSD(t)
 	// A sector size no other test uses, so no other engine's slabs sit
@@ -79,9 +83,6 @@ func TestSlabsRecycled(t *testing.T) {
 	}
 
 	t.Run("healthy", func(t *testing.T) {
-		if raceEnabled {
-			t.Skip("race-mode sync.Pool deliberately drops items")
-		}
 		first := build()
 		old := slabsOf(first)
 		first.Close()
@@ -104,6 +105,69 @@ func TestSlabsRecycled(t *testing.T) {
 			if shares(old, got) {
 				t.Fatal("a poisoned engine's slab reached another engine")
 			}
+		}
+	})
+
+	// Its own geometry, so no engine above left slabs on its list.
+	const n, r, size = 3, 2, 1036
+	given := make([]*stripe.Stripe, 4)
+	for i := range given {
+		st, err := stripe.New(n, r, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		given[i] = st
+	}
+
+	t.Run("across goroutines", func(t *testing.T) {
+		gave, taken := make(chan struct{}), make(chan struct{})
+		go func() {
+			for _, st := range given {
+				giveSlab(st)
+			}
+			close(gave)
+			// Keep this goroutine's P busy while the other one takes.
+			for {
+				select {
+				case <-taken:
+					return
+				default:
+				}
+			}
+		}()
+		defer close(taken)
+		<-gave
+		var got []*stripe.Stripe
+		for range given {
+			st, err := takeSlab(n, r, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, st)
+		}
+		for _, st := range given {
+			if !shares([]*stripe.Stripe{st}, got) {
+				t.Fatalf("took %d slabs on another goroutine, but not every one of the %d given", len(got), len(given))
+			}
+		}
+	})
+
+	t.Run("idle slabs return to the GC", func(t *testing.T) {
+		for _, st := range given {
+			giveSlab(st)
+		}
+		l := slabListOf(slabKey{n, r, size})
+		idle := func() int {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			return len(l.idle)
+		}
+		for i := 0; i < 100 && idle() > 0; i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if k := idle(); k > 0 {
+			t.Fatalf("%d slabs still idle after 100 collections", k)
 		}
 	})
 }
@@ -176,9 +240,6 @@ func testRecycledSlabsNeverTrustedClean(t *testing.T, depth int) {
 // engines', so it allocates less than one slab in all, plan and engine
 // included. Without recycling it allocates Depth slabs.
 func TestWarmEncodeStreamAllocatesNoSlab(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-mode sync.Pool deliberately drops items")
-	}
 	sd, err := codes.NewSD(8, 16, 2, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,10 @@ const objRowBlocks = "row-blocks"
 // to m:
 //
 //   - structure: every row of m is written by exactly one block (an
-//     overwrite-mode apply would otherwise clobber or skip it), and
-//     every nonzero M[i][j] lies in the support of row i's block;
+//     overwrite-mode apply would otherwise clobber or skip it), in the
+//     mode the compiled matrix declares for it (the trailing
+//     Accumulating rows accumulate, the others overwrite), and every
+//     nonzero M[i][j] lies in the support of row i's block;
 //   - symbolic: each stored affine matrix, evaluated the way the kernel
 //     evaluates it (gf.RowBlock.AffineImage), maps every basis word x^b
 //     to M[i][j]·x^b at every word position of a chunk. The kernel's
@@ -36,6 +38,7 @@ func VerifyBlocks(f gf.Field, m *matrix.Matrix, cm *kernel.CompiledMatrix) []Fin
 		owner[i] = -1
 	}
 	terms := 0
+	accFrom := m.Rows() - cm.Accumulating() // rows from here on accumulate
 	inSupport := make([]bool, m.Cols())
 	var img [gf.AffineImageWords]uint32
 	for bi, b := range cm.Blocks() {
@@ -43,7 +46,7 @@ func VerifyBlocks(f gf.Field, m *matrix.Matrix, cm *kernel.CompiledMatrix) []Fin
 		if n := len(b.Rows()); n == 0 || n > gf.BlockRows {
 			add("structure", bi, "block has %d rows, want 1..%d", n, gf.BlockRows)
 		}
-		for _, i := range b.Rows() {
+		for r, i := range b.Rows() {
 			if i < 0 || i >= m.Rows() {
 				add("bounds", bi, "row %d outside the %d-row matrix", i, m.Rows())
 				return fs
@@ -52,6 +55,9 @@ func VerifyBlocks(f gf.Field, m *matrix.Matrix, cm *kernel.CompiledMatrix) []Fin
 				add("structure", bi, "row %d already written by block %d", i, owner[i])
 			}
 			owner[i] = bi
+			if want := i >= accFrom; b.Accumulates(r) != want {
+				add("structure", bi, "row %d %s its destination, want it to %s", i, modeName(!want), modeName(want))
+			}
 		}
 		clear(inSupport)
 		for _, j := range b.Cols() {
@@ -83,6 +89,14 @@ func VerifyBlocks(f gf.Field, m *matrix.Matrix, cm *kernel.CompiledMatrix) []Fin
 		add("stats", -1, "blocks hold %d terms; the matrix has %d nonzeros and the compiled apply accounts %d", terms, m.NNZ(), cm.NNZ())
 	}
 	return fs
+}
+
+// modeName names a row mode: what the row does to its destination.
+func modeName(accumulate bool) string {
+	if accumulate {
+		return "accumulate into"
+	}
+	return "overwrite"
 }
 
 // checkTermMatrix evaluates one stored term on the field's basis words

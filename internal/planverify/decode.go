@@ -142,12 +142,20 @@ func effectiveMatrix(sd *core.SubDecode) *matrix.Matrix {
 // compiled lowering, its cost, and the recovery expression of every
 // sector it writes. op indexes the stage for diagnostics.
 func (st *decodeState) subDecode(sd *core.SubDecode, op int, allowRecovered bool) {
+	if st.stage(sd, op, allowRecovered) {
+		st.lowering(sd, op)
+	}
+}
+
+// stage verifies a stage's cost and the recovery expression of every
+// sector it writes, and reports whether the stage carries a matrix for
+// its sequence; the caller proves what the stage compiled.
+func (st *decodeState) stage(sd *core.SubDecode, op int, allowRecovered bool) bool {
 	r := effectiveMatrix(sd)
 	if r == nil {
 		st.reportf("structure", op, "stage carries no matrix for sequence %v", sd.Seq)
-		return
+		return false
 	}
-	st.lowering(sd, op)
 	st.cost += stageCost(sd)
 	if sd.G != nil && sd.Finv != nil && sd.S != nil && !sd.G.Equal(sd.Finv.Mul(sd.S)) {
 		// The two sequences must compute the same algebra; a divergent G
@@ -157,7 +165,7 @@ func (st *decodeState) subDecode(sd *core.SubDecode, op int, allowRecovered bool
 	if r.Rows() != len(sd.FaultyCols) || r.Cols() != len(sd.SurvivorCols) {
 		st.reportf("structure", op, "stage matrix is %dx%d for %d faulty and %d survivor columns",
 			r.Rows(), r.Cols(), len(sd.FaultyCols), len(sd.SurvivorCols))
-		return
+		return true
 	}
 	seen := make(map[int]bool, len(sd.SurvivorCols))
 	exprs := make([][]uint32, len(sd.SurvivorCols))
@@ -175,6 +183,7 @@ func (st *decodeState) subDecode(sd *core.SubDecode, op int, allowRecovered bool
 		}
 		st.recover(c, vec, op)
 	}
+	return true
 }
 
 // addScaled adds a·e to the coefficient vector vec.
@@ -219,7 +228,8 @@ func (st *decodeState) recover(c int, vec []uint32, op int) {
 // sectors and adds its syndrome rows from its own survivors, never
 // reading another stage's output, and F_rest⁻¹ (stage p, after the
 // groups) recovers H_rest's sectors from the finished syndrome. It
-// proves every compiled matrix those stages apply.
+// proves every compiled matrix those stages apply, and the row modes
+// of each group's one matrix (groupMatrix).
 func (st *decodeState) folded(p *core.Plan, fd *core.Fold) {
 	rest := len(p.Groups)
 	if p.Rest == nil || len(fd.Groups) != len(p.Groups) {
@@ -233,39 +243,44 @@ func (st *decodeState) folded(p *core.Plan, fd *core.Fold) {
 		acc[r] = make([]uint32, st.total)
 	}
 	// accumulate adds m·(the expressions of cols) into the syndrome rows
-	// listed in into, after proving m's compiled copy.
-	accumulate := func(name string, m *matrix.Matrix, cm *kernel.CompiledMatrix, cols, into []int, op int) {
+	// listed in into. It reports false, and adds nothing, when m's shape
+	// does not fit them.
+	accumulate := func(name string, m *matrix.Matrix, cols, into []int, op int) bool {
 		if m.Rows() != len(into) || m.Cols() != len(cols) {
 			st.reportf("structure", op, "%s is %s for %d syndrome rows and %d columns", name, m.Dims(), len(into), len(cols))
-			return
+			return false
 		}
-		st.proveCompiled(name, m, cm, op)
 		st.cost += int64(m.NNZ())
 		for j, c := range cols {
 			e := st.available(c, op, false)
 			for i, r := range into {
 				if r < 0 || r >= rows {
 					st.reportf("bounds", op, "%s adds to syndrome row %d of %d", name, r, rows)
-					return
+					return false
 				}
 				st.addScaled(acc[r], m.At(i, j), e)
 			}
 		}
+		return true
 	}
 	all := make([]int, rows)
 	for r := range all {
 		all[r] = r
 	}
-	if len(fd.OwnCols) > 0 {
-		accumulate("S_own", fd.Own, fd.CompiledOwn(), fd.OwnCols, all, rest)
+	if len(fd.OwnCols) > 0 && accumulate("S_own", fd.Own, fd.OwnCols, all, rest) {
+		st.proveCompiled("S_own", fd.Own, fd.CompiledOwn(), rest)
 	}
 	for g := range p.Groups {
 		sd, fg := &p.Groups[g], &fd.Groups[g]
-		st.subDecode(sd, g, false)
-		if fg.Syn != nil {
-			accumulate("syndrome rows", fg.Syn, fg.Compiled(), sd.SurvivorCols, fg.Rows, g)
-		} else if len(fg.Rows) > 0 {
+		if !st.stage(sd, g, false) {
+			continue
+		}
+		if fg.Syn == nil && len(fg.Rows) > 0 {
 			st.reportf("structure", g, "group lists syndrome rows %v but no matrix", fg.Rows)
+			continue
+		}
+		if fg.Syn == nil || accumulate("syndrome rows", fg.Syn, sd.SurvivorCols, fg.Rows, g) {
+			st.groupMatrix(sd, fg, g)
 		}
 	}
 	finv := p.Rest.Finv
@@ -283,6 +298,33 @@ func (st *decodeState) folded(p *core.Plan, fd *core.Fold) {
 			st.addScaled(vec, finv.At(i, r), acc[r])
 		}
 		st.recover(c, vec, rest)
+	}
+}
+
+// groupMatrix proves the one matrix a folded group applies,
+// FoldGroup.Compiled, equal to [G; Syn] (G alone without syndrome
+// rows), and its row modes: exactly the syndrome rows accumulate. A G
+// row that accumulated would add the group's sectors into whatever the
+// stripe held there, which a decode into zeroed sectors hides; a
+// syndrome row that overwrote would drop the syndrome added before it.
+func (st *decodeState) groupMatrix(sd *core.SubDecode, fg *core.FoldGroup, op int) {
+	if sd.Seq != kernel.MatrixFirst {
+		st.reportf("structure", op, "folded group runs the %v sequence, want %v", sd.Seq, kernel.MatrixFirst)
+		return
+	}
+	m := sd.G
+	if fg.Syn != nil {
+		if fg.Syn.Cols() != m.Cols() {
+			st.reportf("structure", op, "syndrome rows are %s for a %s G", fg.Syn.Dims(), m.Dims())
+			return
+		}
+		m = m.Stack(fg.Syn)
+	}
+	cm := fg.Compiled()
+	st.proveCompiled("group matrix [G; syndrome rows]", m, cm, op)
+	if cm != nil && cm.Accumulating() != len(fg.Rows) {
+		st.reportf("structure", op, "group matrix accumulates its last %d rows, want its %d syndrome rows",
+			cm.Accumulating(), len(fg.Rows))
 	}
 }
 
@@ -311,20 +353,40 @@ func (st *decodeState) lowering(sd *core.SubDecode, op int) {
 	}
 }
 
-// proveCompiled proves a compiled matrix equal to m: its row blocks,
-// and its XOR program when one is attached.
+// proveCompiled proves a compiled matrix equal to m: its row blocks
+// with their row modes, and its XOR programs when they are attached.
 func (st *decodeState) proveCompiled(name string, m *matrix.Matrix, cm *kernel.CompiledMatrix, op int) {
 	if cm == nil {
 		st.reportf("structure", op, "stage has no compiled %s", name)
 		return
 	}
-	fs := VerifyBlocks(st.f, m, cm)
-	if prog := cm.XORProgram(); prog != nil {
-		fs = append(fs, VerifyProgram(st.f, m, prog)...)
-	}
+	fs := append(VerifyBlocks(st.f, m, cm), verifyPrograms(st.f, m, cm)...)
 	for _, f := range fs {
 		st.reportf(f.Pass, op, "compiled %s: %s", name, f)
 	}
+}
+
+// verifyPrograms proves the XOR programs attached to a compiled matrix
+// (none on the row-kernel backends): one over m's overwrite rows, and
+// one over its accumulate rows when it has any, which must derive no
+// row from another.
+func verifyPrograms(f gf.Field, m *matrix.Matrix, cm *kernel.CompiledMatrix) []Finding {
+	prog, accProg, acc := cm.XORProgram(), cm.AccumulateXORProgram(), cm.Accumulating()
+	switch {
+	case prog == nil && accProg == nil:
+		return nil
+	case prog == nil || (accProg != nil) != (acc > 0) || acc >= m.Rows():
+		return []Finding{{Object: objXorProgram, Pass: "structure", OpIndex: -1,
+			Message: fmt.Sprintf("overwrite program %v and accumulate program %v for a %d-row matrix whose last %d rows accumulate",
+				prog != nil, accProg != nil, m.Rows(), acc)}}
+	case accProg != nil && accProg.HasDerivative():
+		return []Finding{{Object: objXorProgram, Pass: "alias", OpIndex: -1,
+			Message: "accumulate program derives rows from other rows"}}
+	case acc == 0:
+		return VerifyProgram(f, m, prog)
+	}
+	over, under := m.SplitRows(m.Rows() - acc)
+	return append(VerifyProgram(f, over, prog), VerifyProgram(f, under, accProg)...)
 }
 
 // stageCost recomputes one stage's mult_XORs from the matrices its

@@ -97,7 +97,7 @@ type SweepStats struct {
 }
 
 // heldMatrix is one coefficient matrix a plan stage holds, with the
-// stage's compiled copy of it.
+// compiled matrix that applies its rows.
 type heldMatrix struct {
 	m  *matrix.Matrix
 	cm *kernel.CompiledMatrix // nil: the stage's sequence never applies m
@@ -106,28 +106,38 @@ type heldMatrix struct {
 // planMatrices lists every coefficient matrix one core plan holds. A
 // stage compiles only the matrices its sequence applies, so a
 // MatrixFirst stage's Finv and S and a Normal stage's G come without a
-// compiled copy.
+// compiled copy. A folded group's G and syndrome rows both come with
+// the group's one compiled matrix, whose XOR programs, when attached,
+// are exactly one per part.
 func planMatrices(p *core.Plan) []heldMatrix {
 	var out []heldMatrix
-	add := func(sd *core.SubDecode) {
+	add := func(sd *core.SubDecode, folded *kernel.CompiledMatrix) {
 		if sd == nil {
 			return
 		}
 		cFinv, cS, cG := sd.Compiled()
+		if folded != nil {
+			cG = folded
+		}
 		for _, h := range []heldMatrix{{sd.G, cG}, {sd.Finv, cFinv}, {sd.S, cS}} {
 			if h.m != nil {
 				out = append(out, h)
 			}
 		}
 	}
+	fd := p.Folded()
 	for i := range p.Groups {
-		add(&p.Groups[i])
+		var folded *kernel.CompiledMatrix
+		if fd != nil {
+			folded = fd.Groups[i].Compiled()
+		}
+		add(&p.Groups[i], folded)
 	}
-	add(p.Rest)
+	add(p.Rest, nil)
 	if p.Whole != nil {
-		add(&p.Whole.SubDecode)
+		add(&p.Whole.SubDecode, nil)
 	}
-	if fd := p.Folded(); fd != nil {
+	if fd != nil {
 		for i := range fd.Groups {
 			if fg := &fd.Groups[i]; fg.Syn != nil {
 				out = append(out, heldMatrix{fg.Syn, fg.Compiled()})

@@ -7,6 +7,7 @@ import (
 
 	"ppm/internal/codes"
 	"ppm/internal/core"
+	"ppm/internal/gf"
 	"ppm/internal/kernel"
 	"ppm/internal/matrix"
 	"ppm/internal/repair"
@@ -115,6 +116,11 @@ func TestVerifyDecodePlanCatchesCorruption(t *testing.T) {
 // syndrome rows as symbolic accumulators, so a wrong syndrome
 // coefficient and a dropped own-column term each leave a recovery
 // expression outside H's row space, whatever the lowering checks say.
+// It also proves the row modes of each group's one matrix: a G row
+// flipped to accumulate, which adds the group's sectors into whatever
+// their buffers held (a decode into zeroed sectors hides it, one over
+// a recycled slab does not), and a syndrome row flipped to overwrite,
+// which drops the syndrome added before it, are each reported.
 func TestVerifyFoldedPlanCatchesCorruption(t *testing.T) {
 	c, err := codes.NewSD(6, 4, 2, 1)
 	if err != nil {
@@ -147,30 +153,60 @@ func TestVerifyFoldedPlanCatchesCorruption(t *testing.T) {
 		t.Fatal("matrix is all zero")
 		return 0, 0
 	}
+	// flipMode recompiles the block of group 0's matrix that writes its
+	// row i with that row's mode flipped, in place of the original.
+	flipMode := func(p *core.Plan, i int) {
+		fg := &p.Folded().Groups[0]
+		m := p.Groups[0].G.Stack(fg.Syn)
+		blocks := fg.Compiled().Blocks()
+		for bi, b := range blocks {
+			for r, row := range b.Rows() {
+				if row != i {
+					continue
+				}
+				consts := make([][]uint32, len(b.Rows()))
+				modes := make([]bool, len(b.Rows()))
+				for k, rk := range b.Rows() {
+					consts[k], modes[k] = m.Row(rk), b.Accumulates(k) != (k == r)
+				}
+				blocks[bi] = gf.CompileBlock(c.Field(), b.Rows(), consts, []int{len(consts)}, modes)[0]
+				return
+			}
+		}
+		t.Fatalf("no block writes row %d", i)
+	}
 	for _, tc := range []struct {
-		name   string
-		mutate func(fd *core.Fold)
+		name       string
+		mutate     func(p *core.Plan)
+		pass, want string
 	}{
-		{"wrong syndrome coefficient", func(fd *core.Fold) {
-			syn := fd.Groups[0].Syn
+		{"wrong syndrome coefficient", func(p *core.Plan) {
+			syn := p.Folded().Groups[0].Syn
 			i, j := firstNonzero(syn)
 			syn.Set(i, j, syn.At(i, j)^1)
-		}},
-		{"dropped own-column term", func(fd *core.Fold) {
+		}, "symbolic", "row space"},
+		{"dropped own-column term", func(p *core.Plan) {
+			fd := p.Folded()
 			i, j := firstNonzero(fd.Own)
 			fd.Own.Set(i, j, 0)
-		}},
+		}, "symbolic", "row space"},
+		{"G row flipped to accumulate", func(p *core.Plan) {
+			flipMode(p, 0)
+		}, "structure", "want it to overwrite"},
+		{"syndrome row flipped to overwrite", func(p *core.Plan) {
+			flipMode(p, p.Groups[0].G.Rows())
+		}, "structure", "want it to accumulate"},
 	} {
 		plan := build()
-		tc.mutate(plan.Folded())
+		tc.mutate(plan)
 		caught := false
 		for _, f := range VerifyDecodePlan(c, plan) {
-			if f.Pass == "symbolic" && strings.Contains(f.Message, "row space") {
+			if f.Pass == tc.pass && strings.Contains(f.Message, tc.want) {
 				caught = true
 			}
 		}
 		if !caught {
-			t.Errorf("%s: no recovery expression left H's row space", tc.name)
+			t.Errorf("%s: no %s finding saying %q", tc.name, tc.pass, tc.want)
 		}
 	}
 }

@@ -16,12 +16,17 @@ const DefaultCacheSize = 256
 // progCache memoizes CompileCached process-wide.
 var progCache = lru.New[*Program](DefaultCacheSize)
 
-// The cache key is the exact encoded matrix — width, dimensions and
-// every coefficient — not a digest, so distinct matrices can never
-// collide into the wrong program.
-func cacheKey(f gf.Field, m *matrix.Matrix) []byte {
+// The cache key is the lowering (accumulate or not) and the exact
+// encoded matrix — width, dimensions and every coefficient — not a
+// digest, so distinct matrices can never collide into the wrong
+// program.
+func cacheKey(f gf.Field, m *matrix.Matrix, accumulate bool) []byte {
 	rows, cols := m.Rows(), m.Cols()
-	buf := make([]byte, 0, 12+4*rows*cols)
+	var lowering byte
+	if accumulate {
+		lowering = 1
+	}
+	buf := append(make([]byte, 0, 13+4*rows*cols), lowering)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.W()))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(rows))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cols))
@@ -38,11 +43,21 @@ func cacheKey(f gf.Field, m *matrix.Matrix) []byte {
 // and immutable. Concurrent misses on one key each compile an
 // equivalent program; the cache keeps the last one stored.
 func CompileCached(f gf.Field, m *matrix.Matrix) (*Program, error) {
-	key := cacheKey(f, m)
+	return compileCached(f, m, false)
+}
+
+// CompileCachedAccumulate is CompileCached for a program no output row
+// of which derives from another, so RunAccumulate can always run it.
+func CompileCachedAccumulate(f gf.Field, m *matrix.Matrix) (*Program, error) {
+	return compileCached(f, m, true)
+}
+
+func compileCached(f gf.Field, m *matrix.Matrix, accumulate bool) (*Program, error) {
+	key := cacheKey(f, m, accumulate)
 	if prog, ok := progCache.Get(key); ok {
 		return prog, nil
 	}
-	prog, err := Compile(f, m)
+	prog, err := compile(f, m, accumulate)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzProgramVsScalar drives arbitrary matrices over all three fields
-// through Compile + RunOverwrite/RunAccumulate and cross-checks every
+// through Compile + RunOverwrite/RunAccumulate, and the accumulate
+// lowering + RunAccumulate, and cross-checks every
 // output word against scalar field arithmetic (gf.Field.Mul — fully
 // independent of the table, affine and XOR region kernels). The fuzzer
 // owns the whole backend: polynomial lowering, CSE/Prim scheduling,
@@ -123,5 +124,21 @@ func FuzzProgramVsScalar(f *testing.F) {
 			prog.RunAccumulate(in, acc, 0, size)
 			check("accumulate", acc, base, 0)
 		}
+
+		// The accumulate lowering of the same matrix never derives a row
+		// from another, so it always accumulates.
+		accProg, err := compile(fld, m, true)
+		if err != nil {
+			t.Fatalf("compile for accumulating: %v", err)
+		}
+		if accProg.HasDerivative() || accProg.XORs() > accProg.Ones() {
+			t.Fatalf("accumulate program: derivative %v, %d XORs against %d ones", accProg.HasDerivative(), accProg.XORs(), accProg.Ones())
+		}
+		acc := make([][]byte, rows)
+		for i := range acc {
+			acc[i] = append([]byte(nil), base[i]...)
+		}
+		accProg.RunAccumulate(in, acc, 0, size)
+		check("accumulate", acc, base, 0)
 	})
 }

@@ -220,6 +220,22 @@ func primSets(rowSets [][]int, temps [][2]int, inCount int) *setSchedule {
 	return p
 }
 
+// withoutDerivatives rewrites every derivative op to compute its row
+// from scratch, S_v = delta Δ S_parent, in place of the copy of its
+// parent row, so the program can accumulate into its outputs.
+func (p *setSchedule) withoutDerivatives() {
+	full := make([][]int, p.Rows) // each written row's source set
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		if op.From >= 0 {
+			srcs := symmetricDiff(op.Srcs, full[op.From])
+			p.XORCount += len(srcs) - len(op.Srcs) - 1
+			op.Srcs, op.From = srcs, -1
+		}
+		full[op.Dst] = op.Srcs
+	}
+}
+
 func parentSet(sets [][]int, from int) []int {
 	if from < 0 {
 		return nil

@@ -131,6 +131,12 @@ type Program struct {
 // Compile lowers m over f into an optimised XOR program. Supported
 // word widths are 8, 16 and 32 — the fields internal/gf implements.
 func Compile(f gf.Field, m *matrix.Matrix) (*Program, error) {
+	return compile(f, m, false)
+}
+
+// compile is Compile; with accumulate set, no output row of the program
+// derives from another, so RunAccumulate can always run it.
+func compile(f gf.Field, m *matrix.Matrix, accumulate bool) (*Program, error) {
 	w := f.W()
 	switch w {
 	case 8, 16, 32:
@@ -166,6 +172,9 @@ func Compile(f gf.Field, m *matrix.Matrix) (*Program, error) {
 		sched = flatSets(sets, inCount, ones)
 	} else {
 		sched = scheduleSets(sets, inCount)
+	}
+	if accumulate {
+		sched.withoutDerivatives()
 	}
 	if err := sched.validate(); err != nil {
 		return nil, fmt.Errorf("xorplan: scheduler emitted an invalid program: %w", err)
